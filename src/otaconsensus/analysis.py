@@ -16,10 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .protocol import SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError
-
-# column sums must match 1 to this tolerance to count as stochastic
-COLUMN_SUM_TOL = 1e-12
+from .protocol import COLUMN_SUM_TOL, SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError
 
 # power iteration runs to this residual, with a hard cap on iterations
 POWER_RESIDUAL_TOL = 1e-12

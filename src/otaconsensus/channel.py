@@ -7,7 +7,7 @@ protocol constant rather than a physical channel.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -56,15 +56,20 @@ class FadingModel:
     def uniform(cls, lo: float, hi: float) -> "FadingModel":
         return cls("uniform", lo=lo, hi=hi)
 
-    def sample(self, rng: np.random.Generator) -> float:
+    def draw(self, rng: np.random.Generator, size: int) -> np.ndarray:
+        """size independent gains; half_normal redraws any exact zero."""
         if self.kind == "constant":
-            return float(self.gain)
+            return np.full(size, float(self.gain))
         if self.kind == "half_normal":
-            while True:
-                g = abs(float(rng.normal(0.0, self.scale)))
-                if g > 0.0:
-                    return g
-        return float(self.lo + (self.hi - self.lo) * rng.random())
+            g = np.abs(rng.normal(0.0, self.scale, size))
+            while not g.all():
+                zero = g == 0.0
+                g[zero] = np.abs(rng.normal(0.0, self.scale, int(zero.sum())))
+            return g
+        return self.lo + (self.hi - self.lo) * rng.random(size)
+
+    def sample(self, rng: np.random.Generator) -> float:
+        return float(self.draw(rng, 1)[0])
 
 
 @dataclass(frozen=True)
@@ -121,12 +126,15 @@ class ChannelProcess:
 
     time_varying=False freezes the block sampled at step 0 for all steps;
     time_varying=True resamples every step (gains are coherent within a
-    step's slots). Each link at each step draws from its own substream keyed
-    by (seed, step, min(i,j), max(i,j)), so realizations are independent of
-    sampling order and may be generated concurrently.
+    step's slots). Step k draws from one generator keyed by (seed, k): one
+    gain for every node pair in the canonical np.triu_indices order, link
+    or not, then masked by the topology. So a pair's gain depends only on
+    (seed, k, pair), not on edge order or on which other links exist.
 
     deep_fade additionally gives every off-topology pair a weak positive
     gain uniform in (0, epsilon/2], below the effective-graph threshold.
+    Its uniforms, one per pair, come from the same generator after the
+    gains, so switching it on leaves the on-topology gains untouched.
 
     pair_scales multiplies individual links' draws by a per-pair factor,
     keyed by the undirected pair (min, max). All three fading families are
@@ -142,6 +150,12 @@ class ChannelProcess:
     deep_fade: bool = False
     epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
+    # built once from the fields above: the strict upper triangle as an n x n
+    # mask, whose row-major order is the canonical pair order, and per pair
+    # whether it is a link and its scale (None when no pair is scaled)
+    _upper: np.ndarray = field(init=False, repr=False, compare=False)
+    _links: np.ndarray = field(init=False, repr=False, compare=False)
+    _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.topology.is_symmetric():
@@ -150,12 +164,13 @@ class ChannelProcess:
             raise ValueError(f"self_weight must be nonnegative, got {self.self_weight}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        n = self.topology.n
         norm = []
         items = self.pair_scales.items() if isinstance(self.pair_scales, dict) else self.pair_scales
         for (a, b), s in items:
             if s <= 0:
                 raise ValueError(f"pair scale for ({a},{b}) must be positive, got {s}")
-            if not (0 <= a < self.topology.n and 0 <= b < self.topology.n) or a == b:
+            if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"pair ({a},{b}) is not a valid link")
             norm.append(((min(a, b), max(a, b)), float(s)))
         object.__setattr__(self, "pair_scales", tuple(sorted(norm)))
@@ -164,34 +179,35 @@ class ChannelProcess:
                 raise ValueError("deep_fade applies to time-varying channels only")
             if self.epsilon is None or self.epsilon <= 0:
                 raise ValueError(f"deep_fade needs epsilon > 0, got {self.epsilon}")
-
-    def _link_rng(self, k: int, i: int, j: int) -> np.random.Generator:
-        return np.random.default_rng([self.seed, k, i, j])
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        scales = None
+        if self.pair_scales:
+            scales = np.ones((n, n))
+            for (a, b), s in self.pair_scales:
+                scales[a, b] = s
+            scales = scales[upper]
+        object.__setattr__(self, "_upper", upper)
+        object.__setattr__(self, "_links", self.topology.adjacency()[upper])
+        object.__setattr__(self, "_scales", scales)
 
     def realization(self, k: int) -> ChannelRealization:
         """Gain matrix for step k; a pure function of (process fields, k)."""
         if k < 0:
             raise ValueError(f"step index must be nonnegative, got {k}")
-        k_eff = k if self.time_varying else 0
+        rng = np.random.default_rng([self.seed, k if self.time_varying else 0])
+        pairs = self.model.draw(rng, self._links.size)
+        if self._scales is not None:
+            pairs *= self._scales
+        off = 0.0
+        if self.deep_fade:
+            u = rng.random(self._links.size)
+            off = (1.0 - u) * 0.5 * self.epsilon  # in (0, epsilon/2]
+        pairs = np.where(self._links, pairs, off)
         n = self.topology.n
         gains = np.zeros((n, n))
+        gains[self._upper] = pairs
+        gains.T[self._upper] = pairs
         np.fill_diagonal(gains, self.self_weight)
-        scales = dict(self.pair_scales)
-        links = sorted({(min(a, b), max(a, b)) for a, b in self.topology.edges})
-        for i, j in links:
-            g = self.model.sample(self._link_rng(k_eff, i, j)) * scales.get((i, j), 1.0)
-            gains[i, j] = g
-            gains[j, i] = g
-        if self.deep_fade:
-            linkset = set(links)
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if (i, j) in linkset:
-                        continue
-                    u = self._link_rng(k_eff, i, j).random()
-                    weak = (1.0 - u) * 0.5 * self.epsilon  # in (0, epsilon/2]
-                    gains[i, j] = weak
-                    gains[j, i] = weak
         return ChannelRealization(n, gains, self.self_weight)
 
 
@@ -204,10 +220,6 @@ def effective_graph(h: ChannelRealization, epsilon: float) -> Digraph:
     """
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
-    edges = {
-        (j, i)
-        for i in range(h.n)
-        for j in range(h.n)
-        if i != j and h.gains[i, j] > epsilon
-    }
-    return Digraph(h.n, frozenset(edges))
+    adj = h.gains.T > epsilon
+    np.fill_diagonal(adj, False)
+    return Digraph(h.n, frozenset(zip(*np.nonzero(adj))))

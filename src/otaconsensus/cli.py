@@ -7,9 +7,11 @@ trip any double exactly, so identical invocations produce identical files.
 from __future__ import annotations
 
 import argparse
+import math
 import re
 import sys
 from dataclasses import dataclass
+from itertools import islice
 from pathlib import Path
 
 import numpy as np
@@ -23,20 +25,12 @@ from .analysis import (
     stationary_limit,
 )
 from .channel import ChannelProcess, ChannelRealization, FadingModel, NoiseModel
-from .protocol import (
-    DegenerateStateError,
-    InitialStates,
-    IsolationError,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
-)
+from .protocol import DegenerateStateError, InitialStates, IsolationError
 from .simulator import (
     InitialSpec,
     NonFiniteStateError,
     SimulationConfig,
+    iterate,
     make_initial_values,
     run,
     stream_seeds,
@@ -53,7 +47,7 @@ class ConfigError(ValueError):
 def fmt_float(x: float) -> str:
     """Shortest decimal that round-trips the double exactly."""
     x = float(x)
-    if not np.isfinite(x):
+    if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
     return format(x, ".17g")
 
@@ -456,27 +450,9 @@ class CheckResult:
 
 
 def _protocol_trajectories(S, channel, k_max, time_varying):
-    """Per-node protocol route, returned in oracle array layout."""
-    n = S.n
-    Y = np.empty((k_max + 1, n))
-    X = np.empty((k_max + 1, n))
-    MU = np.empty((k_max + 1, n))
-    Y[0], X[0], MU[0] = S.values, np.ones(n), S.values
-    if time_varying:
-        states = tvc_initialize(S)
-        for k in range(1, k_max + 1):
-            states = tvc_step(states, channel.realization(k - 1))
-            Y[k] = [st.y_tilde for st in states]
-            X[k] = [st.x_tilde for st in states]
-            MU[k] = ratio_output(states)
-    else:
-        h = channel.realization(0)
-        states = tic_initialize(S, h)
-        for k in range(1, k_max + 1):
-            states = tic_step(states, h)
-            Y[k] = [st.y_tilde for st in states]
-            X[k] = [st.x_tilde for st in states]
-            MU[k] = ratio_output(states)
+    """The simulator's stepping kernel, noiseless, in oracle array layout."""
+    kernel = iterate("tvc" if time_varying else "tic", S, channel=channel)
+    Y, X, MU = (np.array(a) for a in zip(*islice(kernel, k_max + 1)))
     return Y, X, MU
 
 

@@ -7,10 +7,12 @@ individual iterations need not converge at all. Receivers never decode
 individual neighbor values; every update consumes only the channel-weighted
 sum of simultaneous transmissions plus the locally known self term.
 
-Three variants live here: the time-invariant-channel update with the
-normalization measured once at startup, the time-varying-channel update
-with a per-block pilot slot, and a digital baseline that mixes with
-explicit 1/(1+out-degree) weights instead of channel gains.
+Three variants share one array step, ota_step, over all receivers at
+once: the time-invariant-channel update with the normalization measured
+once at startup, the time-varying-channel update with a per-block pilot
+slot, and a digital baseline that mixes with explicit 1/(1+out-degree)
+weights instead of channel gains. The AgentState functions are per-node
+views of that step.
 """
 from __future__ import annotations
 
@@ -25,7 +27,8 @@ from .topology import Digraph, is_strongly_connected
 # treated as cut off and the run errors out rather than dividing
 SIGMA_MIN = 1e-12
 
-# sanity tolerance on constructed weight matrices
+# column sums must match 1 to this tolerance: constructed weight matrices
+# and the stochasticity audit alike
 COLUMN_SUM_TOL = 1e-12
 
 
@@ -124,13 +127,50 @@ def prop1_weights(g: Digraph) -> WeightMatrix:
     to itself and to each out-neighbor, so every column sums to 1 exactly."""
     if not is_strongly_connected(g):
         raise ValueError("baseline weights need a strongly connected digraph")
-    w = np.zeros((g.n, g.n))
-    for j in range(g.n):
-        share = 1.0 / (1.0 + g.out_degree(j))
-        w[j, j] = share
-        for l in g.out_neighbors(j):
-            w[l, j] = share
-    return WeightMatrix(w)
+    adj = g.adjacency()
+    share = 1.0 / (1.0 + adj.sum(axis=1))
+    return WeightMatrix(np.where(adj.T | np.eye(g.n, dtype=bool), share[np.newaxis, :], 0.0))
+
+
+def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
+    """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
+    gains @ 1 (self term included) plus its noise, is its normalization sum."""
+    sigma = gains @ np.ones(gains.shape[0])
+    if noise is not None:
+        sigma = sigma + noise
+    cut = sigma <= SIGMA_MIN
+    if cut.any():
+        j = int(np.argmax(cut))
+        raise IsolationError(
+            f"node {j} is isolated {context}: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}"
+        )
+    return sigma
+
+
+def ota_step(gains, sigma, y_tilde, x_tilde, noise_y=None, noise_x=None):
+    """One iteration's numerator and denominator slots for all receivers at
+    once: every node transmits its chain state over its own sigma, and
+    receiver i observes row i of gains times those signals plus its own
+    noise draw. Returns the new (y_tilde, x_tilde)."""
+    y = gains @ (y_tilde / sigma)
+    x = gains @ (x_tilde / sigma)
+    if noise_y is not None:
+        y += noise_y
+    if noise_x is not None:
+        x += noise_x
+    return y, x
+
+
+def ratio(y_tilde: np.ndarray, x_tilde: np.ndarray, where: str = "") -> np.ndarray:
+    """Per-node estimates y_tilde / x_tilde; a denominator that is not
+    positive (NaN included) raises, naming the node."""
+    bad = ~(x_tilde > 0)
+    if bad.any():
+        j = int(np.argmax(bad))
+        raise DegenerateStateError(
+            f"node {j} has nonpositive denominator state x_tilde={float(x_tilde[j])!r}{where}"
+        )
+    return y_tilde / x_tilde
 
 
 def baseline_step(y: np.ndarray, x: np.ndarray, P: WeightMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -139,21 +179,23 @@ def baseline_step(y: np.ndarray, x: np.ndarray, P: WeightMatrix) -> tuple[np.nda
     x = np.asarray(x, dtype=float)
     if y.shape != (P.n,) or x.shape != (P.n,):
         raise ValueError(f"state vectors must have shape ({P.n},)")
-    return P.entries @ y, P.entries @ x
+    return ota_step(P.entries, np.ones(P.n), y, x)
 
 
-def _pilot_sigma(h: ChannelRealization, noise, context: str) -> np.ndarray:
-    """All nodes transmit 1 simultaneously; receiver j's aggregate is its
-    normalization sum. Includes the diagonal self term."""
-    ones = np.ones(h.n)
-    sigma = np.empty(h.n)
-    for j in range(h.n):
-        sigma[j] = ota_aggregate(h.gains[j], ones, 0.0 if noise is None else noise[j])
-        if sigma[j] <= SIGMA_MIN:
-            raise IsolationError(
-                f"node {j} is isolated {context}: pilot sum {sigma[j]!r} <= {SIGMA_MIN}"
-            )
-    return sigma
+# AgentState views of the array step, one state per node
+
+
+def _chains(states: list[AgentState], n: int) -> tuple[np.ndarray, np.ndarray]:
+    if len(states) != n:
+        raise ValueError(f"got {len(states)} states for {n} nodes")
+    return np.array([st.y_tilde for st in states]), np.array([st.x_tilde for st in states])
+
+
+def _states(y_tilde: np.ndarray, x_tilde: np.ndarray, sigma: np.ndarray) -> list[AgentState]:
+    return [
+        AgentState(y_tilde=yt, x_tilde=xt, y=yt / s, x=xt / s, sigma=s)
+        for yt, xt, s in zip(y_tilde.tolist(), x_tilde.tolist(), sigma.tolist())
+    ]
 
 
 def tic_initialize(S: InitialStates, h: ChannelRealization, noise_w=None) -> list[AgentState]:
@@ -161,17 +203,8 @@ def tic_initialize(S: InitialStates, h: ChannelRealization, noise_w=None) -> lis
     all-ones pilot, then seed the two chains with (S_j, 1) and normalize."""
     if S.n != h.n:
         raise ValueError(f"got {S.n} initial values for {h.n} nodes")
-    sigma = _pilot_sigma(h, noise_w, "at initialization")
-    return [
-        AgentState(
-            y_tilde=float(S.values[j]),
-            x_tilde=1.0,
-            y=float(S.values[j]) / sigma[j],
-            x=1.0 / sigma[j],
-            sigma=float(sigma[j]),
-        )
-        for j in range(h.n)
-    ]
+    sigma = pilot(h.gains, noise_w, "at initialization")
+    return _states(S.values, np.ones(h.n), sigma)
 
 
 def tic_step(states: list[AgentState], h: ChannelRealization, noise_y=None, noise_x=None) -> list[AgentState]:
@@ -179,18 +212,9 @@ def tic_step(states: list[AgentState], h: ChannelRealization, noise_y=None, nois
     denominator) over the same realization, then renormalize by the sigma
     fixed at startup. sigma is never remeasured here, even though with a
     constant channel remeasuring would be harmless."""
-    n = h.n
-    if len(states) != n:
-        raise ValueError(f"got {len(states)} states for {n} nodes")
-    ty = np.array([st.y for st in states])
-    tx = np.array([st.x for st in states])
-    out = []
-    for j in range(n):
-        y_tilde = ota_aggregate(h.gains[j], ty, 0.0 if noise_y is None else noise_y[j])
-        x_tilde = ota_aggregate(h.gains[j], tx, 0.0 if noise_x is None else noise_x[j])
-        s = states[j].sigma
-        out.append(AgentState(y_tilde=y_tilde, x_tilde=x_tilde, y=y_tilde / s, x=x_tilde / s, sigma=s))
-    return out
+    y_tilde, x_tilde = _chains(states, h.n)
+    sigma = np.array([st.sigma for st in states])
+    return _states(*ota_step(h.gains, sigma, y_tilde, x_tilde, noise_y, noise_x), sigma)
 
 
 def tvc_initialize(S: InitialStates) -> list[AgentState]:
@@ -222,26 +246,9 @@ def tvc_step(
     aggregates over this block's sigma; the next step remeasures before
     transmitting, so they are provisional outputs, not next inputs.
     """
-    n = h_k.n
-    if len(states) != n:
-        raise ValueError(f"got {len(states)} states for {n} nodes")
-    sigma = _pilot_sigma(h_k, noise_w, "this step (deep fade)")
-    ty = np.array([st.y_tilde for st in states]) / sigma
-    tx = np.array([st.x_tilde for st in states]) / sigma
-    out = []
-    for j in range(n):
-        y_tilde = ota_aggregate(h_k.gains[j], ty, 0.0 if noise_y is None else noise_y[j])
-        x_tilde = ota_aggregate(h_k.gains[j], tx, 0.0 if noise_x is None else noise_x[j])
-        out.append(
-            AgentState(
-                y_tilde=y_tilde,
-                x_tilde=x_tilde,
-                y=y_tilde / sigma[j],
-                x=x_tilde / sigma[j],
-                sigma=float(sigma[j]),
-            )
-        )
-    return out
+    y_tilde, x_tilde = _chains(states, h_k.n)
+    sigma = pilot(h_k.gains, noise_w, "this step (deep fade)")
+    return _states(*ota_step(h_k.gains, sigma, y_tilde, x_tilde, noise_y, noise_x), sigma)
 
 
 def ratio_output(states: list[AgentState]) -> np.ndarray:
@@ -250,9 +257,4 @@ def ratio_output(states: list[AgentState]) -> np.ndarray:
     Identical to y/x wherever both are defined, since numerator and
     denominator share a sigma.
     """
-    for j, st in enumerate(states):
-        if not st.x_tilde > 0:
-            raise DegenerateStateError(
-                f"node {j} has nonpositive denominator state x_tilde={st.x_tilde!r}"
-            )
-    return np.array([st.y_tilde / st.x_tilde for st in states])
+    return ratio(*_chains(states, len(states)))

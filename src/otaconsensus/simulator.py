@@ -9,28 +9,14 @@ the topology draw. Everything downstream is a pure function of the config.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import count
 
 import numpy as np
 
 from .analysis import mass_audit
 from .channel import ChannelProcess, FadingModel, NoiseModel
-from .protocol import (
-    DegenerateStateError,
-    InitialStates,
-    baseline_step,
-    prop1_weights,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
-)
-from .topology import (
-    TopologySpec,
-    check_epsilon_B_connectivity,
-    generate_topology,
-    is_strongly_connected,
-)
+from .protocol import InitialStates, ota_step, pilot, prop1_weights, ratio
+from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
 ALGORITHMS = ("tic", "tvc", "baseline")
 
@@ -200,6 +186,55 @@ def prepare(config: SimulationConfig):
     return g, channel, S
 
 
+def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
+            noise_std: float = 0.0, noise_rng=None, audit=None):
+    """The one stepping kernel behind run() and the verify suite.
+
+    Yields (y_tilde, x_tilde, mu) for step 0 (the initial values) and then
+    after every step, without end; the caller decides when to stop. Every
+    step is y_tilde' = G @ (y_tilde / sigma) + noise, likewise for x_tilde:
+
+    - tic: G is channel.realization(0), sigma measured once by a pilot;
+    - tvc: a fresh realization and pilot every step, each realization
+      also fed to audit (an EpsilonBAudit) when one is given;
+    - baseline: G = prop1_weights(g) and sigma = 1. The exchange is
+      digital, so it draws no receiver noise.
+
+    With noise_std > 0 every analog slot draws n values from noise_rng in
+    slot order: tic's pilot once, then numerator and denominator each step;
+    tvc's pilot, numerator and denominator each step.
+    """
+    n = S.n
+
+    def noise():
+        if noise_std == 0.0 or algorithm == "baseline":
+            return None
+        return noise_rng.normal(0.0, noise_std, size=n)
+
+    def checked(k, y, x):
+        mu = ratio(y, x, f" at step {k}")
+        finite = np.isfinite(y) & np.isfinite(x) & np.isfinite(mu)
+        if not finite.all():
+            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite))}")
+        return y, x, mu
+
+    y, x = S.values.copy(), np.ones(n)
+    if algorithm == "baseline":
+        G, sigma = prop1_weights(g).entries, np.ones(n)
+    elif algorithm == "tic":
+        G = channel.realization(0).gains
+        sigma = pilot(G, noise(), "at initialization")
+    yield checked(0, y, x)
+    for k in count(1):
+        if algorithm == "tvc":
+            G = channel.realization(k - 1).gains
+            if audit is not None:
+                audit.add(G)
+            sigma = pilot(G, noise(), f"at step {k} (deep fade)")
+        y, x = ota_step(G, sigma, y, x, noise(), noise())
+        yield checked(k, y, x)
+
+
 def run(config: SimulationConfig) -> tuple[list[TrajectoryRecord], RunSummary]:
     """Execute one experiment to convergence or max_iters.
 
@@ -210,106 +245,37 @@ def run(config: SimulationConfig) -> tuple[list[TrajectoryRecord], RunSummary]:
     """
     g, channel, S = prepare(config)
     _, _, _, noise_seed = stream_seeds(config.seed)
-    noise_rng = np.random.default_rng(noise_seed)
-    std = config.noise.std
-
-    def noise_draw():
-        # one slot's worth of receiver noise; None keeps the exact-zero path
-        if std == 0.0:
-            return None
-        return noise_rng.normal(0.0, std, size=config.n)
+    audit = EpsilonBAudit(config.epsilon, config.B) if config.algorithm == "tvc" else None
+    kernel = iterate(config.algorithm, S, g, channel, config.noise.std,
+                     np.random.default_rng(noise_seed), audit)
 
     records: list[TrajectoryRecord] = []
     ytilde_steps: list[np.ndarray] = []
     xtilde_steps: list[np.ndarray] = []
-
-    def record(step: int, y_tilde: np.ndarray, x_tilde: np.ndarray, mu: np.ndarray):
-        if not (np.all(np.isfinite(y_tilde)) and np.all(np.isfinite(x_tilde)) and np.all(np.isfinite(mu))):
-            raise NonFiniteStateError(f"non-finite state at step {step}")
-        ytilde_steps.append(y_tilde)
-        xtilde_steps.append(x_tilde)
-        for node in range(config.n):
-            records.append(
-                TrajectoryRecord(
-                    step=step,
-                    node=node,
-                    y_tilde=float(y_tilde[node]),
-                    x_tilde=float(x_tilde[node]),
-                    mu=float(mu[node]),
-                )
-            )
-
-    h_seq = []
-    if config.algorithm == "baseline":
-        P = prop1_weights(g)
-        y, x = S.values.copy(), np.ones(config.n)
-
-        def step_fn(k):
-            nonlocal y, x
-            y, x = baseline_step(y, x, P)
-            if np.any(x <= 0):
-                j = int(np.argmin(x))
-                raise DegenerateStateError(f"node {j} has nonpositive denominator at step {k}")
-            return y.copy(), x.copy(), y / x
-
-        record(0, y.copy(), x.copy(), y / x)
-    elif config.algorithm == "tic":
-        h = channel.realization(0)
-        h_seq.append(h)
-        states = tic_initialize(S, h, noise_w=noise_draw())
-
-        def step_fn(k):
-            nonlocal states
-            states = tic_step(states, h, noise_y=noise_draw(), noise_x=noise_draw())
-            yt = np.array([st.y_tilde for st in states])
-            xt = np.array([st.x_tilde for st in states])
-            return yt, xt, ratio_output(states)
-
-        record(0, S.values.copy(), np.ones(config.n), ratio_output(states))
-    else:
-        states = tvc_initialize(S)
-
-        def step_fn(k):
-            nonlocal states
-            h_k = channel.realization(k - 1)
-            h_seq.append(h_k)
-            states = tvc_step(states, h_k, noise_w=noise_draw(), noise_y=noise_draw(), noise_x=noise_draw())
-            yt = np.array([st.y_tilde for st in states])
-            xt = np.array([st.x_tilde for st in states])
-            return yt, xt, ratio_output(states)
-
-        record(0, S.values.copy(), np.ones(config.n), ratio_output(states))
-
     converged = False
     streak = 0
-    last_step = 0
-    last_mu = np.array([r.mu for r in records[-config.n :]])
-    for k in range(1, config.max_iters + 1):
-        yt, xt, mu = step_fn(k)
-        record(k, yt, xt, mu)
-        last_step = k
-        last_mu = mu
-        if spread(mu) <= config.tol:
-            streak += 1
-        else:
-            streak = 0
-        if streak >= config.tol_window:
-            converged = True
+    for k, (y_tilde, x_tilde, mu) in enumerate(kernel):
+        ytilde_steps.append(y_tilde)
+        xtilde_steps.append(x_tilde)
+        records.extend(
+            TrajectoryRecord(k, node, yt, xt, m)
+            for node, (yt, xt, m) in enumerate(zip(y_tilde.tolist(), x_tilde.tolist(), mu.tolist()))
+        )
+        if k > 0:
+            streak = streak + 1 if spread(mu) <= config.tol else 0
+            converged = streak >= config.tol_window
+        if converged or k == config.max_iters:
             break
 
     target = S.mean()
-    final_max_error = float(np.max(np.abs(last_mu - target)))
     drift_y, drift_x = mass_audit((np.array(ytilde_steps), np.array(xtilde_steps)), S)
-    eps_b = None
-    if config.algorithm == "tvc":
-        eps_b = check_epsilon_B_connectivity(h_seq, config.epsilon, config.B)
     summary = RunSummary(
         converged=converged,
-        iterations_used=last_step,
+        iterations_used=k,
         target_average=target,
-        final_max_error=final_max_error,
+        final_max_error=float(np.max(np.abs(mu - target))),
         mass_drift_y=drift_y,
         mass_drift_x=drift_x,
-        epsilon_B_satisfied=eps_b,
+        epsilon_B_satisfied=None if audit is None else audit.satisfied,
     )
     return records, summary

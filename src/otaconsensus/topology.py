@@ -6,10 +6,9 @@ modeled as a diagonal weight on the channel realization, not as a graph edge.
 """
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -79,38 +78,32 @@ class Digraph:
         return adj
 
 
-def _reachable_from(start: int, out_lists: Sequence[Sequence[int]]) -> int:
-    seen = [False] * len(out_lists)
-    seen[start] = True
-    queue = deque([start])
-    count = 1
-    while queue:
-        v = queue.popleft()
-        for w in out_lists[v]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                queue.append(w)
-    return count
+def _reaches_all(adj: np.ndarray) -> bool:
+    """True iff node 0 reaches every node along adj (adj[i, j]: edge i -> j).
+
+    Frontier expansion: each round adds every unseen node one edge away
+    from the nodes the previous round added.
+    """
+    seen = np.zeros(adj.shape[0], dtype=bool)
+    seen[0] = True
+    frontier = seen.copy()
+    while frontier.any():
+        frontier = adj[frontier].any(axis=0) & ~seen
+        seen |= frontier
+    return bool(seen.all())
+
+
+def adjacency_strongly_connected(adj: np.ndarray) -> bool:
+    """Strong connectivity of a boolean adjacency matrix: node 0 reaches
+    every node, and every node reaches node 0 (implied for a symmetric
+    matrix). Diagonal entries do not matter: self-loops never change
+    reachability."""
+    return _reaches_all(adj) and (np.array_equal(adj, adj.T) or _reaches_all(adj.T))
 
 
 def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every node reaches every other node along directed edges.
-
-    Double BFS from node 0: forward reachability plus reverse reachability
-    cover all of strong connectivity. For symmetric graphs the reverse pass
-    is skipped (undirected connectivity is equivalent).
-    """
-    fwd: list[list[int]] = [[] for _ in range(g.n)]
-    rev: list[list[int]] = [[] for _ in range(g.n)]
-    for a, b in g.edges:
-        fwd[a].append(b)
-        rev[b].append(a)
-    if _reachable_from(0, fwd) != g.n:
-        return False
-    if g.is_symmetric():
-        return True
-    return _reachable_from(0, rev) == g.n
+    """True iff every node reaches every other node along directed edges."""
+    return adjacency_strongly_connected(g.adjacency())
 
 
 def joint_graph(gs: Sequence[Digraph]) -> Digraph:
@@ -127,6 +120,40 @@ def joint_graph(gs: Sequence[Digraph]) -> Digraph:
     return Digraph(n, frozenset(edges))
 
 
+class EpsilonBAudit:
+    """Windowed joint-connectivity audit fed one gain matrix per step.
+
+    Steps fall into consecutive non-overlapping windows of B. Within a
+    window the effective graphs (gains[i, j] > epsilon: i hears j) are ORed
+    into one boolean matrix, and when the window is full that union must be
+    strongly connected. A trailing partial window is never judged, so the
+    verdict is vacuously true until a window completes. Once a window
+    fails, the verdict is final and later steps are not examined.
+    """
+
+    def __init__(self, epsilon: float, B: int):
+        if epsilon <= 0:
+            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if B < 1:
+            raise ValueError(f"window length B must be >= 1, got {B}")
+        self.epsilon = epsilon
+        self.B = B
+        self.satisfied = True
+        self._window = None
+        self._filled = 0
+
+    def add(self, gains: np.ndarray) -> None:
+        if not self.satisfied:
+            return
+        strong = gains > self.epsilon
+        self._window = strong if self._window is None else self._window | strong
+        self._filled += 1
+        if self._filled == self.B:
+            self.satisfied = adjacency_strongly_connected(self._window)
+            self._window = None
+            self._filled = 0
+
+
 def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int) -> bool:
     """Windowed joint-connectivity audit over a realized channel sequence.
 
@@ -136,19 +163,10 @@ def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int)
     union over every window to be strongly connected. Vacuously true when
     no complete window fits.
     """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    if B < 1:
-        raise ValueError(f"window length B must be >= 1, got {B}")
-    from .channel import effective_graph  # channel depends on topology, not vice versa
-
-    n_windows = len(realizations) // B
-    for w in range(n_windows):
-        window = realizations[w * B : (w + 1) * B]
-        joint = joint_graph([effective_graph(h, epsilon) for h in window])
-        if not is_strongly_connected(joint):
-            return False
-    return True
+    audit = EpsilonBAudit(epsilon, B)
+    for h in realizations:
+        audit.add(h.gains)
+    return audit.satisfied
 
 
 @dataclass(frozen=True)
