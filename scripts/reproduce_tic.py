@@ -39,7 +39,7 @@ def main():
     print(f"n={args.n} p={args.p} algorithm=tic fading=half_normal(1.0)")
     print(f"{'seed':>4}  {'iters':>5}  {'final_max_error':>16}")
     for seed in range(args.seeds):
-        records, summary = run(make_config(seed, args.n, args.p))
+        _, summary = run(make_config(seed, args.n, args.p))
         flag = "" if summary.converged else "  (did not converge)"
         print(f"{seed:>4}  {summary.iterations_used:>5}  {summary.final_max_error:>16.3e}{flag}")
 
@@ -47,8 +47,8 @@ def main():
     cfg = make_config(0, args.n, args.p)
     _, channel, S = prepare(cfg)
     est = stationary_limit(build_Hbar(channel.realization(0)), S)
-    records, summary = run(cfg)
-    mu_final = np.array([r.mu for r in records[-cfg.n :]])
+    traj, _ = run(cfg)
+    mu_final = traj.mu[-1]
     print(f"\npredicted limit   {est.predicted_limit:.15f}")
     print(f"observed (seed 0) {mu_final.mean():.15f}")
     print(f"max |observed - predicted| = {np.max(np.abs(mu_final - est.predicted_limit)):.3e}")

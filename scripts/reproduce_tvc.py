@@ -29,9 +29,8 @@ def make_config(seed, n, p, noise_std=0.0, tol=1e-9):
     )
 
 
-def final_error(records, summary, n):
-    mu_final = np.array([r.mu for r in records[-n:]])
-    return np.max(np.abs(mu_final - summary.target_average))
+def final_error(traj, summary):
+    return np.max(np.abs(traj.mu[-1] - summary.target_average))
 
 
 def main():
@@ -44,7 +43,7 @@ def main():
     print(f"n={args.n} p={args.p} algorithm=tvc fading=half_normal(1.0) resampled per block")
     print(f"{'seed':>4}  {'iters':>5}  {'final_max_error':>16}  {'eps_B_connected':>15}")
     for seed in range(args.seeds):
-        records, summary = run(make_config(seed, args.n, args.p))
+        _, summary = run(make_config(seed, args.n, args.p))
         print(
             f"{seed:>4}  {summary.iterations_used:>5}  {summary.final_max_error:>16.3e}"
             f"  {str(summary.epsilon_B_satisfied).lower():>15}"
@@ -53,8 +52,8 @@ def main():
     print("\nreceiver noise floor (seed 0, tol relaxed to 1e-7):")
     print(f"{'noise_std':>10}  {'iters':>5}  {'final_max_error':>16}")
     for std in (0.0, 1e-8, 1e-5):
-        records, summary = run(make_config(0, args.n, args.p, noise_std=std, tol=1e-7))
-        print(f"{std:>10.0e}  {summary.iterations_used:>5}  {final_error(records, summary, args.n):>16.3e}")
+        traj, summary = run(make_config(0, args.n, args.p, noise_std=std, tol=1e-7))
+        print(f"{std:>10.0e}  {summary.iterations_used:>5}  {final_error(traj, summary):>16.3e}")
 
 
 if __name__ == "__main__":

@@ -44,7 +44,7 @@ from .simulator import (
     NonFiniteStateError,
     RunSummary,
     SimulationConfig,
-    TrajectoryRecord,
+    Trajectory,
     prepare,
     run,
     spread,
@@ -82,7 +82,7 @@ __all__ = [
     "StochasticAudit",
     "TopologyError",
     "TopologySpec",
-    "TrajectoryRecord",
+    "Trajectory",
     "WeightMatrix",
     "audit_column_stochastic",
     "baseline_step",

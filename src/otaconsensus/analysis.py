@@ -181,31 +181,6 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
     return LimitEstimate(eigenvector=v, predicted_limit=predicted)
 
 
-def _step_sums(trajectory) -> tuple[np.ndarray, np.ndarray, int]:
-    """Per-step sums of both chains from either trajectory shape.
-
-    Accepts the (Y, X, ...) array tuple the oracle returns, or a flat
-    iterable of per-node records with step, y_tilde, x_tilde attributes.
-    """
-    if isinstance(trajectory, tuple):
-        Y, X = np.asarray(trajectory[0], dtype=float), np.asarray(trajectory[1], dtype=float)
-        if Y.shape != X.shape or Y.ndim != 2:
-            raise ValueError(f"array trajectories must share a (steps, n) shape, got {Y.shape} and {X.shape}")
-        return Y.sum(axis=1), X.sum(axis=1), Y.shape[1]
-    by_step: dict[int, list[tuple[float, float]]] = {}
-    for rec in trajectory:
-        by_step.setdefault(rec.step, []).append((rec.y_tilde, rec.x_tilde))
-    if not by_step:
-        raise ValueError("empty trajectory")
-    counts = {len(v) for v in by_step.values()}
-    if len(counts) != 1:
-        raise ValueError("trajectory has unequal node counts across steps")
-    steps = sorted(by_step)
-    sums_y = np.array([sum(y for y, _ in by_step[k]) for k in steps])
-    sums_x = np.array([sum(x for _, x in by_step[k]) for k in steps])
-    return sums_y, sums_x, counts.pop()
-
-
 def mass_audit(trajectory, S: InitialStates) -> tuple[float, float]:
     """Worst-case relative drift of the two conserved sums over a trajectory.
 
@@ -213,13 +188,18 @@ def mass_audit(trajectory, S: InitialStates) -> tuple[float, float]:
     should stay at the initial total and the denominator sum at n; any
     materially nonzero drift means the stochasticity was broken somewhere
     (non-reciprocal gains, injected noise, or a bug).
+
+    trajectory is a (Y, X, ...) tuple of (steps, n) arrays: the oracle's
+    return value, or a Trajectory's (y_tilde, x_tilde).
     """
-    sums_y, sums_x, n = _step_sums(trajectory)
-    if len(sums_y) == 0:
+    if len(trajectory) < 2 or len(trajectory[0]) == 0:
         raise ValueError("empty trajectory")
-    if n != S.n:
-        raise ValueError(f"trajectory is over {n} nodes but got {S.n} initial values")
+    Y, X = np.asarray(trajectory[0], dtype=float), np.asarray(trajectory[1], dtype=float)
+    if Y.shape != X.shape or Y.ndim != 2:
+        raise ValueError(f"array trajectories must share a (steps, n) shape, got {Y.shape} and {X.shape}")
+    if Y.shape[1] != S.n:
+        raise ValueError(f"trajectory is over {Y.shape[1]} nodes but got {S.n} initial values")
     total = float(np.sum(S.values))
-    drift_y = float(np.max(np.abs(sums_y - total))) / max(1.0, abs(total))
-    drift_x = float(np.max(np.abs(sums_x - S.n))) / S.n
+    drift_y = float(np.max(np.abs(Y.sum(axis=1) - total))) / max(1.0, abs(total))
+    drift_x = float(np.max(np.abs(X.sum(axis=1) - S.n))) / S.n
     return drift_y, drift_x

@@ -27,9 +27,11 @@ from .analysis import (
 from .channel import ChannelProcess, ChannelRealization, FadingModel, NoiseModel
 from .protocol import DegenerateStateError, InitialStates, IsolationError
 from .simulator import (
+    TRAJECTORY_FIELDS,
     InitialSpec,
     NonFiniteStateError,
     SimulationConfig,
+    Trajectory,
     iterate,
     make_initial_values,
     run,
@@ -45,7 +47,9 @@ class ConfigError(ValueError):
 # ------------------------------------------------------------------ formatting
 
 def fmt_float(x: float) -> str:
-    """Shortest decimal that round-trips the double exactly."""
+    """A finite double as 17 significant digits ('%.17g'): always enough to
+    round-trip it exactly, though not always the shortest such decimal
+    (0.1 gives '0.10000000000000001')."""
     x = float(x)
     if not math.isfinite(x):
         raise ValueError(f"refusing to serialize non-finite value {x!r}")
@@ -416,13 +420,29 @@ def config_echo(cfg: SimulationConfig) -> dict:
 
 # ------------------------------------------------------------------ emitters
 
-def write_trajectory_csv(path: Path, records) -> None:
-    lines = ["step,node,y_tilde,x_tilde,mu"]
-    for r in records:
-        lines.append(
-            f"{r.step},{r.node},{fmt_float(r.y_tilde)},{fmt_float(r.x_tilde)},{fmt_float(r.mu)}"
+def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
+    """One row per (step, node), step-major, reals as fmt_float writes them.
+
+    '%.17g' % x equals fmt_float(x) for every finite double, so each step's
+    block is one %-format of a row template built once per run, streamed to
+    the file: memory stays flat however long the run. A non-finite entry is
+    a program fault, refused before anything is written.
+    """
+    columns = [getattr(trajectory, name) for name in TRAJECTORY_FIELDS]
+    if not all(np.isfinite(c).all() for c in columns):
+        bad = ~np.isfinite(np.stack(columns, axis=2))
+        k, j, q = np.unravel_index(np.argmax(bad), bad.shape)
+        raise NonFiniteStateError(
+            f"refusing to serialize non-finite {TRAJECTORY_FIELDS[q]}={float(columns[q][k, j])!r} "
+            f"at step {k}, node {j}"
         )
-    path.write_text("\n".join(lines) + "\n")
+    steps, n = trajectory.mu.shape
+    row = "".join(f"{{k}},{j},%.17g,%.17g,%.17g\n" for j in range(n))
+    with open(path, "w") as f:
+        f.write(",".join(("step", "node") + TRAJECTORY_FIELDS) + "\n")
+        for k in range(steps):
+            values = np.stack([c[k] for c in columns], axis=1).ravel().tolist()
+            f.write(row.replace("{k}", str(k)) % tuple(values))
 
 
 def write_summary_json(path: Path, summary, cfg: SimulationConfig) -> None:
@@ -566,10 +586,10 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
 
 def cmd_run(args) -> int:
     cfg = parse_config(args.config, args.set)
-    records, summary = run(cfg)
+    trajectory, summary = run(cfg)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    write_trajectory_csv(out / "trajectory.csv", records)
+    write_trajectory_csv(out / "trajectory.csv", trajectory)
     write_summary_json(out / "summary.json", summary, cfg)
     print(
         f"{cfg.algorithm}: converged={str(summary.converged).lower()} "

@@ -1,5 +1,5 @@
 """End-to-end runs: topology and channel construction from one master seed,
-per-step slot scheduling with optional receiver noise, trajectory recording,
+per-step slot scheduling with optional receiver noise, trajectory arrays,
 spread-based convergence detection, and summary verdicts.
 
 One master seed fans out into four independent substreams (topology,
@@ -21,6 +21,8 @@ from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongl
 ALGORITHMS = ("tic", "tvc", "baseline")
 
 INITIAL_KINDS = ("explicit", "random_mean")
+
+TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
 
 
 class NonFiniteStateError(RuntimeError):
@@ -106,15 +108,36 @@ class SimulationConfig:
             )
 
 
-@dataclass(frozen=True)
-class TrajectoryRecord:
-    """One node's raw chain states and ratio at one step."""
+@dataclass(frozen=True, eq=False)
+class Trajectory:
+    """Every node's raw chain states and ratio at every recorded step.
 
-    step: int
-    node: int
-    y_tilde: float
-    x_tilde: float
-    mu: float
+    Each field is a read-only (steps + 1, n) float array whose row k holds
+    the state after step k; row 0 is the initial values. len() is the row
+    count of the trajectory table, (steps + 1) * n. Two trajectories are
+    equal when all three arrays are.
+    """
+
+    y_tilde: np.ndarray
+    x_tilde: np.ndarray
+    mu: np.ndarray
+
+    def __post_init__(self):
+        arrays = {name: np.array(getattr(self, name), dtype=float) for name in TRAJECTORY_FIELDS}
+        shapes = {a.shape for a in arrays.values()}
+        if len(shapes) != 1 or arrays["mu"].ndim != 2:
+            raise ValueError(f"trajectory fields must share a (steps, n) shape, got {sorted(shapes)}")
+        for name, a in arrays.items():
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+    def __len__(self) -> int:
+        return self.mu.size
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Trajectory):
+            return NotImplemented
+        return all(np.array_equal(getattr(self, f), getattr(other, f)) for f in TRAJECTORY_FIELDS)
 
 
 @dataclass(frozen=True)
@@ -235,7 +258,7 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
         yield checked(k, y, x)
 
 
-def run(config: SimulationConfig) -> tuple[list[TrajectoryRecord], RunSummary]:
+def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     """Execute one experiment to convergence or max_iters.
 
     Convergence means the ratio spread stayed at or below tol for tol_window
@@ -249,26 +272,24 @@ def run(config: SimulationConfig) -> tuple[list[TrajectoryRecord], RunSummary]:
     kernel = iterate(config.algorithm, S, g, channel, config.noise.std,
                      np.random.default_rng(noise_seed), audit)
 
-    records: list[TrajectoryRecord] = []
-    ytilde_steps: list[np.ndarray] = []
-    xtilde_steps: list[np.ndarray] = []
+    ys: list[np.ndarray] = []
+    xs: list[np.ndarray] = []
+    mus: list[np.ndarray] = []
     converged = False
     streak = 0
     for k, (y_tilde, x_tilde, mu) in enumerate(kernel):
-        ytilde_steps.append(y_tilde)
-        xtilde_steps.append(x_tilde)
-        records.extend(
-            TrajectoryRecord(k, node, yt, xt, m)
-            for node, (yt, xt, m) in enumerate(zip(y_tilde.tolist(), x_tilde.tolist(), mu.tolist()))
-        )
+        ys.append(y_tilde)
+        xs.append(x_tilde)
+        mus.append(mu)
         if k > 0:
             streak = streak + 1 if spread(mu) <= config.tol else 0
             converged = streak >= config.tol_window
         if converged or k == config.max_iters:
             break
 
+    trajectory = Trajectory(ys, xs, mus)
     target = S.mean()
-    drift_y, drift_x = mass_audit((np.array(ytilde_steps), np.array(xtilde_steps)), S)
+    drift_y, drift_x = mass_audit((trajectory.y_tilde, trajectory.x_tilde), S)
     summary = RunSummary(
         converged=converged,
         iterations_used=k,
@@ -278,4 +299,4 @@ def run(config: SimulationConfig) -> tuple[list[TrajectoryRecord], RunSummary]:
         mass_drift_x=drift_x,
         epsilon_B_satisfied=None if audit is None else audit.satisfied,
     )
-    return records, summary
+    return trajectory, summary

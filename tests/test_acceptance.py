@@ -81,8 +81,8 @@ def tic_runs():
     for seed in range(N_SEEDS):
         cfg = make_config("tic", seed, max_iters=500, tol=1e-12)
         t0 = perf_counter()
-        records, summary = run(cfg)
-        out[seed] = (cfg, records, summary, perf_counter() - t0)
+        traj, summary = run(cfg)
+        out[seed] = (cfg, traj, summary, perf_counter() - t0)
     return out
 
 
@@ -91,25 +91,17 @@ def tvc_runs():
     out = {}
     for seed in range(N_SEEDS):
         cfg = make_config("tvc", seed, max_iters=2000, tol=1e-9)
-        records, summary = run(cfg)
-        out[seed] = (cfg, records, summary)
+        traj, summary = run(cfg)
+        out[seed] = (cfg, traj, summary)
     return out
-
-
-def mu_by_step(records, n):
-    assert len(records) % n == 0
-    steps = len(records) // n
-    mu = np.array([r.mu for r in records]).reshape(steps, n)
-    yt = np.array([r.y_tilde for r in records]).reshape(steps, n)
-    return mu, yt
 
 
 def test_01_tic_reaches_target(criterion, tic_runs):
     with criterion(1, "tic_reaches_target_10_seeds"):
-        for seed, (cfg, records, summary, dt) in tic_runs.items():
+        for seed, (cfg, traj, summary, dt) in tic_runs.items():
             assert summary.converged, f"seed {seed} did not converge"
             assert summary.iterations_used <= 500
-            mu_final = np.array([r.mu for r in records[-cfg.n :]])
+            mu_final = traj.mu[-1]
             err = np.max(np.abs(mu_final - 1.0))
             assert err <= 1e-8, f"seed {seed}: max error {err:.3e}"
             assert dt < 1.0, f"seed {seed}: run took {dt:.2f}s"
@@ -117,27 +109,26 @@ def test_01_tic_reaches_target(criterion, tic_runs):
 
 def test_02_tvc_reaches_target_under_variation(criterion, tvc_runs):
     with criterion(2, "tvc_reaches_target_and_channel_varies"):
-        for seed, (cfg, records, summary) in tvc_runs.items():
+        for seed, (cfg, traj, summary) in tvc_runs.items():
             assert summary.converged, f"seed {seed} did not converge"
             assert summary.iterations_used <= 2000
-            mu_final = np.array([r.mu for r in records[-cfg.n :]])
+            mu_final = traj.mu[-1]
             err = np.max(np.abs(mu_final - 1.0))
             assert err <= 1e-6, f"seed {seed}: max error {err:.3e}"
             # the numerator state must keep moving once past the transient,
             # otherwise the channel was effectively static
-            _, yt = mu_by_step(records, cfg.n)
-            deltas = np.abs(np.diff(yt[10:], axis=0))
+            deltas = np.abs(np.diff(traj.y_tilde[10:], axis=0))
             assert deltas.size and deltas.max() > 1e-3, f"seed {seed}: state froze"
 
 
 def test_03_every_step_column_stochastic(criterion, tic_runs, tvc_runs):
     with criterion(3, "every_effective_matrix_column_stochastic"):
-        for seed, (cfg, records, summary, dt) in tic_runs.items():
+        for seed, (cfg, _, summary, dt) in tic_runs.items():
             _, channel, _ = prepare(cfg)
             audit = audit_column_stochastic(build_Hbar(channel.realization(0)))
             assert audit.max_column_sum_error <= 1e-12
             assert audit.min_entry >= 0.0
-        for seed, (cfg, records, summary) in tvc_runs.items():
+        for seed, (cfg, _, summary) in tvc_runs.items():
             _, channel, _ = prepare(cfg)
             for k in range(summary.iterations_used):
                 audit = audit_column_stochastic(build_Hbar(channel.realization(k)))
@@ -212,9 +203,9 @@ def test_06_baseline_and_tic_share_limit(criterion):
         target = S.mean()
         finals = {}
         for cfg in (cfg_tic, cfg_base):
-            records, summary = run(cfg)
+            traj, summary = run(cfg)
             assert summary.converged, f"{cfg.algorithm} did not converge"
-            finals[cfg.algorithm] = np.array([r.mu for r in records[-cfg.n :]])
+            finals[cfg.algorithm] = traj.mu[-1]
         for name, mu in finals.items():
             err = np.max(np.abs(mu - target))
             assert err <= 1e-8, f"{name}: limit error {err:.3e}"
@@ -229,16 +220,14 @@ def test_07_consensus_on_agreement_and_equivariance(criterion):
         cfg = make_config(
             "tvc", seed=7, initial=InitialSpec.explicit((4.0,) * 10), max_iters=50, tol=1e-300
         )
-        records, _ = run(cfg)
-        mu, _ = mu_by_step(records, cfg.n)
+        mu = run(cfg)[0].mu
         assert all(spread(row) == 0.0 for row in mu)
         assert np.all(mu == 4.0)
         # a non-dyadic constant accumulates rounding only
         cfg5 = make_config(
             "tvc", seed=7, initial=InitialSpec.explicit((5.0,) * 10), max_iters=50, tol=1e-300
         )
-        records5, _ = run(cfg5)
-        mu5, _ = mu_by_step(records5, cfg5.n)
+        mu5 = run(cfg5)[0].mu
         assert max(spread(row) for row in mu5) <= 5e-13
 
         # scale and shift equivariance on a shared channel realization
@@ -256,8 +245,7 @@ def test_07_consensus_on_agreement_and_equivariance(criterion):
                 max_iters=200,
                 tol=1e-300,
             )
-            records_v, _ = run(cfg_v)
-            runs[label], _ = mu_by_step(records_v, 10)
+            runs[label] = run(cfg_v)[0].mu
         assert np.max(np.abs(runs["scaled"] - 3.7 * runs["base"])) <= 1e-12
         assert np.max(np.abs(runs["shifted"] - (runs["base"] - 2.0))) <= 1e-12
 
@@ -266,10 +254,10 @@ def test_08_ratio_stays_in_initial_hull(criterion, tic_runs, tvc_runs):
     with criterion(8, "ratio_bounded_by_initial_extremes"):
         for group in (tic_runs, tvc_runs):
             for seed, entry in group.items():
-                cfg, records = entry[0], entry[1]
+                cfg, traj = entry[0], entry[1]
                 _, _, S = prepare(cfg)
                 lo, hi = float(np.min(S.values)), float(np.max(S.values))
-                mu = np.array([r.mu for r in records])
+                mu = traj.mu
                 assert mu.min() >= lo - 1e-12, f"{cfg.algorithm} seed {seed}"
                 assert mu.max() <= hi + 1e-12, f"{cfg.algorithm} seed {seed}"
 
@@ -312,9 +300,9 @@ def test_10_designed_failure_modes(criterion):
             self_weight=0.0,
             max_iters=500,
         )
-        records, summary = run(cfg)
+        traj, summary = run(cfg)
         assert not summary.converged
-        mu, _ = mu_by_step(records, 2)
+        mu = traj.mu
         assert min(spread(row) for row in mu[1:]) >= 1.0
 
         hbar = np.array([[0.0, 1.0], [1.0, 0.0]])

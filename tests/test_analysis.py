@@ -259,19 +259,6 @@ def test_mass_audit_flags_non_reciprocal():
     assert drift_y > 1e-3 and drift_x > 1e-3
 
 
-def test_mass_audit_record_input():
-    class Rec:
-        def __init__(self, step, y_tilde, x_tilde):
-            self.step = step
-            self.y_tilde = y_tilde
-            self.x_tilde = x_tilde
-
-    S = InitialStates(np.array([1.0, 3.0]))
-    recs = [Rec(0, 1.0, 1.0), Rec(0, 3.0, 1.0), Rec(1, 2.0, 1.5), Rec(1, 2.0, 0.5)]
-    drift_y, drift_x = mass_audit(recs, S)
-    assert drift_y == 0.0 and drift_x == 0.0
-
-
 def test_mass_audit_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         mass_audit([], InitialStates(np.array([1.0, 2.0])))

@@ -1,8 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 
+from otaconsensus import cli
 from otaconsensus.cli import (
     ConfigError,
     config_echo,
@@ -12,7 +16,9 @@ from otaconsensus.cli import (
     parse_sweep,
     run_verify_suite,
     to_json,
+    write_trajectory_csv,
 )
+from otaconsensus.simulator import NonFiniteStateError, Trajectory, run
 
 MINIMAL = """\
 n = 10
@@ -185,6 +191,57 @@ def test_fmt_float_canonical():
         fmt_float(float("nan"))
 
 
+def reference_trajectory_csv(trajectory) -> str:
+    """The per-record f-string writer the block writer replaced."""
+    lines = ["step,node,y_tilde,x_tilde,mu"]
+    steps, n = trajectory.mu.shape
+    for k in range(steps):
+        for j in range(n):
+            y, x, mu = trajectory.y_tilde[k, j], trajectory.x_tilde[k, j], trajectory.mu[k, j]
+            lines.append(f"{k},{j},{fmt_float(y)},{fmt_float(x)},{fmt_float(mu)}")
+    return "\n".join(lines) + "\n"
+
+
+def test_trajectory_csv_matches_reference_on_edge_values(tmp_path):
+    y = np.array([[-1.5, -0.0, 5e-324, 1e300], [float(2**53 + 1), 3.0, -7.0, 0.1]])
+    x = np.array([[1.0, 2.0, 1.7976931348623157e308, -2.5e-310], [1e-300, 0.0, 42.0, 1 / 3]])
+    trajectory = Trajectory(y, x, -y / 3)
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, trajectory)
+    assert path.read_bytes() == reference_trajectory_csv(trajectory).encode()
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc", "baseline"])
+def test_trajectory_csv_matches_reference_on_runs(minimal_cfg, tmp_path, algorithm):
+    trajectory, _ = run(parse_config(str(minimal_cfg), [f"algorithm={algorithm}", "max_iters=60"]))
+    path = tmp_path / "trajectory.csv"
+    write_trajectory_csv(path, trajectory)
+    assert path.read_bytes() == reference_trajectory_csv(trajectory).encode()
+
+
+def test_trajectory_csv_refuses_first_non_finite_entry(tmp_path):
+    y = np.ones((3, 2))
+    y[2, 1] = np.inf
+    mu = np.ones((3, 2))
+    mu[1, 0] = np.nan
+    path = tmp_path / "trajectory.csv"
+    with pytest.raises(NonFiniteStateError, match=r"non-finite mu=nan at step 1, node 0"):
+        write_trajectory_csv(path, Trajectory(y, np.ones((3, 2)), mu))
+    assert not path.exists()
+
+
+def test_run_non_finite_output_exit_three(minimal_cfg, tmp_path, monkeypatch, capsys):
+    # a non-finite value reaching the writer is a program fault, not a config error
+    y = np.ones((3, 2))
+    y[2, 1] = np.nan
+    real_run = cli.run
+    monkeypatch.setattr(cli, "run", lambda cfg: (Trajectory(y, np.ones((3, 2)), y), real_run(cfg)[1]))
+    assert main(["run", str(minimal_cfg), "-o", str(tmp_path / "o")]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("runtime error: ")
+    assert "non-finite y_tilde=nan at step 2, node 1" in err
+
+
 def test_to_json_shapes():
     doc = {"a": True, "b": None, "c": [1, 2.5], "d": {"e": "x\"y"}}
     text = to_json(doc)
@@ -321,10 +378,14 @@ def test_topo_inspection_and_export(minimal_cfg, tmp_path, capsys):
 
 def test_module_entry_point(minimal_cfg, tmp_path):
     out = tmp_path / "o"
+    # the child imports the package from wherever this process found it
+    src = str(Path(cli.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     res = subprocess.run(
         [sys.executable, "-m", "otaconsensus.cli", "run", str(minimal_cfg), "-o", str(out)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert res.returncode == 0
     assert "converged=true" in res.stdout

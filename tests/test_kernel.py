@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, FadingModel, NoiseModel
-from otaconsensus.cli import main
+from otaconsensus.cli import main, write_trajectory_csv
 from otaconsensus.protocol import (
     InitialStates,
     IsolationError,
@@ -127,6 +127,28 @@ def test_run_memory_is_bounded_without_channel_history():
         tracemalloc.stop()
     assert not summary.converged and summary.iterations_used == steps
     assert peak < steps * n * n * 8
+
+
+def test_n200_trajectory_memory_is_bounded(tmp_path):
+    # the stored trajectory is three (steps + 1, n) float arrays; run() may
+    # use a small multiple of that plus O(n^2) channel state, and the CSV
+    # writer, which holds one step's block at a time, a fraction of it
+    n, steps = 200, 300
+    stored = 3 * 8 * (steps + 1) * n
+    cfg = base_config(n=n, topology=TopologySpec(kind="ring"), max_iters=steps, tol=1e-300)
+    tracemalloc.start()
+    try:
+        trajectory, summary = run(cfg)
+        run_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        held = tracemalloc.get_traced_memory()[0]
+        write_trajectory_csv(tmp_path / "trajectory.csv", trajectory)
+        write_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert summary.iterations_used == steps and len(trajectory) == (steps + 1) * n
+    assert run_peak < 3 * stored + 4 * n * n * 8
+    assert write_peak < stored / 4
 
 
 # ---------------------------------------------------------------- pair-keyed draws

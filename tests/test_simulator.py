@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from otaconsensus.channel import FadingModel, NoiseModel
 from otaconsensus.simulator import (
+    TRAJECTORY_FIELDS,
     InitialSpec,
     NonFiniteStateError,
     RunSummary,
@@ -105,7 +106,7 @@ def test_stream_seeds_stable_and_distinct():
 
 
 def test_tic_run_converges_to_target():
-    records, summary = run(base_config())
+    _, summary = run(base_config())
     assert summary.converged
     assert summary.final_max_error <= 1e-8
     assert summary.target_average == pytest.approx(1.0, abs=1e-12)
@@ -122,63 +123,56 @@ def test_run_is_deterministic():
 
 def test_records_shape_and_order():
     cfg = base_config(max_iters=50, tol=1e-300)
-    records, summary = run(cfg)
+    traj, summary = run(cfg)
     assert summary.iterations_used == 50
-    assert len(records) == 51 * cfg.n
-    keys = [(r.step, r.node) for r in records]
-    assert keys == sorted(keys)
-    assert keys[0] == (0, 0) and keys[-1] == (50, cfg.n - 1)
+    assert len(traj) == 51 * cfg.n
+    for name in TRAJECTORY_FIELDS:
+        values = getattr(traj, name)
+        assert values.shape == (51, cfg.n)
+        assert not values.flags.writeable
 
 
 def test_all_equal_initials_converge_at_window():
     cfg = base_config(initial=InitialSpec.explicit([5.0] * 10), tol_window=10)
-    records, summary = run(cfg)
+    _, summary = run(cfg)
     assert summary.converged
     assert summary.iterations_used == 10
     # power-of-two equal values keep the ratio bit-exact
     cfg2 = base_config(initial=InitialSpec.explicit([4.0] * 10))
-    records2, summary2 = run(cfg2)
+    traj2, summary2 = run(cfg2)
     assert summary2.converged
-    assert all(r.mu == 4.0 for r in records2)
+    assert np.all(traj2.mu == 4.0)
 
 
 def test_step0_records_raw_initials():
     cfg = base_config(initial=InitialSpec.explicit(list(np.linspace(-1, 3, 10))))
-    records, _ = run(cfg)
-    step0 = [r for r in records if r.step == 0]
-    np.testing.assert_array_equal([r.y_tilde for r in step0], np.linspace(-1, 3, 10))
-    np.testing.assert_array_equal([r.x_tilde for r in step0], np.ones(10))
-    np.testing.assert_array_equal([r.mu for r in step0], np.linspace(-1, 3, 10))
+    traj, _ = run(cfg)
+    np.testing.assert_array_equal(traj.y_tilde[0], np.linspace(-1, 3, 10))
+    np.testing.assert_array_equal(traj.x_tilde[0], np.ones(10))
+    np.testing.assert_array_equal(traj.mu[0], np.linspace(-1, 3, 10))
 
 
 def test_tvc_run_converges_and_reports_connectivity():
     cfg = base_config(algorithm="tvc", max_iters=2000)
-    records, summary = run(cfg)
+    traj, summary = run(cfg)
     assert summary.converged
     assert summary.final_max_error <= 1e-6
     assert summary.epsilon_B_satisfied is True
     # individual chains move even near convergence; the ratio does not
-    by_node_y = {}
-    for r in records:
-        by_node_y.setdefault(r.node, []).append(r.y_tilde)
-    deltas = [
-        abs(b - a)
-        for ys in by_node_y.values()
-        for a, b in zip(ys[10:], ys[11:])
-    ]
-    assert max(deltas) > 1e-3
+    deltas = np.abs(np.diff(traj.y_tilde[10:], axis=0))
+    assert deltas.max() > 1e-3
 
 
 def test_baseline_run_hits_prop1_limit():
     cfg = base_config(algorithm="baseline", max_iters=5000)
-    records, summary = run(cfg)
+    _, summary = run(cfg)
     assert summary.converged
     assert summary.final_max_error <= cfg.tol
 
 
 def test_non_convergence_is_reported_not_raised():
     cfg = base_config(max_iters=3)
-    records, summary = run(cfg)
+    _, summary = run(cfg)
     assert not summary.converged
     assert summary.iterations_used == 3
 
@@ -194,13 +188,10 @@ def test_bipartite_without_self_weight_never_converges():
         self_weight=0.0,
         max_iters=500,
     )
-    records, summary = run(cfg)
+    traj, summary = run(cfg)
     assert not summary.converged
     # the two ratios swap forever: spread stays at 2 at every recorded step
-    by_step = {}
-    for r in records:
-        by_step.setdefault(r.step, []).append(r.mu)
-    assert all(spread(mus) == 2.0 for mus in by_step.values())
+    assert all(spread(mus) == 2.0 for mus in traj.mu)
 
 
 def test_noise_perturbs_but_keeps_determinism():
@@ -211,8 +202,9 @@ def test_noise_perturbs_but_keeps_determinism():
     clean, _ = run(base_config(max_iters=200))
     assert r1 != clean
     # same master seed, so the channel and initial values are untouched:
-    # step-0 records agree exactly
-    assert r1[: cfg.n] == clean[: cfg.n]
+    # step-0 rows agree exactly
+    for name in TRAJECTORY_FIELDS:
+        np.testing.assert_array_equal(getattr(r1, name)[0], getattr(clean, name)[0])
 
 
 def test_tic_requires_strong_connectivity(tmp_path):
@@ -238,7 +230,7 @@ def test_prepare_rebuilds_identical_channel():
 
 def test_deep_fade_run_still_converges():
     cfg = base_config(algorithm="tvc", deep_fade=True, max_iters=2000)
-    records, summary = run(cfg)
+    _, summary = run(cfg)
     assert summary.converged
     assert summary.epsilon_B_satisfied is True
 
@@ -251,7 +243,7 @@ def test_scale_shift_equivariance_at_run_level():
     rb, _ = run(base_cfg)
     rs, _ = run(scaled_cfg)
     rh, _ = run(shifted_cfg)
-    n_common = min(len(rb), len(rs), len(rh))
-    for b, s, h in zip(rb[:n_common], rs[:n_common], rh[:n_common]):
-        assert s.mu == pytest.approx(3.7 * b.mu, abs=1e-12)
-        assert h.mu == pytest.approx(b.mu - 2.0, abs=1e-12)
+    steps_common = min(len(rb.mu), len(rs.mu), len(rh.mu))
+    b, s, h = (r.mu[:steps_common] for r in (rb, rs, rh))
+    np.testing.assert_allclose(s, 3.7 * b, rtol=0, atol=1e-12)
+    np.testing.assert_allclose(h, b - 2.0, rtol=0, atol=1e-12)
