@@ -18,11 +18,6 @@ import numpy as np
 from .channel import ChannelRealization
 from .protocol import COLUMN_SUM_TOL, SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError
 
-# power iteration runs to this residual, with a hard cap on iterations
-POWER_RESIDUAL_TOL = 1e-12
-POWER_MAX_ITERS = 200_000
-
-
 class PeriodicityError(RuntimeError):
     """The mixing matrix is not primitive, so no unique limit exists."""
 
@@ -135,7 +130,13 @@ def _is_primitive(support: np.ndarray) -> bool:
 
 def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
     """Eigenvalue-1 right eigenvector of a primitive column-stochastic matrix,
-    by power iteration with sum normalization, plus the limit it certifies.
+    by one direct solve, plus the limit it certifies.
+
+    The eigenvector spans the null space of hbar - I. Every column of
+    hbar - I sums to zero, so its last row is minus the sum of the others;
+    replacing that row with ones swaps in the sum-to-one constraint, and a
+    primitive matrix (simple eigenvalue 1) leaves a nonsingular system with
+    v as its only solution.
 
     The numerator chain tends to v_j * (total of S) at node j and the
     denominator chain to v_j * n, so every per-node ratio collapses to the
@@ -159,17 +160,12 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
             "mixing matrix is not primitive (periodic support); "
             "ratios oscillate instead of converging"
         )
-    v = np.full(n, 1.0 / n)
-    for _ in range(POWER_MAX_ITERS):
-        w = hbar @ v
-        residual = float(np.max(np.abs(w - v)))
-        w = w / w.sum()
-        v = w
-        if residual <= POWER_RESIDUAL_TOL:
-            break
+    system = hbar - np.eye(n)
+    system[-1] = 1.0
+    v = np.linalg.solve(system, np.eye(n)[-1])
     residual = float(np.max(np.abs(hbar @ v - v)))
     if residual > 1e-10:
-        raise RuntimeError(f"power iteration stalled at residual {residual!r}")
+        raise RuntimeError(f"stationary solve left fixed-point residual {residual!r}")
     if not np.all(v > 0):
         raise RuntimeError("stationary eigenvector of a primitive matrix must be positive")
     total = float(np.sum(S.values))

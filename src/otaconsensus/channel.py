@@ -13,7 +13,9 @@ import numpy as np
 
 from .topology import Digraph
 
-FADING_KINDS = ("constant", "half_normal", "uniform")
+#: Each kind with the FadingModel fields it takes, in call order: uniform(lo, hi).
+FADING_ARGS = {"constant": ("gain",), "half_normal": ("scale",), "uniform": ("lo", "hi")}
+FADING_KINDS = tuple(FADING_ARGS)
 
 
 @dataclass(frozen=True)
@@ -68,9 +70,6 @@ class FadingModel:
             return g
         return self.lo + (self.hi - self.lo) * rng.random(size)
 
-    def sample(self, rng: np.random.Generator) -> float:
-        return float(self.draw(rng, 1)[0])
-
 
 @dataclass(frozen=True)
 class NoiseModel:
@@ -81,13 +80,6 @@ class NoiseModel:
     def __post_init__(self):
         if self.std < 0:
             raise ValueError(f"noise std must be nonnegative, got {self.std}")
-
-
-def sample_noise(model: NoiseModel, rng: np.random.Generator) -> float:
-    """One zero-mean Gaussian draw; exactly 0.0 when std is 0 (no stream consumed)."""
-    if model.std == 0.0:
-        return 0.0
-    return float(rng.normal(0.0, model.std))
 
 
 @dataclass(frozen=True)

@@ -10,8 +10,11 @@ import argparse
 import math
 import re
 import sys
-from dataclasses import dataclass
+from contextlib import contextmanager
+from dataclasses import MISSING, dataclass, fields, replace
+from functools import partial
 from itertools import islice
+from operator import attrgetter
 from pathlib import Path
 
 import numpy as np
@@ -24,9 +27,10 @@ from .analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from .channel import ChannelProcess, ChannelRealization, FadingModel, NoiseModel
-from .protocol import DegenerateStateError, InitialStates, IsolationError
+from .channel import FADING_ARGS, ChannelProcess, ChannelRealization, FadingModel
+from .protocol import InitialStates
 from .simulator import (
+    INITIAL_ARGS,
     TRAJECTORY_FIELDS,
     InitialSpec,
     NonFiniteStateError,
@@ -37,7 +41,7 @@ from .simulator import (
     run,
     stream_seeds,
 )
-from .topology import EdgeListError, TopologyError, TopologySpec, generate_topology, is_strongly_connected
+from .topology import TOPOLOGY_ARGS, EdgeListError, TopologySpec, generate_topology, is_strongly_connected
 
 
 class ConfigError(ValueError):
@@ -98,122 +102,96 @@ def to_json(value, indent: int = 0) -> str:
 
 
 # ------------------------------------------------------------------ config parsing
-
-REQUIRED_KEYS = ("n", "topology", "algorithm", "fading", "initial", "seed")
-
-KNOWN_KEYS = REQUIRED_KEYS + (
-    "topology_symmetric",
-    "self_weight",
-    "noise_std",
-    "epsilon",
-    "B",
-    "deep_fade",
-    "max_iters",
-    "tol",
-    "tol_window",
-    "pair_scales",
-)
+#
+# SCHEMA has one row per config key, in config_echo order:
+#   (key, SimulationConfig field, parser, echo)
+# A field written "spec.attr" folds the value into that field's spec. Parsers
+# take (key, text) and raise plain ValueErrors; _located adds the file:line or
+# 'override' label. A key is required when its field has no default.
 
 SWEEP_KEYS = ("parameter", "values", "seeds")
 
 
-def _split_call(text: str, key: str, where: str):
-    m = re.fullmatch(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?", text.strip())
-    if not m:
-        raise ConfigError(f"{where}: key {key!r} has malformed value {text!r}")
-    name = m.group(1)
-    raw_args = m.group(2)
-    if raw_args is None or raw_args.strip() == "":
-        return name, []
-    return name, [a.strip() for a in raw_args.split(",")]
+@contextmanager
+def _located(where: str):
+    try:
+        yield
+    except ValueError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
 
 
-def _as_int(text: str, key: str, where: str) -> int:
+def _as_int(key: str, text: str) -> int:
     try:
         return int(text)
     except ValueError:
-        raise ConfigError(f"{where}: key {key!r} needs an integer, got {text!r}") from None
+        raise ValueError(f"key {key!r} needs an integer, got {text!r}") from None
 
 
-def _as_float(text: str, key: str, where: str) -> float:
+def _as_float(key: str, text: str) -> float:
     try:
         return float(text)
     except ValueError:
-        raise ConfigError(f"{where}: key {key!r} needs a number, got {text!r}") from None
+        raise ValueError(f"key {key!r} needs a number, got {text!r}") from None
 
 
-def _as_bool(text: str, key: str, where: str) -> bool:
+def _as_bool(key: str, text: str) -> bool:
     low = text.strip().lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    raise ConfigError(f"{where}: key {key!r} needs true or false, got {text!r}")
+    if low not in ("true", "false"):
+        raise ValueError(f"key {key!r} needs true or false, got {text!r}")
+    return low == "true"
 
 
-def _parse_topology(text: str, symmetric: bool, key: str, where: str) -> TopologySpec:
-    name, args = _split_call(text, key, where)
-    try:
-        if name in ("ring", "complete"):
-            if args:
-                raise ConfigError(f"{where}: topology {name!r} takes no arguments")
-            return TopologySpec(kind=name, symmetric=symmetric)
-        if name == "erdos_renyi":
-            if len(args) != 1:
-                raise ConfigError(f"{where}: erdos_renyi takes exactly one argument (p)")
-            return TopologySpec(kind="erdos_renyi", p=_as_float(args[0], key, where), symmetric=symmetric)
-        if name == "edge_list":
-            if len(args) != 1:
-                raise ConfigError(f"{where}: edge_list takes exactly one argument (path)")
-            return TopologySpec(kind="edge_list", path=args[0], symmetric=symmetric)
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown topology {name!r}")
+def _as_text(key: str, text: str) -> str:
+    return text
 
 
-def _parse_fading(text: str, key: str, where: str) -> FadingModel:
-    name, args = _split_call(text, key, where)
-    try:
-        if name == "constant":
-            if len(args) != 1:
-                raise ConfigError(f"{where}: constant takes exactly one argument (gain)")
-            return FadingModel.constant(_as_float(args[0], key, where))
-        if name == "half_normal":
-            if len(args) != 1:
-                raise ConfigError(f"{where}: half_normal takes exactly one argument (scale)")
-            return FadingModel.half_normal(_as_float(args[0], key, where))
-        if name == "uniform":
-            if len(args) != 2:
-                raise ConfigError(f"{where}: uniform takes exactly two arguments (lo, hi)")
-            return FadingModel.uniform(_as_float(args[0], key, where), _as_float(args[1], key, where))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown fading model {name!r}")
+def _raw(value):
+    return value
 
 
-def _parse_initial(text: str, key: str, where: str) -> InitialSpec:
-    name, args = _split_call(text, key, where)
-    try:
-        if name == "explicit":
-            if not args:
-                raise ConfigError(f"{where}: explicit needs at least one value")
-            return InitialSpec.explicit([_as_float(a, key, where) for a in args])
-        if name == "random_mean":
-            if len(args) != 2:
-                raise ConfigError(f"{where}: random_mean takes exactly two arguments (target_mean, half_width)")
-            return InitialSpec.random_mean(_as_float(args[0], key, where), _as_float(args[1], key, where))
-    except ValueError as exc:
-        if isinstance(exc, ConfigError):
-            raise
-        raise ConfigError(f"{where}: {exc}") from exc
-    raise ConfigError(f"{where}: unknown initial kind {name!r}")
+_CALL = re.compile(r"([A-Za-z_][A-Za-z0-9_]*)\s*(?:\((.*)\))?")
+_CALL_ARGS = {TopologySpec: TOPOLOGY_ARGS, FadingModel: FADING_ARGS, InitialSpec: INITIAL_ARGS}
+_ARG_COUNTS = ("no arguments", "exactly one argument", "exactly two arguments")
 
 
-def _parse_pair_scales(text: str, key: str, where: str):
+def _call_arg(key: str, name: str, text: str):
+    """Call arguments are numbers, except a file path."""
+    return text if name == "path" else _as_float(key, text)
+
+
+def _parse_call(spec_type, key: str, text: str):
+    """'kind' or 'kind(arg, ...)' as a spec_type, with the argument names of
+    the type's kind map; a starred name takes one or more values."""
+    m = _CALL.fullmatch(text.strip())
+    if not m:
+        raise ValueError(f"key {key!r} has malformed value {text!r}")
+    kind, raw_args = m.groups()
+    args = [a.strip() for a in raw_args.split(",")] if raw_args and raw_args.strip() else []
+    kinds = _CALL_ARGS[spec_type]
+    if kind not in kinds:
+        raise ValueError(f"unknown {key} kind {kind!r}; expected one of {tuple(kinds)}")
+    names = kinds[kind]
+    if names and names[0].startswith("*"):
+        if not args:
+            raise ValueError(f"{kind} needs at least one value")
+        return spec_type(kind, **{names[0][1:]: tuple(_call_arg(key, names[0], a) for a in args)})
+    if len(args) != len(names):
+        listed = f" ({', '.join(names)})" if names else ""
+        raise ValueError(f"{kind} takes {_ARG_COUNTS[len(names)]}{listed}")
+    return spec_type(kind, **{name: _call_arg(key, name, a) for name, a in zip(names, args)})
+
+
+def _echo_call(spec) -> str:
+    args = []
+    for name in _CALL_ARGS[type(spec)][spec.kind]:
+        value = getattr(spec, name.lstrip("*"))
+        args += value if name.startswith("*") else [value]
+    if not args:
+        return spec.kind
+    return f"{spec.kind}({', '.join(a if isinstance(a, str) else fmt_float(a) for a in args)})"
+
+
+def _parse_pair_scales(key: str, text: str):
     pairs = []
     for token in text.split(","):
         token = token.strip()
@@ -221,9 +199,38 @@ def _parse_pair_scales(text: str, key: str, where: str):
             continue
         m = re.fullmatch(r"(\d+)\s*-\s*(\d+)\s*:\s*(\S+)", token)
         if not m:
-            raise ConfigError(f"{where}: pair_scales entry {token!r} must look like i-j:scale")
-        pairs.append(((int(m.group(1)), int(m.group(2))), _as_float(m.group(3), key, where)))
+            raise ValueError(f"pair_scales entry {token!r} must look like i-j:scale")
+        pairs.append(((int(m.group(1)), int(m.group(2))), _as_float(key, m.group(3))))
     return tuple(pairs)
+
+
+def _echo_pair_scales(pairs) -> str:
+    return ",".join(f"{a}-{b}:{fmt_float(s)}" for (a, b), s in pairs)
+
+
+SCHEMA = (
+    ("n", "n", _as_int, _raw),
+    ("topology", "topology", partial(_parse_call, TopologySpec), _echo_call),
+    ("topology_symmetric", "topology.symmetric", _as_bool, _raw),
+    ("algorithm", "algorithm", _as_text, _raw),
+    ("fading", "fading", partial(_parse_call, FadingModel), _echo_call),
+    ("initial", "initial", partial(_parse_call, InitialSpec), _echo_call),
+    ("self_weight", "self_weight", _as_float, _raw),
+    ("noise_std", "noise.std", _as_float, _raw),
+    ("epsilon", "epsilon", _as_float, _raw),
+    ("B", "B", _as_int, _raw),
+    ("deep_fade", "deep_fade", _as_bool, _raw),
+    ("max_iters", "max_iters", _as_int, _raw),
+    ("tol", "tol", _as_float, _raw),
+    ("tol_window", "tol_window", _as_int, _raw),
+    ("seed", "seed", _as_int, _raw),
+    ("pair_scales", "pair_scales", _parse_pair_scales, _echo_pair_scales),
+)
+
+KNOWN_KEYS = tuple(row[0] for row in SCHEMA)
+
+# field name -> default; MISSING marks a required field
+_DEFAULTS = {f.name: f.default for f in fields(SimulationConfig)}
 
 
 def _read_sections(path: str) -> dict[str, dict[str, tuple[str, str]]]:
@@ -260,62 +267,20 @@ def _build_config(flat: dict[str, tuple[str, str]]) -> SimulationConfig:
     for key, (_, where) in flat.items():
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
-    for key in REQUIRED_KEYS:
-        if key not in flat:
+    for key, field, _, _ in SCHEMA:
+        if key not in flat and _DEFAULTS.get(field) is MISSING:
             raise ConfigError(f"missing required config key {key!r}")
-
-    def get(key):
-        return flat[key]
-
-    symmetric = True
-    if "topology_symmetric" in flat:
-        v, w = get("topology_symmetric")
-        symmetric = _as_bool(v, "topology_symmetric", w)
-    kwargs = {}
-    v, w = get("n")
-    kwargs["n"] = _as_int(v, "n", w)
-    v, w = get("topology")
-    kwargs["topology"] = _parse_topology(v, symmetric, "topology", w)
-    v, w = get("algorithm")
-    kwargs["algorithm"] = v
-    v, w = get("fading")
-    kwargs["fading"] = _parse_fading(v, "fading", w)
-    v, w = get("initial")
-    kwargs["initial"] = _parse_initial(v, "initial", w)
-    v, w = get("seed")
-    kwargs["seed"] = _as_int(v, "seed", w)
-    if "self_weight" in flat:
-        v, w = get("self_weight")
-        kwargs["self_weight"] = _as_float(v, "self_weight", w)
-    if "noise_std" in flat:
-        v, w = get("noise_std")
-        try:
-            kwargs["noise"] = NoiseModel(std=_as_float(v, "noise_std", w))
-        except ValueError as exc:
-            raise ConfigError(f"{w}: {exc}") from exc
-    if "epsilon" in flat:
-        v, w = get("epsilon")
-        kwargs["epsilon"] = _as_float(v, "epsilon", w)
-    if "B" in flat:
-        v, w = get("B")
-        kwargs["B"] = _as_int(v, "B", w)
-    if "deep_fade" in flat:
-        v, w = get("deep_fade")
-        kwargs["deep_fade"] = _as_bool(v, "deep_fade", w)
-    if "max_iters" in flat:
-        v, w = get("max_iters")
-        kwargs["max_iters"] = _as_int(v, "max_iters", w)
-    if "tol" in flat:
-        v, w = get("tol")
-        kwargs["tol"] = _as_float(v, "tol", w)
-    if "tol_window" in flat:
-        v, w = get("tol_window")
-        kwargs["tol_window"] = _as_int(v, "tol_window", w)
-    if "pair_scales" in flat:
-        v, w = get("pair_scales")
-        kwargs["pair_scales"] = _parse_pair_scales(v, "pair_scales", w)
+    values = {}
+    for key, field, parse, _ in SCHEMA:
+        if key not in flat:
+            continue
+        text, where = flat[key]
+        name, _, attr = field.partition(".")
+        with _located(where):
+            value = parse(key, text)
+            values[name] = replace(values.get(name, _DEFAULTS[name]), **{attr: value}) if attr else value
     try:
-        return SimulationConfig(**kwargs)
+        return SimulationConfig(**values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -326,10 +291,7 @@ def _apply_overrides(flat: dict[str, tuple[str, str]], overrides) -> dict[str, t
         if "=" not in item:
             raise ConfigError(f"override {item!r} must look like key=value")
         key, value = item.split("=", 1)
-        key, value = key.strip(), value.strip()
-        if key not in KNOWN_KEYS:
-            raise ConfigError(f"override: unknown key {key!r}")
-        merged[key] = (value, "override")
+        merged[key.strip()] = (value.strip(), "override")
     return merged
 
 
@@ -371,51 +333,17 @@ def parse_sweep(path: str, overrides=()) -> tuple[SimulationConfig, SweepSpec]:
         if parameter == "seed":
             raise ConfigError(f"{pwhere}: sweeping 'seed' directly; drop the 'seeds' list")
         raw_seeds, swhere = sweep["seeds"]
-        seeds = tuple(_as_int(s.strip(), "seeds", swhere) for s in raw_seeds.split(",") if s.strip())
+        with _located(swhere):
+            seeds = tuple(_as_int("seeds", s.strip()) for s in raw_seeds.split(",") if s.strip())
         if not seeds:
             raise ConfigError(f"{swhere}: empty seeds list")
     return config, SweepSpec(parameter=parameter, values=values, seeds=seeds)
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
-    """Canonical flat rendering of a config, defaults included."""
-    topo = cfg.topology
-    if topo.kind == "erdos_renyi":
-        topo_text = f"erdos_renyi({fmt_float(topo.p)})"
-    elif topo.kind == "edge_list":
-        topo_text = f"edge_list({topo.path})"
-    else:
-        topo_text = topo.kind
-    fad = cfg.fading
-    if fad.kind == "constant":
-        fad_text = f"constant({fmt_float(fad.gain)})"
-    elif fad.kind == "half_normal":
-        fad_text = f"half_normal({fmt_float(fad.scale)})"
-    else:
-        fad_text = f"uniform({fmt_float(fad.lo)}, {fmt_float(fad.hi)})"
-    ini = cfg.initial
-    if ini.kind == "explicit":
-        ini_text = "explicit(" + ", ".join(fmt_float(v) for v in ini.values) + ")"
-    else:
-        ini_text = f"random_mean({fmt_float(ini.target_mean)}, {fmt_float(ini.half_width)})"
-    return {
-        "n": cfg.n,
-        "topology": topo_text,
-        "topology_symmetric": topo.symmetric,
-        "algorithm": cfg.algorithm,
-        "fading": fad_text,
-        "initial": ini_text,
-        "self_weight": cfg.self_weight,
-        "noise_std": cfg.noise.std,
-        "epsilon": cfg.epsilon,
-        "B": cfg.B,
-        "deep_fade": cfg.deep_fade,
-        "max_iters": cfg.max_iters,
-        "tol": cfg.tol,
-        "tol_window": cfg.tol_window,
-        "seed": cfg.seed,
-        "pair_scales": ",".join(f"{a}-{b}:{fmt_float(s)}" for (a, b), s in cfg.pair_scales),
-    }
+    """Canonical flat rendering of a config, defaults included, keys in
+    schema order."""
+    return {key: echo(attrgetter(field)(cfg)) for key, field, _, echo in SCHEMA}
 
 
 # ------------------------------------------------------------------ emitters
@@ -717,24 +645,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
+    # ConfigError is a ValueError; EdgeListError is a RuntimeError caught first
+    except (ValueError, EdgeListError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except EdgeListError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except (
-        TopologyError,
-        IsolationError,
-        DegenerateStateError,
-        PeriodicityError,
-        NonFiniteStateError,
-    ) as exc:
-        print(f"runtime error: {exc}", file=sys.stderr)
-        return 3
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 3

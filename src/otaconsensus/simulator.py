@@ -20,7 +20,10 @@ from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongl
 
 ALGORITHMS = ("tic", "tvc", "baseline")
 
-INITIAL_KINDS = ("explicit", "random_mean")
+#: Each kind with the InitialSpec fields it takes, in call order; a starred
+#: name takes one or more values: explicit(v0, v1, ...).
+INITIAL_ARGS = {"explicit": ("*values",), "random_mean": ("target_mean", "half_width")}
+INITIAL_KINDS = tuple(INITIAL_ARGS)
 
 TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
 

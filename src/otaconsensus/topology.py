@@ -15,7 +15,9 @@ import numpy as np
 #: Regeneration budget for random topologies that must come out strongly connected.
 ER_MAX_ATTEMPTS = 1000
 
-TOPOLOGY_KINDS = ("ring", "complete", "erdos_renyi", "edge_list")
+#: Each kind with the TopologySpec fields it takes, in call order: erdos_renyi(p).
+TOPOLOGY_ARGS = {"ring": (), "complete": (), "erdos_renyi": ("p",), "edge_list": ("path",)}
+TOPOLOGY_KINDS = tuple(TOPOLOGY_ARGS)
 
 
 class TopologyError(RuntimeError):

@@ -14,7 +14,6 @@ from otaconsensus.analysis import (
 )
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.protocol import (
-    DegenerateStateError,
     InitialStates,
     IsolationError,
     ratio_output,
@@ -188,6 +187,19 @@ def test_stationary_limit_is_mean_and_fixed_point(seed):
     assert np.all(est.eigenvector > 0)
     assert est.eigenvector.sum() == pytest.approx(1.0, abs=1e-12)
     assert np.max(np.abs(hbar @ est.eigenvector - est.eigenvector)) <= 1e-10
+
+
+def test_stationary_limit_matches_eig_on_slow_mixing_ring():
+    # a 200-node ring mixes slowly: a step-size stopping rule halts about
+    # 1e-6 away from the fixed point, the direct solve does not
+    n = 200
+    topo = generate_topology(TopologySpec(kind="ring"), n, seed=0)
+    hbar = build_Hbar(ChannelProcess(FadingModel.half_normal(1.0), topo, seed=1).realization(0))
+    est = stationary_limit(hbar, InitialStates(np.linspace(-1.0, 1.0, n)))
+    w, V = np.linalg.eig(hbar)
+    ref = np.real(V[:, np.argmin(np.abs(w - 1.0))])
+    ref /= ref.sum()
+    assert np.max(np.abs(est.eigenvector - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 def test_stationary_limit_rejects_periodic():

@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from otaconsensus import cli
 from otaconsensus.cli import (
@@ -263,6 +265,138 @@ def test_config_echo_covers_all_keys(minimal_cfg):
     }
 
 
+# Sets every key, most away from their defaults. The edge list is never read
+# while parsing, so its path need not exist.
+EVERY_KEY = """\
+n = 4
+topology = edge_list(nets/square.edges)
+topology_symmetric = false
+algorithm = tvc
+fading = uniform(0.25, 0.75)
+initial = explicit(1e300, -1.5, 0, 0.1)
+seed = 9
+self_weight = 0.5
+noise_std = 1e-6
+epsilon = 0.01
+B = 3
+deep_fade = true
+max_iters = 77
+tol = 1e-5
+tol_window = 4
+pair_scales = 2-3:0.5, 0-1:2
+"""
+
+EVERY_KEY_ECHO = """\
+{
+  "n": 4,
+  "topology": "edge_list(nets/square.edges)",
+  "topology_symmetric": false,
+  "algorithm": "tvc",
+  "fading": "uniform(0.25, 0.75)",
+  "initial": "explicit(1.0000000000000001e+300, -1.5, 0, 0.10000000000000001)",
+  "self_weight": 0.5,
+  "noise_std": 9.9999999999999995e-07,
+  "epsilon": 0.01,
+  "B": 3,
+  "deep_fade": true,
+  "max_iters": 77,
+  "tol": 1.0000000000000001e-05,
+  "tol_window": 4,
+  "seed": 9,
+  "pair_scales": "2-3:0.5,0-1:2"
+}"""
+
+
+def test_config_echo_pinned_for_every_key(tmp_path):
+    p = tmp_path / "every.cfg"
+    p.write_text(EVERY_KEY)
+    assert to_json(config_echo(parse_config(str(p)))) == EVERY_KEY_ECHO
+
+
+def _assert_echo_round_trips(path, out_dir):
+    """Writing the echo back as key = value lines gives the same config."""
+    cfg = parse_config(str(path))
+    lines = [
+        f"{key} = {value if isinstance(value, str) else to_json(value)}\n"
+        for key, value in config_echo(cfg).items()
+    ]
+    echoed = out_dir / "echoed.cfg"
+    echoed.write_text("".join(lines))
+    assert parse_config(str(echoed)) == cfg
+
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+
+@pytest.mark.parametrize("name", sorted(p.name for p in CONFIG_DIR.glob("*.cfg")) + ["every-key"])
+def test_config_echo_round_trips_shipped_configs(name, tmp_path):
+    path = CONFIG_DIR / name
+    if name == "every-key":
+        path = tmp_path / "every.cfg"
+        path.write_text(EVERY_KEY)
+    _assert_echo_round_trips(path, tmp_path)
+
+
+_positive = st.floats(min_value=5e-324, max_value=1e300)
+_nonnegative = st.floats(min_value=0.0, max_value=1e300)
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _config_texts(draw):
+    n = draw(st.integers(2, 6))
+    algorithm = draw(st.sampled_from(["tic", "tvc", "baseline"]))
+    keys = {
+        "n": str(n),
+        "topology": draw(st.one_of(
+            st.sampled_from(["ring", "complete", "edge_list(nets/square.edges)"]),
+            st.floats(min_value=1e-9, max_value=1.0).map(lambda p: f"erdos_renyi({p!r})"),
+        )),
+        "algorithm": algorithm,
+        "fading": draw(st.one_of(
+            _positive.map(lambda g: f"constant({g!r})"),
+            _positive.map(lambda s: f"half_normal({s!r})"),
+            st.lists(_positive, min_size=2, max_size=2).map(sorted).map(
+                lambda lh: f"uniform({lh[0]!r}, {lh[1]!r})"
+            ),
+        )),
+        "initial": draw(st.one_of(
+            st.lists(_finite, min_size=n, max_size=n).map(
+                lambda vs: "explicit(" + ", ".join(map(repr, vs)) + ")"
+            ),
+            st.tuples(_finite, _nonnegative).map(lambda t: f"random_mean({t[0]!r}, {t[1]!r})"),
+        )),
+        "seed": str(draw(st.integers(0, 2**63))),
+    }
+    optional = {
+        "topology_symmetric": st.sampled_from(["true", "false"]),
+        "self_weight": _nonnegative.map(repr),
+        "noise_std": _nonnegative.map(repr),
+        "epsilon": _positive.map(repr),
+        "B": st.integers(1, 50).map(str),
+        "deep_fade": st.sampled_from(["true", "false"] if algorithm == "tvc" else ["false"]),
+        "max_iters": st.integers(1, 10**6).map(str),
+        "tol": _positive.map(repr),
+        "tol_window": st.integers(1, 50).map(str),
+        "pair_scales": st.lists(
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _positive), max_size=3
+        ).map(lambda ps: ", ".join(f"{a}-{b}:{s!r}" for a, b, s in ps)),
+    }
+    for key, values in optional.items():
+        if draw(st.booleans()):
+            keys[key] = draw(values)
+    return "".join(f"{key} = {value}\n" for key, value in keys.items())
+
+
+@given(text=_config_texts())
+@settings(max_examples=60, deadline=None)
+def test_config_echo_round_trips(text, tmp_path_factory):
+    out_dir = tmp_path_factory.mktemp("echo")
+    path = out_dir / "drawn.cfg"
+    path.write_text(text)
+    _assert_echo_round_trips(path, out_dir)
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -296,6 +430,24 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     code = main(["run", str(tmp_path / "missing.cfg")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
+    edges = tmp_path / "bad.edges"
+    edges.write_text("0 1\n1 2 3\n")
+    p = tmp_path / "c.cfg"
+    p.write_text(MINIMAL.replace("erdos_renyi(0.5)", f"edge_list({edges})"))
+    code = main(["run", str(p), "-o", str(tmp_path / "o")])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+
+
+def test_run_output_path_is_a_file_exit_three(minimal_cfg, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    code = main(["run", str(minimal_cfg), "-o", str(taken)])
+    assert code == 3
+    assert "io error" in capsys.readouterr().err
 
 
 def test_run_generation_exhaustion_exit_three(tmp_path, capsys):

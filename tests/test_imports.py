@@ -1,0 +1,56 @@
+"""Import hygiene: every imported name in the package, scripts and tests is used.
+
+The repository runs no linter, so this stands in for pyflakes' unused-import
+check. A package ``__init__.py`` may import a name only to re-export it, in
+which case the name must be listed in its ``__all__``.
+"""
+import ast
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+SOURCES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+
+
+def _imported_names(tree: ast.Module) -> dict[str, int]:
+    """Bound name -> line of every import; ``from __future__`` is skipped."""
+    names = {}
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                names[alias.asname or alias.name.split(".")[0]] = node.lineno
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                names[alias.asname or alias.name] = node.lineno
+    return names
+
+
+def _exported_names(tree: ast.Module) -> set[str]:
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return set(ast.literal_eval(node.value))
+    return set()
+
+
+def _unused_imports(path: Path) -> list[str]:
+    tree = ast.parse(path.read_text(), filename=str(path))
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    if path.name == "__init__.py":
+        used |= _exported_names(tree)
+    return [
+        f"{path.relative_to(ROOT)}:{line}: {name}"
+        for name, line in _imported_names(tree).items()
+        if name not in used
+    ]
+
+
+def test_sources_found():
+    assert any(p.parts[-2:] == ("otaconsensus", "__init__.py") for p in SOURCES)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
+def test_every_import_is_used(path):
+    assert _unused_imports(path) == []

@@ -7,8 +7,6 @@ from otaconsensus.channel import FadingModel, NoiseModel
 from otaconsensus.simulator import (
     TRAJECTORY_FIELDS,
     InitialSpec,
-    NonFiniteStateError,
-    RunSummary,
     SimulationConfig,
     make_initial_values,
     prepare,
