@@ -22,7 +22,6 @@ from .channel import (
     ChannelRealization,
     FadingModel,
     NoiseModel,
-    effective_graph,
 )
 from .protocol import (
     AgentState,
@@ -57,7 +56,6 @@ from .topology import (
     check_epsilon_B_connectivity,
     generate_topology,
     is_strongly_connected,
-    joint_graph,
 )
 
 __version__ = "0.1.0"
@@ -88,10 +86,8 @@ __all__ = [
     "baseline_step",
     "build_Hbar",
     "check_epsilon_B_connectivity",
-    "effective_graph",
     "generate_topology",
     "is_strongly_connected",
-    "joint_graph",
     "mass_audit",
     "matrix_oracle",
     "ota_aggregate",

@@ -114,16 +114,17 @@ def matrix_oracle(
 def _is_primitive(support: np.ndarray) -> bool:
     """Primitivity via the Wielandt bound: a nonnegative n x n matrix is
     primitive iff its support raised to n^2 - 2n + 2 is entrywise positive.
-    Binary exponentiation on the boolean support keeps this cheap."""
+    Binary exponentiation keeps this cheap: the 0/1 support is held as
+    float64 so each product goes to BLAS, and clipping back to 0/1 after
+    every product keeps every entry an exact small integer."""
     n = support.shape[0]
-    target = n * n - 2 * n + 2
-    result = np.eye(n, dtype=bool)
-    base = support.copy()
-    e = target
+    result = np.eye(n)
+    base = support.astype(float)
+    e = n * n - 2 * n + 2
     while e > 0:
         if e & 1:
-            result = (result.astype(np.int64) @ base.astype(np.int64)) > 0
-        base = (base.astype(np.int64) @ base.astype(np.int64)) > 0
+            result = np.minimum(result @ base, 1.0)
+        base = np.minimum(base @ base, 1.0)
         e >>= 1
     return bool(result.all())
 

@@ -7,6 +7,7 @@ protocol constant rather than a physical channel.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -24,7 +25,7 @@ class FadingModel:
 
     constant(gain) is degenerate at a fixed gain; half_normal(scale) draws
     |z| for z ~ N(0, scale^2), rejecting exact zeros; uniform(lo, hi) draws
-    from [lo, hi) with 0 < lo <= hi.
+    from [lo, hi) with 0 < lo <= hi. Every parameter must be finite.
     """
 
     kind: str
@@ -37,14 +38,14 @@ class FadingModel:
         if self.kind not in FADING_KINDS:
             raise ValueError(f"unknown fading kind {self.kind!r}; expected one of {FADING_KINDS}")
         if self.kind == "constant":
-            if self.gain is None or self.gain <= 0:
-                raise ValueError(f"constant fading needs gain > 0, got {self.gain}")
+            if self.gain is None or not (0 < self.gain < math.inf):
+                raise ValueError(f"constant fading needs finite gain > 0, got {self.gain}")
         elif self.kind == "half_normal":
-            if self.scale is None or self.scale <= 0:
-                raise ValueError(f"half_normal fading needs scale > 0, got {self.scale}")
+            if self.scale is None or not (0 < self.scale < math.inf):
+                raise ValueError(f"half_normal fading needs finite scale > 0, got {self.scale}")
         else:
-            if self.lo is None or self.hi is None or not (0 < self.lo <= self.hi):
-                raise ValueError(f"uniform fading needs 0 < lo <= hi, got lo={self.lo}, hi={self.hi}")
+            if self.lo is None or self.hi is None or not (0 < self.lo <= self.hi < math.inf):
+                raise ValueError(f"uniform fading needs finite 0 < lo <= hi, got lo={self.lo}, hi={self.hi}")
 
     @classmethod
     def constant(cls, gain: float) -> "FadingModel":
@@ -78,8 +79,8 @@ class NoiseModel:
     std: float = 0.0
 
     def __post_init__(self):
-        if self.std < 0:
-            raise ValueError(f"noise std must be nonnegative, got {self.std}")
+        if not (0 <= self.std < math.inf):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.std}")
 
 
 @dataclass(frozen=True)
@@ -152,16 +153,16 @@ class ChannelProcess:
     def __post_init__(self):
         if not self.topology.is_symmetric():
             raise ValueError("channel reciprocity needs a symmetric topology")
-        if self.self_weight < 0:
-            raise ValueError(f"self_weight must be nonnegative, got {self.self_weight}")
+        if not (0 <= self.self_weight < math.inf):
+            raise ValueError(f"self_weight must be finite and nonnegative, got {self.self_weight}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         n = self.topology.n
         norm = []
         items = self.pair_scales.items() if isinstance(self.pair_scales, dict) else self.pair_scales
         for (a, b), s in items:
-            if s <= 0:
-                raise ValueError(f"pair scale for ({a},{b}) must be positive, got {s}")
+            if not (0 < s < math.inf):
+                raise ValueError(f"pair scale for ({a},{b}) must be finite and positive, got {s}")
             if not (0 <= a < n and 0 <= b < n) or a == b:
                 raise ValueError(f"pair ({a},{b}) is not a valid link")
             norm.append(((min(a, b), max(a, b)), float(s)))
@@ -169,8 +170,8 @@ class ChannelProcess:
         if self.deep_fade:
             if not self.time_varying:
                 raise ValueError("deep_fade applies to time-varying channels only")
-            if self.epsilon is None or self.epsilon <= 0:
-                raise ValueError(f"deep_fade needs epsilon > 0, got {self.epsilon}")
+            if self.epsilon is None or not (0 < self.epsilon < math.inf):
+                raise ValueError(f"deep_fade needs finite epsilon > 0, got {self.epsilon}")
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
         scales = None
         if self.pair_scales:
@@ -179,7 +180,7 @@ class ChannelProcess:
                 scales[a, b] = s
             scales = scales[upper]
         object.__setattr__(self, "_upper", upper)
-        object.__setattr__(self, "_links", self.topology.adjacency()[upper])
+        object.__setattr__(self, "_links", self.topology.adj[upper])
         object.__setattr__(self, "_scales", scales)
 
     def realization(self, k: int) -> ChannelRealization:
@@ -201,17 +202,3 @@ class ChannelProcess:
         gains.T[self._upper] = pairs
         np.fill_diagonal(gains, self.self_weight)
         return ChannelRealization(n, gains, self.self_weight)
-
-
-def effective_graph(h: ChannelRealization, epsilon: float) -> Digraph:
-    """Threshold a realization's off-diagonal gains at epsilon.
-
-    Edge (j, i) is present iff gains[i, j] > epsilon with i != j, i.e. the
-    link is strong enough for i to usefully receive from j. Symmetric
-    whenever the realization is reciprocal.
-    """
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    adj = h.gains.T > epsilon
-    np.fill_diagonal(adj, False)
-    return Digraph(h.n, frozenset(zip(*np.nonzero(adj))))

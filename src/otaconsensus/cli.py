@@ -495,7 +495,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     # negative control: breaking reciprocity must break column stochasticity;
     # passes iff the measured error EXCEEDS the threshold
     gains = varying.realization(0).gains.copy()
-    i, j = next(iter(sorted(g.edges)))
+    i, j = np.argwhere(g.adj)[0]
     gains[i, j] *= 1.5
     broken = ChannelRealization(cfg.n, gains, cfg.self_weight)
     audit = audit_column_stochastic(build_Hbar(broken))
@@ -592,13 +592,13 @@ def cmd_topo(args) -> int:
     g = generate_topology(cfg.topology, cfg.n, topo_seed)
     print(
         f"n={g.n} edges={g.m} symmetric={str(g.is_symmetric()).lower()} "
-        f"strongly_connected={str(is_strongly_connected(g)).lower()}"
+        f"strongly_connected={str(is_strongly_connected(g.adj)).lower()}"
     )
     if args.out is not None:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
         lines = ["# i j  (directed edges; load with topology_symmetric=false)"]
-        lines += [f"{a} {b}" for a, b in sorted(g.edges)]
+        lines += [f"{a} {b}" for a, b in g.edges]
         (out / "topology.edges").write_text("\n".join(lines) + "\n")
     return 0
 

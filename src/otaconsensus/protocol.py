@@ -125,9 +125,9 @@ def ota_aggregate(gains_row, signals, noise: float = 0.0) -> float:
 def prop1_weights(g: Digraph) -> WeightMatrix:
     """Classical digital ratio-consensus weights: node j assigns 1/(1+d_j_out)
     to itself and to each out-neighbor, so every column sums to 1 exactly."""
-    if not is_strongly_connected(g):
+    adj = g.adj
+    if not is_strongly_connected(adj):
         raise ValueError("baseline weights need a strongly connected digraph")
-    adj = g.adjacency()
     share = 1.0 / (1.0 + adj.sum(axis=1))
     return WeightMatrix(np.where(adj.T | np.eye(g.n, dtype=bool), share[np.newaxis, :], 0.0))
 

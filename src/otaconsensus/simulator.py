@@ -8,6 +8,7 @@ the topology draw. Everything downstream is a pure function of the config.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import count
 
@@ -51,8 +52,10 @@ class InitialSpec:
         else:
             if self.target_mean is None or self.half_width is None:
                 raise ValueError("random_mean needs target_mean and half_width")
-            if self.half_width < 0:
-                raise ValueError(f"half_width must be nonnegative, got {self.half_width}")
+            if not math.isfinite(self.target_mean):
+                raise ValueError(f"target_mean must be finite, got {self.target_mean}")
+            if not (0 <= self.half_width < math.inf):
+                raise ValueError(f"half_width must be finite and nonnegative, got {self.half_width}")
 
     @classmethod
     def explicit(cls, values) -> "InitialSpec":
@@ -66,7 +69,7 @@ class InitialSpec:
 @dataclass(frozen=True)
 class SimulationConfig:
     """Complete description of one experiment; two equal configs give
-    bitwise-identical runs."""
+    bitwise-identical runs. Every real-valued field must be finite."""
 
     n: int
     topology: TopologySpec
@@ -91,16 +94,18 @@ class SimulationConfig:
             raise ValueError(f"unknown algorithm {self.algorithm!r}; expected one of {ALGORITHMS}")
         if self.max_iters < 1:
             raise ValueError(f"max_iters must be at least 1, got {self.max_iters}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        if not (0 < self.tol < math.inf):
+            raise ValueError(f"tol must be finite and positive, got {self.tol}")
         if self.tol_window < 1:
             raise ValueError(f"tol_window must be at least 1, got {self.tol_window}")
         if self.B < 1:
             raise ValueError(f"B must be at least 1, got {self.B}")
-        if self.epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {self.epsilon}")
-        if self.self_weight < 0:
-            raise ValueError(f"self_weight must be nonnegative, got {self.self_weight}")
+        if not (0 < self.epsilon < math.inf):
+            raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
+        if not (0 <= self.self_weight < math.inf):
+            raise ValueError(f"self_weight must be finite and nonnegative, got {self.self_weight}")
+        if not all(0 < s < math.inf for _, s in self.pair_scales):
+            raise ValueError(f"pair_scales factors must be finite and positive, got {self.pair_scales}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.deep_fade and self.algorithm != "tvc":
@@ -194,7 +199,7 @@ def prepare(config: SimulationConfig):
     """
     topo_seed, channel_seed, initial_seed, _ = stream_seeds(config.seed)
     g = generate_topology(config.topology, config.n, topo_seed)
-    if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g):
+    if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g.adj):
         raise ValueError(f"{config.algorithm} requires a strongly connected topology")
     channel = None
     if config.algorithm in ("tic", "tvc"):

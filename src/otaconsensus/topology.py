@@ -6,7 +6,7 @@ modeled as a diagonal weight on the channel realization, not as a graph edge.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -28,56 +28,51 @@ class EdgeListError(TopologyError):
     """An edge-list file could not be parsed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Digraph:
-    """Immutable directed graph on nodes 0..n-1.
-
-    Edge orientation follows transmission: (i, j) present means j receives
-    from i, so i is an in-neighbor of j and j is an out-neighbor of i.
+    """Immutable directed graph on nodes 0..n-1, held as a read-only n x n
+    boolean adjacency matrix: adj[i, j] is True iff i transmits to j, so i is
+    an in-neighbor of j and j an out-neighbor of i. Two graphs are equal when
+    their matrices are.
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]] = field(default_factory=frozenset)
+    adj: np.ndarray
 
     def __post_init__(self):
-        if self.n < 2:
-            raise ValueError(f"a network needs at least 2 nodes, got n={self.n}")
-        edges = frozenset((int(a), int(b)) for a, b in self.edges)
-        object.__setattr__(self, "edges", edges)
-        for a, b in edges:
-            if a == b:
-                raise ValueError(
-                    f"self-edge ({a},{a}) rejected: self-influence lives on the "
-                    "channel diagonal, not in the graph"
-                )
-            if not (0 <= a < self.n and 0 <= b < self.n):
-                raise ValueError(f"edge ({a},{b}) out of range for n={self.n}")
+        adj = np.array(self.adj, dtype=bool)
+        if adj.ndim != 2 or adj.shape[0] != adj.shape[1]:
+            raise ValueError(f"adjacency must be a square matrix, got shape {adj.shape}")
+        if adj.shape[0] < 2:
+            raise ValueError(f"a network needs at least 2 nodes, got n={adj.shape[0]}")
+        if adj.diagonal().any():
+            a = int(np.argmax(adj.diagonal()))
+            raise ValueError(
+                f"self-edge ({a},{a}) rejected: self-influence lives on the "
+                "channel diagonal, not in the graph"
+            )
+        adj.setflags(write=False)
+        object.__setattr__(self, "adj", adj)
+
+    @property
+    def n(self) -> int:
+        return self.adj.shape[0]
 
     @property
     def m(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(self.adj))
 
-    def in_neighbors(self, j: int) -> list[int]:
-        return sorted(a for a, b in self.edges if b == j)
-
-    def out_neighbors(self, j: int) -> list[int]:
-        return sorted(b for a, b in self.edges if a == j)
-
-    def in_degree(self, j: int) -> int:
-        return sum(1 for a, b in self.edges if b == j)
-
-    def out_degree(self, j: int) -> int:
-        return sum(1 for a, b in self.edges if a == j)
+    @property
+    def edges(self) -> tuple[tuple[int, int], ...]:
+        """Every edge (i, j), sorted."""
+        return tuple(map(tuple, np.argwhere(self.adj).tolist()))
 
     def is_symmetric(self) -> bool:
-        return all((b, a) in self.edges for a, b in self.edges)
+        return np.array_equal(self.adj, self.adj.T)
 
-    def adjacency(self) -> np.ndarray:
-        """Boolean adjacency matrix; entry [i, j] is True iff edge (i, j) exists."""
-        adj = np.zeros((self.n, self.n), dtype=bool)
-        for a, b in self.edges:
-            adj[a, b] = True
-        return adj
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, Digraph):
+            return NotImplemented
+        return np.array_equal(self.adj, other.adj)
 
 
 def _reaches_all(adj: np.ndarray) -> bool:
@@ -95,31 +90,12 @@ def _reaches_all(adj: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def adjacency_strongly_connected(adj: np.ndarray) -> bool:
-    """Strong connectivity of a boolean adjacency matrix: node 0 reaches
-    every node, and every node reaches node 0 (implied for a symmetric
-    matrix). Diagonal entries do not matter: self-loops never change
-    reachability."""
+def is_strongly_connected(adj: np.ndarray) -> bool:
+    """True iff every node reaches every other node along a boolean
+    adjacency matrix: node 0 reaches every node, and every node reaches
+    node 0 (implied for a symmetric matrix). Diagonal entries do not
+    matter: self-loops never change reachability."""
     return _reaches_all(adj) and (np.array_equal(adj, adj.T) or _reaches_all(adj.T))
-
-
-def is_strongly_connected(g: Digraph) -> bool:
-    """True iff every node reaches every other node along directed edges."""
-    return adjacency_strongly_connected(g.adjacency())
-
-
-def joint_graph(gs: Sequence[Digraph]) -> Digraph:
-    """Edge-set union of graphs on a common node set."""
-    if not gs:
-        raise ValueError("joint_graph needs at least one graph")
-    n = gs[0].n
-    for g in gs:
-        if g.n != n:
-            raise ValueError(f"node-count mismatch in union: {g.n} != {n}")
-    edges: set[tuple[int, int]] = set()
-    for g in gs:
-        edges |= g.edges
-    return Digraph(n, frozenset(edges))
 
 
 class EpsilonBAudit:
@@ -134,8 +110,8 @@ class EpsilonBAudit:
     """
 
     def __init__(self, epsilon: float, B: int):
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be positive, got {epsilon}")
+        if not (0 < epsilon < np.inf):
+            raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         if B < 1:
             raise ValueError(f"window length B must be >= 1, got {B}")
         self.epsilon = epsilon
@@ -151,7 +127,7 @@ class EpsilonBAudit:
         self._window = strong if self._window is None else self._window | strong
         self._filled += 1
         if self._filled == self.B:
-            self.satisfied = adjacency_strongly_connected(self._window)
+            self.satisfied = is_strongly_connected(self._window)
             self._window = None
             self._filled = 0
 
@@ -195,43 +171,26 @@ class TopologySpec:
             raise ValueError("edge_list topology needs a file path")
 
 
-def _ring_edges(n: int, symmetric: bool) -> set[tuple[int, int]]:
-    edges = {(i, (i + 1) % n) for i in range(n)}
-    if symmetric:
-        edges |= {(b, a) for a, b in edges}
-    return edges
-
-
-def _complete_edges(n: int) -> set[tuple[int, int]]:
-    return {(i, j) for i in range(n) for j in range(n) if i != j}
-
-
-def _erdos_renyi(n: int, p: float, symmetric: bool, seed: int) -> Digraph:
+def _erdos_renyi(n: int, p: float, symmetric: bool, seed: int) -> np.ndarray:
+    """Each candidate pair is a link with probability p, one uniform per pair
+    in row-major order: the strict upper triangle when symmetric, every
+    off-diagonal entry otherwise."""
     rng = np.random.default_rng(seed)
+    pairs = np.triu(np.ones((n, n), dtype=bool), 1) if symmetric else ~np.eye(n, dtype=bool)
+    count = int(np.count_nonzero(pairs))
+    adj = np.zeros((n, n), dtype=bool)
     for _ in range(ER_MAX_ATTEMPTS):
-        edges: set[tuple[int, int]] = set()
-        if symmetric:
-            for i in range(n):
-                for j in range(i + 1, n):
-                    if rng.random() < p:
-                        edges.add((i, j))
-                        edges.add((j, i))
-        else:
-            for i in range(n):
-                for j in range(n):
-                    if i != j and rng.random() < p:
-                        edges.add((i, j))
-        g = Digraph(n, frozenset(edges))
-        if is_strongly_connected(g):
-            return g
+        adj[pairs] = rng.random(count) < p
+        if is_strongly_connected(adj | adj.T if symmetric else adj):
+            return adj
     raise TopologyError(
         f"no strongly connected sample in {ER_MAX_ATTEMPTS} attempts "
         f"(n={n}, p={p}); raise p or change the seed"
     )
 
 
-def _parse_edge_list(path: str, n: int, symmetric: bool) -> set[tuple[int, int]]:
-    edges: set[tuple[int, int]] = set()
+def _parse_edge_list(path: str, n: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
     try:
         text = Path(path).read_text()
     except OSError as exc:
@@ -251,10 +210,8 @@ def _parse_edge_list(path: str, n: int, symmetric: bool) -> set[tuple[int, int]]
             raise EdgeListError(f"{path}:{lineno}: node id out of range [0, {n}) in {raw!r}")
         if a == b:
             raise EdgeListError(f"{path}:{lineno}: self-edge ({a},{a}) not allowed")
-        edges.add((a, b))
-        if symmetric:
-            edges.add((b, a))
-    return edges
+        adj[a, b] = True
+    return adj
 
 
 def generate_topology(spec: TopologySpec, n: int, seed: int) -> Digraph:
@@ -266,9 +223,11 @@ def generate_topology(spec: TopologySpec, n: int, seed: int) -> Digraph:
     if n < 2:
         raise ValueError(f"a network needs at least 2 nodes, got n={n}")
     if spec.kind == "ring":
-        return Digraph(n, frozenset(_ring_edges(n, spec.symmetric)))
-    if spec.kind == "complete":
-        return Digraph(n, frozenset(_complete_edges(n)))
-    if spec.kind == "erdos_renyi":
-        return _erdos_renyi(n, spec.p, spec.symmetric, seed)
-    return Digraph(n, frozenset(_parse_edge_list(spec.path, n, spec.symmetric)))
+        adj = np.roll(np.eye(n, dtype=bool), 1, axis=1)  # i -> i+1 (mod n)
+    elif spec.kind == "complete":
+        adj = ~np.eye(n, dtype=bool)
+    elif spec.kind == "erdos_renyi":
+        adj = _erdos_renyi(n, spec.p, spec.symmetric, seed)
+    else:
+        adj = _parse_edge_list(spec.path, n)
+    return Digraph(adj | adj.T if spec.symmetric else adj)

@@ -8,9 +8,8 @@ from otaconsensus.channel import (
     ChannelRealization,
     FadingModel,
     NoiseModel,
-    effective_graph,
 )
-from otaconsensus.topology import Digraph, TopologySpec, generate_topology
+from otaconsensus.topology import Digraph, EpsilonBAudit, TopologySpec, generate_topology
 
 
 def ring(n):
@@ -84,7 +83,7 @@ def test_asymmetric_gains_are_constructible():
 
 
 def test_process_requires_symmetric_topology():
-    directed = Digraph(3, frozenset({(0, 1), (1, 2), (2, 0)}))
+    directed = Digraph(np.roll(np.eye(3, dtype=bool), 1, axis=1))  # 0 -> 1 -> 2 -> 0
     with pytest.raises(ValueError, match="symmetric"):
         ChannelProcess(FadingModel.constant(1.0), directed)
 
@@ -111,7 +110,7 @@ def test_process_realizations_reciprocal_with_self_weight(seed, k):
     np.testing.assert_array_equal(r.gains, r.gains.T)
     np.testing.assert_array_equal(np.diagonal(r.gains), np.ones(5))
     # off-topology entries stay exactly zero
-    adj = proc.topology.adjacency()
+    adj = proc.topology.adj
     off = ~adj & ~np.eye(5, dtype=bool)
     assert np.all(r.gains[off] == 0.0)
 
@@ -148,16 +147,29 @@ def test_deep_fade_fills_off_links_below_threshold():
         epsilon=eps,
     )
     r = proc.realization(2)
-    adj = proc.topology.adjacency()
+    adj = proc.topology.adj
     off = ~adj & ~np.eye(6, dtype=bool)
     assert np.all(r.gains[off] > 0.0)
     assert np.all(r.gains[off] <= eps / 2)
     np.testing.assert_array_equal(r.gains, r.gains.T)
     # thresholding must recover exactly the design topology
-    assert effective_graph(r, eps).edges == proc.topology.edges
+    strong = r.gains > eps
+    np.fill_diagonal(strong, False)
+    np.testing.assert_array_equal(strong, proc.topology.adj)
 
 
 # ---------------------------------------------------------------- effective graph
+#
+# The effective graph of a step is gains > epsilon; the epsilon-B audit
+# reads it through its windowed strong-connectivity verdict.
+
+
+def audit_verdict(epsilon, *steps):
+    """The audit's verdict on one window made of the given steps' gains."""
+    audit = EpsilonBAudit(epsilon, len(steps))
+    for gains in steps:
+        audit.add(gains)
+    return audit.satisfied
 
 
 def test_effective_graph_threshold_strict():
@@ -169,17 +181,20 @@ def test_effective_graph_threshold_strict():
         ]
     )
     r = ChannelRealization(3, g, 1.0)
-    eg = effective_graph(r, epsilon=0.1)
-    # 0.1 is not > 0.1, so the weak link drops
-    assert eg.edges == frozenset({(0, 1), (1, 0)})
+    # 0.1 is not > 0.1, so the weak link drops and node 2 is cut off
+    assert not audit_verdict(0.1, r.gains)
+    assert audit_verdict(0.0999, r.gains)
     with pytest.raises(ValueError):
-        effective_graph(r, epsilon=0.0)
+        EpsilonBAudit(epsilon=0.0, B=1)
 
 
 def test_effective_graph_orientation():
-    # gains[i, j] > eps means j -> i: receiver i hears transmitter j
-    g = np.zeros((2, 2))
-    np.fill_diagonal(g, 1.0)
+    # gains[i, j] > eps means j -> i: receiver i hears transmitter j. A
+    # one-way gain is one directed link, so the pair is strongly connected
+    # only once the reverse gain shows up in the same window
+    g = np.eye(2)
     g[0, 1] = 0.9
     r = ChannelRealization(2, g, 1.0)
-    assert effective_graph(r, 0.5).edges == frozenset({(1, 0)})
+    assert not audit_verdict(0.5, r.gains)
+    assert not audit_verdict(0.5, r.gains, r.gains)
+    assert audit_verdict(0.5, r.gains, r.gains.T)

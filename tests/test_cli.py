@@ -432,6 +432,15 @@ def test_run_config_error_exit_two(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key", ["tol", "epsilon", "noise_std", "self_weight"])
+def test_run_nan_config_value_exit_two_before_writing(minimal_cfg, tmp_path, capsys, key):
+    out = tmp_path / "o"
+    assert main(["run", str(minimal_cfg), "-o", str(out), "--set", f"{key}=nan"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and key in err
+    assert not out.exists()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -526,6 +535,24 @@ def test_topo_inspection_and_export(minimal_cfg, tmp_path, capsys):
     g_orig = prepare(parse_config(str(minimal_cfg)))[0]
     g_round = prepare(parse_config(str(p2)))[0]
     assert g_orig.edges == g_round.edges
+
+
+def test_topo_output_pinned_for_asymmetric_edge_list(tmp_path, capsys):
+    # file order is not export order; one line repeats, one link is two-way
+    edges = tmp_path / "g.edges"
+    edges.write_text("3 1\n0 3\n2 0\n1 2\n0 1\n2 1\n0 3\n")
+    p = tmp_path / "c.cfg"
+    p.write_text(
+        MINIMAL.replace("n = 10", "n = 4").replace("erdos_renyi(0.5)", f"edge_list({edges})")
+        + "topology_symmetric = false\n"
+    )
+    out = tmp_path / "t"
+    assert main(["topo", str(p), "-o", str(out)]) == 0
+    assert capsys.readouterr().out == "n=4 edges=6 symmetric=false strongly_connected=true\n"
+    assert (out / "topology.edges").read_bytes() == (
+        b"# i j  (directed edges; load with topology_symmetric=false)\n"
+        b"0 1\n0 3\n1 2\n2 0\n2 1\n3 1\n"
+    )
 
 
 def test_module_entry_point(minimal_cfg, tmp_path):

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -50,6 +52,26 @@ def test_config_validation():
         base_config(deep_fade=True)  # algorithm stays tic
     with pytest.raises(ValueError, match="explicit initial"):
         base_config(initial=InitialSpec.explicit([1.0, 2.0]))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_every_real_field_rejects_non_finite(bad):
+    builds = [
+        lambda: base_config(tol=bad),
+        lambda: base_config(epsilon=bad),
+        lambda: base_config(self_weight=bad),
+        lambda: base_config(pair_scales=(((0, 1), bad),)),
+        lambda: NoiseModel(bad),
+        lambda: FadingModel.constant(bad),
+        lambda: FadingModel.half_normal(bad),
+        lambda: FadingModel.uniform(bad, 1.0),
+        lambda: FadingModel.uniform(0.5, bad),
+        lambda: InitialSpec.random_mean(bad, 1.0),
+        lambda: InitialSpec.random_mean(1.0, bad),
+    ]
+    for build in builds:
+        with pytest.raises(ValueError, match="finite"):
+            build()
 
 
 def test_initial_spec_validation():
@@ -220,7 +242,7 @@ def test_prepare_rebuilds_identical_channel():
     cfg = base_config(algorithm="tvc")
     g1, ch1, S1 = prepare(cfg)
     g2, ch2, S2 = prepare(cfg)
-    assert g1.edges == g2.edges
+    assert g1 == g2
     np.testing.assert_array_equal(S1.values, S2.values)
     for k in (0, 3, 17):
         np.testing.assert_array_equal(ch1.realization(k).gains, ch2.realization(k).gains)
