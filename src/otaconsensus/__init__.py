@@ -24,19 +24,10 @@ from .channel import (
     NoiseModel,
 )
 from .protocol import (
-    AgentState,
     DegenerateStateError,
     InitialStates,
     IsolationError,
-    WeightMatrix,
-    baseline_step,
-    ota_aggregate,
     prop1_weights,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
 )
 from .simulator import (
     InitialSpec,
@@ -61,7 +52,6 @@ from .topology import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AgentState",
     "ChannelProcess",
     "ChannelRealization",
     "DegenerateStateError",
@@ -81,24 +71,16 @@ __all__ = [
     "TopologyError",
     "TopologySpec",
     "Trajectory",
-    "WeightMatrix",
     "audit_column_stochastic",
-    "baseline_step",
     "build_Hbar",
     "check_epsilon_B_connectivity",
     "generate_topology",
     "is_strongly_connected",
     "mass_audit",
     "matrix_oracle",
-    "ota_aggregate",
     "prepare",
     "prop1_weights",
-    "ratio_output",
     "run",
     "spread",
     "stationary_limit",
-    "tic_initialize",
-    "tic_step",
-    "tvc_initialize",
-    "tvc_step",
 ]

@@ -130,9 +130,10 @@ class ChannelProcess:
     gains, so switching it on leaves the on-topology gains untouched.
 
     pair_scales multiplies individual links' draws by a per-pair factor,
-    keyed by the undirected pair (min, max). All three fading families are
-    scale families, so this is exactly a per-pair variance (or gain) knob;
-    unlisted pairs keep factor 1.
+    keyed by the undirected pair (min, max); every listed pair must be a
+    link of the topology. All three fading families are scale families, so
+    this is exactly a per-pair variance (or gain) knob; unlisted pairs keep
+    factor 1.
     """
 
     model: FadingModel
@@ -163,7 +164,7 @@ class ChannelProcess:
         for (a, b), s in items:
             if not (0 < s < math.inf):
                 raise ValueError(f"pair scale for ({a},{b}) must be finite and positive, got {s}")
-            if not (0 <= a < n and 0 <= b < n) or a == b:
+            if not (0 <= a < n and 0 <= b < n) or not self.topology.adj[a, b]:
                 raise ValueError(f"pair ({a},{b}) is not a valid link")
             norm.append(((min(a, b), max(a, b)), float(s)))
         object.__setattr__(self, "pair_scales", tuple(sorted(norm)))

@@ -27,7 +27,7 @@ from .analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from .channel import FADING_ARGS, ChannelProcess, ChannelRealization, FadingModel
+from .channel import FADING_ARGS, ChannelRealization, FadingModel
 from .protocol import InitialStates
 from .simulator import (
     INITIAL_ARGS,
@@ -37,7 +37,7 @@ from .simulator import (
     SimulationConfig,
     Trajectory,
     iterate,
-    make_initial_values,
+    prepare,
     run,
     stream_seeds,
 )
@@ -407,24 +407,17 @@ def _protocol_trajectories(S, channel, k_max, time_varying):
 def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """Invariant checks derived from the config's topology, fading, and seeds.
 
+    The graph, initial values and time-varying channel are prepare's for the
+    config run as tvc without deep fade; the static channel keeps that
+    channel's step-0 block for every step.
+
     Positive checks pass when the measured error is at or below the
     threshold. The two negative controls invert that: they pass when the
     designed breakage actually shows up (measured error above threshold, or
     the expected error raised).
     """
-    topo_seed, channel_seed, initial_seed, _ = stream_seeds(cfg.seed)
-    g = generate_topology(cfg.topology, cfg.n, topo_seed)
-    if not g.is_symmetric():
-        raise ConfigError("verify needs a symmetric topology (reciprocity checks are its subject)")
-    S = make_initial_values(cfg.initial, cfg.n, initial_seed)
-    static = ChannelProcess(
-        model=cfg.fading, topology=g, self_weight=cfg.self_weight,
-        time_varying=False, seed=channel_seed, pair_scales=cfg.pair_scales,
-    )
-    varying = ChannelProcess(
-        model=cfg.fading, topology=g, self_weight=cfg.self_weight,
-        time_varying=True, seed=channel_seed, pair_scales=cfg.pair_scales,
-    )
+    g, varying, S = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
+    static = replace(varying, time_varying=False)
     checks: list[CheckResult] = []
 
     # protocol vs matrix oracle, both channel regimes
@@ -475,9 +468,13 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
         checks.append(CheckResult(name, err <= 1e-12, err, 1e-12))
 
     # the stationary eigenvector exists, is a fixed point, and certifies mean(S)
+    # (a periodic support has no limit: the check fails, measured 1)
     hbar = build_Hbar(static.realization(0))
-    est = stationary_limit(hbar, S)
-    resid = float(np.max(np.abs(hbar @ est.eigenvector - est.eigenvector)))
+    try:
+        est = stationary_limit(hbar, S)
+        resid = float(np.max(np.abs(hbar @ est.eigenvector - est.eigenvector)))
+    except PeriodicityError:
+        resid = 1.0
     checks.append(CheckResult("stationary_limit_fixed_point", resid <= 1e-10, resid, 1e-10))
 
     # negative control: bipartite support without self terms has no limit;

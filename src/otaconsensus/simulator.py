@@ -110,6 +110,9 @@ class SimulationConfig:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         if self.deep_fade and self.algorithm != "tvc":
             raise ValueError("deep_fade is a time-varying channel feature; use algorithm=tvc")
+        if self.pair_scales and self.algorithm == "baseline":
+            (a, b), _ = self.pair_scales[0]
+            raise ValueError(f"pair ({a},{b}) in pair_scales scales a channel gain; baseline has none")
         if self.initial.kind == "explicit" and len(self.initial.values) != self.n:
             raise ValueError(
                 f"explicit initial values have length {len(self.initial.values)}, expected n={self.n}"
@@ -174,8 +177,6 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
     realized average hits the target exactly (to rounding), which is what
     makes convergence-to-target assertions meaningful."""
     if spec.kind == "explicit":
-        if len(spec.values) != n:
-            raise ValueError(f"got {len(spec.values)} explicit values for n={n}")
         return InitialStates(np.array(spec.values))
     rng = np.random.default_rng(seed)
     vals = rng.uniform(spec.target_mean - spec.half_width, spec.target_mean + spec.half_width, size=n)
@@ -251,7 +252,7 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
 
     y, x = S.values.copy(), np.ones(n)
     if algorithm == "baseline":
-        G, sigma = prop1_weights(g).entries, np.ones(n)
+        G, sigma = prop1_weights(g), np.ones(n)
     elif algorithm == "tic":
         G = channel.realization(0).gains
         sigma = pilot(G, noise(), "at initialization")

@@ -10,7 +10,9 @@ make a failing build pass.
 """
 
 from contextlib import contextmanager
+from itertools import islice
 from time import perf_counter
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,17 +26,11 @@ from otaconsensus.analysis import (
     stationary_limit,
 )
 from otaconsensus.channel import ChannelRealization, FadingModel
-from otaconsensus.protocol import (
-    InitialStates,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
-)
+from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import (
     InitialSpec,
     SimulationConfig,
+    iterate,
     prepare,
     run,
     spread,
@@ -56,6 +52,13 @@ def make_config(algorithm: str, seed: int, **kw) -> SimulationConfig:
     )
     defaults.update(kw)
     return SimulationConfig(**defaults)
+
+
+def kernel_rows(algorithm: str, S: InitialStates, channel, steps: int):
+    """The stepping kernel's y_tilde, x_tilde and ratio for steps 0..steps,
+    each as a (steps + 1, n) array."""
+    rows = islice(iterate(algorithm, S, channel=channel), steps + 1)
+    return tuple(np.array(a) for a in zip(*rows))
 
 
 @pytest.fixture
@@ -141,20 +144,8 @@ def test_04_mass_conservation_long_horizon(criterion):
         for algorithm in ("tic", "tvc"):
             cfg = make_config(algorithm, seed=4)
             _, channel, S = prepare(cfg)
-            if algorithm == "tic":
-                h = channel.realization(0)
-                states = tic_initialize(S, h)
-                step = lambda st, k: tic_step(st, h)
-            else:
-                states = tvc_initialize(S)
-                step = lambda st, k: tvc_step(st, channel.realization(k))
-            yt = [[st.y_tilde for st in states]]
-            xt = [[st.x_tilde for st in states]]
-            for k in range(1000):
-                states = step(states, k)
-                yt.append([st.y_tilde for st in states])
-                xt.append([st.x_tilde for st in states])
-            drift_y, drift_x = mass_audit((np.array(yt), np.array(xt)), S)
+            yt, xt, _ = kernel_rows(algorithm, S, channel, 1000)
+            drift_y, drift_x = mass_audit((yt, xt), S)
             assert drift_y <= 1e-9, f"{algorithm}: numerator drift {drift_y:.3e}"
             assert drift_x <= 1e-9, f"{algorithm}: denominator drift {drift_x:.3e}"
 
@@ -173,22 +164,7 @@ def test_05_protocol_matches_matrix_oracle(criterion):
             )
             _, channel, S = prepare(cfg)
             h_seq = [channel.realization(k if time_varying else 0) for k in range(k_max)]
-            if time_varying:
-                states = tvc_initialize(S)
-            else:
-                states = tic_initialize(S, h_seq[0])
-            Y = np.empty((k_max + 1, n))
-            X = np.empty((k_max + 1, n))
-            MU = np.empty((k_max + 1, n))
-            for k in range(k_max + 1):
-                if k > 0:
-                    if time_varying:
-                        states = tvc_step(states, h_seq[k - 1])
-                    else:
-                        states = tic_step(states, h_seq[k - 1])
-                Y[k] = [st.y_tilde for st in states]
-                X[k] = [st.x_tilde for st in states]
-                MU[k] = ratio_output(states)
+            Y, X, MU = kernel_rows(cfg.algorithm, S, channel, k_max)
             Yo, Xo, MUo = matrix_oracle(h_seq, S, k_max)
             for got, want, label in ((Y, Yo, "y"), (X, Xo, "x"), (MU, MUo, "mu")):
                 diff = np.max(np.abs(got - want))
@@ -275,15 +251,15 @@ def test_09_alternating_graphs_need_window_two(criterion):
         assert check_epsilon_B_connectivity(h_seq, epsilon=0.5, B=1) is False
 
         S = InitialStates(np.array([0.0, 1.0, 2.0]))
-        states = tvc_initialize(S)
+        alternating = SimpleNamespace(realization=lambda k: h_seq[k % 2])
+        steps = islice(iterate("tvc", S, channel=alternating), 1, 2001)
         converged_at = None
-        for k in range(2000):
-            states = tvc_step(states, h_seq[k % 2])
-            if spread(ratio_output(states)) <= 1e-9:
+        for k, (_, _, mu) in enumerate(steps):
+            if spread(mu) <= 1e-9:
                 converged_at = k + 1
                 break
         assert converged_at is not None, "no consensus under alternating graphs"
-        assert np.max(np.abs(ratio_output(states) - 1.0)) <= 1e-8
+        assert np.max(np.abs(mu - 1.0)) <= 1e-8
 
 
 def test_10_designed_failure_modes(criterion):

@@ -1,3 +1,5 @@
+from itertools import islice
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,15 +15,8 @@ from otaconsensus.analysis import (
     stationary_limit,
 )
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
-from otaconsensus.protocol import (
-    InitialStates,
-    IsolationError,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
-)
+from otaconsensus.protocol import InitialStates, IsolationError
+from otaconsensus.simulator import iterate
 from otaconsensus.topology import TopologySpec, generate_topology
 
 
@@ -134,12 +129,11 @@ def test_oracle_matches_protocol_tic():
     S = InitialStates(np.array([3.0, -1.0, 0.0, 2.5, 4.0, -2.0]))
     k_max = 100
     Y, X, MU = matrix_oracle([h] * k_max, S, k_max)
-    states = tic_initialize(S, h)
-    for k in range(1, k_max + 1):
-        states = tic_step(states, h)
-        np.testing.assert_allclose([st.y_tilde for st in states], Y[k], atol=1e-10)
-        np.testing.assert_allclose([st.x_tilde for st in states], X[k], atol=1e-10)
-        np.testing.assert_allclose(ratio_output(states), MU[k], atol=1e-10)
+    kernel = iterate("tic", S, channel=proc)
+    for k, (y_tilde, x_tilde, mu) in enumerate(islice(kernel, k_max + 1)):
+        np.testing.assert_allclose(y_tilde, Y[k], atol=1e-10)
+        np.testing.assert_allclose(x_tilde, X[k], atol=1e-10)
+        np.testing.assert_allclose(mu, MU[k], atol=1e-10)
 
 
 def test_oracle_matches_protocol_tvc():
@@ -149,11 +143,10 @@ def test_oracle_matches_protocol_tvc():
     k_max = 100
     h_seq = [proc.realization(k) for k in range(k_max)]
     Y, X, MU = matrix_oracle(h_seq, S, k_max)
-    states = tvc_initialize(S)
-    for k in range(1, k_max + 1):
-        states = tvc_step(states, h_seq[k - 1])
-        np.testing.assert_allclose([st.y_tilde for st in states], Y[k], atol=1e-10)
-        np.testing.assert_allclose([st.x_tilde for st in states], X[k], atol=1e-10)
+    kernel = iterate("tvc", S, channel=proc)
+    for k, (y_tilde, x_tilde, _) in enumerate(islice(kernel, k_max + 1)):
+        np.testing.assert_allclose(y_tilde, Y[k], atol=1e-10)
+        np.testing.assert_allclose(x_tilde, X[k], atol=1e-10)
 
 
 # ---------------------------------------------------------------- stationary limit

@@ -379,7 +379,8 @@ def _config_texts(draw):
         "tol": _positive.map(repr),
         "tol_window": st.integers(1, 50).map(str),
         "pair_scales": st.lists(
-            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _positive), max_size=3
+            st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), _positive),
+            max_size=3 if algorithm != "baseline" else 0,
         ).map(lambda ps: ", ".join(f"{a}-{b}:{s!r}" for a, b, s in ps)),
     }
     for key, values in optional.items():
@@ -441,6 +442,22 @@ def test_run_nan_config_value_exit_two_before_writing(minimal_cfg, tmp_path, cap
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, pair", [
+    (["pair_scales=0-99:2"], "(0,99)"),  # node 99 does not exist
+    (["pair_scales=0-4:7"], "(0,4)"),  # not a link of the minimal config's graph
+    (["algorithm=baseline", "pair_scales=0-99:2"], "(0,99)"),
+])
+def test_run_unusable_pair_scale_exit_two(minimal_cfg, tmp_path, capsys, overrides, pair):
+    out = tmp_path / "o"
+    argv = ["run", str(minimal_cfg), "-o", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and pair in err
+    assert not out.exists()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -480,6 +497,25 @@ def test_verify_all_pass(minimal_cfg, tmp_path, capsys):
     assert "oracle_equivalence_tic" in names
     assert "primitivity_bipartite_expected_fail" in names
     assert "non_reciprocal_breaks_stochasticity" in names
+
+
+def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, capsys):
+    # no self term on an even ring: the mixing matrix is periodic, so the
+    # stationary-limit check fails (measured 1) instead of aborting verify
+    out = tmp_path / "v"
+    argv = ["verify", str(minimal_cfg), "-o", str(out)]
+    for item in ("self_weight=0", "topology=ring", "n=4"):
+        argv += ["--set", item]
+    assert main(argv) == 1
+    import json
+
+    doc = {c["check_name"]: c for c in json.loads((out / "verify.json").read_text())}
+    assert doc["stationary_limit_fixed_point"] == {
+        "check_name": "stationary_limit_fixed_point", "passed": False,
+        "measured_error": 1.0, "threshold": 1e-10,
+    }
+    assert sum(not c["passed"] for c in doc.values()) == 1
+    assert "FAIL stationary_limit_fixed_point" in capsys.readouterr().out
 
 
 def test_verify_suite_negative_controls(minimal_cfg):

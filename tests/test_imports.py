@@ -54,3 +54,16 @@ def test_sources_found():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(ROOT)))
 def test_every_import_is_used(path):
     assert _unused_imports(path) == []
+
+
+def test_package_exports_exactly_its_imports():
+    # test_every_import_is_used catches an import left behind; this catches
+    # an __all__ entry left behind, which would break ``import *``
+    import otaconsensus
+
+    init = next(p for p in SOURCES if p.parts[-2:] == ("otaconsensus", "__init__.py"))
+    tree = ast.parse(init.read_text(), filename=str(init))
+    assert set(otaconsensus.__all__) == set(_imported_names(tree))
+    assert len(otaconsensus.__all__) == len(set(otaconsensus.__all__))
+    for name in otaconsensus.__all__:
+        getattr(otaconsensus, name)

@@ -9,15 +9,7 @@ from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, FadingModel, NoiseModel
 from otaconsensus.cli import main, write_trajectory_csv
-from otaconsensus.protocol import (
-    InitialStates,
-    IsolationError,
-    ratio_output,
-    tic_initialize,
-    tic_step,
-    tvc_initialize,
-    tvc_step,
-)
+from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
 from otaconsensus.simulator import InitialSpec, SimulationConfig, iterate, run
 from otaconsensus.topology import (
     Digraph,
@@ -63,39 +55,32 @@ def test_baseline_ignores_receiver_noise():
     assert quiet[1].converged
 
 
-@pytest.mark.parametrize("time_varying", [False, True])
-def test_kernel_matches_agent_state_wrappers(time_varying):
-    proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, 1), seed=3, time_varying=time_varying)
-    S = InitialStates(np.linspace(-2.0, 5.0, 8))
-    Y, X, MU = take(iterate("tvc" if time_varying else "tic", S, channel=proc), 30)
-    if time_varying:
-        states = tvc_initialize(S)
-    else:
-        states = tic_initialize(S, proc.realization(0))
-    for k in range(1, 31):
-        if time_varying:
-            states = tvc_step(states, proc.realization(k - 1))
-        else:
-            states = tic_step(states, proc.realization(0))
-        np.testing.assert_array_equal(Y[k], [st.y_tilde for st in states])
-        np.testing.assert_array_equal(X[k], [st.x_tilde for st in states])
-        np.testing.assert_array_equal(MU[k], ratio_output(states))
-
-
-def test_kernel_noise_stream_order():
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_kernel_noise_stream_order(algorithm):
     # tic spends one pilot draw up front, then two slots per step; tvc
     # spends three slots per step, pilot first
     n, std = 6, 1e-3
-    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5, time_varying=True)
+    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5,
+                          time_varying=algorithm == "tvc")
     S = InitialStates(np.arange(n, dtype=float))
-    Y, X, _ = take(iterate("tvc", S, channel=proc, noise_std=std, noise_rng=np.random.default_rng(9)), 3)
+    Y, X, _ = take(iterate(algorithm, S, channel=proc, noise_std=std,
+                           noise_rng=np.random.default_rng(9)), 3)
     rng = np.random.default_rng(9)
-    states = tvc_initialize(S)
+
+    def draw():
+        return rng.normal(0.0, std, size=n)
+
+    y, x = S.values, np.ones(n)
+    if algorithm == "tic":
+        gains = proc.realization(0).gains
+        sigma = pilot(gains, draw())
     for k in range(1, 4):
-        w, ny, nx = (rng.normal(0.0, std, size=n) for _ in range(3))
-        states = tvc_step(states, proc.realization(k - 1), noise_w=w, noise_y=ny, noise_x=nx)
-        np.testing.assert_array_equal(Y[k], [st.y_tilde for st in states])
-        np.testing.assert_array_equal(X[k], [st.x_tilde for st in states])
+        if algorithm == "tvc":
+            gains = proc.realization(k - 1).gains
+            sigma = pilot(gains, draw())
+        y, x = ota_step(gains, sigma, y, x, draw(), draw())  # numerator first
+        np.testing.assert_array_equal(Y[k], y)
+        np.testing.assert_array_equal(X[k], x)
 
 
 def test_kernel_isolation_names_node_and_step(tmp_path):

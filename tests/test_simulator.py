@@ -50,6 +50,8 @@ def test_config_validation():
         base_config(B=0)
     with pytest.raises(ValueError, match="deep_fade"):
         base_config(deep_fade=True)  # algorithm stays tic
+    with pytest.raises(ValueError, match=r"pair \(0,1\).*baseline"):
+        base_config(algorithm="baseline", pair_scales=(((0, 1), 2.0),))
     with pytest.raises(ValueError, match="explicit initial"):
         base_config(initial=InitialSpec.explicit([1.0, 2.0]))
 
@@ -99,8 +101,8 @@ def test_random_mean_recenters_exactly(seed):
 def test_explicit_initial_values():
     S = make_initial_values(InitialSpec.explicit([0.0, 2.0]), 2, seed=0)
     assert S.mean() == 1.0
-    with pytest.raises(ValueError):
-        make_initial_values(InitialSpec.explicit([0.0, 2.0]), 3, seed=0)
+    with pytest.raises(ValueError, match="length 2, expected n=3"):
+        base_config(n=3, initial=InitialSpec.explicit([0.0, 2.0]))
 
 
 def test_half_width_zero_degenerate():
