@@ -160,8 +160,7 @@ class ChannelProcess:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
         n = self.topology.n
         norm = []
-        items = self.pair_scales.items() if isinstance(self.pair_scales, dict) else self.pair_scales
-        for (a, b), s in items:
+        for (a, b), s in self.pair_scales:
             if not (0 < s < math.inf):
                 raise ValueError(f"pair scale for ({a},{b}) must be finite and positive, got {s}")
             if not (0 <= a < n and 0 <= b < n) or not self.topology.adj[a, b]:

@@ -56,6 +56,9 @@ class InitialSpec:
                 raise ValueError(f"target_mean must be finite, got {self.target_mean}")
             if not (0 <= self.half_width < math.inf):
                 raise ValueError(f"half_width must be finite and nonnegative, got {self.half_width}")
+            lo, hi = self.target_mean - self.half_width, self.target_mean + self.half_width
+            if not math.isfinite(hi - lo):  # an infinite end makes the width infinite too
+                raise ValueError(f"initial range [{lo}, {hi}] of random_mean must be finite, width too")
 
     @classmethod
     def explicit(cls, values) -> "InitialSpec":
@@ -232,11 +235,18 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
     - baseline: G = prop1_weights(g) and sigma = 1. The exchange is
       digital, so it draws no receiver noise.
 
+    A G that is not n x n for the n initial values raises ValueError.
+
     With noise_std > 0 every analog slot draws n values from noise_rng in
     slot order: tic's pilot once, then numerator and denominator each step;
     tvc's pilot, numerator and denominator each step.
     """
     n = S.n
+
+    def sized(G, what):
+        if G.shape != (n, n):
+            raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
+        return G
 
     def noise():
         if noise_std == 0.0 or algorithm == "baseline":
@@ -252,17 +262,17 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
 
     y, x = S.values.copy(), np.ones(n)
     if algorithm == "baseline":
-        G, sigma = prop1_weights(g), np.ones(n)
+        G, sigma = sized(prop1_weights(g), "the graph"), np.ones(n)
     elif algorithm == "tic":
-        G = channel.realization(0).gains
+        G = sized(channel.realization(0).gains, "the channel")
         sigma = pilot(G, noise(), "at initialization")
     yield checked(0, y, x)
     for k in count(1):
         if algorithm == "tvc":
-            G = channel.realization(k - 1).gains
+            G = sized(channel.realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
                 audit.add(G)
-            sigma = pilot(G, noise(), f"at step {k} (deep fade)")
+            sigma = pilot(G, noise(), f"at step {k}")
         y, x = ota_step(G, sigma, y, x, noise(), noise())
         yield checked(k, y, x)
 

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus import cli
+from otaconsensus.channel import ChannelProcess
 from otaconsensus.cli import (
     ConfigError,
     config_echo,
@@ -364,7 +365,10 @@ def _config_texts(draw):
             st.lists(_finite, min_size=n, max_size=n).map(
                 lambda vs: "explicit(" + ", ".join(map(repr, vs)) + ")"
             ),
-            st.tuples(_finite, _nonnegative).map(lambda t: f"random_mean({t[0]!r}, {t[1]!r})"),
+            # target within +/-1e300 keeps the range's ends and width finite
+            st.tuples(st.floats(-1e300, 1e300), _nonnegative).map(
+                lambda t: f"random_mean({t[0]!r}, {t[1]!r})"
+            ),
         )),
         "seed": str(draw(st.integers(0, 2**63))),
     }
@@ -458,6 +462,15 @@ def test_run_unusable_pair_scale_exit_two(minimal_cfg, tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("initial", ["random_mean(0, 1e308)", "random_mean(1e308, 1e308)"])
+def test_run_overflowing_random_mean_range_exit_two(minimal_cfg, tmp_path, capsys, initial):
+    out = tmp_path / "o"
+    assert main(["run", str(minimal_cfg), "-o", str(out), "--set", f"initial={initial}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error") and "initial" in err
+    assert not out.exists()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -500,22 +513,48 @@ def test_verify_all_pass(minimal_cfg, tmp_path, capsys):
 
 
 def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, capsys):
-    # no self term on an even ring: the mixing matrix is periodic, so the
-    # stationary-limit check fails (measured 1) instead of aborting verify
-    out = tmp_path / "v"
-    argv = ["verify", str(minimal_cfg), "-o", str(out)]
-    for item in ("self_weight=0", "topology=ring", "n=4"):
-        argv += ["--set", item]
-    assert main(argv) == 1
+    # a stationary limit that cannot be certified fails its check (measured 1)
+    # instead of aborting verify:
+    # - no self term on an even ring: the mixing matrix is periodic;
+    # - link gains far below the self term: the mixing matrix's diagonal
+    #   rounds to 1 and the direct solve fails its own positivity check, and
+    #   a 1.5x gain on one link moves no column sum past 1e-6
     import json
 
-    doc = {c["check_name"]: c for c in json.loads((out / "verify.json").read_text())}
-    assert doc["stationary_limit_fixed_point"] == {
-        "check_name": "stationary_limit_fixed_point", "passed": False,
-        "measured_error": 1.0, "threshold": 1e-10,
-    }
-    assert sum(not c["passed"] for c in doc.values()) == 1
-    assert "FAIL stationary_limit_fixed_point" in capsys.readouterr().out
+    for overrides, failed in (
+        (("self_weight=0", "topology=ring", "n=4"), {"stationary_limit_fixed_point"}),
+        (("fading=constant(1e-17)",),
+         {"stationary_limit_fixed_point", "non_reciprocal_breaks_stochasticity"}),
+    ):
+        out = tmp_path / "-".join(overrides)
+        argv = ["verify", str(minimal_cfg), "-o", str(out)]
+        for item in overrides:
+            argv += ["--set", item]
+        assert main(argv) == 1
+        doc = {c["check_name"]: c for c in json.loads((out / "verify.json").read_text())}
+        assert doc["stationary_limit_fixed_point"] == {
+            "check_name": "stationary_limit_fixed_point", "passed": False,
+            "measured_error": 1.0, "threshold": 1e-10,
+        }
+        assert {name for name, c in doc.items() if not c["passed"]} == failed
+        assert "FAIL stationary_limit_fixed_point" in capsys.readouterr().out
+
+
+def test_verify_suite_realizes_each_block_once(monkeypatch):
+    # one static block held for the tic regime (realized again by the tic
+    # pass's kernel), 100 varying blocks shared by the tvc oracle and the
+    # audits, 1000 for the tvc pass, and 100 for each equivariance pass
+    calls = 0
+    realization = ChannelProcess.realization
+
+    def counted(self, k):
+        nonlocal calls
+        calls += 1
+        return realization(self, k)
+
+    monkeypatch.setattr(ChannelProcess, "realization", counted)
+    run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
+    assert calls == 2 + (100 + 1000) + 2 * 100
 
 
 def test_verify_suite_negative_controls(minimal_cfg):

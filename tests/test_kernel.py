@@ -1,6 +1,7 @@
 """The shared stepping kernel, pair-keyed channel draws, the incremental
 windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
@@ -81,6 +82,31 @@ def test_kernel_noise_stream_order(algorithm):
         y, x = ota_step(gains, sigma, y, x, draw(), draw())  # numerator first
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_kernel_prefix_is_stable(algorithm):
+    # a long pass's first rows are bitwise a short pass: the verify suite
+    # checks the oracle on the prefix of its mass-conservation pass
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, 3), seed=4,
+                          time_varying=algorithm == "tvc")
+    S = InitialStates(np.linspace(-1.0, 2.0, 8))
+    long = take(iterate(algorithm, S, channel=proc), 1000)
+    short = take(iterate(algorithm, S, channel=proc), 100)
+    for a, b in zip(long, short):
+        assert np.array_equal(a[:101], b)
+
+
+@pytest.mark.parametrize("algorithm, what", [
+    ("tic", "the channel"), ("tvc", "the channel at step 1"), ("baseline", "the graph"),
+])
+def test_kernel_rejects_size_mismatch(algorithm, what):
+    # numpy would broadcast one initial value across a 3-node gain matrix
+    g = er(3, 0, p=1.0)
+    proc = ChannelProcess(FadingModel.constant(1.0), g, time_varying=algorithm == "tvc")
+    kernel = iterate(algorithm, InitialStates([1.0]), g=g, channel=proc)
+    with pytest.raises(ValueError, match=f"{what} is 3-node but got 1 initial values"):
+        list(islice(kernel, 2))
 
 
 def test_kernel_isolation_names_node_and_step(tmp_path):

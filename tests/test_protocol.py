@@ -259,7 +259,7 @@ def test_tvc_deep_fade_isolation_error():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     kernel = iterate("tvc", InitialStates(np.array([1.0, 2.0])), channel=fixed(h))
     next(kernel)  # step 0 is the initial values: no pilot yet
-    with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1 \(deep fade\)"):
+    with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1: pilot sum"):
         next(kernel)
 
 
