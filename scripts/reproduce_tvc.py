@@ -10,7 +10,7 @@ import argparse
 
 import numpy as np
 
-from otaconsensus.channel import FadingModel, NoiseModel
+from otaconsensus.channel import FadingModel
 from otaconsensus.simulator import InitialSpec, SimulationConfig, run
 from otaconsensus.topology import TopologySpec
 
@@ -23,7 +23,7 @@ def make_config(seed, n, p, noise_std=0.0, tol=1e-9):
         fading=FadingModel.half_normal(1.0),
         initial=InitialSpec.random_mean(1.0, 1.0),
         seed=seed,
-        noise=NoiseModel(noise_std),
+        noise_std=noise_std,
         max_iters=2000,
         tol=tol,
     )

@@ -17,12 +17,7 @@ from .analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from .channel import (
-    ChannelProcess,
-    ChannelRealization,
-    FadingModel,
-    NoiseModel,
-)
+from .channel import ChannelProcess, ChannelRealization, FadingModel
 from .protocol import (
     DegenerateStateError,
     InitialStates,
@@ -62,7 +57,6 @@ __all__ = [
     "InitialStates",
     "IsolationError",
     "LimitEstimate",
-    "NoiseModel",
     "NonFiniteStateError",
     "PeriodicityError",
     "RunSummary",

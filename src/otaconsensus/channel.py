@@ -73,17 +73,6 @@ class FadingModel:
 
 
 @dataclass(frozen=True)
-class NoiseModel:
-    """Additive white Gaussian receiver noise; std=0 is the noiseless regime."""
-
-    std: float = 0.0
-
-    def __post_init__(self):
-        if not (0 <= self.std < math.inf):
-            raise ValueError(f"noise_std must be finite and nonnegative, got {self.std}")
-
-
-@dataclass(frozen=True)
 class ChannelRealization:
     """Gain matrix for one coherence block.
 
@@ -115,19 +104,19 @@ class ChannelRealization:
 
 @dataclass(frozen=True)
 class ChannelProcess:
-    """Seedable source of channel realizations for a symmetric topology.
+    """Seedable sequence of coherence blocks for a symmetric topology.
 
-    time_varying=False freezes the block sampled at step 0 for all steps;
-    time_varying=True resamples every step (gains are coherent within a
-    step's slots). Step k draws from one generator keyed by (seed, k): one
-    gain for every node pair in the canonical np.triu_indices order, link
-    or not, then masked by the topology. So a pair's gain depends only on
-    (seed, k, pair), not on edge order or on which other links exist.
+    Block k draws from one generator keyed by (seed, k): one gain for every
+    node pair in the canonical np.triu_indices order, link or not, then
+    masked by the topology. So a pair's gain depends only on (seed, k,
+    pair), not on edge order or on which other links exist. Which block a
+    step reads is the stepping kernel's rule, not the process's.
 
-    deep_fade additionally gives every off-topology pair a weak positive
-    gain uniform in (0, epsilon/2], below the effective-graph threshold.
-    Its uniforms, one per pair, come from the same generator after the
-    gains, so switching it on leaves the on-topology gains untouched.
+    deep_fade_epsilon, when set, gives every off-topology pair a weak
+    positive gain uniform in (0, deep_fade_epsilon/2], below the
+    effective-graph threshold. Its uniforms, one per pair, come from the
+    same generator after the gains, so switching it on leaves the
+    on-topology gains untouched.
 
     pair_scales multiplies individual links' draws by a per-pair factor,
     keyed by the undirected pair (min, max); every listed pair must be a
@@ -139,17 +128,15 @@ class ChannelProcess:
     model: FadingModel
     topology: Digraph
     self_weight: float = 1.0
-    time_varying: bool = False
     seed: int = 0
-    deep_fade: bool = False
-    epsilon: float | None = None
+    deep_fade_epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
     # built once from the fields above: the strict upper triangle as an n x n
     # mask, whose row-major order is the canonical pair order, and per pair
-    # whether it is a link and its scale (None when no pair is scaled)
+    # whether it is a link and its scale
     _upper: np.ndarray = field(init=False, repr=False, compare=False)
     _links: np.ndarray = field(init=False, repr=False, compare=False)
-    _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _scales: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.topology.is_symmetric():
@@ -158,6 +145,9 @@ class ChannelProcess:
             raise ValueError(f"self_weight must be finite and nonnegative, got {self.self_weight}")
         if self.seed < 0:
             raise ValueError(f"seed must be nonnegative, got {self.seed}")
+        eps = self.deep_fade_epsilon
+        if eps is not None and not (0 < eps < math.inf):
+            raise ValueError(f"deep_fade needs finite epsilon > 0, got {eps}")
         n = self.topology.n
         norm = []
         for (a, b), s in self.pair_scales:
@@ -167,34 +157,24 @@ class ChannelProcess:
                 raise ValueError(f"pair ({a},{b}) is not a valid link")
             norm.append(((min(a, b), max(a, b)), float(s)))
         object.__setattr__(self, "pair_scales", tuple(sorted(norm)))
-        if self.deep_fade:
-            if not self.time_varying:
-                raise ValueError("deep_fade applies to time-varying channels only")
-            if self.epsilon is None or not (0 < self.epsilon < math.inf):
-                raise ValueError(f"deep_fade needs finite epsilon > 0, got {self.epsilon}")
+        scales = np.ones((n, n))
+        for (a, b), s in self.pair_scales:
+            scales[a, b] = s
         upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        scales = None
-        if self.pair_scales:
-            scales = np.ones((n, n))
-            for (a, b), s in self.pair_scales:
-                scales[a, b] = s
-            scales = scales[upper]
         object.__setattr__(self, "_upper", upper)
         object.__setattr__(self, "_links", self.topology.adj[upper])
-        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_scales", scales[upper])
 
     def realization(self, k: int) -> ChannelRealization:
-        """Gain matrix for step k; a pure function of (process fields, k)."""
+        """Gain matrix of block k; a pure function of (process fields, k)."""
         if k < 0:
-            raise ValueError(f"step index must be nonnegative, got {k}")
-        rng = np.random.default_rng([self.seed, k if self.time_varying else 0])
-        pairs = self.model.draw(rng, self._links.size)
-        if self._scales is not None:
-            pairs *= self._scales
+            raise ValueError(f"block index must be nonnegative, got {k}")
+        rng = np.random.default_rng([self.seed, k])
+        pairs = self.model.draw(rng, self._links.size) * self._scales
         off = 0.0
-        if self.deep_fade:
+        if self.deep_fade_epsilon is not None:
             u = rng.random(self._links.size)
-            off = (1.0 - u) * 0.5 * self.epsilon  # in (0, epsilon/2]
+            off = (1.0 - u) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
         pairs = np.where(self._links, pairs, off)
         n = self.topology.n
         gains = np.zeros((n, n))

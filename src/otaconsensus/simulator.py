@@ -15,7 +15,7 @@ from itertools import count
 import numpy as np
 
 from .analysis import mass_audit
-from .channel import ChannelProcess, FadingModel, NoiseModel
+from .channel import ChannelProcess, FadingModel
 from .protocol import InitialStates, ota_step, pilot, prop1_weights, ratio
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
@@ -81,7 +81,7 @@ class SimulationConfig:
     initial: InitialSpec
     seed: int
     self_weight: float = 1.0
-    noise: NoiseModel = NoiseModel(0.0)
+    noise_std: float = 0.0
     epsilon: float = 1e-3
     B: int = 1
     deep_fade: bool = False
@@ -107,6 +107,8 @@ class SimulationConfig:
             raise ValueError(f"epsilon must be finite and positive, got {self.epsilon}")
         if not (0 <= self.self_weight < math.inf):
             raise ValueError(f"self_weight must be finite and nonnegative, got {self.self_weight}")
+        if not (0 <= self.noise_std < math.inf):
+            raise ValueError(f"noise_std must be finite and nonnegative, got {self.noise_std}")
         if not all(0 < s < math.inf for _, s in self.pair_scales):
             raise ValueError(f"pair_scales factors must be finite and positive, got {self.pair_scales}")
         if self.seed < 0:
@@ -211,10 +213,8 @@ def prepare(config: SimulationConfig):
             model=config.fading,
             topology=g,
             self_weight=config.self_weight,
-            time_varying=(config.algorithm == "tvc"),
             seed=channel_seed,
-            deep_fade=config.deep_fade,
-            epsilon=config.epsilon if config.deep_fade else None,
+            deep_fade_epsilon=config.epsilon if config.deep_fade else None,
             pair_scales=config.pair_scales,
         )
     S = make_initial_values(config.initial, config.n, initial_seed)
@@ -229,9 +229,9 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
     after every step, without end; the caller decides when to stop. Every
     step is y_tilde' = G @ (y_tilde / sigma) + noise, likewise for x_tilde:
 
-    - tic: G is channel.realization(0), sigma measured once by a pilot;
-    - tvc: a fresh realization and pilot every step, each realization
-      also fed to audit (an EpsilonBAudit) when one is given;
+    - tic: G is block 0 at every step, sigma measured once by a pilot;
+    - tvc: step k reads block k - 1 and measures it by a fresh pilot, each
+      block also fed to audit (an EpsilonBAudit) when one is given;
     - baseline: G = prop1_weights(g) and sigma = 1. The exchange is
       digital, so it draws no receiver noise.
 
@@ -288,7 +288,7 @@ def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     g, channel, S = prepare(config)
     _, _, _, noise_seed = stream_seeds(config.seed)
     audit = EpsilonBAudit(config.epsilon, config.B) if config.algorithm == "tvc" else None
-    kernel = iterate(config.algorithm, S, g, channel, config.noise.std,
+    kernel = iterate(config.algorithm, S, g, channel, config.noise_std,
                      np.random.default_rng(noise_seed), audit)
 
     ys: list[np.ndarray] = []

@@ -44,7 +44,7 @@ def test_build_hbar_column_stochastic_under_reciprocity(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 9))
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), n, seed=seed)
-    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=seed, time_varying=True)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=seed)
     audit = audit_column_stochastic(build_Hbar(proc.realization(int(rng.integers(0, 10)))))
     assert audit.is_column_stochastic
     assert audit.max_column_sum_error <= 1e-12
@@ -138,7 +138,7 @@ def test_oracle_matches_protocol_tic():
 
 def test_oracle_matches_protocol_tvc():
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), 6, seed=24)
-    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=25, time_varying=True)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=25)
     S = InitialStates(np.array([3.0, -1.0, 0.0, 2.5, 4.0, -2.0]))
     k_max = 100
     h_seq = [proc.realization(k) for k in range(k_max)]

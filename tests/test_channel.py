@@ -3,12 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import (
-    ChannelProcess,
-    ChannelRealization,
-    FadingModel,
-    NoiseModel,
-)
+from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.topology import Digraph, EpsilonBAudit, TopologySpec, generate_topology
 
 
@@ -40,11 +35,6 @@ def test_fading_samples_strictly_positive(seed):
     assert np.all(FadingModel.half_normal(1.0).draw(rng, 16) > 0)
     u = FadingModel.uniform(0.2, 0.9).draw(rng, 16)
     assert np.all((0.2 <= u) & (u < 0.9))
-
-
-def test_noise_model():
-    with pytest.raises(ValueError):
-        NoiseModel(std=-0.1)
 
 
 # ---------------------------------------------------------------- realization
@@ -88,24 +78,15 @@ def test_process_requires_symmetric_topology():
         ChannelProcess(FadingModel.constant(1.0), directed)
 
 
-def test_process_static_realizations_identical():
-    proc = ChannelProcess(FadingModel.half_normal(1.0), ring(6), seed=3, time_varying=False)
-    r0 = proc.realization(0)
-    r9 = proc.realization(9)
-    np.testing.assert_array_equal(r0.gains, r9.gains)
-
-
 def test_process_time_varying_resamples():
-    proc = ChannelProcess(FadingModel.half_normal(1.0), ring(6), seed=3, time_varying=True)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), ring(6), seed=3)
     assert not np.array_equal(proc.realization(0).gains, proc.realization(1).gains)
 
 
 @given(seed=st.integers(min_value=0, max_value=1000), k=st.integers(min_value=0, max_value=20))
 @settings(max_examples=30)
 def test_process_realizations_reciprocal_with_self_weight(seed, k):
-    proc = ChannelProcess(
-        FadingModel.half_normal(1.0), ring(5), self_weight=1.0, seed=seed, time_varying=True
-    )
+    proc = ChannelProcess(FadingModel.half_normal(1.0), ring(5), self_weight=1.0, seed=seed)
     r = proc.realization(k)
     np.testing.assert_array_equal(r.gains, r.gains.T)
     np.testing.assert_array_equal(np.diagonal(r.gains), np.ones(5))
@@ -116,9 +97,9 @@ def test_process_realizations_reciprocal_with_self_weight(seed, k):
 
 
 def test_process_deterministic_in_seed():
-    a = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11, time_varying=True)
-    b = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11, time_varying=True)
-    c = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=12, time_varying=True)
+    a = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)
+    b = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)
+    c = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=12)
     np.testing.assert_array_equal(a.realization(4).gains, b.realization(4).gains)
     assert not np.array_equal(a.realization(4).gains, c.realization(4).gains)
 
@@ -129,23 +110,15 @@ def test_process_rejects_negative_step():
         proc.realization(-1)
 
 
-def test_deep_fade_requires_time_varying_and_epsilon():
-    with pytest.raises(ValueError, match="time-varying"):
-        ChannelProcess(FadingModel.constant(1.0), ring(4), deep_fade=True, epsilon=1e-3)
-    with pytest.raises(ValueError, match="epsilon"):
-        ChannelProcess(FadingModel.constant(1.0), ring(4), deep_fade=True, time_varying=True)
+def test_deep_fade_requires_finite_positive_epsilon():
+    for eps in (0.0, -1e-3, float("inf"), float("nan")):
+        with pytest.raises(ValueError, match="epsilon"):
+            ChannelProcess(FadingModel.constant(1.0), ring(4), deep_fade_epsilon=eps)
 
 
 def test_deep_fade_fills_off_links_below_threshold():
     eps = 1e-3
-    proc = ChannelProcess(
-        FadingModel.half_normal(1.0),
-        ring(6),
-        seed=5,
-        time_varying=True,
-        deep_fade=True,
-        epsilon=eps,
-    )
+    proc = ChannelProcess(FadingModel.half_normal(1.0), ring(6), seed=5, deep_fade_epsilon=eps)
     r = proc.realization(2)
     adj = proc.topology.adj
     off = ~adj & ~np.eye(6, dtype=bool)

@@ -47,7 +47,7 @@ def test_minimal_config_fills_defaults(minimal_cfg):
     cfg = parse_config(str(minimal_cfg))
     assert cfg.n == 10 and cfg.seed == 42 and cfg.algorithm == "tic"
     assert cfg.self_weight == 1.0
-    assert cfg.noise.std == 0.0
+    assert cfg.noise_std == 0.0
     assert cfg.tol == 1e-9
     assert cfg.tol_window == 10
     assert cfg.max_iters == 5000
@@ -541,9 +541,9 @@ def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, c
 
 
 def test_verify_suite_realizes_each_block_once(monkeypatch):
-    # one static block held for the tic regime (realized again by the tic
-    # pass's kernel), 100 varying blocks shared by the tvc oracle and the
-    # audits, 1000 for the tvc pass, and 100 for each equivariance pass
+    # 100 blocks shared by both oracles and the audits (the tic regime holds
+    # block 0), block 0 again for the tic pass, 1000 for the tvc pass, and
+    # 100 for each equivariance pass
     calls = 0
     realization = ChannelProcess.realization
 
@@ -554,7 +554,7 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
 
     monkeypatch.setattr(ChannelProcess, "realization", counted)
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
-    assert calls == 2 + (100 + 1000) + 2 * 100
+    assert calls == 100 + 1 + 1000 + 2 * 100
 
 
 def test_verify_suite_negative_controls(minimal_cfg):

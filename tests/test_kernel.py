@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, FadingModel, NoiseModel
+from otaconsensus.channel import ChannelProcess, FadingModel
 from otaconsensus.cli import main, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
 from otaconsensus.simulator import InitialSpec, SimulationConfig, iterate, run
@@ -49,8 +49,8 @@ def take(kernel, steps):
 
 def test_baseline_ignores_receiver_noise():
     # the baseline exchange is digital: receiver noise must not reach it
-    quiet = run(base_config(algorithm="baseline", noise=NoiseModel(0.0)))
-    noisy = run(base_config(algorithm="baseline", noise=NoiseModel(1e-3)))
+    quiet = run(base_config(algorithm="baseline", noise_std=0.0))
+    noisy = run(base_config(algorithm="baseline", noise_std=1e-3))
     assert noisy[0] == quiet[0]
     assert noisy[1] == quiet[1]
     assert quiet[1].converged
@@ -61,8 +61,7 @@ def test_kernel_noise_stream_order(algorithm):
     # tic spends one pilot draw up front, then two slots per step; tvc
     # spends three slots per step, pilot first
     n, std = 6, 1e-3
-    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5,
-                          time_varying=algorithm == "tvc")
+    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5)
     S = InitialStates(np.arange(n, dtype=float))
     Y, X, _ = take(iterate(algorithm, S, channel=proc, noise_std=std,
                            noise_rng=np.random.default_rng(9)), 3)
@@ -84,12 +83,23 @@ def test_kernel_noise_stream_order(algorithm):
         np.testing.assert_array_equal(X[k], x)
 
 
+@pytest.mark.parametrize("algorithm, blocks", [("tic", [0]), ("tvc", list(range(50)))])
+def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
+    # the process is a plain sequence of blocks; which block a step reads is
+    # the kernel's rule: tic realizes block 0 once, tvc block k - 1 at step k
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
+    seen = []
+    realization = ChannelProcess.realization
+    monkeypatch.setattr(ChannelProcess, "realization", lambda self, k: seen.append(k) or realization(self, k))
+    take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 50)
+    assert seen == blocks
+
+
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_prefix_is_stable(algorithm):
     # a long pass's first rows are bitwise a short pass: the verify suite
     # checks the oracle on the prefix of its mass-conservation pass
-    proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, 3), seed=4,
-                          time_varying=algorithm == "tvc")
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, 3), seed=4)
     S = InitialStates(np.linspace(-1.0, 2.0, 8))
     long = take(iterate(algorithm, S, channel=proc), 1000)
     short = take(iterate(algorithm, S, channel=proc), 100)
@@ -103,7 +113,7 @@ def test_kernel_prefix_is_stable(algorithm):
 def test_kernel_rejects_size_mismatch(algorithm, what):
     # numpy would broadcast one initial value across a 3-node gain matrix
     g = er(3, 0, p=1.0)
-    proc = ChannelProcess(FadingModel.constant(1.0), g, time_varying=algorithm == "tvc")
+    proc = ChannelProcess(FadingModel.constant(1.0), g)
     kernel = iterate(algorithm, InitialStates([1.0]), g=g, channel=proc)
     with pytest.raises(ValueError, match=f"{what} is 3-node but got 1 initial values"):
         list(islice(kernel, 2))
@@ -128,7 +138,7 @@ def test_run_memory_is_bounded_without_channel_history():
     # noise keeps the spread above tol, so the run uses its whole budget;
     # keeping every realization would cost max_iters * n^2 doubles
     n, steps = 60, 1500
-    cfg = base_config(n=n, algorithm="tvc", noise=NoiseModel(1e-6), max_iters=steps)
+    cfg = base_config(n=n, algorithm="tvc", noise_std=1e-6, max_iters=steps)
     tracemalloc.start()
     try:
         _, summary = run(cfg)
@@ -165,8 +175,7 @@ def test_n200_trajectory_memory_is_bounded(tmp_path):
 
 
 def test_single_generator_per_realization(monkeypatch):
-    proc = ChannelProcess(FadingModel.half_normal(1.0), er(12, 0), seed=7, time_varying=True,
-                          deep_fade=True, epsilon=1e-3)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(12, 0), seed=7, deep_fade_epsilon=1e-3)
     calls = []
     real = np.random.default_rng
     monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
@@ -181,8 +190,8 @@ def test_subgraph_gains_match_supergraph(seed, k):
     full = generate_topology(TopologySpec(kind="complete"), n, seed=0)
     sub = er(n, seed, p=0.4)
     model = FadingModel.half_normal(1.0)
-    g_full = ChannelProcess(model, full, seed=seed, time_varying=True).realization(k).gains
-    g_sub = ChannelProcess(model, sub, seed=seed, time_varying=True).realization(k).gains
+    g_full = ChannelProcess(model, full, seed=seed).realization(k).gains
+    g_sub = ChannelProcess(model, sub, seed=seed).realization(k).gains
     adj = sub.adj
     np.testing.assert_array_equal(g_sub[adj], g_full[adj])
     off = ~adj & ~np.eye(n, dtype=bool)
@@ -192,8 +201,8 @@ def test_subgraph_gains_match_supergraph(seed, k):
 @pytest.mark.parametrize("model", [FadingModel.half_normal(1.0), FadingModel.uniform(0.2, 2.0)])
 def test_deep_fade_leaves_link_gains_untouched(model):
     topo = er(10, 3)
-    plain = ChannelProcess(model, topo, seed=4, time_varying=True, epsilon=1e-3)
-    faded = ChannelProcess(model, topo, seed=4, time_varying=True, deep_fade=True, epsilon=1e-3)
+    plain = ChannelProcess(model, topo, seed=4)
+    faded = ChannelProcess(model, topo, seed=4, deep_fade_epsilon=1e-3)
     adj = topo.adj
     for k in (0, 1, 7):
         np.testing.assert_array_equal(plain.realization(k).gains[adj], faded.realization(k).gains[adj])
@@ -202,9 +211,8 @@ def test_deep_fade_leaves_link_gains_untouched(model):
 def test_pair_scales_scale_only_their_pair():
     topo = er(8, 5)
     a, b = topo.edges[0]
-    plain = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=2, time_varying=True)
-    scaled = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=2, time_varying=True,
-                            pair_scales=(((b, a), 3.0),))
+    plain = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=2)
+    scaled = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=2, pair_scales=(((b, a), 3.0),))
     g0, g1 = plain.realization(3).gains, scaled.realization(3).gains
     assert g1[a, b] == g1[b, a] == 3.0 * g0[a, b]
     mask = np.ones_like(g0, dtype=bool)
@@ -261,7 +269,7 @@ def test_is_strongly_connected_matches_edge_reachability(n, seed):
 @settings(max_examples=30, deadline=None)
 def test_incremental_audit_matches_sequence_check(seed, B):
     # sparse thresholded realizations so that both verdicts occur
-    proc = ChannelProcess(FadingModel.uniform(0.01, 1.0), er(6, seed, p=0.7), seed=seed, time_varying=True)
+    proc = ChannelProcess(FadingModel.uniform(0.01, 1.0), er(6, seed, p=0.7), seed=seed)
     seq = [proc.realization(k) for k in range(9)]
     audit = EpsilonBAudit(0.6, B)
     for h in seq:

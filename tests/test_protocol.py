@@ -237,10 +237,11 @@ def test_tvc_initialize_placeholders():
 
 def test_tvc_matches_tic_on_constant_channel():
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.5), 7, seed=5)
-    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=6, time_varying=False)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=6)
     S = InitialStates(np.arange(7, dtype=float))
     Yc, Xc, _ = trajectory("tic", S, 100, channel=proc)
-    Yv, Xv, _ = trajectory("tvc", S, 100, channel=proc)
+    # tvc re-measures every block; frozen at block 0 it must track tic
+    Yv, Xv, _ = trajectory("tvc", S, 100, channel=fixed(proc.realization(0)))
     np.testing.assert_allclose(Yc, Yv, rtol=1e-12)
     np.testing.assert_allclose(Xc, Xv, rtol=1e-12)
 
@@ -249,7 +250,7 @@ def test_tvc_per_step_normalization_is_column_stochastic():
     from otaconsensus.analysis import audit_column_stochastic, build_Hbar
 
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), 6, seed=7)
-    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=8, time_varying=True)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=8)
     for k in range(40):
         audit = audit_column_stochastic(build_Hbar(proc.realization(k)))
         assert audit.is_column_stochastic
@@ -267,7 +268,7 @@ def test_tvc_stored_normalization_uses_current_block():
     # step k transmits over the sigma measured in block k - 1, the block it
     # aggregates over, never over an earlier block's sigma
     topo = generate_topology(TopologySpec(kind="ring"), 4, seed=0)
-    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), topo, seed=9, time_varying=True)
+    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), topo, seed=9)
     Y, X, _ = trajectory("tvc", InitialStates(np.array([1.0, 2.0, 3.0, 4.0])), 3, channel=proc)
     for k in range(1, 4):
         gains = proc.realization(k - 1).gains
@@ -307,7 +308,7 @@ def test_ratio_bounds_with_self_weight(seed):
     rng = np.random.default_rng(seed)
     n = int(rng.integers(2, 7))
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), n, seed=seed)
-    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, self_weight=1.0, seed=seed, time_varying=True)
+    proc = ChannelProcess(FadingModel.half_normal(1.0), topo, self_weight=1.0, seed=seed)
     S = InitialStates(rng.uniform(-5, 5, size=n))
     lo, hi = S.values.min(), S.values.max()
     _, _, MU = trajectory("tvc", S, 60, channel=proc)
@@ -320,7 +321,7 @@ def test_scale_and_shift_equivariance(seed):
     rng = np.random.default_rng(seed)
     n = 5
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), n, seed=seed)
-    proc = ChannelProcess(FadingModel.uniform(0.3, 1.7), topo, seed=seed, time_varying=True)
+    proc = ChannelProcess(FadingModel.uniform(0.3, 1.7), topo, seed=seed)
     base_vals = rng.uniform(-2, 2, size=n)
     c = 3.7
     d = -2.0

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import FadingModel, NoiseModel
+from otaconsensus.channel import FadingModel
 from otaconsensus.simulator import (
     TRAJECTORY_FIELDS,
     InitialSpec,
@@ -48,6 +48,8 @@ def test_config_validation():
         base_config(tol_window=0)
     with pytest.raises(ValueError, match="B must"):
         base_config(B=0)
+    with pytest.raises(ValueError, match="noise_std must be finite and nonnegative, got -0.1"):
+        base_config(noise_std=-0.1)
     with pytest.raises(ValueError, match="deep_fade"):
         base_config(deep_fade=True)  # algorithm stays tic
     with pytest.raises(ValueError, match=r"pair \(0,1\).*baseline"):
@@ -63,7 +65,7 @@ def test_every_real_field_rejects_non_finite(bad):
         lambda: base_config(epsilon=bad),
         lambda: base_config(self_weight=bad),
         lambda: base_config(pair_scales=(((0, 1), bad),)),
-        lambda: NoiseModel(bad),
+        lambda: base_config(noise_std=bad),
         lambda: FadingModel.constant(bad),
         lambda: FadingModel.half_normal(bad),
         lambda: FadingModel.uniform(bad, 1.0),
@@ -217,7 +219,7 @@ def test_bipartite_without_self_weight_never_converges():
 
 
 def test_noise_perturbs_but_keeps_determinism():
-    cfg = base_config(noise=NoiseModel(std=1e-6), max_iters=200)
+    cfg = base_config(noise_std=1e-6, max_iters=200)
     r1, s1 = run(cfg)
     r2, s2 = run(cfg)
     assert r1 == r2 and s1 == s2
