@@ -22,11 +22,11 @@ from .protocol import (
     DegenerateStateError,
     InitialStates,
     IsolationError,
+    NonFiniteStateError,
     prop1_weights,
 )
 from .simulator import (
     InitialSpec,
-    NonFiniteStateError,
     RunSummary,
     SimulationConfig,
     Trajectory,

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .protocol import COLUMN_SUM_TOL, SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError
+from .protocol import (COLUMN_SUM_TOL, SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError,
+                       NonFiniteStateError)
 
 class PeriodicityError(RuntimeError):
     """The mixing matrix is not primitive, so no unique limit exists."""
@@ -52,10 +53,14 @@ def build_Hbar(h: ChannelRealization) -> np.ndarray:
     1 exactly when the gains are reciprocal; feeding a non-reciprocal matrix
     through here is the designed way to break the stochasticity audit.
     """
-    sigma = h.gains.sum(axis=1)
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        sigma = h.gains.sum(axis=1)
+    finite = np.isfinite(sigma)
     for j in range(h.n):
+        if not finite[j]:
+            raise NonFiniteStateError(f"node {j} overflowed: pilot sum {float(sigma[j])!r} is not finite")
         if sigma[j] <= SIGMA_MIN:
-            raise IsolationError(f"node {j} is isolated: pilot sum {sigma[j]!r} <= {SIGMA_MIN}")
+            raise IsolationError(f"node {j} is isolated: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}")
     return h.gains / sigma[np.newaxis, :]
 
 
@@ -97,7 +102,7 @@ def matrix_oracle(
     for k in range(k_max + 1):
         if np.any(x <= 0):
             j = int(np.argmin(x))
-            raise DegenerateStateError(f"node {j} has nonpositive denominator at step {k}: {x[j]!r}")
+            raise DegenerateStateError(f"node {j} has nonpositive denominator at step {k}: {float(x[j])!r}")
         Y[k] = y
         X[k] = x
         MU[k] = y / x
@@ -173,7 +178,7 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
     predicted = S.mean()
     per_node = (v * total) / (v * n)
     worst = float(np.max(np.abs(per_node - predicted)))
-    if worst > 1e-12:
+    if worst > 1e-12 * max(1.0, abs(predicted)):  # rounding grows with |mean|
         raise RuntimeError(f"per-node limit identity violated by {worst!r}")
     return LimitEstimate(eigenvector=v, predicted_limit=predicted)
 

@@ -28,12 +28,11 @@ from .analysis import (
     stationary_limit,
 )
 from .channel import FADING_ARGS, ChannelRealization, FadingModel
-from .protocol import COLUMN_SUM_TOL, InitialStates
+from .protocol import COLUMN_SUM_TOL, InitialStates, NonFiniteStateError
 from .simulator import (
     INITIAL_ARGS,
     TRAJECTORY_FIELDS,
     InitialSpec,
-    NonFiniteStateError,
     SimulationConfig,
     Trajectory,
     iterate,
@@ -414,7 +413,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """
     g, channel, S = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
     k_eq, k_mass = 100, 1000
-    # the varying blocks also feed the audits
+    # tvc steps through the blocks, tic holds block 0; the blocks also feed the audits
     h_varying = [channel.realization(k) for k in range(k_eq)]
     h_static = h_varying[:1] * k_eq
 

@@ -38,6 +38,10 @@ class DegenerateStateError(RuntimeError):
     """A denominator state that must stay positive did not."""
 
 
+class NonFiniteStateError(RuntimeError):
+    """A state, ratio or pilot sum left the reals; the run is aborted, never patched."""
+
+
 @dataclass(frozen=True)
 class InitialStates:
     """The values to be averaged, one per node."""
@@ -81,15 +85,22 @@ def prop1_weights(g: Digraph) -> np.ndarray:
 
 def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
     """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
-    gains @ 1 (self term included) plus its noise, is its normalization sum."""
-    sigma = gains @ np.ones(gains.shape[0])
-    if noise is not None:
-        sigma = sigma + noise
+    gains @ 1 (self term included) plus its noise, is its normalization sum.
+    A sum that overflows or falls to SIGMA_MIN or below raises."""
+    with np.errstate(over="ignore"):  # an overflowing sum is refused below
+        sigma = gains @ np.ones(gains.shape[0])
+        if noise is not None:
+            sigma = sigma + noise
     cut = sigma <= SIGMA_MIN
     if cut.any():
         j = int(np.argmax(cut))
         raise IsolationError(
             f"node {j} is isolated {context}: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}"
+        )
+    if not sigma.max() < np.inf:  # inf from an overflow (nan fails too)
+        j = int(np.argmin(np.isfinite(sigma)))
+        raise NonFiniteStateError(
+            f"node {j} overflowed {context}: pilot sum {float(sigma[j])!r} is not finite"
         )
     return sigma
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from .analysis import mass_audit
 from .channel import ChannelProcess, FadingModel
-from .protocol import InitialStates, ota_step, pilot, prop1_weights, ratio
+from .protocol import InitialStates, NonFiniteStateError, ota_step, pilot, prop1_weights, ratio
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
 ALGORITHMS = ("tic", "tvc", "baseline")
@@ -27,10 +27,6 @@ INITIAL_ARGS = {"explicit": ("*values",), "random_mean": ("target_mean", "half_w
 INITIAL_KINDS = tuple(INITIAL_ARGS)
 
 TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
-
-
-class NonFiniteStateError(RuntimeError):
-    """A state or ratio left the reals; the run is aborted, never patched."""
 
 
 @dataclass(frozen=True)

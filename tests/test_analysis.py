@@ -16,7 +16,7 @@ from otaconsensus.analysis import (
 )
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.protocol import InitialStates, IsolationError
-from otaconsensus.simulator import iterate
+from otaconsensus.simulator import InitialSpec, SimulationConfig, iterate, prepare
 from otaconsensus.topology import TopologySpec, generate_topology
 
 
@@ -193,6 +193,19 @@ def test_stationary_limit_matches_eig_on_slow_mixing_ring():
     ref = np.real(V[:, np.argmin(np.abs(w - 1.0))])
     ref /= ref.sum()
     assert np.max(np.abs(est.eigenvector - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("mean", [1e4, 1e9])
+def test_stationary_limit_identity_scales_with_mean(mean):
+    # (v * total) / (v * n) = total / n for every positive v, so the identity
+    # can fail only by rounding, which grows with |mean|; the static block
+    # of configs/tic10.cfg
+    cfg = SimulationConfig(n=10, topology=TopologySpec("erdos_renyi", p=0.5), algorithm="tic",
+                           fading=FadingModel.half_normal(1.0),
+                           initial=InitialSpec.random_mean(mean, 1.0), seed=42)
+    _, channel, S = prepare(cfg)
+    est = stationary_limit(build_Hbar(channel.realization(0)), S)
+    assert est.predicted_limit == S.mean()
 
 
 def test_stationary_limit_rejects_periodic():

@@ -557,6 +557,37 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
     assert calls == 100 + 1 + 1000 + 2 * 100
 
 
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_overflowing_pilot_sum_exits_three(command, tmp_path, capsys):
+    # an overflowed pilot sum is named, not left to zero every transmitted
+    # value and surface as a nonpositive denominator a step later
+    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "--set", "fading=constant(1e308)", "-o", str(tmp_path)]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert "pilot sum" in err and "inf" in err
+    assert "Warning" not in err
+
+
+@pytest.mark.parametrize("command, config", [
+    ("run", "tic10.cfg"), ("sweep", "self_weight_sweep.cfg"), ("verify", "tvc10.cfg"),
+])
+def test_benchmark_tracer_still_hooks_in(command, config, tmp_path, monkeypatch):
+    # the benchmark's per-layer tracer reads realization(k).gains and
+    # len(run(cfg)[0]); a changed return type would fail only traced runs
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parents[1] / "perfbench"))
+    from tracing import Tracer
+
+    tracer = Tracer()
+    tracer.install()
+    try:
+        assert main([command, str(CONFIG_DIR / config), "-o", str(tmp_path)]) == 0
+    finally:
+        tracer.uninstall()
+    assert tracer.counts["channel.links_drawn"] > 0
+    if command != "verify":
+        assert tracer.counts["simulator.records"] > 0
+
+
 def test_verify_suite_negative_controls(minimal_cfg):
     checks = run_verify_suite(parse_config(str(minimal_cfg), ["n=6"]))
     by_name = {c.check_name: c for c in checks}
