@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
+from otaconsensus.simulator import InitialSpec, SimulationConfig
 from otaconsensus.topology import Digraph, EpsilonBAudit, TopologySpec, generate_topology
 
 
@@ -35,6 +36,19 @@ def test_fading_samples_strictly_positive(seed):
     assert np.all(FadingModel.half_normal(1.0).draw(rng, 16) > 0)
     u = FadingModel.uniform(0.2, 0.9).draw(rng, 16)
     assert np.all((0.2 <= u) & (u < 0.9))
+
+
+# ---------------------------------------------------------------- noise
+
+
+def test_noise_model():
+    # Receiver noise is one setting, SimulationConfig.noise_std.
+    kw = dict(n=3, topology=TopologySpec(kind="ring"), algorithm="tic",
+              fading=FadingModel.constant(1.0), initial=InitialSpec.random_mean(1.0, 1.0), seed=0)
+    assert SimulationConfig(**kw).noise_std == 0.0
+    assert SimulationConfig(**kw, noise_std=0.1).noise_std == 0.1
+    with pytest.raises(ValueError, match="noise_std"):
+        SimulationConfig(**kw, noise_std=-0.1)
 
 
 # ---------------------------------------------------------------- realization
