@@ -8,7 +8,6 @@ matrix-form oracle are included for cross-checking.
 """
 
 from .analysis import (
-    LimitEstimate,
     PeriodicityError,
     StochasticAudit,
     audit_column_stochastic,
@@ -56,7 +55,6 @@ __all__ = [
     "InitialSpec",
     "InitialStates",
     "IsolationError",
-    "LimitEstimate",
     "NonFiniteStateError",
     "PeriodicityError",
     "RunSummary",

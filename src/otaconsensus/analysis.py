@@ -32,35 +32,25 @@ class StochasticAudit:
     is_column_stochastic: bool
 
 
-@dataclass(frozen=True)
-class LimitEstimate:
-    """Stationary right eigenvector (eigenvalue 1, sum 1) and the limit it implies."""
-
-    eigenvector: np.ndarray
-    predicted_limit: float
-
-    def __post_init__(self):
-        v = np.asarray(self.eigenvector, dtype=float).copy()
-        v.setflags(write=False)
-        object.__setattr__(self, "eigenvector", v)
-
-
-def build_Hbar(h: ChannelRealization) -> np.ndarray:
+def build_Hbar(h: ChannelRealization, context: str = "") -> np.ndarray:
     """Normalize a realization into the step's mixing matrix.
 
     Column j is the gain column divided by sigma_j, the receiver-side pilot
     sum (row sum j). Column j then sums to (column sum)/(row sum), which is
     1 exactly when the gains are reciprocal; feeding a non-reciprocal matrix
     through here is the designed way to break the stochasticity audit.
+    A pilot sum that overflows or falls to SIGMA_MIN raises, naming the node
+    and, when given, the context ("at step 3").
     """
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         sigma = h.gains.sum(axis=1)
     finite = np.isfinite(sigma)
+    at = f" {context}" if context else ""
     for j in range(h.n):
         if not finite[j]:
-            raise NonFiniteStateError(f"node {j} overflowed: pilot sum {float(sigma[j])!r} is not finite")
+            raise NonFiniteStateError(f"node {j} overflowed{at}: pilot sum {float(sigma[j])!r} is not finite")
         if sigma[j] <= SIGMA_MIN:
-            raise IsolationError(f"node {j} is isolated: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}")
+            raise IsolationError(f"node {j} is isolated{at}: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}")
     return h.gains / sigma[np.newaxis, :]
 
 
@@ -108,7 +98,7 @@ def matrix_oracle(
         MU[k] = y / x
         if k == k_max:
             break
-        hbar = build_Hbar(h_seq[k])
+        hbar = build_Hbar(h_seq[k], f"at step {k + 1}")
         if hbar.shape != (n, n):
             raise ValueError(f"realization {k} is {hbar.shape[0]}-node, expected {n}")
         y = hbar @ y
@@ -134,9 +124,10 @@ def _is_primitive(support: np.ndarray) -> bool:
     return bool(result.all())
 
 
-def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
-    """Eigenvalue-1 right eigenvector of a primitive column-stochastic matrix,
-    by one direct solve, plus the limit it certifies.
+def stationary_limit(hbar: np.ndarray, S: InitialStates) -> np.ndarray:
+    """Eigenvalue-1 right eigenvector (sum 1) of a primitive column-stochastic
+    matrix, by one direct solve, returned read-only once it certifies mean(S)
+    as every node's limit.
 
     The eigenvector spans the null space of hbar - I. Every column of
     hbar - I sums to zero, so its last row is minus the sum of the others;
@@ -180,7 +171,8 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> LimitEstimate:
     worst = float(np.max(np.abs(per_node - predicted)))
     if worst > 1e-12 * max(1.0, abs(predicted)):  # rounding grows with |mean|
         raise RuntimeError(f"per-node limit identity violated by {worst!r}")
-    return LimitEstimate(eigenvector=v, predicted_limit=predicted)
+    v.setflags(write=False)
+    return v
 
 
 def mass_audit(trajectory, S: InitialStates) -> tuple[float, float]:

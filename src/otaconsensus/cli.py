@@ -303,13 +303,15 @@ def parse_config(path: str, overrides=()) -> SimulationConfig:
 @dataclass(frozen=True)
 class SweepSpec:
     parameter: str
-    values: tuple[str, ...]
-    seeds: tuple[int, ...] | None
+    runs: tuple[tuple[str, SimulationConfig], ...]
 
 
 def parse_sweep(path: str, overrides=()) -> tuple[SimulationConfig, SweepSpec]:
+    """The base config (file plus overrides) and each [sweep] run's (value
+    text, config) in sweep.csv row order, all validated before any run."""
     sections = _read_sections(path)
-    config = _build_config(_apply_overrides(sections[""], overrides))
+    flat = _apply_overrides(sections[""], overrides)
+    config = _build_config(flat)
     sweep = sections.get("sweep")
     if sweep is None:
         raise ConfigError(f"{path}: sweep needs a [sweep] section")
@@ -336,7 +338,12 @@ def parse_sweep(path: str, overrides=()) -> tuple[SimulationConfig, SweepSpec]:
             seeds = tuple(_as_int("seeds", s.strip()) for s in raw_seeds.split(",") if s.strip())
         if not seeds:
             raise ConfigError(f"{swhere}: empty seeds list")
-    return config, SweepSpec(parameter=parameter, values=values, seeds=seeds)
+    runs = []
+    for value in values:
+        cfg = _build_config({**flat, parameter: (value, vwhere)})
+        for seed in seeds or (cfg.seed,):
+            runs.append((value, replace(cfg, seed=seed)))
+    return config, SweepSpec(parameter=parameter, runs=tuple(runs))
 
 
 def config_echo(cfg: SimulationConfig) -> dict:
@@ -450,8 +457,8 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     # solve that fails its own checks) fails the check, measured 1
     hbar = build_Hbar(h_varying[0])
     try:
-        est = stationary_limit(hbar, S)
-        resid = float(np.max(np.abs(hbar @ est.eigenvector - est.eigenvector)))
+        v = stationary_limit(hbar, S)
+        resid = float(np.max(np.abs(hbar @ v - v)))
     except RuntimeError:
         resid = 1.0
     checks.append(CheckResult("stationary_limit_fixed_point", resid <= 1e-10, resid, 1e-10))
@@ -498,37 +505,20 @@ def cmd_run(args) -> int:
 
 
 def cmd_sweep(args) -> int:
-    cfg, sweep = parse_sweep(args.config, args.set)
-    seeds = sweep.seeds if sweep.seeds is not None else (cfg.seed,)
-    rows = []
-    for value_text in sweep.values:
-        for seed in seeds:
-            overrides = list(args.set or ())
-            overrides.append(f"{sweep.parameter}={value_text}")
-            if sweep.parameter != "seed":
-                overrides.append(f"seed={seed}")
-            run_cfg = parse_config(args.config, overrides)
-            _, summary = run(run_cfg)
-            rows.append(
-                (
-                    sweep.parameter,
-                    value_text,
-                    run_cfg.seed,
-                    summary.converged,
-                    summary.iterations_used,
-                    summary.final_max_error,
-                )
-            )
+    _, sweep = parse_sweep(args.config, args.set)
+    # all runs first: a run's fault outranks an earlier row's unserializable value
+    summaries = [run(cfg)[1] for _, cfg in sweep.runs]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["parameter,value,seed,converged,iterations_used,final_max_error"]
-    for param, value, seed, converged, iters, err in rows:
+    for (value, cfg), summary in zip(sweep.runs, summaries):
         lines.append(
-            f"{param},{value},{seed},{str(converged).lower()},{iters},{fmt_float(err)}"
+            f"{sweep.parameter},{value},{cfg.seed},{str(summary.converged).lower()},"
+            f"{summary.iterations_used},{fmt_float(summary.final_max_error)}"
         )
     (out / "sweep.csv").write_text("\n".join(lines) + "\n")
-    print(f"sweep over {sweep.parameter}: {len(rows)} runs, "
-          f"{sum(1 for r in rows if r[3])} converged")
+    print(f"sweep over {sweep.parameter}: {len(summaries)} runs, "
+          f"{sum(s.converged for s in summaries)} converged")
     return 0
 
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus.analysis import (
-    LimitEstimate,
     PeriodicityError,
     audit_column_stochastic,
     build_Hbar,
@@ -154,16 +153,14 @@ def test_oracle_matches_protocol_tvc():
 
 def test_stationary_limit_hand_solved():
     hbar = np.array([[0.5, 0.25], [0.5, 0.75]])
-    est = stationary_limit(hbar, InitialStates(np.array([1.0, 2.0])))
-    np.testing.assert_allclose(est.eigenvector, [1 / 3, 2 / 3], atol=1e-10)
-    assert est.predicted_limit == 1.5
+    v = stationary_limit(hbar, InitialStates(np.array([1.0, 2.0])))
+    np.testing.assert_allclose(v, [1 / 3, 2 / 3], atol=1e-10)
 
 
 def test_stationary_limit_doubly_stochastic_uniform():
     hbar = build_Hbar(sym_realization([[1.0, 0.6], [0.6, 1.0]]))
-    est = stationary_limit(hbar, InitialStates(np.array([0.0, 2.0])))
-    np.testing.assert_allclose(est.eigenvector, [0.5, 0.5], atol=1e-10)
-    assert est.predicted_limit == 1.0
+    v = stationary_limit(hbar, InitialStates(np.array([0.0, 2.0])))
+    np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-10)
 
 
 @given(seed=st.integers(min_value=0, max_value=200))
@@ -175,11 +172,10 @@ def test_stationary_limit_is_mean_and_fixed_point(seed):
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=seed)
     hbar = build_Hbar(proc.realization(0))
     S = InitialStates(rng.uniform(-4, 4, size=n))
-    est = stationary_limit(hbar, S)
-    assert est.predicted_limit == S.mean()
-    assert np.all(est.eigenvector > 0)
-    assert est.eigenvector.sum() == pytest.approx(1.0, abs=1e-12)
-    assert np.max(np.abs(hbar @ est.eigenvector - est.eigenvector)) <= 1e-10
+    v = stationary_limit(hbar, S)
+    assert np.all(v > 0)
+    assert v.sum() == pytest.approx(1.0, abs=1e-12)
+    assert np.max(np.abs(hbar @ v - v)) <= 1e-10
 
 
 def test_stationary_limit_matches_eig_on_slow_mixing_ring():
@@ -188,11 +184,11 @@ def test_stationary_limit_matches_eig_on_slow_mixing_ring():
     n = 200
     topo = generate_topology(TopologySpec(kind="ring"), n, seed=0)
     hbar = build_Hbar(ChannelProcess(FadingModel.half_normal(1.0), topo, seed=1).realization(0))
-    est = stationary_limit(hbar, InitialStates(np.linspace(-1.0, 1.0, n)))
+    v = stationary_limit(hbar, InitialStates(np.linspace(-1.0, 1.0, n)))
     w, V = np.linalg.eig(hbar)
     ref = np.real(V[:, np.argmin(np.abs(w - 1.0))])
     ref /= ref.sum()
-    assert np.max(np.abs(est.eigenvector - ref)) <= 1e-10 * np.max(np.abs(ref))
+    assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
 
 
 @pytest.mark.parametrize("mean", [1e4, 1e9])
@@ -204,8 +200,9 @@ def test_stationary_limit_identity_scales_with_mean(mean):
                            fading=FadingModel.half_normal(1.0),
                            initial=InitialSpec.random_mean(mean, 1.0), seed=42)
     _, channel, S = prepare(cfg)
-    est = stationary_limit(build_Hbar(channel.realization(0)), S)
-    assert est.predicted_limit == S.mean()
+    v = stationary_limit(build_Hbar(channel.realization(0)), S)
+    assert np.all(v > 0)
+    assert v.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_stationary_limit_rejects_periodic():
@@ -230,14 +227,16 @@ def test_wielandt_boundary_case():
     h[1, n - 1] = 1.0
     # make it column stochastic directly
     h = h / h.sum(axis=0, keepdims=True)
-    est = stationary_limit(h, InitialStates(np.ones(n)))
-    assert est.predicted_limit == 1.0
+    v = stationary_limit(h, InitialStates(np.ones(n)))
+    assert np.all(v > 0)
+    assert v.sum() == pytest.approx(1.0, abs=1e-12)
 
 
 def test_immutable_eigenvector():
-    est = LimitEstimate(eigenvector=np.array([0.5, 0.5]), predicted_limit=1.0)
+    v = stationary_limit(np.array([[0.5, 0.25], [0.5, 0.75]]), InitialStates(np.array([1.0, 2.0])))
+    assert not v.flags.writeable
     with pytest.raises(ValueError):
-        est.eigenvector[0] = 2.0
+        v[0] = 2.0
 
 
 # ---------------------------------------------------------------- mass audit

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -153,8 +155,9 @@ def test_sweep_parsing(tmp_path):
     p.write_text(MINIMAL + "[sweep]\nparameter = self_weight\nvalues = 0.0, 1.0\nseeds = 1, 2\n")
     cfg, sweep = parse_sweep(str(p))
     assert sweep.parameter == "self_weight"
-    assert sweep.values == ("0.0", "1.0")
-    assert sweep.seeds == (1, 2)
+    assert [(value, c.self_weight, c.seed) for value, c in sweep.runs] == [
+        ("0.0", 0.0, 1), ("0.0", 0.0, 2), ("1.0", 1.0, 1), ("1.0", 1.0, 2),
+    ]
 
 
 def test_sweep_requires_block(minimal_cfg):
@@ -181,6 +184,37 @@ def test_sweep_over_seed_forbids_seeds_list(tmp_path):
     p.write_text(MINIMAL + "[sweep]\nparameter = seed\nvalues = 1, 2\nseeds = 3\n")
     with pytest.raises(ConfigError, match="drop the 'seeds' list"):
         parse_sweep(str(p))
+
+
+def test_sweep_reads_its_file_once(tmp_path, monkeypatch):
+    reads = 0
+    read_sections = cli._read_sections
+
+    def counted(path):
+        nonlocal reads
+        reads += 1
+        return read_sections(path)
+
+    monkeypatch.setattr(cli, "_read_sections", counted)
+    assert main(["sweep", str(CONFIG_DIR / "self_weight_sweep.cfg"), "-o", str(tmp_path)]) == 0
+    assert reads == 1
+
+
+def test_sweep_refuses_bad_value_before_any_run(tmp_path, monkeypatch, capsys):
+    p = tmp_path / "s.cfg"
+    p.write_text(MINIMAL + "[sweep]\nparameter = self_weight\nvalues = 0.5, x\n")
+    runs = 0
+
+    def counted(cfg):
+        nonlocal runs
+        runs += 1
+        return run(cfg)
+
+    monkeypatch.setattr(cli, "run", counted)
+    assert main(["sweep", str(p), "-o", str(tmp_path / "o")]) == 2
+    assert runs == 0
+    assert f"config error: {p}:9: key 'self_weight' needs a number, got 'x'" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
 
 
 # ---------------------------------------------------------------- serialization
@@ -402,6 +436,47 @@ def test_config_echo_round_trips(text, tmp_path_factory):
     _assert_echo_round_trips(path, out_dir)
 
 
+# swept keys with strategies whose every value is valid in any drawn config
+_SWEEPABLE = {
+    "self_weight": _nonnegative.map(repr),
+    "noise_std": _nonnegative.map(repr),
+    "max_iters": st.integers(1, 10**6).map(str),
+    "tol": _positive.map(repr),
+    "seed": st.integers(0, 2**63).map(str),
+}
+
+
+@given(text=_config_texts(), data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_sweep_runs_match_per_run_parsing(text, data, tmp_path_factory):
+    # each run's config is the one a whole-file parse with the value and seed
+    # applied as overrides gives
+    parameter = data.draw(st.sampled_from(sorted(_SWEEPABLE)))
+    values = data.draw(st.lists(_SWEEPABLE[parameter], min_size=1, max_size=3))
+    seeds = None
+    if parameter != "seed" and data.draw(st.booleans()):
+        seeds = data.draw(st.lists(st.integers(0, 2**63), min_size=1, max_size=3))
+    overrides = data.draw(st.lists(
+        st.sampled_from([f"{parameter}={values[0]}", "seed=5", "max_iters=9"]), unique=True))
+    block = f"[sweep]\nparameter = {parameter}\nvalues = {', '.join(values)}\n"
+    if seeds is not None:
+        block += f"seeds = {', '.join(map(str, seeds))}\n"
+    path = tmp_path_factory.mktemp("sweep") / "drawn.cfg"
+    path.write_text(text + block)
+
+    base, sweep = parse_sweep(str(path), overrides)
+    assert base == parse_config(str(path), overrides)
+    expected = []
+    for value in values:
+        for seed in seeds or (base.seed,):
+            run_overrides = [*overrides, f"{parameter}={value}"]
+            if parameter != "seed":
+                run_overrides.append(f"seed={seed}")
+            expected.append((value, parse_config(str(path), run_overrides)))
+    assert sweep.parameter == parameter
+    assert list(sweep.runs) == expected
+
+
 # ---------------------------------------------------------------- subcommands
 
 
@@ -557,20 +632,30 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
     assert calls == 100 + 1 + 1000 + 2 * 100
 
 
-@pytest.mark.parametrize("command", ["run", "verify"])
-def test_overflowing_pilot_sum_exits_three(command, tmp_path, capsys):
+@pytest.mark.parametrize("command, overrides, expected", [
+    ("run", ["fading=constant(1e308)"], "node 0 overflowed at initialization: pilot sum inf"),
+    ("verify", ["fading=constant(1e308)"], "node 0 overflowed at step 1: pilot sum inf"),
+    ("verify", ["fading=constant(1e-300)", "self_weight=0"],
+     "node 0 is isolated at step 1: pilot sum 6e-300"),
+], ids=["run", "verify", "verify-isolated"])
+def test_overflowing_pilot_sum_exits_three(command, overrides, expected, tmp_path, capsys):
     # an overflowed pilot sum is named, not left to zero every transmitted
-    # value and surface as a nonpositive denominator a step later
-    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "--set", "fading=constant(1e308)", "-o", str(tmp_path)]
+    # value and surface as a nonpositive denominator a step later; the
+    # matrix oracle names the step as the kernel does
+    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "-o", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
     assert main(argv) == 3
     err = capsys.readouterr().err
-    assert "pilot sum" in err and "inf" in err
+    assert expected in err
     assert "Warning" not in err
 
 
-@pytest.mark.parametrize("command, config", [
-    ("run", "tic10.cfg"), ("sweep", "self_weight_sweep.cfg"), ("verify", "tvc10.cfg"),
-])
+# one config per benchmark workload kind
+BENCHMARK_KINDS = [("run", "tic10.cfg"), ("sweep", "self_weight_sweep.cfg"), ("verify", "tvc10.cfg")]
+
+
+@pytest.mark.parametrize("command, config", BENCHMARK_KINDS)
 def test_benchmark_tracer_still_hooks_in(command, config, tmp_path, monkeypatch):
     # the benchmark's per-layer tracer reads realization(k).gains and
     # len(run(cfg)[0]); a changed return type would fail only traced runs
@@ -586,6 +671,20 @@ def test_benchmark_tracer_still_hooks_in(command, config, tmp_path, monkeypatch)
     assert tracer.counts["channel.links_drawn"] > 0
     if command != "verify":
         assert tracer.counts["simulator.records"] > 0
+
+
+@pytest.mark.parametrize("kind, config", BENCHMARK_KINDS)
+def test_benchmark_setup_probe_runs(kind, config, tmp_path):
+    # the benchmark times set-up in a fresh process through parse_config or
+    # parse_sweep, whose return shapes it relies on
+    root = Path(__file__).resolve().parents[1]
+    child = root / "perfbench" / "child.py"
+    proc = subprocess.run(
+        [sys.executable, str(child), "setup", str(root), str(CONFIG_DIR / config), kind],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["setup_s"] > 0
 
 
 def test_verify_suite_negative_controls(minimal_cfg):
@@ -621,6 +720,31 @@ def test_sweep_over_seeds_all_converge(minimal_cfg, tmp_path):
     assert all(",true," in r for r in rows)
     # seed column mirrors the swept value
     assert [r.split(",")[2] for r in rows] == ["1", "2", "3", "4"]
+
+
+@pytest.mark.parametrize("config, sweep_block, overrides, stdout, csv_sha256", [
+    ("self_weight_sweep.cfg", "", [], "sweep over self_weight: 6 runs, 3 converged\n",
+     "eb251d28f3c003ee5b4adb5b67aa6c32fb6db043a8ff28db0942783756a93371"),
+    ("noise_sweep.cfg", "", ["max_iters=50"], "sweep over noise_std: 12 runs, 6 converged\n",
+     "fb7746ad701e075d6c845bb84f2feb28393e676d4ae166b0ba437269547d2897"),
+    ("tic10.cfg", "parameter = topology\nvalues = ring, complete\n", [],
+     "sweep over topology: 2 runs, 1 converged\n",
+     "4ce2e3a230c303559c34e06030c89028cc39941a1160ca39d9c3fe50d6a62bf8"),
+    ("tic10.cfg", "parameter = seed\nvalues = 3, 5\n", ["seed=11"],
+     "sweep over seed: 2 runs, 2 converged\n",
+     "6a32db78562ef91b1db24b25d316195736f6638e9f076c448163d01f6e7d2872"),
+])
+def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256, tmp_path, capsys):
+    path = CONFIG_DIR / config
+    if sweep_block:
+        path = tmp_path / "s.cfg"
+        path.write_text((CONFIG_DIR / config).read_text() + "[sweep]\n" + sweep_block)
+    argv = ["sweep", str(path), "-o", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == stdout
+    assert hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest() == csv_sha256
 
 
 def test_topo_inspection_and_export(minimal_cfg, tmp_path, capsys):
