@@ -31,6 +31,7 @@ from .simulator import (
     Trajectory,
     prepare,
     run,
+    run_group,
     spread,
 )
 from .topology import (
@@ -73,6 +74,7 @@ __all__ = [
     "prepare",
     "prop1_weights",
     "run",
+    "run_group",
     "spread",
     "stationary_limit",
 ]

@@ -131,12 +131,12 @@ class ChannelProcess:
     seed: int = 0
     deep_fade_epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
-    # built once from the fields above: the strict upper triangle as an n x n
-    # mask, whose row-major order is the canonical pair order, and per pair
-    # whether it is a link and its scale
-    _upper: np.ndarray = field(init=False, repr=False, compare=False)
+    # built once from the fields above: per pair in canonical order whether
+    # it is a link and its scale, and for every gain matrix entry the index
+    # of its pair, or one past the last pair for the diagonal
     _links: np.ndarray = field(init=False, repr=False, compare=False)
     _scales: np.ndarray = field(init=False, repr=False, compare=False)
+    _index: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.topology.is_symmetric():
@@ -160,25 +160,38 @@ class ChannelProcess:
         scales = np.ones((n, n))
         for (a, b), s in self.pair_scales:
             scales[a, b] = s
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        object.__setattr__(self, "_upper", upper)
+        upper = np.triu_indices(n, 1)
+        index = np.full((n, n), upper[0].size)
+        index[upper] = index.T[upper] = np.arange(upper[0].size)
         object.__setattr__(self, "_links", self.topology.adj[upper])
         object.__setattr__(self, "_scales", scales[upper])
+        object.__setattr__(self, "_index", index)
 
     def realization(self, k: int) -> ChannelRealization:
-        """Gain matrix of block k; a pure function of (process fields, k)."""
+        """Gain matrix of block k; a pure function of (process fields, k).
+        Built symmetric, nonnegative and with the self_weight diagonal, it
+        is checked only for a gain overflowing to inf: a ValueError naming
+        the block, the pair and the keys that set its size."""
         if k < 0:
             raise ValueError(f"block index must be nonnegative, got {k}")
         rng = np.random.default_rng([self.seed, k])
-        pairs = self.model.draw(rng, self._links.size) * self._scales
+        pairs = self.model.draw(rng, self._links.size)
+        if self.pair_scales:
+            with np.errstate(over="ignore"):  # an overflowing gain is refused below
+                pairs = pairs * self._scales
         off = 0.0
         if self.deep_fade_epsilon is not None:
             u = rng.random(self._links.size)
             off = (1.0 - u) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
         pairs = np.where(self._links, pairs, off)
-        n = self.topology.n
-        gains = np.zeros((n, n))
-        gains[self._upper] = pairs
-        gains.T[self._upper] = pairs
-        np.fill_diagonal(gains, self.self_weight)
-        return ChannelRealization(n, gains, self.self_weight)
+        if not pairs.max() < np.inf:
+            p = int(np.argmax(pairs))
+            a, b = (int(i[p]) for i in np.triu_indices(self.topology.n, 1))
+            keys = "fading times pair_scales" if (a, b) in dict(self.pair_scales) else "fading"
+            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(pairs[p])!r}: {keys} overflows")
+        gains = np.concatenate((pairs, (self.self_weight,)))[self._index]
+        gains.setflags(write=False)
+        block = object.__new__(ChannelRealization)
+        for name, value in (("n", self.topology.n), ("gains", gains), ("self_weight", self.self_weight)):
+            object.__setattr__(block, name, value)
+        return block

@@ -13,7 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
-from itertools import islice
+from itertools import groupby, islice
 from operator import attrgetter
 from pathlib import Path
 
@@ -38,6 +38,7 @@ from .simulator import (
     iterate,
     prepare,
     run,
+    run_group,
     stream_seeds,
 )
 from .topology import TOPOLOGY_ARGS, EdgeListError, TopologySpec, generate_topology, is_strongly_connected
@@ -506,8 +507,11 @@ def cmd_run(args) -> int:
 
 def cmd_sweep(args) -> int:
     _, sweep = parse_sweep(args.config, args.set)
-    # all runs first: a run's fault outranks an earlier row's unserializable value
-    summaries = [run(cfg)[1] for _, cfg in sweep.runs]
+    # all runs first: a run's fault outranks an earlier row's unserializable
+    # value. Consecutive rows that differ only in seed step together
+    summaries = []
+    for _, group in groupby(sweep.runs, key=lambda row: replace(row[1], seed=0)):
+        summaries += run_group([cfg for _, cfg in group])
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     lines = ["parameter,value,seed,converged,iterations_used,final_max_error"]

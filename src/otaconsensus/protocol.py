@@ -86,22 +86,21 @@ def prop1_weights(g: Digraph) -> np.ndarray:
 def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
     """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
     gains @ 1 (self term included) plus its noise, is its normalization sum.
-    A sum that overflows or falls to SIGMA_MIN or below raises."""
-    with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        sigma = gains @ np.ones(gains.shape[0])
-        if noise is not None:
-            sigma = sigma + noise
+    A sum that overflows (the caller silences numpy's warning) or falls to
+    SIGMA_MIN or below raises, naming the node. Stacked gains (m, n, n)
+    give (m, n) sums."""
+    sigma = gains @ np.ones(gains.shape[-1])
+    if noise is not None:
+        sigma = sigma + noise
     cut = sigma <= SIGMA_MIN
     if cut.any():
         j = int(np.argmax(cut))
-        raise IsolationError(
-            f"node {j} is isolated {context}: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}"
-        )
+        raise IsolationError(f"node {j % sigma.shape[-1]} is isolated {context}: "
+                             f"pilot sum {float(sigma.flat[j])!r} <= {SIGMA_MIN}")
     if not sigma.max() < np.inf:  # inf from an overflow (nan fails too)
         j = int(np.argmin(np.isfinite(sigma)))
-        raise NonFiniteStateError(
-            f"node {j} overflowed {context}: pilot sum {float(sigma[j])!r} is not finite"
-        )
+        raise NonFiniteStateError(f"node {j % sigma.shape[-1]} overflowed {context}: "
+                                  f"pilot sum {float(sigma.flat[j])!r} is not finite")
     return sigma
 
 
@@ -109,9 +108,10 @@ def ota_step(gains, sigma, y_tilde, x_tilde, noise_y=None, noise_x=None):
     """One iteration's numerator and denominator slots for all receivers at
     once: every node transmits its chain state over its own sigma, and
     receiver i observes row i of gains times those signals plus its own
-    noise draw. Returns the new (y_tilde, x_tilde)."""
-    y = gains @ (y_tilde / sigma)
-    x = gains @ (x_tilde / sigma)
+    noise draw. Returns the new (y_tilde, x_tilde). Stacked gains (m, n, n)
+    step m members' (m, n) states, each exactly as it would step alone."""
+    y = (gains @ (y_tilde / sigma)[..., np.newaxis])[..., 0]
+    x = (gains @ (x_tilde / sigma)[..., np.newaxis])[..., 0]
     if noise_y is not None:
         y += noise_y
     if noise_x is not None:
@@ -121,11 +121,13 @@ def ota_step(gains, sigma, y_tilde, x_tilde, noise_y=None, noise_x=None):
 
 def ratio(y_tilde: np.ndarray, x_tilde: np.ndarray, where: str = "") -> np.ndarray:
     """Per-node estimates y_tilde / x_tilde; a denominator that is not
-    positive (NaN included) raises, naming the node."""
+    positive (NaN included) raises, naming the node (of the first failing
+    member, for stacked states)."""
     bad = ~(x_tilde > 0)
     if bad.any():
         j = int(np.argmax(bad))
         raise DegenerateStateError(
-            f"node {j} has nonpositive denominator state x_tilde={float(x_tilde[j])!r}{where}"
+            f"node {j % x_tilde.shape[-1]} has nonpositive denominator state "
+            f"x_tilde={float(x_tilde.flat[j])!r}{where}"
         )
     return y_tilde / x_tilde

@@ -1,6 +1,6 @@
 """End-to-end runs: topology and channel construction from one master seed,
-per-step slot scheduling with optional receiver noise, trajectory arrays,
-spread-based convergence detection, and summary verdicts.
+per-step slot scheduling with optional receiver noise, seed groups stepped
+together, spread-based convergence detection, and summary verdicts.
 
 One master seed fans out into four independent substreams (topology,
 channel, initial values, noise), so changing the noise level never reshuffles
@@ -9,12 +9,11 @@ the topology draw. Everything downstream is a pure function of the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from itertools import count
 
 import numpy as np
 
-from .analysis import mass_audit
 from .channel import ChannelProcess, FadingModel
 from .protocol import InitialStates, NonFiniteStateError, ota_step, pilot, prop1_weights, ratio
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
@@ -45,6 +44,10 @@ class InitialSpec:
             if not self.values:
                 raise ValueError("explicit initial values must be a nonempty sequence")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
+            with np.errstate(over="ignore"):  # refused below, before it reaches the run
+                total = float(np.sum(self.values))  # as InitialStates.mean sums them
+            if not math.isfinite(total):
+                raise ValueError(f"explicit initial values must have a finite sum, got {total!r}")
         else:
             if self.target_mean is None or self.half_width is None:
                 raise ValueError("random_mean needs target_mean and half_width")
@@ -217,9 +220,69 @@ def prepare(config: SimulationConfig):
     return g, channel, S
 
 
+def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
+    """The one stepping loop: the m members of S (m, n) step together, each
+    exactly as iterate() steps one, with one entry per member in graphs
+    (baseline), channels (tic, tvc) and noise_rngs. Yields (live, y_tilde,
+    x_tilde, mu) for step 0 and after every step: the members still
+    stepping and their (len(live), n) states. Send a boolean mask over live
+    to stop members; a stopped member draws no further block or noise."""
+    m, n = S.shape
+    live = np.arange(m)
+    y, x = S.copy(), np.ones((m, n))
+    slots = {"tic": 2, "tvc": 3}.get(algorithm) if noise_std > 0.0 else None
+    symmetric = all(isinstance(c, ChannelProcess) for c in channels)
+
+    def sized(G, what):
+        if G.shape != (n, n):
+            raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
+        return G
+
+    def noise(count):  # one (len(live), n) array per slot
+        if slots is None:
+            return (None,) * count
+        return np.array([noise_rngs[i].normal(0.0, noise_std, size=(count, n)) for i in live]).swapaxes(0, 1)
+
+    def checked(k, y, x):
+        mu = ratio(y, x, f" at step {k}")
+        finite = np.isfinite(x) & np.isfinite(mu)  # mu is not finite where y is not
+        if not finite.all():
+            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
+        return mu
+
+    if algorithm == "baseline":
+        G, sigma = np.array([sized(prop1_weights(g), "the graph") for g in graphs]), np.ones((m, n))
+    elif algorithm == "tic":
+        G = np.array([sized(c.realization(0).gains, "the channel") for c in channels])
+        sigma = pilot(G, noise(1)[0], "at initialization")
+    mu = checked(0, y, x)
+    for k in count(1):
+        keep = yield live, y, x, mu
+        if keep is not None:
+            live, y, x = live[keep], y[keep], x[keep]
+            if algorithm != "tvc":
+                G, sigma = G[keep], sigma[keep]
+            if not live.size:
+                return
+            if audit is not None:
+                audit.keep(keep)
+        if algorithm == "tvc":
+            G = np.array([sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
+                          for i in live])
+            if audit is not None:
+                audit.add(G, symmetric)
+            w_sigma, w_y, w_x = noise(3)
+            sigma = pilot(G, w_sigma, f"at step {k}")
+        else:
+            w_y, w_x = noise(2)
+        y, x = ota_step(G, sigma, y, x, w_y, w_x)
+        mu = checked(k, y, x)
+
+
 def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
             noise_std: float = 0.0, noise_rng=None, audit=None):
-    """The one stepping kernel behind run() and the verify suite.
+    """The batched stepping loop viewed for one member: the verify suite's
+    route, and what the tests hold hand-stepped references against.
 
     Yields (y_tilde, x_tilde, mu) for step 0 (the initial values) and then
     after every step, without end; the caller decides when to stop. Every
@@ -231,87 +294,85 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
     - baseline: G = prop1_weights(g) and sigma = 1. The exchange is
       digital, so it draws no receiver noise.
 
-    A G that is not n x n for the n initial values raises ValueError.
+    A G that is not n x n for the n initial values raises ValueError; a
+    broken state raises as in run(), without numpy warnings.
 
     With noise_std > 0 every analog slot draws n values from noise_rng in
     slot order: tic's pilot once, then numerator and denominator each step;
     tvc's pilot, numerator and denominator each step.
     """
-    n = S.n
+    kernel = _kernel(algorithm, S.values[np.newaxis], [g], [channel], noise_std, [noise_rng], audit)
+    while True:
+        with np.errstate(over="ignore"):  # every overflow is refused by name
+            _, y, x, mu = next(kernel)
+        yield y[0], x[0], mu[0]
 
-    def sized(G, what):
-        if G.shape != (n, n):
-            raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
-        return G
 
-    def noise():
-        if noise_std == 0.0 or algorithm == "baseline":
-            return None
-        return noise_rng.normal(0.0, noise_std, size=n)
+def run_group(configs, trajectory=None) -> list[RunSummary]:
+    """run()'s summaries for configs that differ only in seed (a sweep
+    value's seeds), stepped together through one kernel pass.
 
-    def checked(k, y, x):
-        mu = ratio(y, x, f" at step {k}")
-        finite = np.isfinite(y) & np.isfinite(x) & np.isfinite(mu)
-        if not finite.all():
-            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite))}")
-        return y, x, mu
-
-    y, x = S.values.copy(), np.ones(n)
-    if algorithm == "baseline":
-        G, sigma = sized(prop1_weights(g), "the graph"), np.ones(n)
-    elif algorithm == "tic":
-        G = sized(channel.realization(0).gains, "the channel")
-        sigma = pilot(G, noise(), "at initialization")
-    yield checked(0, y, x)
-    for k in count(1):
-        if algorithm == "tvc":
-            G = sized(channel.realization(k - 1).gains, f"the channel at step {k}")
-            if audit is not None:
-                audit.add(G)
-            sigma = pilot(G, noise(), f"at step {k}")
-        y, x = ota_step(G, sigma, y, x, noise(), noise())
-        yield checked(k, y, x)
+    Each member stops on its own: when its ratio spread has stayed at or
+    below tol for tol_window consecutive post-update steps, or at max_iters.
+    When any member fails, the group is run again one config at a time, so
+    the error raised is the earliest config's, as one by one it would be.
+    With trajectory, a list, a group of one appends each step's (y_tilde,
+    x_tilde, mu) to it.
+    """
+    configs = list(configs)
+    cfg = configs[0]
+    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
+        raise ValueError("a group's configs must differ only in seed")
+    try:
+        graphs, channels, initials = map(list, zip(*(prepare(c) for c in configs)))
+        S = np.array([s.values for s in initials])
+        rngs = [np.random.default_rng(stream_seeds(c.seed)[3]) for c in configs]
+        audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
+        kernel = _kernel(cfg.algorithm, S, graphs, channels, cfg.noise_std, rngs, audit)
+        totals, drift = S.sum(axis=-1), np.zeros((2, len(configs)))
+        streak, keep, summaries = np.zeros(len(configs), dtype=int), None, [None] * len(configs)
+        with np.errstate(over="ignore"):  # every overflow is refused by name
+            # each step's stop mask goes back in; the kernel ends when no member is left
+            for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
+                if keep is not None:  # one row per member still stepping, as in the kernel
+                    totals, drift, streak = totals[keep], drift[:, keep], streak[keep]
+                np.maximum(drift[0], np.abs(y.sum(axis=-1) - totals), out=drift[0])
+                np.maximum(drift[1], np.abs(x.sum(axis=-1) - cfg.n), out=drift[1])
+                if k > 0:
+                    streak = np.where(mu.max(axis=-1) - mu.min(axis=-1) <= cfg.tol, streak + 1, 0)
+                converged = streak >= cfg.tol_window
+                stop = converged | (k == cfg.max_iters)
+                if trajectory is not None:
+                    trajectory.append((y[0], x[0], mu[0]))
+                for j in np.flatnonzero(stop) if stop.any() else ():
+                    target = initials[live[j]].mean()
+                    summaries[live[j]] = RunSummary(
+                        converged=bool(converged[j]),
+                        iterations_used=k,
+                        target_average=target,
+                        final_max_error=float(np.max(np.abs(mu[j] - target))),
+                        mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(totals[j]))),
+                        mass_drift_x=float(drift[1, j]) / cfg.n,
+                        epsilon_B_satisfied=None if audit is None else bool(
+                            np.broadcast_to(audit.verdicts, live.shape)[j]),
+                    )
+                keep = ~stop if stop.any() else None
+    except Exception:
+        if len(configs) == 1:
+            raise
+        return [run_group([c])[0] for c in configs]
+    return summaries
 
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Execute one experiment to convergence or max_iters.
+    """Execute one experiment to convergence or max_iters: a group of one
+    that also records its trajectory.
 
     Convergence means the ratio spread stayed at or below tol for tol_window
     consecutive post-update steps. Non-convergence is a verdict, not an
     error; genuinely broken states (non-finite values, lost pilot mass,
     nonpositive denominators) raise instead.
     """
-    g, channel, S = prepare(config)
-    _, _, _, noise_seed = stream_seeds(config.seed)
-    audit = EpsilonBAudit(config.epsilon, config.B) if config.algorithm == "tvc" else None
-    kernel = iterate(config.algorithm, S, g, channel, config.noise_std,
-                     np.random.default_rng(noise_seed), audit)
-
-    ys: list[np.ndarray] = []
-    xs: list[np.ndarray] = []
-    mus: list[np.ndarray] = []
-    converged = False
-    streak = 0
-    for k, (y_tilde, x_tilde, mu) in enumerate(kernel):
-        ys.append(y_tilde)
-        xs.append(x_tilde)
-        mus.append(mu)
-        if k > 0:
-            streak = streak + 1 if spread(mu) <= config.tol else 0
-            converged = streak >= config.tol_window
-        if converged or k == config.max_iters:
-            break
-
-    trajectory = Trajectory(ys, xs, mus)
-    target = S.mean()
-    drift_y, drift_x = mass_audit((trajectory.y_tilde, trajectory.x_tilde), S)
-    summary = RunSummary(
-        converged=converged,
-        iterations_used=k,
-        target_average=target,
-        final_max_error=float(np.max(np.abs(mu - target))),
-        mass_drift_y=drift_y,
-        mass_drift_x=drift_x,
-        epsilon_B_satisfied=None if audit is None else audit.satisfied,
-    )
-    return trajectory, summary
+    rows = []
+    summary, = run_group([config], rows)
+    return Trajectory(*zip(*rows)), summary

@@ -75,19 +75,21 @@ class Digraph:
         return np.array_equal(self.adj, other.adj)
 
 
-def _reaches_all(adj: np.ndarray) -> bool:
-    """True iff node 0 reaches every node along adj (adj[i, j]: edge i -> j).
-
-    Frontier expansion: each round adds every unseen node one edge away
-    from the nodes the previous round added.
-    """
-    seen = np.zeros(adj.shape[0], dtype=bool)
-    seen[0] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = adj[frontier].any(axis=0) & ~seen
-        seen |= frontier
-    return bool(seen.all())
+def _reaches_all(adj: np.ndarray):
+    """True iff node 0 reaches every node along adj (adj[..., i, j]: edge
+    i -> j), one verdict per matrix of a stack. Each round marks every node
+    with a marked in-neighbour (an exact 0/1 float32 matmul, through BLAS)
+    until a round marks nothing new."""
+    edges = adj.astype(np.float32)
+    seen = np.zeros(adj.shape[:-1], dtype=np.float32)
+    seen[..., 0] = 1.0
+    marked = np.count_nonzero(seen)
+    while marked < seen.size:
+        seen = np.minimum(seen + (seen[..., np.newaxis, :] @ edges)[..., 0, :], 1.0)
+        marked, before = np.count_nonzero(seen), marked
+        if marked == before:
+            break
+    return seen.all(axis=-1)
 
 
 def is_strongly_connected(adj: np.ndarray) -> bool:
@@ -95,18 +97,20 @@ def is_strongly_connected(adj: np.ndarray) -> bool:
     adjacency matrix: node 0 reaches every node, and every node reaches
     node 0 (implied for a symmetric matrix). Diagonal entries do not
     matter: self-loops never change reachability."""
-    return _reaches_all(adj) and (np.array_equal(adj, adj.T) or _reaches_all(adj.T))
+    return bool(_reaches_all(adj)) and (np.array_equal(adj, adj.T) or bool(_reaches_all(adj.T)))
 
 
 class EpsilonBAudit:
-    """Windowed joint-connectivity audit fed one gain matrix per step.
+    """Windowed joint-connectivity audit fed one gain matrix per step, or
+    an (m, n, n) stack for m members stepping in lockstep.
 
     Steps fall into consecutive non-overlapping windows of B. Within a
     window the effective graphs (gains[i, j] > epsilon: i hears j) are ORed
     into one boolean matrix, and when the window is full that union must be
-    strongly connected. A trailing partial window is never judged, so the
+    strongly connected. A trailing partial window is never judged, so a
     verdict is vacuously true until a window completes. Once a window
-    fails, the verdict is final and later steps are not examined.
+    fails, the verdict is final. verdicts holds one per member once a
+    window has completed.
     """
 
     def __init__(self, epsilon: float, B: int):
@@ -116,20 +120,32 @@ class EpsilonBAudit:
             raise ValueError(f"window length B must be >= 1, got {B}")
         self.epsilon = epsilon
         self.B = B
-        self.satisfied = True
+        self.verdicts = self.satisfied = True  # satisfied: every member's verdict
         self._window = None
         self._filled = 0
 
-    def add(self, gains: np.ndarray) -> None:
-        if not self.satisfied:
+    def add(self, gains: np.ndarray, symmetric: bool = False) -> None:
+        """One step's gains; for symmetric ones (channel blocks) reach from node 0 suffices."""
+        if not np.any(self.verdicts):
             return
         strong = gains > self.epsilon
         self._window = strong if self._window is None else self._window | strong
         self._filled += 1
         if self._filled == self.B:
-            self.satisfied = is_strongly_connected(self._window)
+            joint = _reaches_all(self._window)
+            if not symmetric:
+                joint = joint & _reaches_all(np.swapaxes(self._window, -1, -2))
+            self.verdicts = self.verdicts & joint
+            self.satisfied = bool(np.all(self.verdicts))
             self._window = None
             self._filled = 0
+
+    def keep(self, members: np.ndarray) -> None:
+        """Drop the members a boolean mask leaves out."""
+        self.verdicts = np.broadcast_to(self.verdicts, members.shape)[members]
+        self.satisfied = bool(np.all(self.verdicts))
+        if self._window is not None:
+            self._window = self._window[members]
 
 
 def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int) -> bool:

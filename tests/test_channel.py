@@ -110,6 +110,37 @@ def test_process_realizations_reciprocal_with_self_weight(seed, k):
     assert np.all(r.gains[off] == 0.0)
 
 
+@st.composite
+def processes(draw):
+    n = draw(st.integers(2, 9))
+    topology = generate_topology(TopologySpec("erdos_renyi", p=0.5), n, seed=draw(st.integers(0, 1000)))
+    links = [(a, b) for a, b in topology.edges if a < b]
+    scaled = draw(st.lists(st.sampled_from(links), unique=True, max_size=3))
+    return ChannelProcess(
+        model=draw(st.sampled_from([
+            FadingModel.constant(0.7), FadingModel.half_normal(2.0), FadingModel.uniform(0.1, 1.5),
+        ])),
+        topology=topology,
+        self_weight=draw(st.sampled_from([0.0, 0.5, 1.0])),
+        seed=draw(st.integers(0, 10_000)),
+        deep_fade_epsilon=draw(st.sampled_from([None, 1e-3, 0.5])),
+        pair_scales=tuple((pair, draw(st.floats(1e-3, 1e3))) for pair in scaled),
+    )
+
+
+@given(proc=processes(), k=st.integers(min_value=0, max_value=50))
+@settings(max_examples=40, deadline=None)
+def test_process_blocks_pass_construction_checks(proc, k):
+    # a process builds its blocks without re-running ChannelRealization's
+    # checks; every block must pass them anyway, symmetric and read-only
+    r = proc.realization(k)
+    fresh = ChannelRealization(proc.topology.n, r.gains, proc.self_weight)
+    np.testing.assert_array_equal(fresh.gains, r.gains)
+    np.testing.assert_array_equal(r.gains, r.gains.T)
+    assert r.n == proc.topology.n and r.self_weight == proc.self_weight
+    assert not r.gains.flags.writeable
+
+
 def test_process_deterministic_in_seed():
     a = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)
     b = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)

@@ -23,7 +23,7 @@ from otaconsensus.cli import (
     to_json,
     write_trajectory_csv,
 )
-from otaconsensus.simulator import NonFiniteStateError, Trajectory, run
+from otaconsensus.simulator import NonFiniteStateError, Trajectory, run, run_group
 
 MINIMAL = """\
 n = 10
@@ -205,12 +205,12 @@ def test_sweep_refuses_bad_value_before_any_run(tmp_path, monkeypatch, capsys):
     p.write_text(MINIMAL + "[sweep]\nparameter = self_weight\nvalues = 0.5, x\n")
     runs = 0
 
-    def counted(cfg):
+    def counted(configs):
         nonlocal runs
         runs += 1
-        return run(cfg)
+        return run_group(configs)
 
-    monkeypatch.setattr(cli, "run", counted)
+    monkeypatch.setattr(cli, "run_group", counted)
     assert main(["sweep", str(p), "-o", str(tmp_path / "o")]) == 2
     assert runs == 0
     assert f"config error: {p}:9: key 'self_weight' needs a number, got 'x'" in capsys.readouterr().err
@@ -374,7 +374,8 @@ def test_config_echo_round_trips_shipped_configs(name, tmp_path):
 
 _positive = st.floats(min_value=5e-324, max_value=1e300)
 _nonnegative = st.floats(min_value=0.0, max_value=1e300)
-_finite = st.floats(allow_nan=False, allow_infinity=False)
+# at most six values within +/-1e300 keep an explicit list's sum finite
+_finite = st.floats(-1e300, 1e300)
 
 
 @st.composite
@@ -546,6 +547,18 @@ def test_run_overflowing_random_mean_range_exit_two(minimal_cfg, tmp_path, capsy
     assert not out.exists()
 
 
+def test_run_overflowing_explicit_sum_exit_two(tmp_path, capsys):
+    # refused while parsing, before numpy can warn about the overflowing mean
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out),
+            "--set", "n=2", "--set", "initial=explicit(1.7e308, 1.7e308)"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: override: explicit initial values must have a finite sum, got inf\n"
+    )
+    assert not out.exists()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -651,6 +664,21 @@ def test_overflowing_pilot_sum_exits_three(command, overrides, expected, tmp_pat
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("overrides, expected", [
+    (["fading=half_normal(1e308)"], "gain of pair (0,1) in block 0 is inf: fading overflows"),
+    (["fading=half_normal(1e300)", "pair_scales=0-2:1e308"],
+     "gain of pair (0,2) in block 0 is inf: fading times pair_scales overflows"),
+], ids=["fading", "pair_scales"])
+def test_overflowing_gain_names_its_keys(overrides, expected, tmp_path, capsys):
+    # a gain that overflows is a config fault naming the block, the pair and
+    # the keys that set it, with no numpy warning ahead of it
+    argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+
+
 # one config per benchmark workload kind
 BENCHMARK_KINDS = [("run", "tic10.cfg"), ("sweep", "self_weight_sweep.cfg"), ("verify", "tvc10.cfg")]
 
@@ -669,8 +697,8 @@ def test_benchmark_tracer_still_hooks_in(command, config, tmp_path, monkeypatch)
     finally:
         tracer.uninstall()
     assert tracer.counts["channel.links_drawn"] > 0
-    if command != "verify":
-        assert tracer.counts["simulator.records"] > 0
+    # run records a trajectory; sweep steps its seed groups without one
+    assert (tracer.counts["simulator.records"] > 0) == (command == "run")
 
 
 @pytest.mark.parametrize("kind, config", BENCHMARK_KINDS)
@@ -720,6 +748,22 @@ def test_sweep_over_seeds_all_converge(minimal_cfg, tmp_path):
     assert all(",true," in r for r in rows)
     # seed column mirrors the swept value
     assert [r.split(",")[2] for r in rows] == ["1", "2", "3", "4"]
+
+
+def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
+    # seed 3 overflows its pilot sum first in step order (step 10), but seed
+    # 0 comes first in row order, and row order is what a sweep reports
+    p = tmp_path / "s.cfg"
+    p.write_text(
+        "n = 3\ntopology = complete\nalgorithm = tvc\nfading = half_normal(5e307)\n"
+        "initial = explicit(0, 1, 2)\nseed = 0\ntol = 1e-300\nmax_iters = 300\n"
+        "[sweep]\nparameter = noise_std\nvalues = 0.0\nseeds = 0, 3\n"
+    )
+    assert main(["sweep", str(p), "-o", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: node 2 overflowed at step 20: pilot sum inf is not finite\n"
+    )
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("config, sweep_block, overrides, stdout, csv_sha256", [

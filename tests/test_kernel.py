@@ -1,6 +1,7 @@
 """The shared stepping kernel, pair-keyed channel draws, the incremental
 windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
+from dataclasses import replace
 from itertools import islice
 
 import numpy as np
@@ -11,7 +12,19 @@ from hypothesis import strategies as st
 from otaconsensus.channel import ChannelProcess, FadingModel
 from otaconsensus.cli import main, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
-from otaconsensus.simulator import InitialSpec, SimulationConfig, iterate, run
+from otaconsensus.analysis import mass_audit
+from otaconsensus.simulator import (
+    ALGORITHMS,
+    InitialSpec,
+    RunSummary,
+    SimulationConfig,
+    iterate,
+    prepare,
+    run,
+    run_group,
+    spread,
+    stream_seeds,
+)
 from otaconsensus.topology import (
     Digraph,
     EpsilonBAudit,
@@ -171,6 +184,142 @@ def test_n200_trajectory_memory_is_bounded(tmp_path):
     assert write_peak < stored / 4
 
 
+# ---------------------------------------------------------------- seed groups
+
+
+def serial_summary(cfg):
+    """run()'s summary the way it was computed one run at a time: the
+    one-member kernel view to the stop, then mass_audit over the whole
+    trajectory."""
+    g, channel, S = prepare(cfg)
+    audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
+    noise_rng = np.random.default_rng(stream_seeds(cfg.seed)[3])
+    rows, streak = [], 0
+    for k, row in enumerate(iterate(cfg.algorithm, S, g, channel, cfg.noise_std, noise_rng, audit)):
+        rows.append(row)
+        if k > 0:
+            streak = streak + 1 if spread(row[2]) <= cfg.tol else 0
+        if streak >= cfg.tol_window or k == cfg.max_iters:
+            break
+    Y, X, MU = (np.array(a) for a in zip(*rows))
+    target = S.mean()
+    return RunSummary(
+        converged=streak >= cfg.tol_window,
+        iterations_used=k,
+        target_average=target,
+        final_max_error=float(np.max(np.abs(MU[-1] - target))),
+        mass_drift_y=mass_audit((Y, X), S)[0],
+        mass_drift_x=mass_audit((Y, X), S)[1],
+        epsilon_B_satisfied=None if audit is None else audit.satisfied,
+    )
+
+
+def outcome(calls):
+    """The summaries of calls made in order, or the error of the first that raises."""
+    summaries = []
+    for call in calls:
+        try:
+            summaries.append(call())
+        except Exception as exc:
+            return type(exc), str(exc)
+    return summaries
+
+
+@st.composite
+def seed_groups(draw):
+    algorithm = draw(st.sampled_from(ALGORITHMS))
+    kind = draw(st.sampled_from(["ring", "complete", "erdos_renyi"]))
+    base = SimulationConfig(
+        n=draw(st.integers(2, 12)),
+        topology=TopologySpec(kind, p=0.5 if kind == "erdos_renyi" else None),
+        algorithm=algorithm,
+        # 4e307 gains overflow a pilot sum or a draw at seed-dependent steps
+        fading=draw(st.sampled_from([
+            FadingModel.constant(0.8), FadingModel.half_normal(1.0), FadingModel.uniform(0.1, 2.0),
+            FadingModel.half_normal(4e307),
+        ])),
+        initial=InitialSpec.random_mean(1.0, 1.0),
+        seed=0,
+        self_weight=draw(st.sampled_from([0.0, 0.3, 1.0])),
+        noise_std=draw(st.sampled_from([0.0, 1e-6])),
+        epsilon=draw(st.sampled_from([1e-3, 0.4])),
+        B=draw(st.integers(1, 3)),
+        deep_fade=algorithm == "tvc" and draw(st.booleans()),
+        max_iters=draw(st.integers(1, 60)),
+        tol=draw(st.sampled_from([1e-1, 1e-3, 1e-9])),
+        tol_window=draw(st.integers(1, 4)),
+    )
+    seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=5))
+    return [replace(base, seed=s) for s in seeds]
+
+
+@given(group=seed_groups())
+@settings(max_examples=40, deadline=None)
+def test_seed_group_equals_runs_one_by_one(group):
+    # members stop, converge or fault at different steps; each summary, or
+    # the earliest member's fault, is what running them one by one gives
+    expected = outcome([lambda c=c: serial_summary(c) for c in group])
+    assert outcome([lambda c=c: run(c)[1] for c in group]) == expected
+    assert outcome([lambda: run_group(group)]) == (expected if isinstance(expected, tuple) else [expected])
+
+
+def test_seed_group_draws_one_block_per_member_step(monkeypatch):
+    # a member that has stopped draws no further channel block
+    group = [base_config(n=8, algorithm="tvc", seed=s, tol=1e-6, tol_window=2, max_iters=200)
+             for s in range(4)]
+    calls = 0
+    realization = ChannelProcess.realization
+
+    def counted(self, k):
+        nonlocal calls
+        calls += 1
+        return realization(self, k)
+
+    monkeypatch.setattr(ChannelProcess, "realization", counted)
+    summaries = run_group(group)
+    assert len({s.iterations_used for s in summaries}) > 1
+    assert calls == sum(s.iterations_used for s in summaries)
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_seed_group_whose_members_all_fault_raises_the_first(algorithm):
+    # every member's first block overflows; the group ends without a step
+    group = [base_config(algorithm=algorithm, topology=TopologySpec("complete"), seed=s, noise_std=1e-6,
+                         fading=FadingModel.constant(1e300), pair_scales=(((0, 1), 1e10),))
+             for s in (5, 6, 7)]
+    with pytest.raises(ValueError, match="in block 0 is inf") as alone:
+        run(group[0])
+    with pytest.raises(ValueError) as together:
+        run_group(group)
+    assert str(together.value) == str(alone.value)
+
+
+def test_run_group_refuses_configs_that_differ_beyond_seed():
+    with pytest.raises(ValueError, match="differ only in seed"):
+        run_group([base_config(seed=1), base_config(seed=2, tol=1e-3)])
+
+
+def test_sweep_memory_holds_no_trajectory(tmp_path):
+    # four noisy members use their whole budget; the sweep keeps summaries
+    # only, less than one member's trajectory arrays
+    n, steps = 60, 1500
+    cfg = tmp_path / "s.cfg"
+    cfg.write_text(
+        f"n = {n}\ntopology = erdos_renyi(0.5)\nalgorithm = tvc\nfading = half_normal(1.0)\n"
+        f"initial = random_mean(1.0, 1.0)\nseed = 42\nnoise_std = 1e-6\nmax_iters = {steps}\n"
+        "[sweep]\nparameter = noise_std\nvalues = 1e-6\nseeds = 0, 1, 2, 3\n"
+    )
+    tracemalloc.start()
+    try:
+        assert main(["sweep", str(cfg), "-o", str(tmp_path / "o")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = (tmp_path / "o" / "sweep.csv").read_text().splitlines()[1:]
+    assert [r.split(",")[4] for r in rows] == [str(steps)] * 4
+    assert peak < 3 * 8 * (steps + 1) * n
+
+
 # ---------------------------------------------------------------- pair-keyed draws
 
 
@@ -277,3 +426,21 @@ def test_incremental_audit_matches_sequence_check(seed, B):
     assert audit.satisfied == check_epsilon_B_connectivity(seq, 0.6, B)
     joint = [np.logical_or.reduce([h.gains > 0.6 for h in seq[w * B:(w + 1) * B]]) for w in range(9 // B)]
     assert audit.satisfied == all(is_strongly_connected(j) for j in joint)
+
+
+@given(seed=st.integers(min_value=0, max_value=500), B=st.integers(min_value=1, max_value=4))
+@settings(max_examples=30, deadline=None)
+def test_stacked_audit_matches_member_audits(seed, B):
+    # three members share one audit; member 1 leaves it after step 4
+    procs = [ChannelProcess(FadingModel.uniform(0.01, 1.0), er(6, seed + i, p=0.7), seed=seed + i)
+             for i in range(3)]
+    stacked, alone = EpsilonBAudit(0.6, B), [EpsilonBAudit(0.6, B) for _ in procs]
+    live = [0, 1, 2]
+    for k in range(9):
+        if k == 4:
+            stacked.keep(np.array([True, False, True]))
+            live = [0, 2]
+        for i in live:
+            alone[i].add(procs[i].realization(k).gains)
+        stacked.add(np.array([procs[i].realization(k).gains for i in live]), symmetric=True)
+    assert list(np.broadcast_to(stacked.verdicts, (2,))) == [alone[0].satisfied, alone[2].satisfied]
