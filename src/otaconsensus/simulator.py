@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from itertools import count
+from itertools import count, groupby
 
 import numpy as np
 
@@ -184,7 +184,11 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
         return InitialStates(np.array(spec.values))
     rng = np.random.default_rng(seed)
     vals = rng.uniform(spec.target_mean - spec.half_width, spec.target_mean + spec.half_width, size=n)
-    vals = vals + (spec.target_mean - vals.mean())
+    with np.errstate(over="ignore"):  # refused below by name
+        total = vals.sum()
+    if not math.isfinite(total):
+        raise ValueError(f"random_mean initial values must have a finite sum, got {float(total)!r}")
+    vals = vals + (spec.target_mean - total / n)
     return InitialStates(vals)
 
 
@@ -227,10 +231,12 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
     x_tilde, mu) for step 0 and after every step: the members still
     stepping and their (len(live), n) states. Send a boolean mask over live
     to stop members; a stopped member draws no further block or noise."""
+    if algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     m, n = S.shape
     live = np.arange(m)
     y, x = S.copy(), np.ones((m, n))
-    slots = {"tic": 2, "tvc": 3}.get(algorithm) if noise_std > 0.0 else None
+    noisy = noise_std > 0.0 and algorithm != "baseline"
     symmetric = all(isinstance(c, ChannelProcess) for c in channels)
 
     def sized(G, what):
@@ -239,7 +245,7 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
         return G
 
     def noise(count):  # one (len(live), n) array per slot
-        if slots is None:
+        if not noisy:
             return (None,) * count
         return np.array([noise_rngs[i].normal(0.0, noise_std, size=(count, n)) for i in live]).swapaxes(0, 1)
 
@@ -308,21 +314,31 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
         yield y[0], x[0], mu[0]
 
 
-def run_group(configs, trajectory=None) -> list[RunSummary]:
-    """run()'s summaries for configs that differ only in seed (a sweep
-    value's seeds), stepped together through one kernel pass.
+def run_group(configs) -> list[RunSummary]:
+    """run()'s summary for each config, in order: [run(c)[1] for c in
+    configs] without the trajectories.
+
+    Consecutive configs that differ only in seed (a sweep value's seeds)
+    step together through one kernel pass. A failing config raises what it
+    would raise alone, and no later config runs.
+    """
+    summaries = []
+    for _, batch in groupby(configs, key=lambda c: replace(c, seed=0)):
+        summaries += _batch(list(batch))
+    return summaries
+
+
+def _batch(configs, rows=None) -> list[RunSummary]:
+    """Summaries of configs that differ only in seed, stepped together.
 
     Each member stops on its own: when its ratio spread has stayed at or
     below tol for tol_window consecutive post-update steps, or at max_iters.
-    When any member fails, the group is run again one config at a time, so
+    When any member fails, the batch is run again one config at a time, so
     the error raised is the earliest config's, as one by one it would be.
-    With trajectory, a list, a group of one appends each step's (y_tilde,
+    With rows, a list, a batch of one appends each step's (y_tilde,
     x_tilde, mu) to it.
     """
-    configs = list(configs)
     cfg = configs[0]
-    if any(replace(c, seed=cfg.seed) != cfg for c in configs):
-        raise ValueError("a group's configs must differ only in seed")
     try:
         graphs, channels, initials = map(list, zip(*(prepare(c) for c in configs)))
         S = np.array([s.values for s in initials])
@@ -342,8 +358,8 @@ def run_group(configs, trajectory=None) -> list[RunSummary]:
                     streak = np.where(mu.max(axis=-1) - mu.min(axis=-1) <= cfg.tol, streak + 1, 0)
                 converged = streak >= cfg.tol_window
                 stop = converged | (k == cfg.max_iters)
-                if trajectory is not None:
-                    trajectory.append((y[0], x[0], mu[0]))
+                if rows is not None:
+                    rows.append((y[0], x[0], mu[0]))
                 for j in np.flatnonzero(stop) if stop.any() else ():
                     target = initials[live[j]].mean()
                     summaries[live[j]] = RunSummary(
@@ -357,15 +373,15 @@ def run_group(configs, trajectory=None) -> list[RunSummary]:
                             np.broadcast_to(audit.verdicts, live.shape)[j]),
                     )
                 keep = ~stop if stop.any() else None
-    except Exception:
+    except (ValueError, RuntimeError):  # every fault a member names
         if len(configs) == 1:
             raise
-        return [run_group([c])[0] for c in configs]
+        return [_batch([c])[0] for c in configs]
     return summaries
 
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Execute one experiment to convergence or max_iters: a group of one
+    """Execute one experiment to convergence or max_iters: a batch of one
     that also records its trajectory.
 
     Convergence means the ratio spread stayed at or below tol for tol_window
@@ -374,5 +390,5 @@ def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     nonpositive denominators) raise instead.
     """
     rows = []
-    summary, = run_group([config], rows)
+    summary, = _batch([config], rows)
     return Trajectory(*zip(*rows)), summary

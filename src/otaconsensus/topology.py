@@ -24,8 +24,8 @@ class TopologyError(RuntimeError):
     """Topology generation failed (e.g. the regeneration budget ran out)."""
 
 
-class EdgeListError(TopologyError):
-    """An edge-list file could not be parsed."""
+class EdgeListError(TopologyError, ValueError):
+    """An edge-list file could not be read or parsed: a config fault."""
 
 
 @dataclass(frozen=True, eq=False)

@@ -14,6 +14,7 @@ from otaconsensus import cli
 from otaconsensus.channel import ChannelProcess
 from otaconsensus.cli import (
     ConfigError,
+    build_parser,
     config_echo,
     fmt_float,
     main,
@@ -291,6 +292,18 @@ def test_to_json_shapes():
     assert json.loads(text) == {"a": True, "b": None, "c": [1, 2.5], "d": {"e": 'x"y'}}
 
 
+def test_to_json_leaves_are_stdlib_json():
+    # every key and non-float leaf is json.dumps's (short escapes for
+    # \b \t \n \f \r); floats keep 17 significant digits
+    c0 = "".join(map(chr, range(0x20))) + '"\\é'
+    doc = {c0: c0, "i": np.int64(-7), "t": (1, 0.1), "e": {}, "l": [], "u": ()}
+    text = to_json(doc)
+    assert json.loads(text) == {c0: c0, "i": -7, "t": [1, 0.1], "e": {}, "l": [], "u": []}
+    assert "\\u0000" in text and "\\b\\t\\n\\u000b\\f\\r" in text and "é" in text
+    assert '"i": -7' in text and '"e": {}' in text and '"u": []' in text
+    assert "  0.10000000000000001\n" in text
+
+
 def test_config_echo_covers_all_keys(minimal_cfg):
     echo = config_echo(parse_config(str(minimal_cfg)))
     assert set(echo) == {
@@ -559,6 +572,19 @@ def test_run_overflowing_explicit_sum_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_run_overflowing_random_mean_sum_exit_two(tmp_path, capsys):
+    # the sample's range is finite but its sum is not: refused by name,
+    # with no numpy warning and no output
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out),
+            "--set", "initial=random_mean(1.5e308, 1e307)"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        "config error: random_mean initial values must have a finite sum, got inf\n"
+    )
+    assert not out.exists()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -629,9 +655,8 @@ def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, c
 
 
 def test_verify_suite_realizes_each_block_once(monkeypatch):
-    # 100 blocks shared by both oracles and the audits (the tic regime holds
-    # block 0), block 0 again for the tic pass, 1000 for the tvc pass, and
-    # 100 for each equivariance pass
+    # 100 blocks shared by both oracles, the audits, the tic pass (which
+    # holds block 0) and both equivariance passes, plus 1000 for the tvc pass
     calls = 0
     realization = ChannelProcess.realization
 
@@ -642,7 +667,7 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
 
     monkeypatch.setattr(ChannelProcess, "realization", counted)
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
-    assert calls == 100 + 1 + 1000 + 2 * 100
+    assert calls == 100 + 1000
 
 
 @pytest.mark.parametrize("command, overrides, expected", [
@@ -696,6 +721,12 @@ def test_benchmark_tracer_still_hooks_in(command, config, tmp_path, monkeypatch)
         assert main([command, str(CONFIG_DIR / config), "-o", str(tmp_path)]) == 0
     finally:
         tracer.uninstall()
+    # a renamed target would silently zero its layer's numbers
+    assert sorted(tracer.absent) == [
+        "channel.effective_graph", "channel.sample_noise", "protocol.baseline_step",
+        "protocol.ota_aggregate", "protocol.ratio_output", "protocol.tic_initialize",
+        "protocol.tic_step", "protocol.tvc_initialize", "protocol.tvc_step", "topology.joint_graph",
+    ]
     assert tracer.counts["channel.links_drawn"] > 0
     # run records a trajectory; sweep steps its seed groups without one
     assert (tracer.counts["simulator.records"] > 0) == (command == "run")
@@ -789,6 +820,27 @@ def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256,
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest() == csv_sha256
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "topo"])
+def test_every_subcommand_has_help(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([command, "-h"])
+    assert exc.value.code == 0
+    assert "--set KEY=VALUE" in capsys.readouterr().out
+
+
+def test_out_default(minimal_cfg, tmp_path, monkeypatch, capsys):
+    # every subcommand shares one -o: unset it is None, which topo takes as
+    # "write nothing" and run, sweep and verify as the working directory
+    assert build_parser().parse_args(["topo", "c.cfg"]).out is None
+    work = tmp_path / "work"
+    work.mkdir()
+    monkeypatch.chdir(work)
+    assert main(["topo", str(minimal_cfg)]) == 0
+    assert list(work.iterdir()) == []
+    assert main(["run", str(minimal_cfg)]) == 0
+    assert sorted(p.name for p in work.iterdir()) == ["summary.json", "trajectory.csv"]
 
 
 def test_topo_inspection_and_export(minimal_cfg, tmp_path, capsys):

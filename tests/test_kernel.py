@@ -132,6 +132,12 @@ def test_kernel_rejects_size_mismatch(algorithm, what):
         list(islice(kernel, 2))
 
 
+def test_kernel_names_an_unknown_algorithm():
+    _, channel, S = prepare(base_config(algorithm="tvc"))
+    with pytest.raises(ValueError, match="unknown algorithm 'TVC'"):
+        next(iterate("TVC", S, channel=channel))
+
+
 def test_kernel_isolation_names_node_and_step(tmp_path):
     # node 2 has no links and no self term: its first pilot sees nothing
     edges = tmp_path / "g.edges"
@@ -226,7 +232,9 @@ def outcome(calls):
 
 
 @st.composite
-def seed_groups(draw):
+def seed_groups(draw, mixed=False):
+    """Configs that differ only in seed; mixed, each seed's config also takes
+    one of two tol values, so consecutive runs of equal tol interleave."""
     algorithm = draw(st.sampled_from(ALGORITHMS))
     kind = draw(st.sampled_from(["ring", "complete", "erdos_renyi"]))
     base = SimulationConfig(
@@ -250,7 +258,8 @@ def seed_groups(draw):
         tol_window=draw(st.integers(1, 4)),
     )
     seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=5))
-    return [replace(base, seed=s) for s in seeds]
+    tols = (base.tol, draw(st.sampled_from([1e-2, 1e-6]))) if mixed else (base.tol,)
+    return [replace(base, seed=s, tol=draw(st.sampled_from(tols))) for s in seeds]
 
 
 @given(group=seed_groups())
@@ -294,9 +303,30 @@ def test_seed_group_whose_members_all_fault_raises_the_first(algorithm):
     assert str(together.value) == str(alone.value)
 
 
-def test_run_group_refuses_configs_that_differ_beyond_seed():
-    with pytest.raises(ValueError, match="differ only in seed"):
-        run_group([base_config(seed=1), base_config(seed=2, tol=1e-3)])
+@given(configs=seed_groups(mixed=True))
+@settings(max_examples=30, deadline=None)
+def test_run_group_takes_any_list(configs):
+    # run_group cuts the list into batches of seed-only differences itself;
+    # each summary, or the earliest config's fault, is run()'s
+    expected = outcome([lambda c=c: run(c)[1] for c in configs])
+    assert outcome([lambda: run_group(configs)]) == (expected if isinstance(expected, tuple) else [expected])
+    assert run_group([]) == []
+
+
+def test_batch_replays_only_member_faults(monkeypatch):
+    # a programming error is no member's fault: it surfaces at once, not
+    # after the batch is run again one config at a time
+    calls = 0
+
+    def broken(cfg):
+        nonlocal calls
+        calls += 1
+        raise TypeError("not a member fault")
+
+    monkeypatch.setattr("otaconsensus.simulator.prepare", broken)
+    with pytest.raises(TypeError, match="not a member fault"):
+        run_group([base_config(seed=s) for s in range(3)])
+    assert calls == 1
 
 
 def test_sweep_memory_holds_no_trajectory(tmp_path):
