@@ -120,9 +120,9 @@ class ChannelProcess:
 
     pair_scales multiplies individual links' draws by a per-pair factor,
     keyed by the undirected pair (min, max); every listed pair must be a
-    link of the topology. All three fading families are scale families, so
-    this is exactly a per-pair variance (or gain) knob; unlisted pairs keep
-    factor 1.
+    link of the topology, listed once in either order. All three fading
+    families are scale families, so this is exactly a per-pair variance
+    (or gain) knob; unlisted pairs keep factor 1.
     """
 
     model: FadingModel
@@ -149,14 +149,17 @@ class ChannelProcess:
         if eps is not None and not (0 < eps < math.inf):
             raise ValueError(f"deep_fade needs finite epsilon > 0, got {eps}")
         n = self.topology.n
-        norm = []
+        norm = {}
         for (a, b), s in self.pair_scales:
             if not (0 < s < math.inf):
                 raise ValueError(f"pair scale for ({a},{b}) must be finite and positive, got {s}")
             if not (0 <= a < n and 0 <= b < n) or not self.topology.adj[a, b]:
                 raise ValueError(f"pair ({a},{b}) is not a valid link")
-            norm.append(((min(a, b), max(a, b)), float(s)))
-        object.__setattr__(self, "pair_scales", tuple(sorted(norm)))
+            a, b = min(a, b), max(a, b)
+            if (a, b) in norm:
+                raise ValueError(f"pair ({a},{b}) is listed twice in pair_scales")
+            norm[a, b] = float(s)
+        object.__setattr__(self, "pair_scales", tuple(sorted(norm.items())))
         scales = np.ones((n, n))
         for (a, b), s in self.pair_scales:
             scales[a, b] = s

@@ -551,6 +551,16 @@ def test_run_unusable_pair_scale_exit_two(minimal_cfg, tmp_path, capsys, overrid
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", ["run", "sweep", "verify"])
+@pytest.mark.parametrize("pairs", ["1-7:2,7-1:3", "7-1:3,1-7:2"])
+def test_repeated_pair_scale_exit_two(command, pairs, tmp_path, capsys):
+    # (1,7) is a link of the graph at seed 42 and at each of the sweep's seeds
+    argv = [command, str(CONFIG_DIR / "noise_sweep.cfg"), "-o", str(tmp_path / "o")]
+    assert main(argv + ["--set", f"pair_scales={pairs}"]) == 2
+    assert capsys.readouterr().err == "config error: pair (1,7) is listed twice in pair_scales\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("initial", ["random_mean(0, 1e308)", "random_mean(1e308, 1e308)"])
 def test_run_overflowing_random_mean_range_exit_two(minimal_cfg, tmp_path, capsys, initial):
     out = tmp_path / "o"
@@ -808,6 +818,8 @@ def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
     ("tic10.cfg", "parameter = seed\nvalues = 3, 5\n", ["seed=11"],
      "sweep over seed: 2 runs, 2 converged\n",
      "6a32db78562ef91b1db24b25d316195736f6638e9f076c448163d01f6e7d2872"),
+    ("algorithm_sweep.cfg", "", [], "sweep over algorithm: 20 runs, 20 converged\n",
+     "02e55122c20ab1a95f3d93598405f198789fe3636a619324f1f8c306e6322a1e"),
 ])
 def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256, tmp_path, capsys):
     path = CONFIG_DIR / config

@@ -1,4 +1,4 @@
-"""Import hygiene: every imported name in the package, scripts and tests is used.
+"""Import hygiene: every imported name in the package and tests is used.
 
 The repository runs no linter, so this stands in for pyflakes' unused-import
 check. A package ``__init__.py`` may import a name only to re-export it, in
@@ -10,7 +10,7 @@ from pathlib import Path
 import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
-SOURCES = sorted(p for d in ("src", "scripts", "tests") for p in (ROOT / d).rglob("*.py"))
+SOURCES = sorted(p for d in ("src", "tests") for p in (ROOT / d).rglob("*.py"))
 
 
 def _imported_names(tree: ast.Module) -> dict[str, int]:
