@@ -106,17 +106,19 @@ class ChannelRealization:
 class ChannelProcess:
     """Seedable sequence of coherence blocks for a symmetric topology.
 
-    Block k draws from one generator keyed by (seed, k): one gain for every
-    node pair in the canonical np.triu_indices order, link or not, then
-    masked by the topology. So a pair's gain depends only on (seed, k,
-    pair), not on edge order or on which other links exist. Which block a
-    step reads is the stepping kernel's rule, not the process's.
+    Block k draws from one PCG64 generator keyed by (seed, k): the process's
+    seeded state advanced by k * 2**64 draws, so blocks never share a draw
+    for k < 2**64. It draws one gain per link, in the canonical
+    np.triu_indices order of the links. So a link's gain depends only on
+    (seed, k, its rank among the links). Which block a step reads is the
+    stepping kernel's rule, not the process's. Each block re-keys the one
+    generator, so a process must not realize blocks from two threads at once.
 
     deep_fade_epsilon, when set, gives every off-topology pair a weak
     positive gain uniform in (0, deep_fade_epsilon/2], below the
-    effective-graph threshold. Its uniforms, one per pair, come from the
-    same generator after the gains, so switching it on leaves the
-    on-topology gains untouched.
+    effective-graph threshold. Its uniforms, one per off-topology pair in
+    the same canonical order, come from the same generator after the
+    gains, so switching it on leaves the link gains untouched.
 
     pair_scales multiplies individual links' draws by a per-pair factor,
     keyed by the undirected pair (min, max); every listed pair must be a
@@ -131,12 +133,16 @@ class ChannelProcess:
     seed: int = 0
     deep_fade_epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
-    # built once from the fields above: per pair in canonical order whether
-    # it is a link and its scale, and for every gain matrix entry the index
-    # of its pair, or one past the last pair for the diagonal
-    _links: np.ndarray = field(init=False, repr=False, compare=False)
-    _scales: np.ndarray = field(init=False, repr=False, compare=False)
-    _index: np.ndarray = field(init=False, repr=False, compare=False)
+    # built once from the fields above: the flat gain-matrix indices of
+    # every link's (a, b) and (b, a) entries, a < b, in canonical order, the
+    # same for the off-topology pairs, each link's scale (None when all are
+    # 1), a block with no link drawn, and the generator with its seeded state
+    _links: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _fades: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
+    _blank: np.ndarray = field(init=False, repr=False, compare=False)
+    _rng: np.random.Generator = field(init=False, repr=False, compare=False)
+    _state: dict = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.topology.is_symmetric():
@@ -160,41 +166,61 @@ class ChannelProcess:
                 raise ValueError(f"pair ({a},{b}) is listed twice in pair_scales")
             norm[a, b] = float(s)
         object.__setattr__(self, "pair_scales", tuple(sorted(norm.items())))
-        scales = np.ones((n, n))
-        for (a, b), s in self.pair_scales:
-            scales[a, b] = s
-        upper = np.triu_indices(n, 1)
-        index = np.full((n, n), upper[0].size)
-        index[upper] = index.T[upper] = np.arange(upper[0].size)
-        object.__setattr__(self, "_links", self.topology.adj[upper])
-        object.__setattr__(self, "_scales", scales[upper])
-        object.__setattr__(self, "_index", index)
+        upper = np.triu(np.ones((n, n), dtype=bool), 1)
+        for name, pairs in (("_links", upper & self.topology.adj), ("_fades", upper & ~self.topology.adj)):
+            a, b = np.nonzero(pairs)  # row-major: the canonical np.triu_indices order
+            object.__setattr__(self, name, (a * n + b, b * n + a))
+        scales = None
+        if norm:
+            scales = np.ones((n, n))
+            for (a, b), s in norm.items():
+                scales[a, b] = s
+            scales = scales.reshape(-1)[self._links[0]]
+        bit_generator = np.random.PCG64(self.seed)
+        object.__setattr__(self, "_scales", scales)
+        object.__setattr__(self, "_blank", self.self_weight * np.eye(n))
+        object.__setattr__(self, "_rng", np.random.Generator(bit_generator))
+        object.__setattr__(self, "_state", bit_generator.state)
 
-    def realization(self, k: int) -> ChannelRealization:
+    def realization(self, k: int, out: np.ndarray | None = None) -> ChannelRealization:
         """Gain matrix of block k; a pure function of (process fields, k).
         Built symmetric, nonnegative and with the self_weight diagonal, it
         is checked only for a gain overflowing to inf: a ValueError naming
-        the block, the pair and the keys that set its size."""
+        the block, the pair and the keys that set its size.
+
+        out, an n x n C-contiguous float array that holds a block of this
+        process, is overwritten with block k instead of allocating one:
+        only the entries that vary between blocks (the links, and with deep
+        fade the off-topology pairs) are rewritten, and the returned
+        block's gains are a read-only view of out."""
         if k < 0:
             raise ValueError(f"block index must be nonnegative, got {k}")
-        rng = np.random.default_rng([self.seed, k])
-        pairs = self.model.draw(rng, self._links.size)
-        if self.pair_scales:
+        n = self.topology.n
+        if out is None:
+            out = self._blank.copy()
+        elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
+            raise ValueError(f"out must be a C-contiguous {n}x{n} float array, got shape {out.shape}")
+        rng = self._rng
+        rng.bit_generator.state = self._state
+        rng.bit_generator.advance(k << 64)
+        up, down = self._links
+        gains = self.model.draw(rng, up.size)
+        if self._scales is not None:
             with np.errstate(over="ignore"):  # an overflowing gain is refused below
-                pairs = pairs * self._scales
-        off = 0.0
-        if self.deep_fade_epsilon is not None:
-            u = rng.random(self._links.size)
-            off = (1.0 - u) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
-        pairs = np.where(self._links, pairs, off)
-        if not pairs.max() < np.inf:
-            p = int(np.argmax(pairs))
-            a, b = (int(i[p]) for i in np.triu_indices(self.topology.n, 1))
+                gains *= self._scales
+        if not gains.max(initial=0.0) < np.inf:
+            a, b = divmod(int(up[np.argmax(gains)]), n)
             keys = "fading times pair_scales" if (a, b) in dict(self.pair_scales) else "fading"
-            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(pairs[p])!r}: {keys} overflows")
-        gains = np.concatenate((pairs, (self.self_weight,)))[self._index]
+            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(gains.max())!r}: {keys} overflows")
+        flat = out.reshape(-1)
+        flat[up] = flat[down] = gains
+        if self.deep_fade_epsilon is not None:
+            up, down = self._fades
+            u = rng.random(up.size)
+            flat[up] = flat[down] = (1.0 - u) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
+        gains = out.view()
         gains.setflags(write=False)
         block = object.__new__(ChannelRealization)
-        for name, value in (("n", self.topology.n), ("gains", gains), ("self_weight", self.self_weight)):
+        for name, value in (("n", n), ("gains", gains), ("self_weight", self.self_weight)):
             object.__setattr__(block, name, value)
         return block

@@ -488,7 +488,13 @@ def cmd_run(args) -> int:
 def cmd_sweep(args) -> int:
     _, sweep = parse_sweep(args.config, args.set)
     # all runs first: a run's fault outranks an earlier row's unserializable value
-    summaries = run_group([cfg for _, cfg in sweep.runs])
+    summaries = []
+    try:
+        run_group([cfg for _, cfg in sweep.runs], summaries)
+    except (ValueError, RuntimeError) as exc:  # named by its row; the base type keeps the exit code
+        value, cfg = sweep.runs[len(summaries)]
+        row = f"seed {cfg.seed}" if sweep.parameter == "seed" else f"{sweep.parameter} = {value}, seed {cfg.seed}"
+        raise (ValueError if isinstance(exc, ValueError) else RuntimeError)(f"{row}: {exc}") from exc
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     lines = ["parameter,value,seed,converged,iterations_used,final_max_error"]

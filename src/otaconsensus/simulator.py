@@ -230,14 +230,17 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
     (baseline), channels (tic, tvc) and noise_rngs. Yields (live, y_tilde,
     x_tilde, mu) for step 0 and after every step: the members still
     stepping and their (len(live), n) states. Send a boolean mask over live
-    to stop members; a stopped member draws no further block or noise."""
+    to stop members; a stopped member draws no further block or noise.
+    tvc stacks the members' first blocks into one (m, n, n) buffer, G, and
+    when every channel is a ChannelProcess each writes its later blocks
+    into its member's slot of G in place."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     m, n = S.shape
     live = np.arange(m)
     y, x = S.copy(), np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
-    symmetric = all(isinstance(c, ChannelProcess) for c in channels)
+    processes = all(isinstance(c, ChannelProcess) for c in channels)  # reciprocal blocks, written in place
 
     def sized(G, what):
         if G.shape != (n, n):
@@ -266,17 +269,21 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
         keep = yield live, y, x, mu
         if keep is not None:
             live, y, x = live[keep], y[keep], x[keep]
-            if algorithm != "tvc":
+            if algorithm != "tvc" or k > 1:  # a member's slot of G moves with it
                 G, sigma = G[keep], sigma[keep]
             if not live.size:
                 return
             if audit is not None:
                 audit.keep(keep)
         if algorithm == "tvc":
-            G = np.array([sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
-                          for i in live])
+            if k > 1 and processes:  # each slot holds its member's last block
+                for j, i in enumerate(live):
+                    channels[i].realization(k - 1, out=G[j])
+            else:
+                G = np.array([sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
+                              for i in live])
             if audit is not None:
-                audit.add(G, symmetric)
+                audit.add(G, processes)
             w_sigma, w_y, w_x = noise(3)
             sigma = pilot(G, w_sigma, f"at step {k}")
         else:
@@ -314,18 +321,27 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
         yield y[0], x[0], mu[0]
 
 
-def run_group(configs) -> list[RunSummary]:
+def run_group(configs, done=None) -> list[RunSummary]:
     """run()'s summary for each config, in order: [run(c)[1] for c in
     configs] without the trajectories.
 
     Consecutive configs that differ only in seed (a sweep value's seeds)
     step together through one kernel pass. A failing config raises what it
-    would raise alone, and no later config runs.
+    would raise alone, and no later config runs. The summaries are appended
+    to done, a list when given, as they are due, so after a fault it holds
+    those of the configs before the failing one.
     """
-    summaries = []
+    done = [] if done is None else done
     for _, batch in groupby(configs, key=lambda c: replace(c, seed=0)):
-        summaries += _batch(list(batch))
-    return summaries
+        batch = list(batch)
+        try:
+            done += _batch(batch)
+        except (ValueError, RuntimeError):  # every fault a member names
+            if len(batch) == 1:
+                raise
+            for c in batch:  # one at a time, so the error raised is the earliest config's
+                done += _batch([c])
+    return done
 
 
 def _batch(configs, rows=None) -> list[RunSummary]:
@@ -333,50 +349,43 @@ def _batch(configs, rows=None) -> list[RunSummary]:
 
     Each member stops on its own: when its ratio spread has stayed at or
     below tol for tol_window consecutive post-update steps, or at max_iters.
-    When any member fails, the batch is run again one config at a time, so
-    the error raised is the earliest config's, as one by one it would be.
     With rows, a list, a batch of one appends each step's (y_tilde,
     x_tilde, mu) to it.
     """
     cfg = configs[0]
-    try:
-        graphs, channels, initials = map(list, zip(*(prepare(c) for c in configs)))
-        S = np.array([s.values for s in initials])
-        rngs = [np.random.default_rng(stream_seeds(c.seed)[3]) for c in configs]
-        audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
-        kernel = _kernel(cfg.algorithm, S, graphs, channels, cfg.noise_std, rngs, audit)
-        totals, drift = S.sum(axis=-1), np.zeros((2, len(configs)))
-        streak, keep, summaries = np.zeros(len(configs), dtype=int), None, [None] * len(configs)
-        with np.errstate(over="ignore"):  # every overflow is refused by name
-            # each step's stop mask goes back in; the kernel ends when no member is left
-            for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
-                if keep is not None:  # one row per member still stepping, as in the kernel
-                    totals, drift, streak = totals[keep], drift[:, keep], streak[keep]
-                np.maximum(drift[0], np.abs(y.sum(axis=-1) - totals), out=drift[0])
-                np.maximum(drift[1], np.abs(x.sum(axis=-1) - cfg.n), out=drift[1])
-                if k > 0:
-                    streak = np.where(mu.max(axis=-1) - mu.min(axis=-1) <= cfg.tol, streak + 1, 0)
-                converged = streak >= cfg.tol_window
-                stop = converged | (k == cfg.max_iters)
-                if rows is not None:
-                    rows.append((y[0], x[0], mu[0]))
-                for j in np.flatnonzero(stop) if stop.any() else ():
-                    target = initials[live[j]].mean()
-                    summaries[live[j]] = RunSummary(
-                        converged=bool(converged[j]),
-                        iterations_used=k,
-                        target_average=target,
-                        final_max_error=float(np.max(np.abs(mu[j] - target))),
-                        mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(totals[j]))),
-                        mass_drift_x=float(drift[1, j]) / cfg.n,
-                        epsilon_B_satisfied=None if audit is None else bool(
-                            np.broadcast_to(audit.verdicts, live.shape)[j]),
-                    )
-                keep = ~stop if stop.any() else None
-    except (ValueError, RuntimeError):  # every fault a member names
-        if len(configs) == 1:
-            raise
-        return [_batch([c])[0] for c in configs]
+    graphs, channels, initials = map(list, zip(*(prepare(c) for c in configs)))
+    S = np.array([s.values for s in initials])
+    rngs = [np.random.default_rng(stream_seeds(c.seed)[3]) for c in configs]
+    audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
+    kernel = _kernel(cfg.algorithm, S, graphs, channels, cfg.noise_std, rngs, audit)
+    totals, drift = S.sum(axis=-1), np.zeros((2, len(configs)))
+    streak, keep, summaries = np.zeros(len(configs), dtype=int), None, [None] * len(configs)
+    with np.errstate(over="ignore"):  # every overflow is refused by name
+        # each step's stop mask goes back in; the kernel ends when no member is left
+        for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
+            if keep is not None:  # one row per member still stepping, as in the kernel
+                totals, drift, streak = totals[keep], drift[:, keep], streak[keep]
+            np.maximum(drift[0], np.abs(y.sum(axis=-1) - totals), out=drift[0])
+            np.maximum(drift[1], np.abs(x.sum(axis=-1) - cfg.n), out=drift[1])
+            if k > 0:
+                streak = np.where(mu.max(axis=-1) - mu.min(axis=-1) <= cfg.tol, streak + 1, 0)
+            converged = streak >= cfg.tol_window
+            stop = converged | (k == cfg.max_iters)
+            if rows is not None:
+                rows.append((y[0], x[0], mu[0]))
+            for j in np.flatnonzero(stop) if stop.any() else ():
+                target = initials[live[j]].mean()
+                summaries[live[j]] = RunSummary(
+                    converged=bool(converged[j]),
+                    iterations_used=k,
+                    target_average=target,
+                    final_max_error=float(np.max(np.abs(mu[j] - target))),
+                    mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(totals[j]))),
+                    mass_drift_x=float(drift[1, j]) / cfg.n,
+                    epsilon_B_satisfied=None if audit is None else bool(
+                        np.broadcast_to(audit.verdicts, live.shape)[j]),
+                )
+            keep = ~stop if stop.any() else None
     return summaries
 
 

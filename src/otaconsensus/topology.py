@@ -6,6 +6,7 @@ modeled as a diagonal weight on the channel realization, not as a graph edge.
 """
 from __future__ import annotations
 
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -206,12 +207,39 @@ def _erdos_renyi(n: int, p: float, symmetric: bool, seed: int) -> np.ndarray:
 
 
 def _parse_edge_list(path: str, n: int) -> np.ndarray:
-    adj = np.zeros((n, n), dtype=bool)
+    """One edge 'i j' per line, '#' starting a comment; an empty file has
+    no edges. numpy reads a well-formed ASCII file at once (it misreads
+    non-ASCII digits), and the line loop, which reads every id int() reads,
+    takes any other file and names its first faulty line."""
     try:
         text = Path(path).read_text()
     except OSError as exc:
         raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    lines = text.splitlines()
+    adj = _read_edge_array(lines, n) if text.isascii() else None
+    return _read_edge_lines(path, lines, n) if adj is None else adj
+
+
+def _read_edge_array(lines, n: int) -> np.ndarray | None:
+    """The adjacency of lines numpy reads as valid 'i j' rows at once, else None."""
+    try:
+        with warnings.catch_warnings():
+            # a file numpy warns about is the loop's: one with no data, or (in
+            # numpy releases that still read it) a float id such as "1.0"
+            warnings.simplefilter("error")
+            edges = np.loadtxt(lines, dtype=np.int64, comments="#", ndmin=2)
+    except (ValueError, Warning):
+        return None
+    if edges.shape[1] != 2 or not np.all((0 <= edges) & (edges < n)) or np.any(edges[:, 0] == edges[:, 1]):
+        return None
+    adj = np.zeros((n, n), dtype=bool)
+    adj[edges[:, 0], edges[:, 1]] = True
+    return adj
+
+
+def _read_edge_lines(path: str, lines, n: int) -> np.ndarray:
+    adj = np.zeros((n, n), dtype=bool)
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

@@ -141,6 +141,30 @@ def test_process_blocks_pass_construction_checks(proc, k):
     assert not r.gains.flags.writeable
 
 
+@given(proc=processes(), order=st.permutations(range(8)))
+@settings(max_examples=30, deadline=None)
+def test_random_access_equals_sequential(proc, order):
+    # block k is a pure function of (process, k): neither the blocks read
+    # before it nor writing it into a buffer holding another block changes it
+    sequential = [proc.realization(k).gains for k in range(8)]
+    out = proc.realization(order[-1]).gains.copy()
+    for k in order:
+        np.testing.assert_array_equal(proc.realization(k).gains, sequential[k])
+        block = proc.realization(k, out=out)
+        np.testing.assert_array_equal(out, sequential[k])
+        assert np.shares_memory(block.gains, out) and not block.gains.flags.writeable
+    n = proc.topology.n
+    for bad in (np.zeros((n + 1, n + 1)), np.zeros((n, n), dtype=np.float32), np.zeros((n, 2 * n))[:, ::2]):
+        with pytest.raises(ValueError, match="out must be"):
+            proc.realization(0, out=bad)
+
+
+def test_process_without_links_keeps_its_diagonal():
+    proc = ChannelProcess(FadingModel.half_normal(1.0), Digraph(np.zeros((3, 3), dtype=bool)),
+                          self_weight=0.5, seed=1)
+    np.testing.assert_array_equal(proc.realization(2).gains, 0.5 * np.eye(3))
+
+
 def test_process_deterministic_in_seed():
     a = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)
     b = ChannelProcess(FadingModel.uniform(0.1, 2.0), ring(8), seed=11)

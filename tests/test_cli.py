@@ -557,7 +557,8 @@ def test_repeated_pair_scale_exit_two(command, pairs, tmp_path, capsys):
     # (1,7) is a link of the graph at seed 42 and at each of the sweep's seeds
     argv = [command, str(CONFIG_DIR / "noise_sweep.cfg"), "-o", str(tmp_path / "o")]
     assert main(argv + ["--set", f"pair_scales={pairs}"]) == 2
-    assert capsys.readouterr().err == "config error: pair (1,7) is listed twice in pair_scales\n"
+    row = "noise_std = 0.0, seed 0: " if command == "sweep" else ""  # a sweep names its first row
+    assert capsys.readouterr().err == f"config error: {row}pair (1,7) is listed twice in pair_scales\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -670,10 +671,10 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
     calls = 0
     realization = ChannelProcess.realization
 
-    def counted(self, k):
+    def counted(self, k, **out):
         nonlocal calls
         calls += 1
-        return realization(self, k)
+        return realization(self, k, **out)
 
     monkeypatch.setattr(ChannelProcess, "realization", counted)
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
@@ -791,18 +792,43 @@ def test_sweep_over_seeds_all_converge(minimal_cfg, tmp_path):
     assert [r.split(",")[2] for r in rows] == ["1", "2", "3", "4"]
 
 
+@pytest.mark.parametrize("sweep_block, row", [
+    ("", "noise_std = 0.0, seed 0"),
+    ("[sweep]\nparameter = seed\nvalues = 42, 0\n", "seed 0"),
+])
+def test_sweep_fault_names_its_row(sweep_block, row, tmp_path, capsys):
+    # (0,1) is a link at seed 42, which run reads, but not at seed 0: the
+    # refusal names the row it comes from, after the rows before it ran
+    config = tmp_path / "s.cfg"
+    text = (CONFIG_DIR / "noise_sweep.cfg").read_text()
+    config.write_text(text.split("[sweep]")[0] + sweep_block if sweep_block else text)
+    argv = [str(config), "-o", str(tmp_path / "o"), "--set", "pair_scales=0-1:2", "--set", "max_iters=20"]
+    assert main(["run"] + argv) == 0
+    capsys.readouterr()
+    assert main(["sweep"] + argv) == 2
+    assert capsys.readouterr().err == f"config error: {row}: pair (0,1) is not a valid link\n"
+    assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
 def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
-    # seed 3 overflows its pilot sum first in step order (step 10), but seed
-    # 0 comes first in row order, and row order is what a sweep reports
+    # seed 3 overflows its pilot sum first in step order, but seed 1 comes
+    # first in row order, and row order is what a sweep reports
     p = tmp_path / "s.cfg"
     p.write_text(
         "n = 3\ntopology = complete\nalgorithm = tvc\nfading = half_normal(5e307)\n"
         "initial = explicit(0, 1, 2)\nseed = 0\ntol = 1e-300\nmax_iters = 300\n"
-        "[sweep]\nparameter = noise_std\nvalues = 0.0\nseeds = 0, 3\n"
+        "[sweep]\nparameter = noise_std\nvalues = 0.0\nseeds = 1, 3\n"
     )
+    alone = {}
+    for seed in (1, 3):
+        with pytest.raises(NonFiniteStateError) as exc:
+            run(parse_config(str(p), [f"seed={seed}"]))
+        alone[seed] = str(exc.value)
+    assert alone == {1: "node 1 overflowed at step 82: pilot sum inf is not finite",
+                     3: "node 1 overflowed at step 15: pilot sum inf is not finite"}
     assert main(["sweep", str(p), "-o", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
-        "runtime error: node 2 overflowed at step 20: pilot sum inf is not finite\n"
+        "runtime error: noise_std = 0.0, seed 1: node 1 overflowed at step 82: pilot sum inf is not finite\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -810,16 +836,16 @@ def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
 @pytest.mark.parametrize("config, sweep_block, overrides, stdout, csv_sha256", [
     ("self_weight_sweep.cfg", "", [], "sweep over self_weight: 6 runs, 3 converged\n",
      "eb251d28f3c003ee5b4adb5b67aa6c32fb6db043a8ff28db0942783756a93371"),
-    ("noise_sweep.cfg", "", ["max_iters=50"], "sweep over noise_std: 12 runs, 6 converged\n",
-     "fb7746ad701e075d6c845bb84f2feb28393e676d4ae166b0ba437269547d2897"),
+    ("noise_sweep.cfg", "", ["max_iters=50"], "sweep over noise_std: 12 runs, 4 converged\n",
+     "b4e678a83e247b718a51d788b8d1bb75a47db2dd76198c4588c32cf33dfb7937"),
     ("tic10.cfg", "parameter = topology\nvalues = ring, complete\n", [],
-     "sweep over topology: 2 runs, 1 converged\n",
-     "4ce2e3a230c303559c34e06030c89028cc39941a1160ca39d9c3fe50d6a62bf8"),
+     "sweep over topology: 2 runs, 2 converged\n",
+     "a8f9d016f6a072c6b76ff9845572c492fcf2b49e34d95c80e7c7d1edd3aa0897"),
     ("tic10.cfg", "parameter = seed\nvalues = 3, 5\n", ["seed=11"],
      "sweep over seed: 2 runs, 2 converged\n",
-     "6a32db78562ef91b1db24b25d316195736f6638e9f076c448163d01f6e7d2872"),
+     "7db8b398c06cfb4f637c42f8386ce7e19af16f9b17cccb4ab52d5fde615a6549"),
     ("algorithm_sweep.cfg", "", [], "sweep over algorithm: 20 runs, 20 converged\n",
-     "02e55122c20ab1a95f3d93598405f198789fe3636a619324f1f8c306e6322a1e"),
+     "2e98eb3bf99ba641bb1d4bd80bfc84c8d97cbd7a0b6935dcf4418758e91aad6d"),
 ])
 def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256, tmp_path, capsys):
     path = CONFIG_DIR / config

@@ -1,4 +1,4 @@
-"""The shared stepping kernel, pair-keyed channel draws, the incremental
+"""The shared stepping kernel, keyed channel draws, the incremental
 windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
 from dataclasses import replace
@@ -103,7 +103,8 @@ def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
     seen = []
     realization = ChannelProcess.realization
-    monkeypatch.setattr(ChannelProcess, "realization", lambda self, k: seen.append(k) or realization(self, k))
+    monkeypatch.setattr(ChannelProcess, "realization",
+                        lambda self, k, **out: seen.append(k) or realization(self, k, **out))
     take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 50)
     assert seen == blocks
 
@@ -279,10 +280,10 @@ def test_seed_group_draws_one_block_per_member_step(monkeypatch):
     calls = 0
     realization = ChannelProcess.realization
 
-    def counted(self, k):
+    def counted(self, k, **out):
         nonlocal calls
         calls += 1
-        return realization(self, k)
+        return realization(self, k, **out)
 
     monkeypatch.setattr(ChannelProcess, "realization", counted)
     summaries = run_group(group)
@@ -350,30 +351,41 @@ def test_sweep_memory_holds_no_trajectory(tmp_path):
     assert peak < 3 * 8 * (steps + 1) * n
 
 
-# ---------------------------------------------------------------- pair-keyed draws
+# ---------------------------------------------------------------- keyed draws
 
 
-def test_single_generator_per_realization(monkeypatch):
+def test_no_generator_built_per_block(monkeypatch):
+    # block k re-keys the process's one generator; building a generator or
+    # a seed sequence per block costs more than drawing a small block
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(12, 0), seed=7, deep_fade_epsilon=1e-3)
-    calls = []
-    real = np.random.default_rng
-    monkeypatch.setattr(np.random, "default_rng", lambda *a: calls.append(a) or real(*a))
-    proc.realization(4)
-    assert len(calls) == 1
+    built = []
+    for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
+        real = getattr(np.random, name)
+        monkeypatch.setattr(np.random, name, lambda *a, real=real, name=name, **kw: built.append(name)
+                            or real(*a, **kw))
+    out = proc.realization(4).gains.copy()
+    for k in (0, 9, 4):
+        proc.realization(k, out=out)
+    assert built == []
 
 
 @given(seed=st.integers(min_value=0, max_value=10_000), k=st.integers(min_value=0, max_value=50))
 @settings(max_examples=25, deadline=None)
-def test_subgraph_gains_match_supergraph(seed, k):
+def test_link_gain_depends_only_on_its_rank(seed, k):
+    # the r-th link in canonical order gets the r-th draw of block k,
+    # wherever the link sits and whichever other links exist
     n = 9
     full = generate_topology(TopologySpec(kind="complete"), n, seed=0)
     sub = er(n, seed, p=0.4)
     model = FadingModel.half_normal(1.0)
     g_full = ChannelProcess(model, full, seed=seed).realization(k).gains
     g_sub = ChannelProcess(model, sub, seed=seed).realization(k).gains
-    adj = sub.adj
-    np.testing.assert_array_equal(g_sub[adj], g_full[adj])
-    off = ~adj & ~np.eye(n, dtype=bool)
+    links = np.triu(sub.adj, 1)
+    assert 0 < np.count_nonzero(links) < np.count_nonzero(np.triu(full.adj, 1))
+    ranked = g_full[np.triu(full.adj, 1)][:np.count_nonzero(links)]
+    np.testing.assert_array_equal(g_sub[links], ranked)
+    np.testing.assert_array_equal(g_sub.T[links], ranked)
+    off = ~sub.adj & ~np.eye(n, dtype=bool)
     assert np.all(g_sub[off] == 0.0)
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import warnings
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ from otaconsensus.topology import (
     generate_topology,
     is_strongly_connected,
 )
+from otaconsensus.topology import _parse_edge_list, _read_edge_lines
 
 
 def digraph(n, *edges):
@@ -233,6 +235,52 @@ def test_edge_list_self_edge(tmp_path):
 def test_edge_list_missing_file():
     with pytest.raises(EdgeListError):
         generate_topology(TopologySpec(kind="edge_list", path="/nonexistent/g.edges"), 3, seed=0)
+
+
+def test_edge_list_empty_file_has_no_edges(tmp_path):
+    f = tmp_path / "g.edges"
+    for text in ("", "# only a comment\n\n"):
+        f.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not _parse_edge_list(str(f), 3).any()
+
+
+@pytest.mark.parametrize("text, edge", [("1_0 2\n", (10, 2)), ("\u0663 1\n", (3, 1))])
+def test_edge_list_reads_every_id_int_reads(text, edge, tmp_path):
+    # numpy refuses these ids; the line loop reads them as int() does
+    f = tmp_path / "g.edges"
+    f.write_text(text)
+    assert np.argwhere(_parse_edge_list(str(f), 12)).tolist() == [list(edge)]
+
+
+# numpy reads the non-ASCII "\u01fe" as node 462, int() refuses it
+_TOKENS = ["0", "1", "2", "3", "499", "500", "+3", "-1", "00", "1.0", "1_0", "\u0663", "\u01fe", "x",
+           "99999999999999999999"]
+_LINES = st.builds(
+    lambda lead, tokens, seps, comment: lead + "".join(t + s for t, s in zip(tokens, seps)) + comment,
+    st.sampled_from(["", " ", "\t"]),
+    st.lists(st.sampled_from(_TOKENS), min_size=0, max_size=3),
+    st.lists(st.sampled_from([" ", "\t", " \t ", "\x1c"]), min_size=3, max_size=3),
+    st.sampled_from(["", "# c", "#1 2"]),
+)
+
+
+@given(lines=st.lists(_LINES, max_size=6), ends=st.sampled_from(["\n", "\r\n", "\r"]))
+@settings(max_examples=200, deadline=None)
+def test_edge_list_fast_path_agrees_with_line_loop(lines, ends, tmp_path_factory):
+    # whatever numpy reads at once must be what the line loop reads, and a
+    # file it refuses goes to the loop: the same matrix, or the same error
+    f = tmp_path_factory.mktemp("edges") / "g.edges"
+    f.write_bytes(ends.join(lines).encode())
+
+    def outcome(read, *args):
+        try:
+            return np.argwhere(read(str(f), *args)).tolist()
+        except Exception as exc:
+            return type(exc), str(exc)
+
+    assert outcome(_parse_edge_list, 500) == outcome(_read_edge_lines, f.read_text().splitlines(), 500)
 
 
 def test_joint_graph_unions_edges():
