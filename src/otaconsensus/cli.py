@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import re
 import sys
 from contextlib import contextmanager
@@ -30,6 +29,7 @@ from .analysis import (
     stationary_limit,
 )
 from .channel import FADING_ARGS, ChannelRealization, FadingModel
+from .floattext import fmt_float, node_words, trajectory_rows
 from .protocol import COLUMN_SUM_TOL, InitialStates, NonFiniteStateError
 from .simulator import (
     INITIAL_ARGS,
@@ -51,16 +51,6 @@ class ConfigError(ValueError):
 
 
 # ------------------------------------------------------------------ formatting
-
-def fmt_float(x: float) -> str:
-    """A finite double as 17 significant digits ('%.17g'): always enough to
-    round-trip it exactly, though not always the shortest such decimal
-    (0.1 gives '0.10000000000000001')."""
-    x = float(x)
-    if not math.isfinite(x):
-        raise ValueError(f"refusing to serialize non-finite value {x!r}")
-    return format(x, ".17g")
-
 
 def to_json(value, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-digit floats, and
@@ -332,13 +322,17 @@ def config_echo(cfg: SimulationConfig) -> dict:
 
 # ------------------------------------------------------------------ emitters
 
-def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
-    """One row per (step, node), step-major, reals as fmt_float writes them.
+CHUNK_VALUES = 1200  # reals per trajectory.csv block, in whole steps
 
-    '%.17g' % x equals fmt_float(x) for every finite double, so each step's
-    block is one %-format of a row template built once per run, streamed to
-    the file: memory stays flat however long the run. A non-finite entry is
-    a program fault, refused before anything is written.
+
+def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
+    """One row per (step, node), step-major, each real exactly as fmt_float
+    writes it ('%.17g').
+
+    A non-finite entry is a program fault, refused before anything is
+    written. The rows are formatted by trajectory_rows in blocks of whole
+    steps, about CHUNK_VALUES reals each, and written block by block, so the
+    writer's memory does not grow with the run's length.
     """
     columns = [getattr(trajectory, name) for name in TRAJECTORY_FIELDS]
     if not all(np.isfinite(c).all() for c in columns):
@@ -349,12 +343,12 @@ def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
             f"at step {k}, node {j}"
         )
     steps, n = trajectory.mu.shape
-    row = "".join(f"{{k}},{j},%.17g,%.17g,%.17g\n" for j in range(n))
-    with open(path, "w") as f:
-        f.write(",".join(("step", "node") + TRAJECTORY_FIELDS) + "\n")
-        for k in range(steps):
-            values = np.stack([c[k] for c in columns], axis=1).ravel().tolist()
-            f.write(row.replace("{k}", str(k)) % tuple(values))
+    block = max(1, CHUNK_VALUES // (len(columns) * n))
+    with open(path, "wb") as f:
+        f.write(",".join(("step", "node") + TRAJECTORY_FIELDS).encode() + b"\n")
+        nodes = node_words(n)
+        for k in range(0, steps, block):
+            f.write(trajectory_rows(k, nodes, *(c[k : k + block] for c in columns)))
 
 
 def write_summary_json(path: Path, summary, cfg: SimulationConfig) -> None:
@@ -575,6 +569,10 @@ def main(argv=None) -> int:
         return 3
     except RuntimeError as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:  # numpy's names the array it could not allocate
+        detail = f": {exc}" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
         return 3
 
 

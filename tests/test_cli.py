@@ -24,6 +24,7 @@ from otaconsensus.cli import (
     to_json,
     write_trajectory_csv,
 )
+from otaconsensus.floattext import float_fields
 from otaconsensus.simulator import NonFiniteStateError, Trajectory, run, run_group
 
 MINIMAL = """\
@@ -266,6 +267,70 @@ def test_trajectory_csv_refuses_first_non_finite_entry(tmp_path):
     with pytest.raises(NonFiniteStateError, match=r"non-finite mu=nan at step 1, node 0"):
         write_trajectory_csv(path, Trajectory(y, np.ones((3, 2)), mu))
     assert not path.exists()
+
+
+def field_texts(values) -> list[str]:
+    """What the trajectory writer's float_fields makes of each value."""
+    return [row.tobytes().translate(None, b"\0").decode() for row in float_fields(values)]
+
+
+def assert_fields_are_17g(values):
+    values = np.asarray(values, dtype=float)
+    assert field_texts(values) == ["%.17g" % x for x in values.tolist()]
+
+
+FIELD_EDGE_VALUES = [
+    0.100002288818359375, 0.0319843292236328125, 7.04077911376953125,  # exact ties at the 17th digit
+    1e-4, float(np.nextafter(1e-4, 0)),
+    0.99999999999999994, 9999.9999999999982,  # the last doubles below a decade
+    1e4, 1e16, 9999999999999998.0, float(2**53 + 1),
+    1.0, 100.0, -0.0, 5e-324, float(np.finfo(float).max),
+]
+
+
+def test_float_fields_edge_values():
+    assert_fields_are_17g(FIELD_EDGE_VALUES + [-x for x in FIELD_EDGE_VALUES])
+
+
+def test_float_fields_seeded_sample_across_scales():
+    rng = np.random.default_rng(20260)
+    values = 10 ** rng.uniform(-6, 20, 100_000) * rng.choice([-1.0, 1.0], 100_000)
+    assert_fields_are_17g(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=1, max_size=40))
+def test_float_fields_match_17g(values):
+    assert_fields_are_17g(values)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), min_size=1, max_size=40))
+def test_float_fields_match_17g_on_bit_patterns(bits):
+    values = np.array(bits, dtype=np.uint64).view(np.float64)
+    assert_fields_are_17g(values[np.isfinite(values)])
+
+
+@pytest.mark.parametrize("overrides", [
+    ["n=200", "topology=ring", "max_iters=300", "tol=1e-300"],
+    ["n=2", "max_iters=450", "tol=1e-300"],
+    ["n=7", "max_iters=1"],
+    ["initial=random_mean(0, 1e-5)", "max_iters=95", "tol=1e-300"],
+    ["initial=random_mean(1e9, 1)", "max_iters=95", "tol=1e-300"],
+], ids=["n200-ring", "n2", "n7-one-step", "below-1e-4", "above-1e4"])
+def test_trajectory_csv_matches_reference_in_uneven_blocks(overrides, tmp_path):
+    # the writer formats whole steps in blocks of about CHUNK_VALUES reals;
+    # none of these runs fills its last block, and the last two send values
+    # of both signs outside [1e-4, 1e4) through the scalar route
+    config = str(CONFIG_DIR / "tic10.cfg")
+    argv = ["run", config, "-o", str(tmp_path)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    trajectory, _ = run(parse_config(config, overrides))
+    steps, n = trajectory.mu.shape
+    assert steps % max(1, cli.CHUNK_VALUES // (3 * n)) != 0
+    assert (tmp_path / "trajectory.csv").read_bytes() == reference_trajectory_csv(trajectory).encode()
 
 
 def test_run_non_finite_output_exit_three(minimal_cfg, tmp_path, monkeypatch, capsys):
@@ -620,6 +685,25 @@ def test_run_generation_exhaustion_exit_three(tmp_path, capsys):
     code = main(["run", str(p), "-o", str(tmp_path / "o")])
     assert code == 3
     assert "runtime error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "verify", "topo"])
+def test_out_of_memory_exit_three(command, tmp_path, monkeypatch, capsys):
+    # an n too large for memory is the program's limit, not a failed check:
+    # exit 3 with numpy's message, never exit 1 or a traceback
+    message = "Unable to allocate 9.31 GiB for an array with shape (100000, 100000) and data type bool"
+
+    def no_memory(*args, **kwargs):
+        raise MemoryError(message)
+
+    monkeypatch.setattr("otaconsensus.simulator.generate_topology", no_memory)
+    monkeypatch.setattr(cli, "generate_topology", no_memory)
+    config = "noise_sweep.cfg" if command == "sweep" else "tic10.cfg"
+    code = main([command, str(CONFIG_DIR / config), "-o", str(tmp_path / "o"), "--set", "n=100000"])
+    out, err = capsys.readouterr()
+    assert code == 3
+    assert err == f"runtime error: out of memory: {message}\n"
+    assert out == ""
 
 
 def test_verify_all_pass(minimal_cfg, tmp_path, capsys):
