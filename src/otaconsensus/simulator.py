@@ -27,6 +27,10 @@ INITIAL_KINDS = tuple(INITIAL_ARGS)
 
 TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
 
+#: Steps of chain sums a seed group buffers before folding them into its
+#: running mass drift.
+DRIFT_STEPS = 64
+
 
 @dataclass(frozen=True)
 class InitialSpec:
@@ -232,8 +236,8 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
     stepping and their (len(live), n) states. Send a boolean mask over live
     to stop members; a stopped member draws no further block or noise.
     tvc stacks the members' first blocks into one (m, n, n) buffer, G, and
-    when every channel is a ChannelProcess each writes its later blocks
-    into its member's slot of G in place."""
+    while every live member's channel is a ChannelProcess each writes its
+    later blocks into its member's slot of G in place."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     m, n = S.shape
@@ -275,6 +279,7 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
                 return
             if audit is not None:
                 audit.keep(keep)
+            processes = all(isinstance(channels[i], ChannelProcess) for i in live)
         if algorithm == "tvc":
             if k > 1 and processes:  # each slot holds its member's last block
                 for j, i in enumerate(live):
@@ -294,8 +299,8 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
 
 def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
             noise_std: float = 0.0, noise_rng=None, audit=None):
-    """The batched stepping loop viewed for one member: the verify suite's
-    route, and what the tests hold hand-stepped references against.
+    """The batched stepping loop viewed for one member: what the tests hold
+    hand-stepped references against.
 
     Yields (y_tilde, x_tilde, mu) for step 0 (the initial values) and then
     after every step, without end; the caller decides when to stop. Every
@@ -349,6 +354,9 @@ def _batch(configs, rows=None) -> list[RunSummary]:
 
     Each member stops on its own: when its ratio spread has stayed at or
     below tol for tol_window consecutive post-update steps, or at max_iters.
+    Each step's chain sums go into a buffer of DRIFT_STEPS steps, which is
+    folded into the running mass drift when full and whenever a member
+    stops; the stop masks are built only on steps where a member can stop.
     With rows, a list, a batch of one appends each step's (y_tilde,
     x_tilde, mu) to it.
     """
@@ -358,34 +366,46 @@ def _batch(configs, rows=None) -> list[RunSummary]:
     rngs = [np.random.default_rng(stream_seeds(c.seed)[3]) for c in configs]
     audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
     kernel = _kernel(cfg.algorithm, S, graphs, channels, cfg.noise_std, rngs, audit)
-    totals, drift = S.sum(axis=-1), np.zeros((2, len(configs)))
+    # conserved (y, x) sums per member, their worst deviation so far, and the
+    # sums of the steps not yet folded into it
+    conserved = np.array([S.sum(axis=-1), np.full(len(configs), float(cfg.n))])
+    drift, sums, filled = np.zeros_like(conserved), np.empty((2, DRIFT_STEPS, len(configs))), 0
     streak, keep, summaries = np.zeros(len(configs), dtype=int), None, [None] * len(configs)
     with np.errstate(over="ignore"):  # every overflow is refused by name
         # each step's stop mask goes back in; the kernel ends when no member is left
         for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
-            if keep is not None:  # one row per member still stepping, as in the kernel
-                totals, drift, streak = totals[keep], drift[:, keep], streak[keep]
-            np.maximum(drift[0], np.abs(y.sum(axis=-1) - totals), out=drift[0])
-            np.maximum(drift[1], np.abs(x.sum(axis=-1) - cfg.n), out=drift[1])
+            if keep is not None:  # one column per member still stepping, as in the kernel
+                conserved, drift, streak = conserved[:, keep], drift[:, keep], streak[keep]
+                sums, keep = np.empty((2, DRIFT_STEPS, live.size)), None
+            y.sum(axis=-1, out=sums[0, filled])
+            x.sum(axis=-1, out=sums[1, filled])
+            filled += 1
             if k > 0:
-                streak = np.where(mu.max(axis=-1) - mu.min(axis=-1) <= cfg.tol, streak + 1, 0)
-            converged = streak >= cfg.tol_window
-            stop = converged | (k == cfg.max_iters)
+                streak = np.where(np.ptp(mu, axis=-1) <= cfg.tol, streak + 1, 0)
             if rows is not None:
                 rows.append((y[0], x[0], mu[0]))
-            for j in np.flatnonzero(stop) if stop.any() else ():
+            stopping = k == cfg.max_iters or streak.max() >= cfg.tol_window  # some member stops
+            if filled == DRIFT_STEPS or stopping:
+                deviation = np.abs(sums[:, :filled] - conserved[:, np.newaxis]).max(axis=1)
+                np.maximum(drift, deviation, out=drift)
+                filled = 0
+            if not stopping:
+                continue
+            converged = streak >= cfg.tol_window
+            stop = converged | (k == cfg.max_iters)
+            verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
+            for j in np.flatnonzero(stop):
                 target = initials[live[j]].mean()
                 summaries[live[j]] = RunSummary(
                     converged=bool(converged[j]),
                     iterations_used=k,
                     target_average=target,
                     final_max_error=float(np.max(np.abs(mu[j] - target))),
-                    mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(totals[j]))),
+                    mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(conserved[0, j]))),
                     mass_drift_x=float(drift[1, j]) / cfg.n,
-                    epsilon_B_satisfied=None if audit is None else bool(
-                        np.broadcast_to(audit.verdicts, live.shape)[j]),
+                    epsilon_B_satisfied=None if verdicts is None else bool(verdicts[j]),
                 )
-            keep = ~stop if stop.any() else None
+            keep = ~stop
     return summaries
 
 

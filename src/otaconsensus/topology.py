@@ -6,6 +6,7 @@ modeled as a diagonal weight on the channel realization, not as a graph edge.
 """
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -101,6 +102,12 @@ def is_strongly_connected(adj: np.ndarray) -> bool:
     return bool(_reaches_all(adj)) and (np.array_equal(adj, adj.T) or bool(_reaches_all(adj.T)))
 
 
+#: Booleans of B-window unions an EpsilonBAudit holds before it judges them
+#: in one reachability pass (64 KB): judging a stack of windows costs about
+#: what judging one does.
+PENDING_BOOLS = 2**16
+
+
 class EpsilonBAudit:
     """Windowed joint-connectivity audit fed one gain matrix per step, or
     an (m, n, n) stack for m members stepping in lockstep.
@@ -112,6 +119,12 @@ class EpsilonBAudit:
     verdict is vacuously true until a window completes. Once a window
     fails, the verdict is final. verdicts holds one per member once a
     window has completed.
+
+    Completed windows wait in a stack of at most PENDING_BOOLS booleans
+    (one window when a single one is larger) and are judged together when
+    the stack is full, and before verdicts or satisfied is read or keep
+    drops members, so the verdicts read are always settled. Once every
+    verdict has failed, later steps are not looked at.
     """
 
     def __init__(self, epsilon: float, B: int):
@@ -121,32 +134,74 @@ class EpsilonBAudit:
             raise ValueError(f"window length B must be >= 1, got {B}")
         self.epsilon = epsilon
         self.B = B
-        self.verdicts = self.satisfied = True  # satisfied: every member's verdict
-        self._window = None
-        self._filled = 0
+        self._verdicts = True
+        self._failed = False  # every verdict is False
+        self._unions = None  # completed windows in [:_done], the open one at [_done]
+        self._done = 0
+        self._symmetric = []  # each completed window's flag
+        self._filled = 0  # steps in the open window
+
+    @property
+    def verdicts(self):
+        self._judge()
+        return self._verdicts
+
+    @property
+    def satisfied(self) -> bool:
+        """Every member's verdict."""
+        return bool(np.all(self.verdicts))
 
     def add(self, gains: np.ndarray, symmetric: bool = False) -> None:
         """One step's gains; for symmetric ones (channel blocks) reach from node 0 suffices."""
-        if not np.any(self.verdicts):
+        if self._failed:
             return
-        strong = gains > self.epsilon
-        self._window = strong if self._window is None else self._window | strong
+        if self._unions is None:
+            self._unions = _window_stack(gains.shape)
+        window = self._unions[self._done]
+        if self._filled:
+            window |= gains > self.epsilon
+        else:
+            np.greater(gains, self.epsilon, out=window)
         self._filled += 1
         if self._filled == self.B:
-            joint = _reaches_all(self._window)
-            if not symmetric:
-                joint = joint & _reaches_all(np.swapaxes(self._window, -1, -2))
-            self.verdicts = self.verdicts & joint
-            self.satisfied = bool(np.all(self.verdicts))
-            self._window = None
             self._filled = 0
+            self._symmetric.append(symmetric)
+            self._done += 1
+            if self._done == len(self._unions):
+                self._judge()
 
     def keep(self, members: np.ndarray) -> None:
         """Drop the members a boolean mask leaves out."""
-        self.verdicts = np.broadcast_to(self.verdicts, members.shape)[members]
-        self.satisfied = bool(np.all(self.verdicts))
-        if self._window is not None:
-            self._window = self._window[members]
+        self._judge()
+        self._verdicts = np.broadcast_to(self._verdicts, members.shape)[members]
+        self._failed = not np.any(self._verdicts)
+        if self._unions is not None:
+            open_window = self._unions[0][members]
+            self._unions = _window_stack(open_window.shape)
+            self._unions[0] = open_window
+
+    def _judge(self) -> None:
+        """Judge the completed windows with one reachability pass; the open
+        window moves to the front."""
+        done, self._done = self._done, 0
+        if not done:
+            return
+        unions, symmetric, self._symmetric = self._unions[:done], self._symmetric, []
+        one_way = [w for w, s in enumerate(symmetric) if not s]
+        if one_way:
+            reach = _reaches_all(np.concatenate([unions, np.swapaxes(unions[one_way], -1, -2)]))
+            reach[one_way] &= reach[done:]
+        else:
+            reach = _reaches_all(unions)
+        self._verdicts = self._verdicts & reach[:done].all(axis=0)
+        self._failed = not np.any(self._verdicts)
+        if self._filled:
+            self._unions[0] = self._unions[done]
+
+
+def _window_stack(shape) -> np.ndarray:
+    """Room for as many boolean windows of shape as PENDING_BOOLS holds, at least one."""
+    return np.empty((max(1, PENDING_BOOLS // max(1, math.prod(shape))), *shape), dtype=bool)
 
 
 def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int) -> bool:

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus import cli
-from otaconsensus.channel import ChannelProcess
+from otaconsensus.channel import ChannelProcess, FadingModel
 from otaconsensus.cli import (
     ConfigError,
     build_parser,
@@ -26,6 +27,7 @@ from otaconsensus.cli import (
 )
 from otaconsensus.floattext import float_fields
 from otaconsensus.simulator import NonFiniteStateError, Trajectory, run, run_group
+from otaconsensus.topology import TopologySpec, generate_topology
 
 MINIMAL = """\
 n = 10
@@ -763,6 +765,28 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
     monkeypatch.setattr(ChannelProcess, "realization", counted)
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
     assert calls == 100 + 1000
+
+
+def test_verify_passes_step_together_as_they_step_alone():
+    # the equivariance passes ride as members of the tvc pass; each pass's
+    # rows are bitwise its own, and a fault is the earliest pass's even
+    # when a later pass faults at an earlier step
+    proc = ChannelProcess(FadingModel.half_normal(1.0), generate_topology(TopologySpec("complete"), 6, 0), seed=3)
+
+    def blocks(fault_at=None):
+        def realization(k):
+            if k == fault_at:
+                raise ValueError(f"block {k} of the pass failing at {fault_at}")
+            return proc.realization(k)
+        return SimpleNamespace(realization=realization)
+
+    starts = [np.arange(6.0), 3.7 * np.arange(6.0), np.arange(6.0) - 2.0]
+    together = cli._protocol_passes("tvc", starts, [proc, blocks(), blocks()], [40, 10, 10])
+    for i, steps in enumerate([40, 10, 10]):
+        alone, = cli._protocol_passes("tvc", starts[i:i + 1], [blocks()], [steps])
+        assert all(np.array_equal(a, b) for a, b in zip(together[i], alone))
+    with pytest.raises(ValueError, match="failing at 7"):
+        cli._protocol_passes("tvc", starts[:2], [blocks(7), blocks(2)], [10, 10])
 
 
 @pytest.mark.parametrize("command, overrides, expected", [

@@ -3,6 +3,7 @@ windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -13,8 +14,10 @@ from otaconsensus.channel import ChannelProcess, FadingModel
 from otaconsensus.cli import main, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
 from otaconsensus.analysis import mass_audit
+from otaconsensus import topology
 from otaconsensus.simulator import (
     ALGORITHMS,
+    DRIFT_STEPS,
     InitialSpec,
     RunSummary,
     SimulationConfig,
@@ -172,7 +175,8 @@ def test_run_memory_is_bounded_without_channel_history():
 def test_n200_trajectory_memory_is_bounded(tmp_path):
     # the stored trajectory is three (steps + 1, n) float arrays; run() may
     # use a small multiple of that plus O(n^2) channel state, and the CSV
-    # writer, which holds one step's block at a time, a fraction of it
+    # writer, which holds a block of about cli.CHUNK_VALUES reals at a time
+    # (two steps at n = 200), a fraction of it
     n, steps = 200, 300
     stored = 3 * 8 * (steps + 1) * n
     cfg = base_config(n=n, topology=TopologySpec(kind="ring"), max_iters=steps, tol=1e-300)
@@ -271,6 +275,27 @@ def test_seed_group_equals_runs_one_by_one(group):
     expected = outcome([lambda c=c: serial_summary(c) for c in group])
     assert outcome([lambda c=c: run(c)[1] for c in group]) == expected
     assert outcome([lambda: run_group(group)]) == (expected if isinstance(expected, tuple) else [expected])
+
+
+@pytest.mark.parametrize("pair_scales, seeds, stops", [
+    ((), (0, 6, 9, 1), [128, 133, 150, 148]),
+    ((((0, 1), 9.02e307),), (3, 8, 7), [150, 150]),
+], ids=["converging", "faulting"])
+def test_seed_group_across_drift_chunks(pair_scales, seeds, stops):
+    # runs longer than two chunks of DRIFT_STEPS whose members stop mid-chunk:
+    # three converge, one reaches max_iters, and with one link's gain scaled
+    # to the edge of overflow seed 7 faults at step 94 (block 93 overflows)
+    group = [base_config(n=12, topology=TopologySpec(kind="ring"), algorithm="tvc",
+                         fading=FadingModel.uniform(0.1, 2.0), noise_std=1e-8, tol=1e-6, tol_window=3,
+                         max_iters=150, seed=s, pair_scales=pair_scales) for s in seeds]
+    expected = outcome([lambda c=c: serial_summary(c) for c in group])
+    done = []
+    assert outcome([lambda: run_group(group, done)]) == (expected if isinstance(expected, tuple) else [expected])
+    assert done == [serial_summary(c) for c in group[:len(done)]]
+    assert [s.iterations_used for s in done] == stops and min(stops) >= 2 * DRIFT_STEPS
+    assert all(s.mass_drift_y > 0 and s.mass_drift_x > 0 for s in done)
+    if pair_scales:
+        assert expected[1].startswith("gain of pair (0,1) in block 93 is inf")
 
 
 def test_seed_group_draws_one_block_per_member_step(monkeypatch):
@@ -486,3 +511,73 @@ def test_stacked_audit_matches_member_audits(seed, B):
             alone[i].add(procs[i].realization(k).gains)
         stacked.add(np.array([procs[i].realization(k).gains for i in live]), symmetric=True)
     assert list(np.broadcast_to(stacked.verdicts, (2,))) == [alone[0].satisfied, alone[2].satisfied]
+
+
+@st.composite
+def audit_feeds(draw):
+    """An audit's shape, window, threshold and pending budget, and a feed of
+    gain stacks: each step may drop members first (keeping at least one),
+    passes its symmetric flag (set only on symmetric gains, so that a
+    stack can mix flags) and may read the verdicts after its gains go in."""
+    n, m, B = draw(st.integers(2, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    symmetric, epsilon = draw(st.booleans()), draw(st.sampled_from([0.5, 0.7, 0.9]))
+    # a budget of a few windows, or under one, makes short feeds cross it
+    budget = draw(st.one_of(st.just(topology.PENDING_BOOLS), st.integers(1, 5 * m * n * n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    steps, live = [], m
+    for _ in range(draw(st.integers(0, 36))):
+        drop = None
+        if live > 1 and rng.random() < 0.1:
+            drop = rng.random(live) < 0.5
+            drop[rng.integers(live)] = False
+            live -= int(drop.sum())
+        gains = rng.random((live, n, n))
+        if symmetric:
+            gains = np.maximum(gains, np.swapaxes(gains, -1, -2))
+        steps.append((drop, gains, symmetric and rng.random() < 0.8, rng.random() < 0.3))
+    return m, B, epsilon, budget, steps
+
+
+@given(feed=audit_feeds())
+@settings(max_examples=150, deadline=None)
+def test_batched_audit_equals_eager_audit(feed):
+    # windows wait in a pending stack and are judged together; every read
+    # must show what judging each window union as it completes shows
+    m, B, epsilon, budget, steps = feed
+    members = list(range(m))
+    history = {i: [] for i in members}  # each member's effective graphs
+
+    def reference():
+        return [all(is_strongly_connected(np.logical_or.reduce(history[i][w * B:(w + 1) * B]))
+                    for w in range(len(history[i]) // B)) for i in members]
+
+    with mock.patch.object(topology, "PENDING_BOOLS", budget):
+        audit = EpsilonBAudit(epsilon, B)
+        for drop, gains, symmetric, read in steps:
+            if drop is not None:
+                audit.keep(~drop)
+                members = [i for i, d in zip(members, drop) if not d]
+            audit.add(gains, symmetric)
+            for i, g in zip(members, gains):
+                history[i].append(g > epsilon)
+            if read:
+                assert list(np.broadcast_to(audit.verdicts, (len(members),))) == reference()
+                assert audit.satisfied == all(reference())
+        assert list(np.broadcast_to(audit.verdicts, (len(members),))) == reference()
+
+
+@pytest.mark.parametrize("n, m, windows, calls", [(10, 4, 500, 4), (130, 4, 3, 3)])
+def test_audit_judges_pending_windows_in_bounded_stacks(n, m, windows, calls, monkeypatch):
+    # 163 windows of 4 x 10 x 10 fill the 64 KB pending stack, so 500 take
+    # three full stacks and a last one settled by the read; a window over
+    # the budget on its own is judged as it completes
+    judged = []
+    reaches_all = topology._reaches_all
+    monkeypatch.setattr(topology, "_reaches_all", lambda adj: judged.append(adj.nbytes) or reaches_all(adj))
+    audit = EpsilonBAudit(0.5, 1)
+    gains = np.ones((m, n, n))
+    for _ in range(windows):
+        audit.add(gains, symmetric=True)
+    assert audit.satisfied
+    assert len(judged) == calls
+    assert max(judged) <= max(topology.PENDING_BOOLS, m * n * n)
