@@ -23,7 +23,6 @@ from .analysis import (
     PeriodicityError,
     audit_column_stochastic,
     build_Hbar,
-    mass_audit,
     matrix_oracle,
     stationary_limit,
 )
@@ -36,7 +35,7 @@ from .simulator import (
     InitialSpec,
     SimulationConfig,
     Trajectory,
-    _kernel,
+    _drive,
     prepare,
     run,
     run_group,
@@ -366,53 +365,18 @@ class CheckResult:
     threshold: float
 
 
-def _protocol_passes(algorithm, starts, blocks, steps):
-    """Noiseless passes of the simulator's stepping kernel in oracle array
-    layout: pass i starts from the initial values starts[i], reads
-    blocks[i] and runs steps[i] steps, in non-increasing order. The passes
-    step together as one kernel's members, and a fault is raised as the
-    passes run one at a time, in order, raise it. Returns each pass's
-    (Y, X, MU)."""
-    try:
-        return _stepped_together(algorithm, starts, blocks, steps)
-    except (ValueError, RuntimeError):
-        if len(starts) == 1:
-            raise
-        for i in range(len(starts)):  # the earliest pass's fault
-            _stepped_together(algorithm, starts[i:i + 1], blocks[i:i + 1], steps[i:i + 1])
-        raise
-
-
-def _stepped_together(algorithm, starts, blocks, steps):
-    m, n = len(starts), len(starts[0])
-    S = np.array([InitialStates(v).values for v in starts])
-    kernel = _kernel(algorithm, S, [None] * m, blocks, 0.0, [None] * m, None)
-    rows, stops, keep = [np.empty((3, k + 1, n)) for k in steps], np.array(steps), None
-    with np.errstate(over="ignore"):  # every overflow is refused by name
-        for k in range(steps[0] + 1):
-            live, y, x, mu = kernel.send(keep)
-            for j, i in enumerate(live):
-                r = rows[i]
-                r[0, k], r[1, k], r[2, k] = y[j], x[j], mu[j]
-            keep = stops[live] > k if k in steps else None
-    return [tuple(r) for r in rows]
-
-
 def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """Invariant checks derived from the config's topology, fading, and seeds.
 
     The graph, initial values and channel are prepare's for the config run
-    as tvc without deep fade. The tic regime reads the channel's block 0 at
-    every step, the tvc regime block k - 1 at step k.
-
-    Each regime is realized and stepped once: one 1000-step kernel pass
-    feeds its mass-conservation check, and the pass's first 101 rows, which
-    the deterministic kernel makes bitwise those of a 100-step pass, are
-    held against the matrix oracle over the regime's first 100 blocks. The
-    two equivariance passes step their 100 steps as members of the tvc
-    pass. The passes that read no later block (tic's, and the two
-    equivariance passes) step over those blocks as realized, not over the
-    process.
+    as tvc without deep fade. Each regime is realized once and is one
+    driver pass of fixed step counts: tic holds block 0, tvc reads block
+    k - 1 at step k. A 1000-step member feeds the mass-conservation check,
+    and its first 101 rows, bitwise those of a 100-step pass, are held
+    against the matrix oracle over the first 100 blocks. The equivariance
+    passes, refused first if their starts overflow, are 100-step members of
+    the tvc pass. Members that read no later block step over the blocks as
+    realized, not over the process.
 
     Positive checks pass when the measured error is at or below the
     threshold. The two negative controls invert that: they pass when the
@@ -426,21 +390,30 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     h_static = h_varying[:1] * k_eq
     held = SimpleNamespace(realization=h_varying.__getitem__)
 
-    # protocol vs matrix oracle, and conservation of both chain sums, per
-    # regime; the tvc pass, the loop's last, also steps the two equivariance
-    # passes over the first k_eq blocks as its members
+    # the equivariance passes' starts; one that overflows is refused before any pass
     shifted = (("scale_equivariance", lambda v: 3.7 * v), ("shift_equivariance", lambda v: v - 2.0))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused here by name
+        starts = [f(S.values) for _, f in shifted]
+        for (name, _), v in zip(shifted, starts):
+            j = int(np.argmin(np.isfinite(v)))
+            if not np.isfinite(v[j]):
+                raise ValueError(f"{name} start overflows at node {j}: "
+                                 f"initial value {float(S.values[j])!r} becomes {float(v[j])!r}")
+            if not np.isfinite(np.sum(v)):
+                raise ValueError(f"{name} start overflows its sum: {float(np.sum(v))!r}")
+
+    # protocol vs matrix oracle and chain-sum conservation per regime; tvc's pass carries the equivariance passes
     oracle, mass = [], []
-    for regime, h_seq, starts, blocks, steps in (
-        ("tic", h_static, [S.values], [held], [k_mass]),
-        ("tvc", h_varying, [S.values, *(f(S.values) for _, f in shifted)],
-         [channel, held, held], [k_mass, k_eq, k_eq]),
+    for regime, h_seq, passes in (
+        ("tic", h_static, [(S, held, k_mass)]),
+        ("tvc", h_varying, [(S, channel, k_mass), *((InitialStates(v), held, k_eq) for v in starts)]),
     ):
         expected = matrix_oracle(h_seq, S, k_eq)
-        (Y, X, MU), *equivariant = _protocol_passes(regime, starts, blocks, steps)
+        members = [lambda s=s, c=c, k=k: (None, c, s, None, k) for s, c, k in passes]
+        (summary, (Y, X, MU)), *equivariant = _drive(regime, members, record=True)
         err = max(float(np.max(np.abs(e - p[: k_eq + 1]))) for e, p in zip(expected, (Y, X, MU)))
         oracle.append(CheckResult(f"oracle_equivalence_{regime}", err <= 1e-10, err, 1e-10))
-        err = max(mass_audit((Y, X), S))
+        err = max(summary.mass_drift_y, summary.mass_drift_x)  # mass_audit's drift, from the driver
         mass.append(CheckResult(f"mass_conservation_{regime}", err <= 1e-9, err, 1e-9))
 
     # realized mixing matrices must be column stochastic every step
@@ -452,7 +425,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
 
     # ratio trajectories must commute with affine changes of the initial values
     base = MU[: k_eq + 1]
-    for (name, f), (_, _, MUt) in zip(shifted, equivariant):
+    for (name, f), (_, (_, _, MUt)) in zip(shifted, equivariant):
         err = float(np.max(np.abs(MUt - f(base))))
         checks.append(CheckResult(name, err <= 1e-12, err, 1e-12))
 

@@ -16,6 +16,7 @@ weights instead of channel gains. simulator.iterate schedules the slots.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -83,13 +84,20 @@ def prop1_weights(g: Digraph) -> np.ndarray:
     return w
 
 
+@cache
+def _ones(n: int) -> np.ndarray:  # the pilot's transmission, built once per n
+    ones = np.ones(n)
+    ones.setflags(write=False)
+    return ones
+
+
 def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
     """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
     gains @ 1 (self term included) plus its noise, is its normalization sum.
     A sum that overflows (the caller silences numpy's warning) or falls to
     SIGMA_MIN or below raises, naming the node. Stacked gains (m, n, n)
     give (m, n) sums."""
-    sigma = gains @ np.ones(gains.shape[-1])
+    sigma = gains @ _ones(gains.shape[-1])
     if noise is not None:
         sigma = sigma + noise
     cut = sigma <= SIGMA_MIN

@@ -1,6 +1,6 @@
 """End-to-end runs: topology and channel construction from one master seed,
-per-step slot scheduling with optional receiver noise, seed groups stepped
-together, spread-based convergence detection, and summary verdicts.
+per-step slot scheduling with optional receiver noise, one driver that steps
+members together to their stops, and summary verdicts.
 
 One master seed fans out into four independent substreams (topology,
 channel, initial values, noise), so changing the noise level never reshuffles
@@ -27,8 +27,8 @@ INITIAL_KINDS = tuple(INITIAL_ARGS)
 
 TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
 
-#: Steps of chain sums a seed group buffers before folding them into its
-#: running mass drift.
+#: Steps of states a driver pass buffers before folding them into its
+#: members' mass drift and recorded rows.
 DRIFT_STEPS = 64
 
 
@@ -134,7 +134,8 @@ class Trajectory:
     Each field is a read-only (steps + 1, n) float array whose row k holds
     the state after step k; row 0 is the initial values. len() is the row
     count of the trajectory table, (steps + 1) * n. Two trajectories are
-    equal when all three arrays are.
+    equal when all three arrays are. A caller's arrays are copied; run()
+    hands over the driver's own through _adopt.
     """
 
     y_tilde: np.ndarray
@@ -149,6 +150,15 @@ class Trajectory:
         for name, a in arrays.items():
             a.setflags(write=False)
             object.__setattr__(self, name, a)
+
+    @classmethod
+    def _adopt(cls, *arrays) -> "Trajectory":
+        """A trajectory over the driver's arrays, made read-only, not copied."""
+        self = object.__new__(cls)
+        for name, a in zip(TRAJECTORY_FIELDS, arrays):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        return self
 
     def __len__(self) -> int:
         return self.mu.size
@@ -229,15 +239,15 @@ def prepare(config: SimulationConfig):
 
 
 def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
-    """The one stepping loop: the m members of S (m, n) step together, each
-    exactly as iterate() steps one, with one entry per member in graphs
-    (baseline), channels (tic, tvc) and noise_rngs. Yields (live, y_tilde,
-    x_tilde, mu) for step 0 and after every step: the members still
-    stepping and their (len(live), n) states. Send a boolean mask over live
-    to stop members; a stopped member draws no further block or noise.
-    tvc stacks the members' first blocks into one (m, n, n) buffer, G, and
-    while every live member's channel is a ChannelProcess each writes its
-    later blocks into its member's slot of G in place."""
+    """The one stepping loop, which only _drive and iterate() step: the m
+    members of S (m, n) step together, each exactly as iterate() steps one,
+    with one entry per member in graphs (baseline), channels (tic, tvc) and
+    noise_rngs. Yields (live, y_tilde, x_tilde, mu) for step 0 and after
+    every step: the members still stepping and their (len(live), n) states.
+    Send a boolean mask over live to stop members; a stopped member draws
+    no further block or noise. tvc stacks the members' blocks into one
+    (m, n, n) buffer, G, which a ChannelProcess writes its member's slot of
+    in place while every live member's channel is one."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     m, n = S.shape
@@ -327,97 +337,105 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
 
 
 def run_group(configs, done=None) -> list[RunSummary]:
-    """run()'s summary for each config, in order: [run(c)[1] for c in
-    configs] without the trajectories.
-
+    """run()'s summary for each config, in order, without the trajectories.
     Consecutive configs that differ only in seed (a sweep value's seeds)
-    step together through one kernel pass. A failing config raises what it
+    are the members of one driver pass, so a failing config raises what it
     would raise alone, and no later config runs. The summaries are appended
-    to done, a list when given, as they are due, so after a fault it holds
-    those of the configs before the failing one.
-    """
+    to done, a list when given, as they are due: after a fault it holds
+    those of the configs before the failing one."""
     done = [] if done is None else done
     for _, batch in groupby(configs, key=lambda c: replace(c, seed=0)):
-        batch = list(batch)
-        try:
-            done += _batch(batch)
-        except (ValueError, RuntimeError):  # every fault a member names
-            if len(batch) == 1:
-                raise
-            for c in batch:  # one at a time, so the error raised is the earliest config's
-                done += _batch([c])
+        for summary, _ in _seed_group(list(batch)):
+            done.append(summary)
     return done
 
 
-def _batch(configs, rows=None) -> list[RunSummary]:
-    """Summaries of configs that differ only in seed, stepped together.
-
-    Each member stops on its own: when its ratio spread has stayed at or
-    below tol for tol_window consecutive post-update steps, or at max_iters.
-    Each step's chain sums go into a buffer of DRIFT_STEPS steps, which is
-    folded into the running mass drift when full and whenever a member
-    stops; the stop masks are built only on steps where a member can stop.
-    With rows, a list, a batch of one appends each step's (y_tilde,
-    x_tilde, mu) to it.
-    """
+def _seed_group(configs, record=False):
+    """_drive over configs that differ only in seed, one member each."""
     cfg = configs[0]
-    graphs, channels, initials = map(list, zip(*(prepare(c) for c in configs)))
-    S = np.array([s.values for s in initials])
-    rngs = [np.random.default_rng(stream_seeds(c.seed)[3]) for c in configs]
-    audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
-    kernel = _kernel(cfg.algorithm, S, graphs, channels, cfg.noise_std, rngs, audit)
-    # conserved (y, x) sums per member, their worst deviation so far, and the
-    # sums of the steps not yet folded into it
-    conserved = np.array([S.sum(axis=-1), np.full(len(configs), float(cfg.n))])
-    drift, sums, filled = np.zeros_like(conserved), np.empty((2, DRIFT_STEPS, len(configs))), 0
-    streak, keep, summaries = np.zeros(len(configs), dtype=int), None, [None] * len(configs)
+    members = [lambda c=c: (*prepare(c), np.random.default_rng(stream_seeds(c.seed)[3]), c.max_iters)
+               for c in configs]
+    return _drive(cfg.algorithm, members, noise_std=cfg.noise_std, tol=cfg.tol, window=cfg.tol_window,
+                  epsilon_B=(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None, record=record)
+
+
+def _drive(algorithm, members, **rule):
+    """The one driver of kernel passes. A member is a call that sets it up
+    afresh: (graph, channel, InitialStates, noise generator, step budget);
+    it stops at its budget or, with a tol, after window post-update steps
+    in a row with its ratio spread at or below tol. Returns each member's
+    (summary, rows) in member order, rows its (y_tilde, x_tilde, mu) with
+    record. A member's fault (a ValueError or RuntimeError) replays the
+    members one at a time as the results are read: the fault raised is the
+    earliest member's, after the results before it."""
+    try:
+        return _drive_together(algorithm, [setup() for setup in members], **rule)
+    except (ValueError, RuntimeError):  # every fault a member names
+        if len(members) == 1:
+            raise
+        return (r for setup in members for r in _drive(algorithm, [setup], **rule))
+
+
+def _drive_together(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
+    """_drive's pass of set-up members, without the replay; epsilon_B, an
+    (epsilon, B) pair, gives it an EpsilonBAudit."""
+    graphs, channels, starts, rngs, budgets = zip(*members)
+    S, budgets = np.array([s.values for s in starts]), np.array(budgets)
+    m, n = S.shape
+    audit = None if epsilon_B is None else EpsilonBAudit(*epsilon_B)
+    kernel = _kernel(algorithm, S, graphs, channels, noise_std, rngs, audit)
+    # each member's rows, grown in place up to its budget; conserved (y, x)
+    # sums, their worst deviation so far, and the states not yet folded in
+    rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
+    conserved = np.array([S.sum(axis=-1), np.full(m, float(n))])
+    drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
+    streak, next_stop, keep, results = np.zeros(m, dtype=int), budgets.min(), None, [None] * m
     with np.errstate(over="ignore"):  # every overflow is refused by name
         # each step's stop mask goes back in; the kernel ends when no member is left
         for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
             if keep is not None:  # one column per member still stepping, as in the kernel
-                conserved, drift, streak = conserved[:, keep], drift[:, keep], streak[keep]
-                sums, keep = np.empty((2, DRIFT_STEPS, live.size)), None
-            y.sum(axis=-1, out=sums[0, filled])
-            x.sum(axis=-1, out=sums[1, filled])
+                conserved, drift, streak, budgets = conserved[:, keep], drift[:, keep], streak[keep], budgets[keep]
+                chunk, next_stop, keep = np.empty((3, DRIFT_STEPS, live.size, n)), budgets.min(), None
+            chunk[0, filled], chunk[1, filled], chunk[2, filled] = y, x, mu
             filled += 1
-            if k > 0:
-                streak = np.where(np.ptp(mu, axis=-1) <= cfg.tol, streak + 1, 0)
-            if rows is not None:
-                rows.append((y[0], x[0], mu[0]))
-            stopping = k == cfg.max_iters or streak.max() >= cfg.tol_window  # some member stops
+            stopping = k == next_stop  # some member stops
+            if tol is not None and k > 0:
+                streak = np.where(np.ptp(mu, axis=-1) <= tol, streak + 1, 0)
+                stopping = stopping or streak.max() >= window
             if filled == DRIFT_STEPS or stopping:
-                deviation = np.abs(sums[:, :filled] - conserved[:, np.newaxis]).max(axis=1)
+                deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
                 np.maximum(drift, deviation, out=drift)
+                for j, i in enumerate(live if record else ()):
+                    for a, c in zip(rows[i], chunk[:, :filled, j]):
+                        if len(a) <= k:  # double, up to the member's budget
+                            a.resize((min(2 * len(a), budgets[j] + 1), n), refcheck=False)
+                        a[k + 1 - filled : k + 1] = c
                 filled = 0
             if not stopping:
                 continue
-            converged = streak >= cfg.tol_window
-            stop = converged | (k == cfg.max_iters)
+            converged = streak >= window
+            stop = converged | (budgets == k)
             verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
             for j in np.flatnonzero(stop):
-                target = initials[live[j]].mean()
-                summaries[live[j]] = RunSummary(
-                    converged=bool(converged[j]),
-                    iterations_used=k,
-                    target_average=target,
-                    final_max_error=float(np.max(np.abs(mu[j] - target))),
+                i, target = live[j], starts[live[j]].mean()
+                for a in rows[i] if record else ():  # cut to length
+                    a.resize((k + 1, n), refcheck=False)
+                results[i] = RunSummary(
+                    converged=bool(converged[j]), iterations_used=k, target_average=target,
+                    final_max_error=float(np.max(np.abs(mu[j] - target))), mass_drift_x=float(drift[1, j]) / n,
                     mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(conserved[0, j]))),
-                    mass_drift_x=float(drift[1, j]) / cfg.n,
                     epsilon_B_satisfied=None if verdicts is None else bool(verdicts[j]),
-                )
+                ), tuple(rows[i]) if record else None
             keep = ~stop
-    return summaries
+    return results
 
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Execute one experiment to convergence or max_iters: a batch of one
-    that also records its trajectory.
-
+    """Execute one experiment to convergence or max_iters: a driver pass of
+    one member that records its trajectory, handed to Trajectory uncopied.
     Convergence means the ratio spread stayed at or below tol for tol_window
     consecutive post-update steps. Non-convergence is a verdict, not an
     error; genuinely broken states (non-finite values, lost pilot mass,
-    nonpositive denominators) raise instead.
-    """
-    rows = []
-    summary, = _batch([config], rows)
-    return Trajectory(*zip(*rows)), summary
+    nonpositive denominators) raise instead."""
+    (summary, rows), = _seed_group([config], record=True)
+    return Trajectory._adopt(*rows), summary

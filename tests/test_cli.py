@@ -26,7 +26,8 @@ from otaconsensus.cli import (
     write_trajectory_csv,
 )
 from otaconsensus.floattext import float_fields
-from otaconsensus.simulator import NonFiniteStateError, Trajectory, run, run_group
+from otaconsensus.protocol import InitialStates
+from otaconsensus.simulator import NonFiniteStateError, Trajectory, _drive, run, run_group
 from otaconsensus.topology import TopologySpec, generate_topology
 
 MINIMAL = """\
@@ -781,12 +782,15 @@ def test_verify_passes_step_together_as_they_step_alone():
         return SimpleNamespace(realization=realization)
 
     starts = [np.arange(6.0), 3.7 * np.arange(6.0), np.arange(6.0) - 2.0]
-    together = cli._protocol_passes("tvc", starts, [proc, blocks(), blocks()], [40, 10, 10])
+    together = [rows for _, rows in _drive("tvc", [
+        lambda s=s, b=b, k=k: (None, b, InitialStates(s), None, k)
+        for s, b, k in zip(starts, [proc, blocks(), blocks()], [40, 10, 10])], record=True)]
     for i, steps in enumerate([40, 10, 10]):
-        alone, = cli._protocol_passes("tvc", starts[i:i + 1], [blocks()], [steps])
+        (_, alone), = _drive("tvc", [lambda: (None, blocks(), InitialStates(starts[i]), None, steps)], record=True)
         assert all(np.array_equal(a, b) for a, b in zip(together[i], alone))
     with pytest.raises(ValueError, match="failing at 7"):
-        cli._protocol_passes("tvc", starts[:2], [blocks(7), blocks(2)], [10, 10])
+        list(_drive("tvc", [lambda s=s, b=b: (None, b, InitialStates(s), None, 10)
+                            for s, b in zip(starts[:2], [blocks(7), blocks(2)])]))
 
 
 @pytest.mark.parametrize("command, overrides, expected", [
@@ -806,6 +810,22 @@ def test_overflowing_pilot_sum_exits_three(command, overrides, expected, tmp_pat
     err = capsys.readouterr().err
     assert expected in err
     assert "Warning" not in err
+
+
+@pytest.mark.parametrize("initial, expected", [
+    ("explicit(1e308, -1e308, 5, 6, 7, 8, 9, 10, 11, 12)",
+     "scale_equivariance start overflows at node 0: initial value 1e+308 becomes inf"),
+    ("explicit(4e307, 4e307, 5, 6, 7, 8, 9, 10, 11, 12)", "scale_equivariance start overflows its sum: inf"),
+], ids=["value", "sum"])
+def test_verify_refuses_overflowing_scaled_start(initial, expected, tmp_path, capsys, monkeypatch):
+    # verify makes the scaled start itself, so it names the check that
+    # overflows, before any pass steps and without a numpy warning
+    monkeypatch.setattr(cli, "_drive", None)  # a pass that started would fail here
+    argv = ["verify", str(CONFIG_DIR / "algorithm_sweep.cfg"), "-o", str(tmp_path / "o"),
+            "--set", f"initial={initial}"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {expected}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides, expected", [
@@ -966,6 +986,31 @@ def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256,
     assert main(argv) == 0
     assert capsys.readouterr().out == stdout
     assert hashlib.sha256((tmp_path / "o" / "sweep.csv").read_bytes()).hexdigest() == csv_sha256
+
+
+@pytest.mark.parametrize("command, config, sha256s", [
+    ("run", "tic10.cfg", {
+        "summary.json": "0ea8e44f09a5a7d43e3021989c1a3a87166697e5c2bf2ea07f7f6a88fc9a83e9",
+        "trajectory.csv": "2843654feefd1b2815898a0ce3a729ec0f547ae960567627d3de71a6d4d21bfc"}),
+    ("run", "tvc10.cfg", {
+        "summary.json": "d88788022126d1de76ba9e823adc851d37c62f9916c429dd212f7a36efd2a362",
+        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+    ("verify", "algorithm_sweep.cfg",
+     {"verify.json": "2b2ce6d80a429876e79cc46f1e3309c8318c848e2be8536ae7072cec515a1bb8"}),
+    ("verify", "noise_sweep.cfg",
+     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+    ("verify", "self_weight_sweep.cfg",
+     {"verify.json": "ad9605dfe47aaaa903e904c745e98267163dc83274c47947d81b507d39d43730"}),
+    ("verify", "tic10.cfg",
+     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+    ("verify", "tvc10.cfg",
+     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+])
+def test_run_and_verify_outputs_pinned(command, config, sha256s, tmp_path):
+    # every file run and verify write, to the byte, as the shipped configs give them
+    out = tmp_path / "o"
+    assert main([command, str(CONFIG_DIR / config), "-o", str(out)]) == 0
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == sha256s
 
 
 @pytest.mark.parametrize("command", ["run", "sweep", "verify", "topo"])

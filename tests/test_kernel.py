@@ -3,6 +3,7 @@ windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
 from dataclasses import replace
 from itertools import islice
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, FadingModel
-from otaconsensus.cli import main, write_trajectory_csv
+from otaconsensus.cli import main, parse_config, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
 from otaconsensus.analysis import mass_audit
 from otaconsensus import topology
@@ -193,6 +194,31 @@ def test_n200_trajectory_memory_is_bounded(tmp_path):
     assert summary.iterations_used == steps and len(trajectory) == (steps + 1) * n
     assert run_peak < 3 * stored + 4 * n * n * 8
     assert write_peak < stored / 4
+
+
+def test_run_holds_one_copy_of_its_trajectory():
+    # the driver writes each step's rows into arrays that grow in place, and
+    # run() hands those arrays to Trajectory without another copy; a short
+    # run with a huge budget shows a recorder that preallocates max_iters rows
+    n, steps = 200, 2000
+    stored = 3 * 8 * (steps + 1) * n
+    cfg = base_config(n=n, topology=TopologySpec(kind="ring"), max_iters=steps, tol=1e-300)
+    tic10 = Path(__file__).resolve().parents[1] / "configs" / "tic10.cfg"
+    short = parse_config(str(tic10), ["max_iters=10000000"])
+    tracemalloc.start()
+    try:
+        trajectory, summary = run(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+        held = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        _, short_summary = run(short)
+        short_peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert summary.iterations_used == steps and len(trajectory) == (steps + 1) * n
+    assert peak < 1.3 * stored
+    assert short_summary.converged and short_summary.iterations_used == 46
+    assert short_peak < 2**20
 
 
 # ---------------------------------------------------------------- seed groups
