@@ -1,6 +1,6 @@
 """End-to-end runs: topology and channel construction from one master seed,
-per-step slot scheduling with optional receiver noise, one driver that steps
-members together to their stops, and summary verdicts.
+per-step slot scheduling with optional receiver noise, one stepping loop
+that steps members together to their stops, and summary verdicts.
 
 One master seed fans out into four independent substreams (topology,
 channel, initial values, noise), so changing the noise level never reshuffles
@@ -27,7 +27,7 @@ INITIAL_KINDS = tuple(INITIAL_ARGS)
 
 TRAJECTORY_FIELDS = ("y_tilde", "x_tilde", "mu")
 
-#: Steps of states a driver pass buffers before folding them into its
+#: Steps of states a _kernel pass buffers before folding them into its
 #: members' mass drift and recorded rows.
 DRIFT_STEPS = 64
 
@@ -135,7 +135,7 @@ class Trajectory:
     the state after step k; row 0 is the initial values. len() is the row
     count of the trajectory table, (steps + 1) * n. Two trajectories are
     equal when all three arrays are. A caller's arrays are copied; run()
-    hands over the driver's own through _adopt.
+    hands over the kernel's own through _adopt.
     """
 
     y_tilde: np.ndarray
@@ -153,7 +153,7 @@ class Trajectory:
 
     @classmethod
     def _adopt(cls, *arrays) -> "Trajectory":
-        """A trajectory over the driver's arrays, made read-only, not copied."""
+        """A trajectory over the kernel's arrays, made read-only, not copied."""
         self = object.__new__(cls)
         for name, a in zip(TRAJECTORY_FIELDS, arrays):
             a.setflags(write=False)
@@ -238,21 +238,39 @@ def prepare(config: SimulationConfig):
     return g, channel, S
 
 
-def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
-    """The one stepping loop, which only _drive and iterate() step: the m
-    members of S (m, n) step together, each exactly as iterate() steps one,
-    with one entry per member in graphs (baseline), channels (tic, tvc) and
-    noise_rngs. Yields (live, y_tilde, x_tilde, mu) for step 0 and after
-    every step: the members still stepping and their (len(live), n) states.
-    Send a boolean mask over live to stop members; a stopped member draws
-    no further block or noise. tvc stacks the members' blocks into one
-    (m, n, n) buffer, G, which a ChannelProcess writes its member's slot of
-    in place while every live member's channel is one."""
+def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, record=False):
+    """The one stepping loop, which only _drive and iterate() step: a pass
+    of set-up members, each (graph, channel, InitialStates, noise generator,
+    step budget), stepping together as one (m, n) state. Yields the
+    (y_tilde, x_tilde, mu) of the members still stepping for step 0 and
+    after every step. Each step is y_tilde' = G @ (y_tilde / sigma) + noise,
+    likewise for x_tilde:
+
+    - tic: G is block 0 at every step, sigma measured once by a pilot;
+    - tvc: step k reads block k - 1, measured by a fresh pilot and fed to
+      audit (an EpsilonBAudit) when one is given. The blocks stack into one
+      (m, n, n) buffer, G, whose slots ChannelProcess channels write in place;
+    - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
+      that draws no receiver noise.
+
+    With noise_std > 0 each analog slot draws n values from the member's
+    generator, in slot order: tic's pilot once, then numerator and
+    denominator each step; tvc's pilot, numerator and denominator each step.
+    A G that is not n x n raises ValueError, a broken state as in run().
+
+    A member stops at its budget or after window steps in a row with its
+    ratio spread at or below tol, and then draws nothing more. The states
+    go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
+    with record into each member's rows) when full and when a member stops.
+    After the last stop the pass returns each member's (summary, rows) in
+    member order. A member with budget None never stops and keeps no books:
+    iterate()'s."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
-    m, n = S.shape
-    live = np.arange(m)
-    y, x = S.copy(), np.ones((m, n))
+    graphs, channels, starts, rngs, budgets = zip(*members)
+    y = np.array([s.values for s in starts])
+    m, n = y.shape
+    live, results, x = np.arange(m), [None] * m, np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
     processes = all(isinstance(c, ChannelProcess) for c in channels)  # reciprocal blocks, written in place
 
@@ -264,7 +282,7 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
     def noise(count):  # one (len(live), n) array per slot
         if not noisy:
             return (None,) * count
-        return np.array([noise_rngs[i].normal(0.0, noise_std, size=(count, n)) for i in live]).swapaxes(0, 1)
+        return np.array([rngs[i].normal(0.0, noise_std, size=(count, n)) for i in live]).swapaxes(0, 1)
 
     def checked(k, y, x):
         mu = ratio(y, x, f" at step {k}")
@@ -273,24 +291,22 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
             raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
         return mu
 
+    books = budgets[0] is not None
+    if books:
+        # each member's rows, grown in place up to its budget; conserved (y, x)
+        # sums, their worst deviation so far, and the states not yet folded in
+        budgets = np.array(budgets)
+        rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
+        conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
+        drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
+        streak, next_stop = np.zeros(m, dtype=int), budgets.min()
     if algorithm == "baseline":
         G, sigma = np.array([sized(prop1_weights(g), "the graph") for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
         G = np.array([sized(c.realization(0).gains, "the channel") for c in channels])
         sigma = pilot(G, noise(1)[0], "at initialization")
-    mu = checked(0, y, x)
-    for k in count(1):
-        keep = yield live, y, x, mu
-        if keep is not None:
-            live, y, x = live[keep], y[keep], x[keep]
-            if algorithm != "tvc" or k > 1:  # a member's slot of G moves with it
-                G, sigma = G[keep], sigma[keep]
-            if not live.size:
-                return
-            if audit is not None:
-                audit.keep(keep)
-            processes = all(isinstance(channels[i], ChannelProcess) for i in live)
-        if algorithm == "tvc":
+    for k in count():
+        if k and algorithm == "tvc":
             if k > 1 and processes:  # each slot holds its member's last block
                 for j, i in enumerate(live):
                     channels[i].realization(k - 1, out=G[j])
@@ -301,45 +317,75 @@ def _kernel(algorithm, S, graphs, channels, noise_std, noise_rngs, audit):
                 audit.add(G, processes)
             w_sigma, w_y, w_x = noise(3)
             sigma = pilot(G, w_sigma, f"at step {k}")
-        else:
-            w_y, w_x = noise(2)
-        y, x = ota_step(G, sigma, y, x, w_y, w_x)
+            y, x = ota_step(G, sigma, y, x, w_y, w_x)
+        elif k:
+            y, x = ota_step(G, sigma, y, x, *noise(2))
         mu = checked(k, y, x)
+        yield y, x, mu
+        if not books:
+            continue
+        chunk[0, filled], chunk[1, filled], chunk[2, filled] = y, x, mu
+        filled += 1
+        stopping = k == next_stop  # some member stops
+        if tol is not None and k > 0:
+            streak = np.where(np.ptp(mu, axis=-1) <= tol, streak + 1, 0)
+            stopping = stopping or streak.max() >= window
+        if filled == DRIFT_STEPS or stopping:
+            deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
+            np.maximum(drift, deviation, out=drift)
+            for j, i in enumerate(live if record else ()):
+                for a, c in zip(rows[i], chunk[:, :filled, j]):
+                    if len(a) <= k:  # double, up to the member's budget
+                        a.resize((min(2 * len(a), budgets[j] + 1), n), refcheck=False)
+                    a[k + 1 - filled : k + 1] = c
+            filled = 0
+        if not stopping:
+            continue
+        converged = streak >= window
+        stop = converged | (budgets == k)
+        verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
+        for j in np.flatnonzero(stop):
+            i, target = live[j], starts[live[j]].mean()
+            for a in rows[i] if record else ():  # cut to length
+                a.resize((k + 1, n), refcheck=False)
+            results[i] = RunSummary(
+                converged=bool(converged[j]), iterations_used=k, target_average=target,
+                final_max_error=float(np.max(np.abs(mu[j] - target))), mass_drift_x=float(drift[1, j]) / n,
+                mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(conserved[0, j]))),
+                epsilon_B_satisfied=None if verdicts is None else bool(verdicts[j]),
+            ), tuple(rows[i]) if record else None
+        keep = ~stop
+        if not keep.any():
+            return results
+        # every per-member array keeps the columns of the members still stepping
+        live, y, x, streak, budgets = live[keep], y[keep], x[keep], streak[keep], budgets[keep]
+        conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
+        chunk = np.empty((3, DRIFT_STEPS, live.size, n))
+        if algorithm != "tvc" or k > 0:  # a member's slot of G moves with it
+            G, sigma = G[keep], sigma[keep]
+        if audit is not None:
+            audit.keep(keep)
+        processes = all(isinstance(channels[i], ChannelProcess) for i in live)
 
 
 def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
             noise_std: float = 0.0, noise_rng=None, audit=None):
-    """The batched stepping loop viewed for one member: what the tests hold
-    hand-stepped references against.
-
-    Yields (y_tilde, x_tilde, mu) for step 0 (the initial values) and then
-    after every step, without end; the caller decides when to stop. Every
-    step is y_tilde' = G @ (y_tilde / sigma) + noise, likewise for x_tilde:
-
-    - tic: G is block 0 at every step, sigma measured once by a pilot;
-    - tvc: step k reads block k - 1 and measures it by a fresh pilot, each
-      block also fed to audit (an EpsilonBAudit) when one is given;
-    - baseline: G = prop1_weights(g) and sigma = 1. The exchange is
-      digital, so it draws no receiver noise.
-
-    A G that is not n x n for the n initial values raises ValueError; a
-    broken state raises as in run(), without numpy warnings.
-
-    With noise_std > 0 every analog slot draws n values from noise_rng in
-    slot order: tic's pilot once, then numerator and denominator each step;
-    tvc's pilot, numerator and denominator each step.
-    """
-    kernel = _kernel(algorithm, S.values[np.newaxis], [g], [channel], noise_std, [noise_rng], audit)
+    """A _kernel pass of one member viewed without end: what the tests hold
+    hand-stepped references against. Yields (y_tilde, x_tilde, mu) for step
+    0 (the initial values) and after every step, stepped as _kernel
+    describes from the graph g (baseline) or the channel, any object with a
+    realization(k) method; the caller decides when to stop."""
+    kernel = _kernel(algorithm, [(g, channel, S, noise_rng, None)], noise_std, audit)
     while True:
         with np.errstate(over="ignore"):  # every overflow is refused by name
-            _, y, x, mu = next(kernel)
+            y, x, mu = next(kernel)
         yield y[0], x[0], mu[0]
 
 
 def run_group(configs, done=None) -> list[RunSummary]:
     """run()'s summary for each config, in order, without the trajectories.
     Consecutive configs that differ only in seed (a sweep value's seeds)
-    are the members of one driver pass, so a failing config raises what it
+    are the members of one _kernel pass, so a failing config raises what it
     would raise alone, and no later config runs. The summaries are appended
     to done, a list when given, as they are due: after a fault it holds
     those of the configs before the failing one."""
@@ -359,79 +405,29 @@ def _seed_group(configs, record=False):
                   epsilon_B=(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None, record=record)
 
 
-def _drive(algorithm, members, **rule):
-    """The one driver of kernel passes. A member is a call that sets it up
-    afresh: (graph, channel, InitialStates, noise generator, step budget);
-    it stops at its budget or, with a tol, after window post-update steps
-    in a row with its ratio spread at or below tol. Returns each member's
-    (summary, rows) in member order, rows its (y_tilde, x_tilde, mu) with
-    record. A member's fault (a ValueError or RuntimeError) replays the
-    members one at a time as the results are read: the fault raised is the
-    earliest member's, after the results before it."""
+def _drive(algorithm, members, epsilon_B=None, **rule):
+    """A _kernel pass run to its end: its results. Each member is a call
+    that sets it up afresh, the rule is _kernel's, and epsilon_B, an
+    (epsilon, B) pair, gives the pass an EpsilonBAudit. A member's fault (a
+    ValueError or RuntimeError) replays the members one at a time as the
+    results are read: the fault raised is the earliest member's, after the
+    results before it."""
     try:
-        return _drive_together(algorithm, [setup() for setup in members], **rule)
+        audit = None if epsilon_B is None else EpsilonBAudit(*epsilon_B)
+        kernel = _kernel(algorithm, [setup() for setup in members], audit=audit, **rule)
+        with np.errstate(over="ignore"):  # every overflow is refused by name
+            while True:
+                next(kernel)
+    except StopIteration as end:
+        return end.value
     except (ValueError, RuntimeError):  # every fault a member names
         if len(members) == 1:
             raise
-        return (r for setup in members for r in _drive(algorithm, [setup], **rule))
-
-
-def _drive_together(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
-    """_drive's pass of set-up members, without the replay; epsilon_B, an
-    (epsilon, B) pair, gives it an EpsilonBAudit."""
-    graphs, channels, starts, rngs, budgets = zip(*members)
-    S, budgets = np.array([s.values for s in starts]), np.array(budgets)
-    m, n = S.shape
-    audit = None if epsilon_B is None else EpsilonBAudit(*epsilon_B)
-    kernel = _kernel(algorithm, S, graphs, channels, noise_std, rngs, audit)
-    # each member's rows, grown in place up to its budget; conserved (y, x)
-    # sums, their worst deviation so far, and the states not yet folded in
-    rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
-    conserved = np.array([S.sum(axis=-1), np.full(m, float(n))])
-    drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
-    streak, next_stop, keep, results = np.zeros(m, dtype=int), budgets.min(), None, [None] * m
-    with np.errstate(over="ignore"):  # every overflow is refused by name
-        # each step's stop mask goes back in; the kernel ends when no member is left
-        for k, (live, y, x, mu) in enumerate(iter(lambda: kernel.send(keep), None)):
-            if keep is not None:  # one column per member still stepping, as in the kernel
-                conserved, drift, streak, budgets = conserved[:, keep], drift[:, keep], streak[keep], budgets[keep]
-                chunk, next_stop, keep = np.empty((3, DRIFT_STEPS, live.size, n)), budgets.min(), None
-            chunk[0, filled], chunk[1, filled], chunk[2, filled] = y, x, mu
-            filled += 1
-            stopping = k == next_stop  # some member stops
-            if tol is not None and k > 0:
-                streak = np.where(np.ptp(mu, axis=-1) <= tol, streak + 1, 0)
-                stopping = stopping or streak.max() >= window
-            if filled == DRIFT_STEPS or stopping:
-                deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
-                np.maximum(drift, deviation, out=drift)
-                for j, i in enumerate(live if record else ()):
-                    for a, c in zip(rows[i], chunk[:, :filled, j]):
-                        if len(a) <= k:  # double, up to the member's budget
-                            a.resize((min(2 * len(a), budgets[j] + 1), n), refcheck=False)
-                        a[k + 1 - filled : k + 1] = c
-                filled = 0
-            if not stopping:
-                continue
-            converged = streak >= window
-            stop = converged | (budgets == k)
-            verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
-            for j in np.flatnonzero(stop):
-                i, target = live[j], starts[live[j]].mean()
-                for a in rows[i] if record else ():  # cut to length
-                    a.resize((k + 1, n), refcheck=False)
-                results[i] = RunSummary(
-                    converged=bool(converged[j]), iterations_used=k, target_average=target,
-                    final_max_error=float(np.max(np.abs(mu[j] - target))), mass_drift_x=float(drift[1, j]) / n,
-                    mass_drift_y=float(drift[0, j]) / max(1.0, abs(float(conserved[0, j]))),
-                    epsilon_B_satisfied=None if verdicts is None else bool(verdicts[j]),
-                ), tuple(rows[i]) if record else None
-            keep = ~stop
-    return results
+        return (r for setup in members for r in _drive(algorithm, [setup], epsilon_B, **rule))
 
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
-    """Execute one experiment to convergence or max_iters: a driver pass of
+    """Execute one experiment to convergence or max_iters: a _kernel pass of
     one member that records its trajectory, handed to Trajectory uncopied.
     Convergence means the ratio spread stayed at or below tol for tol_window
     consecutive post-update steps. Non-convergence is a verdict, not an

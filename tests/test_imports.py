@@ -1,10 +1,12 @@
-"""Import hygiene: every imported name in the package and tests is used.
+"""Import hygiene: every imported name in the package and tests is used,
+and every definition in the package is used.
 
 The repository runs no linter, so this stands in for pyflakes' unused-import
 check. A package ``__init__.py`` may import a name only to re-export it, in
 which case the name must be listed in its ``__all__``.
 """
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -47,6 +49,30 @@ def _unused_imports(path: Path) -> list[str]:
     ]
 
 
+def _references(tree: ast.AST) -> Counter:
+    """How often each name is read, as a bare name or as an attribute."""
+    return Counter(node.id if isinstance(node, ast.Name) else node.attr
+                   for node in ast.walk(tree) if isinstance(node, (ast.Name, ast.Attribute)))
+
+
+def _unreferenced_definitions() -> list[str]:
+    """Functions, classes and methods under src/ that no source or test names
+    outside their own body; dunders and the ``entry`` console script are
+    called by Python and by the installed script."""
+    trees = {p: ast.parse(p.read_text(), filename=str(p)) for p in SOURCES}
+    references = Counter()
+    for tree in trees.values():
+        references.update(_references(tree))
+    return [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {node.name}"
+        for path, tree in trees.items() if ROOT / "src" in path.parents
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not (node.name.startswith("__") and node.name.endswith("__")) and node.name != "entry"
+        and references[node.name] == _references(node)[node.name]
+    ]
+
+
 def test_sources_found():
     assert any(p.parts[-2:] == ("otaconsensus", "__init__.py") for p in SOURCES)
 
@@ -67,3 +93,9 @@ def test_package_exports_exactly_its_imports():
     assert len(otaconsensus.__all__) == len(set(otaconsensus.__all__))
     for name in otaconsensus.__all__:
         getattr(otaconsensus, name)
+
+
+def test_every_definition_is_referenced():
+    # a definition that nothing names is dead code; its own body (a
+    # recursive call) does not count as a use
+    assert _unreferenced_definitions() == []

@@ -158,6 +158,32 @@ def test_kernel_isolation_names_node_and_step(tmp_path):
         run(cfg)
 
 
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_iterate_walks_a_start_whose_sum_overflows(algorithm):
+    # iterate() keeps no mass drift, so finite values whose sum is inf walk
+    # past every chunk of DRIFT_STEPS; warnings are errors here
+    proc = ChannelProcess(FadingModel.half_normal(1.0), generate_topology(TopologySpec("complete"), 4, 0), seed=1)
+    _, _, mu = take(iterate(algorithm, InitialStates(np.full(4, 1e308)), channel=proc), 200)
+    assert mu.shape == (201, 4) and np.isfinite(mu).all()
+
+
+def test_iterate_memory_does_not_grow_with_the_walk():
+    # iterate() records no rows: its peak is the same after 10x the steps
+    ring = generate_topology(TopologySpec("ring"), 50, 0)
+    peaks = []
+    for steps in (200, 2000):
+        walk = iterate("tvc", InitialStates(np.arange(50.0)), channel=ChannelProcess(
+            FadingModel.half_normal(1.0), ring, seed=1))
+        tracemalloc.start()
+        try:
+            for _ in islice(walk, steps):
+                pass
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < peaks[0] + 4096
+
+
 def test_run_memory_is_bounded_without_channel_history():
     # noise keeps the spread above tol, so the run uses its whole budget;
     # keeping every realization would cost max_iters * n^2 doubles
