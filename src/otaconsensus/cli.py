@@ -228,7 +228,8 @@ def _read_sections(path: str) -> dict[str, dict[str, tuple[str, str]]]:
     return sections
 
 
-def _build_config(flat: dict[str, tuple[str, str]]) -> SimulationConfig:
+def _build_config(flat: dict[str, tuple[str, str]], row: str = "") -> SimulationConfig:
+    """The validated config of flat; row leads a SimulationConfig fault (a sweep row's)."""
     for key, (_, where) in flat.items():
         if key not in KNOWN_KEYS:
             raise ConfigError(f"{where}: unknown key {key!r}")
@@ -247,7 +248,7 @@ def _build_config(flat: dict[str, tuple[str, str]]) -> SimulationConfig:
     try:
         return SimulationConfig(**values)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{row}{exc}") from exc
 
 
 def _apply_overrides(flat: dict[str, tuple[str, str]], overrides) -> dict[str, tuple[str, str]]:
@@ -306,7 +307,7 @@ def parse_sweep(path: str, overrides=()) -> tuple[SimulationConfig, SweepSpec]:
             raise ConfigError(f"{swhere}: empty seeds list")
     runs = []
     for value in values:
-        cfg = _build_config({**flat, parameter: (value, vwhere)})
+        cfg = _build_config({**flat, parameter: (value, vwhere)}, f"{parameter} = {value}: ")
         for seed in seeds or (cfg.seed,):
             runs.append((value, replace(cfg, seed=seed)))
     return config, SweepSpec(parameter=parameter, runs=tuple(runs))

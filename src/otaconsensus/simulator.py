@@ -134,8 +134,9 @@ class Trajectory:
     Each field is a read-only (steps + 1, n) float array whose row k holds
     the state after step k; row 0 is the initial values. len() is the row
     count of the trajectory table, (steps + 1) * n. Two trajectories are
-    equal when all three arrays are. A caller's arrays are copied; run()
-    hands over the kernel's own through _adopt.
+    equal when all three arrays are. A read-only float64 array, such as
+    the rows a recording _kernel pass returns, is held as given; any other
+    input is copied once into one.
     """
 
     y_tilde: np.ndarray
@@ -143,22 +144,15 @@ class Trajectory:
     mu: np.ndarray
 
     def __post_init__(self):
-        arrays = {name: np.array(getattr(self, name), dtype=float) for name in TRAJECTORY_FIELDS}
-        shapes = {a.shape for a in arrays.values()}
-        if len(shapes) != 1 or arrays["mu"].ndim != 2:
+        for name in TRAJECTORY_FIELDS:
+            a = getattr(self, name)
+            if not (isinstance(a, np.ndarray) and a.dtype == np.float64 and not a.flags.writeable):
+                a = np.array(a, dtype=float)
+                a.setflags(write=False)
+                object.__setattr__(self, name, a)
+        shapes = {getattr(self, name).shape for name in TRAJECTORY_FIELDS}
+        if len(shapes) != 1 or self.mu.ndim != 2:
             raise ValueError(f"trajectory fields must share a (steps, n) shape, got {sorted(shapes)}")
-        for name, a in arrays.items():
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-
-    @classmethod
-    def _adopt(cls, *arrays) -> "Trajectory":
-        """A trajectory over the kernel's arrays, made read-only, not copied."""
-        self = object.__new__(cls)
-        for name, a in zip(TRAJECTORY_FIELDS, arrays):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
-        return self
 
     def __len__(self) -> int:
         return self.mu.size
@@ -247,9 +241,11 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
     likewise for x_tilde:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
-    - tvc: step k reads block k - 1, measured by a fresh pilot and fed to
-      audit (an EpsilonBAudit) when one is given. The blocks stack into one
-      (m, n, n) buffer, G, whose slots ChannelProcess channels write in place;
+    - tvc: step k reads block k - 1 into its member's slot of G, one
+      (m, n, n) buffer: a ChannelProcess writes it in place from step 2 on,
+      and any other channel's block is copied in. A fresh pilot measures it,
+      and audit (an EpsilonBAudit), when given, is fed it, flagged symmetric
+      when every member the pass started with has a ChannelProcess;
     - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
       that draws no receiver noise.
 
@@ -263,8 +259,8 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
     After the last stop the pass returns each member's (summary, rows) in
-    member order. A member with budget None never stops and keeps no books:
-    iterate()'s."""
+    member order, its rows cut to length and read-only. A member with
+    budget None never stops and keeps no books: iterate()'s."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     graphs, channels, starts, rngs, budgets = zip(*members)
@@ -272,7 +268,7 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
     m, n = y.shape
     live, results, x = np.arange(m), [None] * m, np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
-    processes = all(isinstance(c, ChannelProcess) for c in channels)  # reciprocal blocks, written in place
+    symmetric = all(isinstance(c, ChannelProcess) for c in channels)  # reciprocal blocks
 
     def sized(G, what):
         if G.shape != (n, n):
@@ -307,14 +303,16 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
         sigma = pilot(G, noise(1)[0], "at initialization")
     for k in count():
         if k and algorithm == "tvc":
-            if k > 1 and processes:  # each slot holds its member's last block
+            if k == 1:
+                G = np.array([sized(channels[i].realization(0).gains, "the channel at step 1") for i in live])
+            else:  # each slot holds its member's last block
                 for j, i in enumerate(live):
-                    channels[i].realization(k - 1, out=G[j])
-            else:
-                G = np.array([sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
-                              for i in live])
+                    if isinstance(channels[i], ChannelProcess):
+                        channels[i].realization(k - 1, out=G[j])
+                    else:
+                        G[j] = sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
-                audit.add(G, processes)
+                audit.add(G, symmetric)
             w_sigma, w_y, w_x = noise(3)
             sigma = pilot(G, w_sigma, f"at step {k}")
             y, x = ota_step(G, sigma, y, x, w_y, w_x)
@@ -346,8 +344,9 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
         verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
         for j in np.flatnonzero(stop):
             i, target = live[j], starts[live[j]].mean()
-            for a in rows[i] if record else ():  # cut to length
+            for a in rows[i] if record else ():  # cut to length, read-only
                 a.resize((k + 1, n), refcheck=False)
+                a.setflags(write=False)
             results[i] = RunSummary(
                 converged=bool(converged[j]), iterations_used=k, target_average=target,
                 final_max_error=float(np.max(np.abs(mu[j] - target))), mass_drift_x=float(drift[1, j]) / n,
@@ -365,7 +364,6 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
             G, sigma = G[keep], sigma[keep]
         if audit is not None:
             audit.keep(keep)
-        processes = all(isinstance(channels[i], ChannelProcess) for i in live)
 
 
 def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
@@ -428,10 +426,10 @@ def _drive(algorithm, members, epsilon_B=None, **rule):
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:
     """Execute one experiment to convergence or max_iters: a _kernel pass of
-    one member that records its trajectory, handed to Trajectory uncopied.
-    Convergence means the ratio spread stayed at or below tol for tol_window
-    consecutive post-update steps. Non-convergence is a verdict, not an
-    error; genuinely broken states (non-finite values, lost pilot mass,
-    nonpositive denominators) raise instead."""
+    one member that records its trajectory, read-only rows that Trajectory
+    holds uncopied. Convergence means the ratio spread stayed at or below
+    tol for tol_window consecutive post-update steps. Non-convergence is a
+    verdict, not an error; genuinely broken states (non-finite values, lost
+    pilot mass, nonpositive denominators) raise instead."""
     (summary, rows), = _seed_group([config], record=True)
-    return Trajectory._adopt(*rows), summary
+    return Trajectory(*rows), summary

@@ -138,8 +138,8 @@ class EpsilonBAudit:
         self._failed = False  # every verdict is False
         self._unions = None  # completed windows in [:_done], the open one at [_done]
         self._done = 0
-        self._symmetric = []  # each completed window's flag
         self._filled = 0  # steps in the open window
+        self._one_way = False  # a step since the stack was last empty was not flagged symmetric
 
     @property
     def verdicts(self):
@@ -152,9 +152,12 @@ class EpsilonBAudit:
         return bool(np.all(self.verdicts))
 
     def add(self, gains: np.ndarray, symmetric: bool = False) -> None:
-        """One step's gains; for symmetric ones (channel blocks) reach from node 0 suffices."""
+        """One step's gains, symmetric when the caller vouches for each matrix
+        (reciprocal channel blocks). A pending stack is judged by reach from
+        node 0 alone unless a step added since it was last empty was not."""
         if self._failed:
             return
+        self._one_way |= not symmetric
         if self._unions is None:
             self._unions = _window_stack(gains.shape)
         window = self._unions[self._done]
@@ -165,7 +168,6 @@ class EpsilonBAudit:
         self._filled += 1
         if self._filled == self.B:
             self._filled = 0
-            self._symmetric.append(symmetric)
             self._done += 1
             if self._done == len(self._unions):
                 self._judge()
@@ -181,22 +183,20 @@ class EpsilonBAudit:
             self._unions[0] = open_window
 
     def _judge(self) -> None:
-        """Judge the completed windows with one reachability pass; the open
-        window moves to the front."""
+        """Judge the completed windows with one reachability pass from node
+        0, over their transposes too when the stack holds a one-way step;
+        the open window, if any, moves to the front."""
         done, self._done = self._done, 0
         if not done:
             return
-        unions, symmetric, self._symmetric = self._unions[:done], self._symmetric, []
-        one_way = [w for w, s in enumerate(symmetric) if not s]
-        if one_way:
-            reach = _reaches_all(np.concatenate([unions, np.swapaxes(unions[one_way], -1, -2)]))
-            reach[one_way] &= reach[done:]
-        else:
-            reach = _reaches_all(unions)
-        self._verdicts = self._verdicts & reach[:done].all(axis=0)
+        unions = self._unions[:done]
+        if self._one_way:
+            unions = np.concatenate([unions, np.swapaxes(unions, -1, -2)])
+        self._verdicts = self._verdicts & _reaches_all(unions).all(axis=0)
         self._failed = not np.any(self._verdicts)
         if self._filled:
             self._unions[0] = self._unions[done]
+        self._one_way &= self._filled > 0  # an empty stack holds no one-way step
 
 
 def _window_stack(shape) -> np.ndarray:

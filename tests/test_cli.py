@@ -1013,6 +1013,40 @@ def test_run_and_verify_outputs_pinned(command, config, sha256s, tmp_path):
     assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == sha256s
 
 
+@pytest.mark.parametrize("overrides, satisfied, sha256s", [
+    (["epsilon=0.9"], False, {
+        "summary.json": "ba3d4cc56292c14d40e032faadf55e698c7e78de39d973287d8f615f813f6bba",
+        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+    (["B=3", "epsilon=0.5"], True, {
+        "summary.json": "2f4237831da6a54d9c14680e6e5ccfd5d1d24c711cf04763ea27912e6a918ee7",
+        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+], ids=["unsatisfied", "satisfied"])
+def test_run_pins_both_epsilon_B_verdicts(overrides, satisfied, sha256s, tmp_path):
+    # both verdicts of the tvc audit, to the byte, through the CLI
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 0
+    assert json.loads((out / "summary.json").read_text())["epsilon_B_satisfied"] is satisfied
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == sha256s
+
+
+@pytest.mark.parametrize("overrides, prefix", [
+    (["algorithm=tvc", "deep_fade=true"], "algorithm = tic: "),
+    (["deep_fade=true"], ""),
+], ids=["row", "base"])
+def test_sweep_names_the_row_of_a_config_fault(overrides, prefix, tmp_path, capsys):
+    # a row's config fault leads with its row, as a run-time fault does; a
+    # fault of the base config itself has no row
+    argv = ["sweep", str(CONFIG_DIR / "algorithm_sweep.cfg"), "-o", str(tmp_path / "o")]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"config error: {prefix}deep_fade is a time-varying channel feature; use algorithm=tvc\n")
+    assert not (tmp_path / "o").exists()
+
 @pytest.mark.parametrize("command", ["run", "sweep", "verify", "topo"])
 def test_every_subcommand_has_help(command, capsys):
     with pytest.raises(SystemExit) as exc:

@@ -4,6 +4,7 @@ import tracemalloc
 from dataclasses import replace
 from itertools import islice
 from pathlib import Path
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -22,6 +23,7 @@ from otaconsensus.simulator import (
     InitialSpec,
     RunSummary,
     SimulationConfig,
+    _drive,
     iterate,
     prepare,
     run,
@@ -112,6 +114,30 @@ def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
     take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 50)
     assert seen == blocks
 
+
+def test_kernel_writes_a_process_block_in_place_beside_any_channel(monkeypatch):
+    # a ChannelProcess member's block route is its own: from step 2 on it
+    # writes each block into its slot, though the other member's channel
+    # is not a process, and the pass steps each member as it steps alone
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
+    other = ChannelProcess(FadingModel.half_normal(1.0), er(6, 2), seed=4)
+    held = SimpleNamespace(realization=other.realization)
+    calls = []
+    realization = ChannelProcess.realization
+
+    def counted(self, k, **out):
+        if self is proc:
+            calls.append((k, "out" in out))
+        return realization(self, k, **out)
+
+    monkeypatch.setattr(ChannelProcess, "realization", counted)
+    members = [lambda: (None, proc, InitialStates(np.arange(6.0)), None, 20),
+               lambda: (None, held, InitialStates(np.ones(6) - np.arange(6.0)), None, 30)]
+    together = [rows for _, rows in _drive("tvc", members, record=True)]
+    assert calls == [(0, False)] + [(k, True) for k in range(1, 20)]
+    for setup, rows in zip(members, together):
+        (_, alone), = _drive("tvc", [setup], record=True)
+        assert all(np.array_equal(a, b) for a, b in zip(rows, alone))
 
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_prefix_is_stable(algorithm):

@@ -10,6 +10,7 @@ from otaconsensus.simulator import (
     TRAJECTORY_FIELDS,
     InitialSpec,
     SimulationConfig,
+    Trajectory,
     make_initial_values,
     prepare,
     run,
@@ -155,6 +156,19 @@ def test_records_shape_and_order():
         assert values.shape == (51, cfg.n)
         assert not values.flags.writeable
 
+
+
+def test_trajectory_copies_a_callers_writable_arrays():
+    # a caller's writable arrays, or lists, are copied: changing them later
+    # leaves the trajectory as built; read-only float64 arrays are held
+    y, x, mu = np.arange(6.0).reshape(3, 2), np.ones((3, 2)), [[0.5, 1.0]] * 3
+    traj = Trajectory(y, x, mu)
+    y[:] = -1.0
+    x[0, 0] = 7.0
+    mu[0] = [9.0, 9.0]
+    assert traj == Trajectory(np.arange(6.0).reshape(3, 2), np.ones((3, 2)), [[0.5, 1.0]] * 3)
+    assert not any(getattr(traj, name).flags.writeable for name in TRAJECTORY_FIELDS)
+    assert Trajectory(traj.y_tilde, traj.x_tilde, traj.mu).mu is traj.mu
 
 def test_all_equal_initials_converge_at_window():
     cfg = base_config(initial=InitialSpec.explicit([5.0] * 10), tol_window=10)

@@ -297,6 +297,20 @@ def test_joint_graph_unions_edges():
     assert audit.satisfied
 
 
+
+@pytest.mark.parametrize("one_way_first", [True, False])
+def test_mixed_window_is_judged_both_ways(one_way_first):
+    # a window holding a one-way step is judged over its transpose too,
+    # whichever of its steps is flagged symmetric
+    g1 = np.eye(3)
+    g1[0, 1] = g1[1, 2] = 1.0
+    steps = [(g1, False), (np.eye(3), True)]
+    audit = EpsilonBAudit(0.5, 2)
+    for gains, symmetric in steps if one_way_first else steps[::-1]:
+        audit.add(gains, symmetric=symmetric)
+    assert audit.satisfied == is_strongly_connected((g1 > 0.5) | (np.eye(3) > 0.5))
+    assert not audit.satisfied
+
 def _const_realization(n, pairs, gain, self_weight=1.0):
     from otaconsensus.channel import ChannelRealization
 
