@@ -202,7 +202,7 @@ def _read_sections(path: str) -> dict[str, dict[str, tuple[str, str]]]:
     """Raw sections: section name -> key -> (value text, location label)."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sections: dict[str, dict[str, tuple[str, str]]] = {"": {}}
     current = ""
@@ -303,6 +303,8 @@ def parse_sweep(path: str, overrides=()) -> tuple[SimulationConfig, SweepSpec]:
         raw_seeds, swhere = sweep["seeds"]
         with _located(swhere):
             seeds = tuple(_as_int("seeds", s.strip()) for s in raw_seeds.split(",") if s.strip())
+            for seed in seeds:  # SimulationConfig's seed check, labelled with the line
+                replace(config, seed=seed)
         if not seeds:
             raise ConfigError(f"{swhere}: empty seeds list")
     runs = []

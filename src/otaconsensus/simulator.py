@@ -232,7 +232,7 @@ def prepare(config: SimulationConfig):
     return g, channel, S
 
 
-def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, record=False):
+def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
     """The one stepping loop, which only _drive and iterate() step: a pass
     of set-up members, each (graph, channel, InitialStates, noise generator,
     step budget), stepping together as one (m, n) state. Yields the
@@ -244,8 +244,9 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
     - tvc: step k reads block k - 1 into its member's slot of G, one
       (m, n, n) buffer: a ChannelProcess writes it in place from step 2 on,
       and any other channel's block is copied in. A fresh pilot measures it,
-      and audit (an EpsilonBAudit), when given, is fed it, flagged symmetric
-      when every member the pass started with has a ChannelProcess;
+      and with epsilon_B, an (epsilon, B) pair, the pass's EpsilonBAudit,
+      built symmetric when every member's channel is a ChannelProcess,
+      judges it: each summary's epsilon_B_satisfied, None in any other pass;
     - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
       that draws no receiver noise.
 
@@ -268,7 +269,8 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
     m, n = y.shape
     live, results, x = np.arange(m), [None] * m, np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
-    symmetric = all(isinstance(c, ChannelProcess) for c in channels)  # reciprocal blocks
+    reciprocal = all(isinstance(c, ChannelProcess) for c in channels)  # every block symmetric
+    audit = EpsilonBAudit(*epsilon_B, reciprocal) if algorithm == "tvc" and epsilon_B else None
 
     def sized(G, what):
         if G.shape != (n, n):
@@ -312,7 +314,7 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
                     else:
                         G[j] = sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
-                audit.add(G, symmetric)
+                audit.add(G)
             w_sigma, w_y, w_x = noise(3)
             sigma = pilot(G, w_sigma, f"at step {k}")
             y, x = ota_step(G, sigma, y, x, w_y, w_x)
@@ -367,13 +369,13 @@ def _kernel(algorithm, members, noise_std=0.0, audit=None, tol=None, window=1, r
 
 
 def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
-            noise_std: float = 0.0, noise_rng=None, audit=None):
-    """A _kernel pass of one member viewed without end: what the tests hold
-    hand-stepped references against. Yields (y_tilde, x_tilde, mu) for step
-    0 (the initial values) and after every step, stepped as _kernel
+            noise_std: float = 0.0, noise_rng=None):
+    """A _kernel pass of one member, without end or audit: what the tests
+    hold hand-stepped references against. Yields (y_tilde, x_tilde, mu) for
+    step 0 (the initial values) and after every step, stepped as _kernel
     describes from the graph g (baseline) or the channel, any object with a
     realization(k) method; the caller decides when to stop."""
-    kernel = _kernel(algorithm, [(g, channel, S, noise_rng, None)], noise_std, audit)
+    kernel = _kernel(algorithm, [(g, channel, S, noise_rng, None)], noise_std)
     while True:
         with np.errstate(over="ignore"):  # every overflow is refused by name
             y, x, mu = next(kernel)
@@ -399,20 +401,18 @@ def _seed_group(configs, record=False):
     cfg = configs[0]
     members = [lambda c=c: (*prepare(c), np.random.default_rng(stream_seeds(c.seed)[3]), c.max_iters)
                for c in configs]
-    return _drive(cfg.algorithm, members, noise_std=cfg.noise_std, tol=cfg.tol, window=cfg.tol_window,
-                  epsilon_B=(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None, record=record)
+    return _drive(cfg.algorithm, members, noise_std=cfg.noise_std, epsilon_B=(cfg.epsilon, cfg.B),
+                  tol=cfg.tol, window=cfg.tol_window, record=record)
 
 
-def _drive(algorithm, members, epsilon_B=None, **rule):
+def _drive(algorithm, members, **rule):
     """A _kernel pass run to its end: its results. Each member is a call
-    that sets it up afresh, the rule is _kernel's, and epsilon_B, an
-    (epsilon, B) pair, gives the pass an EpsilonBAudit. A member's fault (a
-    ValueError or RuntimeError) replays the members one at a time as the
-    results are read: the fault raised is the earliest member's, after the
-    results before it."""
+    that sets it up afresh, and the rule is _kernel's keywords. A member's
+    fault (a ValueError or RuntimeError) replays the members one at a time,
+    under the same rule, as the results are read: the fault raised is the
+    earliest member's, after the results before it."""
     try:
-        audit = None if epsilon_B is None else EpsilonBAudit(*epsilon_B)
-        kernel = _kernel(algorithm, [setup() for setup in members], audit=audit, **rule)
+        kernel = _kernel(algorithm, [setup() for setup in members], **rule)
         with np.errstate(over="ignore"):  # every overflow is refused by name
             while True:
                 next(kernel)
@@ -421,7 +421,7 @@ def _drive(algorithm, members, epsilon_B=None, **rule):
     except (ValueError, RuntimeError):  # every fault a member names
         if len(members) == 1:
             raise
-        return (r for setup in members for r in _drive(algorithm, [setup], epsilon_B, **rule))
+        return (r for setup in members for r in _drive(algorithm, [setup], **rule))
 
 
 def run(config: SimulationConfig) -> tuple[Trajectory, RunSummary]:

@@ -118,7 +118,8 @@ class EpsilonBAudit:
     strongly connected. A trailing partial window is never judged, so a
     verdict is vacuously true until a window completes. Once a window
     fails, the verdict is final. verdicts holds one per member once a
-    window has completed.
+    window has completed. An audit built symmetric, fed only symmetric
+    matrices, judges by reach from node 0 alone; any other, both ways.
 
     Completed windows wait in a stack of at most PENDING_BOOLS booleans
     (one window when a single one is larger) and are judged together when
@@ -127,19 +128,19 @@ class EpsilonBAudit:
     verdict has failed, later steps are not looked at.
     """
 
-    def __init__(self, epsilon: float, B: int):
+    def __init__(self, epsilon: float, B: int, symmetric: bool = False):
         if not (0 < epsilon < np.inf):
             raise ValueError(f"epsilon must be finite and positive, got {epsilon}")
         if B < 1:
             raise ValueError(f"window length B must be >= 1, got {B}")
         self.epsilon = epsilon
         self.B = B
+        self.symmetric = symmetric
         self._verdicts = True
         self._failed = False  # every verdict is False
         self._unions = None  # completed windows in [:_done], the open one at [_done]
         self._done = 0
         self._filled = 0  # steps in the open window
-        self._one_way = False  # a step since the stack was last empty was not flagged symmetric
 
     @property
     def verdicts(self):
@@ -151,13 +152,10 @@ class EpsilonBAudit:
         """Every member's verdict."""
         return bool(np.all(self.verdicts))
 
-    def add(self, gains: np.ndarray, symmetric: bool = False) -> None:
-        """One step's gains, symmetric when the caller vouches for each matrix
-        (reciprocal channel blocks). A pending stack is judged by reach from
-        node 0 alone unless a step added since it was last empty was not."""
+    def add(self, gains: np.ndarray) -> None:
+        """One step's gains, a matrix or a stack of one per member."""
         if self._failed:
             return
-        self._one_way |= not symmetric
         if self._unions is None:
             self._unions = _window_stack(gains.shape)
         window = self._unions[self._done]
@@ -184,19 +182,18 @@ class EpsilonBAudit:
 
     def _judge(self) -> None:
         """Judge the completed windows with one reachability pass from node
-        0, over their transposes too when the stack holds a one-way step;
-        the open window, if any, moves to the front."""
+        0, over their transposes too unless the audit is symmetric; the
+        open window, if any, moves to the front."""
         done, self._done = self._done, 0
         if not done:
             return
         unions = self._unions[:done]
-        if self._one_way:
+        if not self.symmetric:
             unions = np.concatenate([unions, np.swapaxes(unions, -1, -2)])
         self._verdicts = self._verdicts & _reaches_all(unions).all(axis=0)
         self._failed = not np.any(self._verdicts)
         if self._filled:
             self._unions[0] = self._unions[done]
-        self._one_way &= self._filled > 0  # an empty stack holds no one-way step
 
 
 def _window_stack(shape) -> np.ndarray:
@@ -268,7 +265,7 @@ def _parse_edge_list(path: str, n: int) -> np.ndarray:
     takes any other file and names its first faulty line."""
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
     lines = text.splitlines()
     adj = _read_edge_array(lines, n) if text.isascii() else None

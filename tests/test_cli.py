@@ -222,6 +222,23 @@ def test_sweep_refuses_bad_value_before_any_run(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("entry, message", [
+    ("-2", "seed must be nonnegative, got -2"),
+    ("x", "key 'seeds' needs an integer, got 'x'"),
+], ids=["negative", "non-integer"])
+def test_sweep_labels_a_bad_seeds_entry_with_its_line(entry, message, tmp_path, monkeypatch, capsys):
+    # every faulty seeds entry is refused by its file:line before any run
+    lines = (CONFIG_DIR / "noise_sweep.cfg").read_text().splitlines()
+    assert lines[14].startswith("seeds = ")
+    lines[14] = f"seeds = 1, {entry}"
+    (tmp_path / "ns.cfg").write_text("\n".join(lines) + "\n")
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(cli, "run_group", None)  # a run that started would fail here
+    assert main(["sweep", "ns.cfg", "-o", "o"]) == 2
+    assert capsys.readouterr().err == f"config error: ns.cfg:15: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
 # ---------------------------------------------------------------- serialization
 
 
@@ -672,6 +689,23 @@ def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     code = main(["run", str(p), "-o", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("bad", ["config", "edge list"])
+def test_run_names_a_file_that_is_not_utf8(bad, tmp_path, capsys):
+    # a file that does not decode is a config fault that names the file
+    p, edges = tmp_path / "c.cfg", tmp_path / "net.edges"
+    if bad == "config":
+        p.write_bytes(b"n = 3\xff")
+        path, at = p, 5
+    else:
+        edges.write_bytes(b"0 1\n1 2\xff\n")
+        p.write_text(MINIMAL.replace("n = 10", "n = 3").replace("erdos_renyi(0.5)", f"edge_list({edges})"))
+        path, at = edges, 7
+    assert main(["run", str(p), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == (f"config error: cannot read {bad} {path}: 'utf-8' codec can't decode "
+                                       f"byte 0xff in position {at}: invalid start byte\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_run_output_path_is_a_file_exit_three(minimal_cfg, tmp_path, capsys):

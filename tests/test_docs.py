@@ -1,0 +1,14 @@
+"""README's Python example runs as written, so the documented API cannot
+drift from the code."""
+import re
+from pathlib import Path
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def test_readme_python_example_runs(capsys):
+    blocks = re.findall(r"^```python\n(.*?)^```", README.read_text(), flags=re.S | re.M)
+    assert len(blocks) == 1
+    exec(compile(blocks[0], str(README), "exec"), {})
+    converged, iterations, error = capsys.readouterr().out.split()
+    assert (converged, iterations) == ("True", "31") and float(error) < 1e-9

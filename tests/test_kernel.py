@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from otaconsensus.channel import ChannelProcess, FadingModel
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
-from otaconsensus.analysis import mass_audit
+from otaconsensus.analysis import mass_audit, matrix_oracle
 from otaconsensus import topology
 from otaconsensus.simulator import (
     ALGORITHMS,
@@ -279,12 +279,11 @@ def test_run_holds_one_copy_of_its_trajectory():
 def serial_summary(cfg):
     """run()'s summary the way it was computed one run at a time: the
     one-member kernel view to the stop, then mass_audit over the whole
-    trajectory."""
+    trajectory and, for tvc, the sequence audit over the blocks it read."""
     g, channel, S = prepare(cfg)
-    audit = EpsilonBAudit(cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None
     noise_rng = np.random.default_rng(stream_seeds(cfg.seed)[3])
     rows, streak = [], 0
-    for k, row in enumerate(iterate(cfg.algorithm, S, g, channel, cfg.noise_std, noise_rng, audit)):
+    for k, row in enumerate(iterate(cfg.algorithm, S, g, channel, cfg.noise_std, noise_rng)):
         rows.append(row)
         if k > 0:
             streak = streak + 1 if spread(row[2]) <= cfg.tol else 0
@@ -299,7 +298,8 @@ def serial_summary(cfg):
         final_max_error=float(np.max(np.abs(MU[-1] - target))),
         mass_drift_y=mass_audit((Y, X), S)[0],
         mass_drift_x=mass_audit((Y, X), S)[1],
-        epsilon_B_satisfied=None if audit is None else audit.satisfied,
+        epsilon_B_satisfied=check_epsilon_B_connectivity(
+            [channel.realization(j) for j in range(k)], cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None,
     )
 
 
@@ -415,6 +415,54 @@ def test_run_group_takes_any_list(configs):
     expected = outcome([lambda c=c: run(c)[1] for c in configs])
     assert outcome([lambda: run_group(configs)]) == (expected if isinstance(expected, tuple) else [expected])
     assert run_group([]) == []
+
+
+def test_tic_pass_builds_no_audit():
+    # only a tvc pass judges windowed connectivity; a tic pass handed an
+    # (epsilon, B) pair reports no verdict rather than a vacuous one
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
+    (summary, _), = _drive("tic", [lambda: (None, proc, InitialStates(np.arange(6.0)), None, 5)],
+                           epsilon_B=(1e-3, 1))
+    assert summary.iterations_used == 5 and summary.epsilon_B_satisfied is None
+
+
+#: seed_groups' tic and tvc configs without receiver noise or overflowing gains
+quiet_seed_groups = seed_groups().filter(
+    lambda group: group[0].algorithm != "baseline" and group[0].fading != FadingModel.half_normal(4e307)
+).map(lambda group: [replace(c, noise_std=0.0) for c in group])
+
+
+@given(group=quiet_seed_groups)
+@settings(max_examples=20, deadline=None)
+def test_run_keeps_the_papers_invariants(group):
+    # run() is the matrix oracle over the blocks it read, conserves both
+    # chain sums, and keeps every ratio within the initial values' range
+    for cfg in group:
+        trajectory, summary = run(cfg)
+        _, channel, S = prepare(cfg)
+        k = summary.iterations_used
+        tvc = cfg.algorithm == "tvc"
+        blocks = [channel.realization(j) for j in range(k)] if tvc else [channel.realization(0)] * k
+        for got, expected in zip((trajectory.y_tilde, trajectory.x_tilde, trajectory.mu),
+                                 matrix_oracle(blocks, S, k)):
+            np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
+        assert max(summary.mass_drift_y, summary.mass_drift_x) <= 1e-9
+        lo, hi = S.values.min(), S.values.max()
+        assert lo - 1e-12 <= trajectory.mu.min() and trajectory.mu.max() <= hi + 1e-12
+
+
+@given(group=quiet_seed_groups)
+@settings(max_examples=30, deadline=None)
+def test_run_doubles_with_its_start(group):
+    # the chains are linear in the start: doubling it doubles y_tilde and
+    # mu exactly on every step both runs take
+    for cfg in group:
+        S = prepare(cfg)[2]
+        once = run(cfg)[0]
+        twice = run(replace(cfg, initial=InitialSpec.explicit(2 * S.values)))[0]
+        rows = min(len(once.mu), len(twice.mu))
+        assert np.array_equal(twice.y_tilde[:rows], 2 * once.y_tilde[:rows])
+        assert np.array_equal(twice.mu[:rows], 2 * once.mu[:rows])
 
 
 def test_batch_replays_only_member_faults(monkeypatch):
@@ -579,7 +627,7 @@ def test_stacked_audit_matches_member_audits(seed, B):
     # three members share one audit; member 1 leaves it after step 4
     procs = [ChannelProcess(FadingModel.uniform(0.01, 1.0), er(6, seed + i, p=0.7), seed=seed + i)
              for i in range(3)]
-    stacked, alone = EpsilonBAudit(0.6, B), [EpsilonBAudit(0.6, B) for _ in procs]
+    stacked, alone = EpsilonBAudit(0.6, B, symmetric=True), [EpsilonBAudit(0.6, B) for _ in procs]
     live = [0, 1, 2]
     for k in range(9):
         if k == 4:
@@ -587,16 +635,16 @@ def test_stacked_audit_matches_member_audits(seed, B):
             live = [0, 2]
         for i in live:
             alone[i].add(procs[i].realization(k).gains)
-        stacked.add(np.array([procs[i].realization(k).gains for i in live]), symmetric=True)
+        stacked.add(np.array([procs[i].realization(k).gains for i in live]))
     assert list(np.broadcast_to(stacked.verdicts, (2,))) == [alone[0].satisfied, alone[2].satisfied]
 
 
 @st.composite
 def audit_feeds(draw):
-    """An audit's shape, window, threshold and pending budget, and a feed of
-    gain stacks: each step may drop members first (keeping at least one),
-    passes its symmetric flag (set only on symmetric gains, so that a
-    stack can mix flags) and may read the verdicts after its gains go in."""
+    """An audit's shape, window, threshold, pending budget and symmetric
+    flag (set only on a feed of symmetric gains), and a feed of gain
+    stacks: each step may drop members first (keeping at least one) and
+    may read the verdicts after its gains go in."""
     n, m, B = draw(st.integers(2, 8)), draw(st.integers(1, 4)), draw(st.integers(1, 4))
     symmetric, epsilon = draw(st.booleans()), draw(st.sampled_from([0.5, 0.7, 0.9]))
     # a budget of a few windows, or under one, makes short feeds cross it
@@ -612,8 +660,8 @@ def audit_feeds(draw):
         gains = rng.random((live, n, n))
         if symmetric:
             gains = np.maximum(gains, np.swapaxes(gains, -1, -2))
-        steps.append((drop, gains, symmetric and rng.random() < 0.8, rng.random() < 0.3))
-    return m, B, epsilon, budget, steps
+        steps.append((drop, gains, rng.random() < 0.3))
+    return m, B, epsilon, budget, symmetric and rng.random() < 0.8, steps
 
 
 @given(feed=audit_feeds())
@@ -621,7 +669,7 @@ def audit_feeds(draw):
 def test_batched_audit_equals_eager_audit(feed):
     # windows wait in a pending stack and are judged together; every read
     # must show what judging each window union as it completes shows
-    m, B, epsilon, budget, steps = feed
+    m, B, epsilon, budget, symmetric, steps = feed
     members = list(range(m))
     history = {i: [] for i in members}  # each member's effective graphs
 
@@ -630,12 +678,12 @@ def test_batched_audit_equals_eager_audit(feed):
                     for w in range(len(history[i]) // B)) for i in members]
 
     with mock.patch.object(topology, "PENDING_BOOLS", budget):
-        audit = EpsilonBAudit(epsilon, B)
-        for drop, gains, symmetric, read in steps:
+        audit = EpsilonBAudit(epsilon, B, symmetric)
+        for drop, gains, read in steps:
             if drop is not None:
                 audit.keep(~drop)
                 members = [i for i, d in zip(members, drop) if not d]
-            audit.add(gains, symmetric)
+            audit.add(gains)
             for i, g in zip(members, gains):
                 history[i].append(g > epsilon)
             if read:
@@ -652,10 +700,10 @@ def test_audit_judges_pending_windows_in_bounded_stacks(n, m, windows, calls, mo
     judged = []
     reaches_all = topology._reaches_all
     monkeypatch.setattr(topology, "_reaches_all", lambda adj: judged.append(adj.nbytes) or reaches_all(adj))
-    audit = EpsilonBAudit(0.5, 1)
+    audit = EpsilonBAudit(0.5, 1, symmetric=True)
     gains = np.ones((m, n, n))
     for _ in range(windows):
-        audit.add(gains, symmetric=True)
+        audit.add(gains)
     assert audit.satisfied
     assert len(judged) == calls
     assert max(judged) <= max(topology.PENDING_BOOLS, m * n * n)
