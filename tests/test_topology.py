@@ -298,14 +298,16 @@ def test_joint_graph_unions_edges():
 
 
 
-def test_mixed_window_is_judged_both_ways():
+@pytest.mark.parametrize("one_way_first", [True, False])
+def test_mixed_window_is_judged_both_ways(one_way_first):
     # an audit built with the default flag judges a window's union over its
-    # transpose too: a one-way chain and eye(3) reach every node from node 0,
-    # but node 0 hears no one
+    # transpose too, whichever step comes first: a one-way chain and eye(3)
+    # reach every node from node 0, but node 0 hears no one
     g1 = np.eye(3)
     g1[0, 1] = g1[1, 2] = 1.0
+    steps = [g1, np.eye(3)]
     audit = EpsilonBAudit(0.5, 2)
-    for gains in (g1, np.eye(3)):
+    for gains in steps if one_way_first else steps[::-1]:
         audit.add(gains)
     assert audit.satisfied == is_strongly_connected((g1 > 0.5) | (np.eye(3) > 0.5))
     assert not audit.satisfied
