@@ -458,8 +458,8 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     # negative control: breaking reciprocity must break column stochasticity;
     # passes iff the measured error EXCEEDS the threshold
     gains = h_varying[0].gains.copy()
-    i, j = np.argwhere(g.adj)[0]
-    gains[i, j] *= 1.5
+    link = np.argwhere(g.adj)[:1]  # none without links: nothing breaks, and the check fails
+    gains[link[:, 0], link[:, 1]] *= 1.5
     broken = ChannelRealization(cfg.n, gains, cfg.self_weight)
     err = audit_column_stochastic(build_Hbar(broken)).max_column_sum_error
     checks.append(CheckResult("non_reciprocal_breaks_stochasticity", err > 1e-6, err, 1e-6))

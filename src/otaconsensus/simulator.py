@@ -48,7 +48,7 @@ class InitialSpec:
             if not self.values:
                 raise ValueError("explicit initial values must be a nonempty sequence")
             object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-            with np.errstate(over="ignore"):  # refused below, before it reaches the run
+            with np.errstate(over="ignore", invalid="ignore"):  # refused below, before it reaches the run
                 total = float(np.sum(self.values))  # as InitialStates.mean sums them
             if not math.isfinite(total):
                 raise ValueError(f"explicit initial values must have a finite sum, got {total!r}")
@@ -192,7 +192,7 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
         return InitialStates(np.array(spec.values))
     rng = np.random.default_rng(seed)
     vals = rng.uniform(spec.target_mean - spec.half_width, spec.target_mean + spec.half_width, size=n)
-    with np.errstate(over="ignore"):  # refused below by name
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
         total = vals.sum()
     if not math.isfinite(total):
         raise ValueError(f"random_mean initial values must have a finite sum, got {float(total)!r}")
@@ -293,8 +293,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     if books:
         # each member's rows, grown in place up to its budget; conserved (y, x)
         # sums, their worst deviation so far, and the states not yet folded in
-        budgets = np.array(budgets)
         rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
+        budgets = np.array(budgets)  # int64 or uint64, where b + 1 can wrap: rows size by Python ints
         conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
         drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
         streak, next_stop = np.zeros(m, dtype=int), budgets.min()
@@ -336,7 +336,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             for j, i in enumerate(live if record else ()):
                 for a, c in zip(rows[i], chunk[:, :filled, j]):
                     if len(a) <= k:  # double, up to the member's budget
-                        a.resize((min(2 * len(a), budgets[j] + 1), n), refcheck=False)
+                        a.resize((min(2 * len(a), int(budgets[j]) + 1), n), refcheck=False)
                     a[k + 1 - filled : k + 1] = c
             filled = 0
         if not stopping:

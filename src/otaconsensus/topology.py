@@ -6,7 +6,6 @@ modeled as a diagonal weight on the channel realization, not as a graph edge.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -124,8 +123,10 @@ class EpsilonBAudit:
     Completed windows wait in a stack of at most PENDING_BOOLS booleans
     (one window when a single one is larger) and are judged together when
     the stack is full, and before verdicts or satisfied is read or keep
-    drops members, so the verdicts read are always settled. Once every
-    verdict has failed, later steps are not looked at.
+    drops members, so the verdicts read are always settled. keep indexes
+    the stack down to the members kept, so it keeps the window count it
+    was sized with and holds fewer booleans. Once every verdict has
+    failed, later steps are not looked at.
     """
 
     def __init__(self, epsilon: float, B: int, symmetric: bool = False):
@@ -157,7 +158,7 @@ class EpsilonBAudit:
         if self._failed:
             return
         if self._unions is None:
-            self._unions = _window_stack(gains.shape)
+            self._unions = np.empty((max(1, PENDING_BOOLS // gains.size), *gains.shape), dtype=bool)
         window = self._unions[self._done]
         if self._filled:
             window |= gains > self.epsilon
@@ -175,10 +176,8 @@ class EpsilonBAudit:
         self._judge()
         self._verdicts = np.broadcast_to(self._verdicts, members.shape)[members]
         self._failed = not np.any(self._verdicts)
-        if self._unions is not None:
-            open_window = self._unions[0][members]
-            self._unions = _window_stack(open_window.shape)
-            self._unions[0] = open_window
+        if self._unions is not None:  # _judge left the open window at slot 0
+            self._unions = self._unions[:, members]
 
     def _judge(self) -> None:
         """Judge the completed windows with one reachability pass from node
@@ -194,11 +193,6 @@ class EpsilonBAudit:
         self._failed = not np.any(self._verdicts)
         if self._filled:
             self._unions[0] = self._unions[done]
-
-
-def _window_stack(shape) -> np.ndarray:
-    """Room for as many boolean windows of shape as PENDING_BOOLS holds, at least one."""
-    return np.empty((max(1, PENDING_BOOLS // max(1, math.prod(shape))), *shape), dtype=bool)
 
 
 def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int) -> bool:

@@ -1,8 +1,10 @@
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -236,6 +238,32 @@ def test_sweep_labels_a_bad_seeds_entry_with_its_line(entry, message, tmp_path, 
     monkeypatch.setattr(cli, "run_group", None)  # a run that started would fail here
     assert main(["sweep", "ns.cfg", "-o", "o"]) == 2
     assert capsys.readouterr().err == f"config error: ns.cfg:15: {message}\n"
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("override, message", [
+    ("topology=ring(", "override: key 'topology' has malformed value 'ring('"),
+    ("initial=explicit()", "override: explicit needs at least one value"),
+    ("n", "override 'n' must look like key=value"),
+], ids=["malformed-call", "explicit-without-values", "no-equals-sign"])
+def test_run_refuses_a_faulty_override(override, message, tmp_path, capsys):
+    out = tmp_path / "o"
+    assert main(["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out), "--set", override]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("block, message", [
+    ("parameter = seed\nvalues = 1\nfoo = 1\n", "s.cfg:10: unknown sweep key 'foo'"),
+    ("values = 1\n", "s.cfg: [sweep] needs 'parameter'"),
+    ("parameter = seed\n", "s.cfg: [sweep] needs 'values'"),
+    ("parameter = self_weight\nvalues = 1\nseeds = ,\n", "s.cfg:10: empty seeds list"),
+], ids=["unknown-key", "no-parameter", "no-values", "empty-seeds"])
+def test_sweep_refuses_a_faulty_block(block, message, tmp_path, monkeypatch, capsys):
+    (tmp_path / "s.cfg").write_text(MINIMAL + "[sweep]\n" + block)
+    monkeypatch.chdir(tmp_path)
+    assert main(["sweep", "s.cfg", "-o", "o"]) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "o").exists()
 
 
@@ -681,6 +709,60 @@ def test_run_overflowing_random_mean_sum_exit_two(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides, message", [
+    (["initial=explicit(1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0, 0, 0)"],
+     "override: explicit initial values must have a finite sum, got nan"),
+    (["n=400", "topology=ring", "initial=random_mean(0, 8.9e307)", "max_iters=2"],
+     "random_mean initial values must have a finite sum, got nan"),
+], ids=["explicit", "random_mean"])
+def test_run_refuses_a_start_summing_to_inf_minus_inf(overrides, message, tmp_path, capsys):
+    # numpy's pairwise sum meets inf + (-inf): refused by name, with no numpy warning
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out)]
+    for item in overrides:
+        argv += ["--set", item]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not out.exists()
+
+
+@given(command=st.sampled_from(["run", "verify"]),
+       magnitudes=st.lists(st.floats(1e307, 1.79e308), min_size=5, max_size=5), data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_huge_opposite_starts_leak_no_warning(command, magnitudes, data, tmp_path_factory):
+    # half the values negate the other half; whatever their float sum, no
+    # numpy warning leaks (warnings are errors here), and a sum that is not
+    # finite is refused by name
+    values = data.draw(st.permutations(magnitudes + [-v for v in magnitudes]))
+    out = tmp_path_factory.mktemp("huge") / "o"
+    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "-o", str(out), "--set", "max_iters=5",
+            "--set", f"initial=explicit({', '.join(map(repr, values))})"]
+    err = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(err):
+        code = main(argv)
+    with np.errstate(over="ignore", invalid="ignore"):
+        total = float(np.sum(values))
+    if not np.isfinite(total):
+        assert (code, err.getvalue()) == (
+            2, f"config error: override: explicit initial values must have a finite sum, got {total!r}\n")
+    else:
+        assert "finite sum" not in err.getvalue()
+
+
+@pytest.mark.parametrize("budget", [2**63 - 1, 2**64 - 1], ids=["int64", "uint64"])
+def test_run_takes_a_step_budget_at_the_top_of_its_integer_type(budget, tmp_path, capsys):
+    # a recording member's rows are sized from Python ints, which do not wrap
+    outs = {}
+    for max_iters in (10**6, budget):
+        outs[max_iters] = tmp_path / str(max_iters)
+        argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(outs[max_iters]),
+                "--set", "tol=1e-300", "--set", f"max_iters={max_iters}"]
+        assert main(argv) == 0
+        assert capsys.readouterr() == ("tic: converged=true iterations=79 final_max_error=0 "
+                                       "target=1.0000000000000002\n", "")
+    assert (outs[budget] / "trajectory.csv").read_bytes() == (outs[10**6] / "trajectory.csv").read_bytes()
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")
@@ -784,6 +866,25 @@ def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, c
         }
         assert {name for name, c in doc.items() if not c["passed"]} == failed
         assert "FAIL stationary_limit_fixed_point" in capsys.readouterr().out
+
+
+def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
+    # no link to break: the non-reciprocal control measures 0 and fails, as
+    # does the limit of the identity mixing matrix, which is periodic
+    edges = tmp_path / "none.edges"
+    edges.write_text("")
+    out = tmp_path / "o"
+    argv = ["verify", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(out), "--set", f"topology=edge_list({edges})"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("verify: 8/10 checks passed\n")
+    doc = {c["check_name"]: c for c in json.loads((out / "verify.json").read_text())}
+    assert doc["non_reciprocal_breaks_stochasticity"] == {
+        "check_name": "non_reciprocal_breaks_stochasticity", "passed": False,
+        "measured_error": 0.0, "threshold": 1e-6,
+    }
+    assert {name for name, c in doc.items() if not c["passed"]} == {
+        "non_reciprocal_breaks_stochasticity", "stationary_limit_fixed_point"}
 
 
 def test_verify_suite_realizes_each_block_once(monkeypatch):

@@ -12,9 +12,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, FadingModel
+from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
-from otaconsensus.protocol import InitialStates, IsolationError, ota_step, pilot
+from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError, ota_step, pilot
 from otaconsensus.analysis import mass_audit, matrix_oracle
 from otaconsensus import topology
 from otaconsensus.simulator import (
@@ -182,6 +182,15 @@ def test_kernel_isolation_names_node_and_step(tmp_path):
     )
     with pytest.raises(IsolationError, match=r"node 2 is isolated at step 1"):
         run(cfg)
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_kernel_refuses_a_non_finite_state(algorithm):
+    # node 0 hears node 1's 1e10 through a 1e300 gain: its first state is inf
+    block = ChannelRealization(2, [[1, 1e300], [1, 1]], 1.0)
+    kernel = iterate(algorithm, InitialStates([1.0, 1e10]), channel=SimpleNamespace(realization=lambda k: block))
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1, node 0$"):
+        take(kernel, 1)
 
 
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
@@ -463,6 +472,38 @@ def test_run_doubles_with_its_start(group):
         rows = min(len(once.mu), len(twice.mu))
         assert np.array_equal(twice.y_tilde[:rows], 2 * once.y_tilde[:rows])
         assert np.array_equal(twice.mu[:rows], 2 * once.mu[:rows])
+
+
+@st.composite
+def linked_topologies(draw, n):
+    """A ring, the complete graph, or a drawn connected edge set given as
+    (i, j) pairs, i < j, with the links it is known to have."""
+    kind = draw(st.sampled_from(["ring", "complete", "edge_list"]))
+    if kind == "ring":
+        return kind, [tuple(sorted((i, (i + 1) % n))) for i in range(n)]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if kind == "complete":
+        return kind, pairs
+    tree = [(draw(st.integers(0, j - 1)), j) for j in range(1, n)]  # spans every node
+    return kind, sorted(set(tree) | set(draw(st.lists(st.sampled_from(pairs), max_size=n))))
+
+
+@given(group=quiet_seed_groups, data=st.data())
+@settings(max_examples=20, deadline=None)
+def test_run_keeps_the_papers_invariants_on_listed_and_scaled_links(group, data, tmp_path_factory):
+    # the same invariants over an edge_list topology or pair_scales: one or
+    # two of the topology's links scaled by 0.5 or 2
+    n = group[0].n
+    kind, links = data.draw(linked_topologies(n))
+    path = None
+    if kind == "edge_list":
+        path = tmp_path_factory.mktemp("links") / "drawn.edges"
+        path.write_text("".join(f"{i} {j}\n" for i, j in links))
+    spec = TopologySpec(kind, path=path and str(path))
+    scaled = data.draw(st.lists(st.sampled_from(sorted(set(links))), min_size=1, max_size=2, unique=True))
+    pair_scales = tuple((pair, data.draw(st.sampled_from([0.5, 2.0]))) for pair in scaled)
+    group = [replace(c, topology=spec, pair_scales=pair_scales) for c in group]
+    test_run_keeps_the_papers_invariants.hypothesis.inner_test(group)
 
 
 def test_batch_replays_only_member_faults(monkeypatch):
