@@ -124,6 +124,24 @@ def _is_primitive(support: np.ndarray) -> bool:
     return bool(result.all())
 
 
+def _solve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with a @ x = b for a nonsingular a, by Gaussian elimination with
+    partial pivoting in elementwise row updates: numpy's ufuncs run on one
+    thread, so unlike LAPACK over a threaded BLAS the rounding does not
+    depend on the BLAS thread count."""
+    n = len(b)
+    m = np.column_stack([a, b])
+    for c in range(n):
+        p = c + int(np.argmax(np.abs(m[c:, c])))
+        m[[c, p]] = m[[p, c]]
+        m[c + 1:, c:] -= np.multiply.outer(m[c + 1:, c] / m[c, c], m[c, c:])
+    x = m[:, n].copy()
+    for c in range(n - 1, -1, -1):  # back substitution, a column at a time
+        x[c] /= m[c, c]
+        x[:c] -= m[:c, c] * x[c]
+    return x
+
+
 def stationary_limit(hbar: np.ndarray, S: InitialStates) -> np.ndarray:
     """Eigenvalue-1 right eigenvector (sum 1) of a primitive column-stochastic
     matrix, by one direct solve, returned read-only once it certifies mean(S)
@@ -133,7 +151,8 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> np.ndarray:
     hbar - I sums to zero, so its last row is minus the sum of the others;
     replacing that row with ones swaps in the sum-to-one constraint, and a
     primitive matrix (simple eigenvalue 1) leaves a nonsingular system with
-    v as its only solution.
+    v as its only solution, which _solve finds with the same bits whatever
+    the BLAS thread count.
 
     The numerator chain tends to v_j * (total of S) at node j and the
     denominator chain to v_j * n, so every per-node ratio collapses to the
@@ -159,7 +178,7 @@ def stationary_limit(hbar: np.ndarray, S: InitialStates) -> np.ndarray:
         )
     system = hbar - np.eye(n)
     system[-1] = 1.0
-    v = np.linalg.solve(system, np.eye(n)[-1])
+    v = _solve(system, np.eye(n)[-1])
     residual = float(np.max(np.abs(hbar @ v - v)))
     if residual > 1e-10:
         raise RuntimeError(f"stationary solve left fixed-point residual {residual!r}")

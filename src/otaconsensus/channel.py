@@ -102,23 +102,40 @@ class ChannelRealization:
         object.__setattr__(self, "gains", gains)
 
 
+#: An epoch holds at most EPOCH_BLOCKS blocks and, when it holds more than
+#: one, at most EPOCH_GAINS gains: its draw and its cache stay small.
+EPOCH_BLOCKS, EPOCH_GAINS = 64, 4096
+
+
+def epoch_blocks(n: int) -> int:
+    """T, the blocks in an epoch of an n-node process: max(1, min(64, 4096 // P))
+    for its P = n(n-1)/2 node pairs, so 64 at n = 10, 3 at n = 50 and 1
+    from n = 65 on."""
+    return max(1, min(EPOCH_BLOCKS, EPOCH_GAINS // max(1, n * (n - 1) // 2)))
+
+
 @dataclass(frozen=True)
 class ChannelProcess:
     """Seedable sequence of coherence blocks for a symmetric topology.
 
-    Block k draws from one PCG64 generator keyed by (seed, k): the process's
-    seeded state advanced by k * 2**64 draws, so blocks never share a draw
-    for k < 2**64. It draws one gain per link, in the canonical
-    np.triu_indices order of the links. So a link's gain depends only on
-    (seed, k, its rank among the links). Which block a step reads is the
-    stepping kernel's rule, not the process's. Each block re-keys the one
+    Blocks come in epochs of T = epoch_blocks(n): block k is row k mod T of
+    epoch k // T. Epoch e draws from one PCG64 generator keyed by (seed, e):
+    the process's seeded state advanced by e * 2**64 draws, so epochs never
+    share a draw for e < 2**64. With T > 1 an epoch is one (T, P) draw, a
+    row of P per block for the P node pairs, and a block's links take the
+    first entries of its row, in the canonical np.triu_indices order of the
+    links; with T = 1 the one row draws the links only. So a link's gain
+    depends only on (seed, n, k, its rank among the links). Which block a
+    step reads is the stepping kernel's rule, not the process's. The
+    process caches its last epoch, at most EPOCH_GAINS values when T > 1,
+    drawn when a block of it is first read; each epoch drawn re-keys the one
     generator, so a process must not realize blocks from two threads at once.
 
     deep_fade_epsilon, when set, gives every off-topology pair a weak
     positive gain uniform in (0, deep_fade_epsilon/2], below the
-    effective-graph threshold. Its uniforms, one per off-topology pair in
-    the same canonical order, come from the same generator after the
-    gains, so switching it on leaves the link gains untouched.
+    effective-graph threshold. Its uniforms, a (T, off-topology pairs)
+    array in the same canonical order, come from the same generator after
+    the epoch's gains, so switching it on leaves the link gains untouched.
 
     pair_scales multiplies individual links' draws by a per-pair factor,
     keyed by the undirected pair (min, max); every listed pair must be a
@@ -136,13 +153,15 @@ class ChannelProcess:
     # built once from the fields above: the flat gain-matrix indices of
     # every link's (a, b) and (b, a) entries, a < b, in canonical order, the
     # same for the off-topology pairs, each link's scale (None when all are
-    # 1), a block with no link drawn, and the generator with its seeded state
+    # 1), a block with no link drawn, the generator with its seeded state,
+    # and the cached epoch: its index, link gains, fades and overflowing rows
     _links: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _fades: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
     _blank: np.ndarray = field(init=False, repr=False, compare=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _state: dict = field(init=False, repr=False, compare=False)
+    _epoch: list = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not self.topology.is_symmetric():
@@ -181,44 +200,68 @@ class ChannelProcess:
         object.__setattr__(self, "_blank", self.self_weight * np.eye(n))
         object.__setattr__(self, "_rng", np.random.Generator(bit_generator))
         object.__setattr__(self, "_state", bit_generator.state)
+        object.__setattr__(self, "_epoch", [None])  # nothing drawn yet
 
-    def realization(self, k: int, out: np.ndarray | None = None) -> ChannelRealization:
+    def _drawn(self, e: int):
+        """Epoch e as (link gains, fades or None, overflowing rows), one row
+        per block; drawn unless it is the cached one, which it replaces."""
+        if self._epoch[0] != e:
+            rng = self._rng
+            rng.bit_generator.state = self._state
+            rng.bit_generator.advance(e << 64)
+            n, T = self.topology.n, epoch_blocks(self.topology.n)
+            links = self._links[0].size
+            width = n * (n - 1) // 2 if T > 1 else links
+            gains = np.ascontiguousarray(self.model.draw(rng, T * width).reshape(T, width)[:, :links])
+            if self._scales is not None:
+                with np.errstate(over="ignore"):  # an overflowing gain is refused when its block is read
+                    gains *= self._scales
+            fades = None
+            if self.deep_fade_epsilon is not None:
+                fades = (1.0 - rng.random((T, self._fades[0].size))) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
+            self._epoch[:] = e, gains, fades, ~(gains.max(axis=1, initial=0.0) < np.inf)
+        return self._epoch[1:]
+
+    def _write(self, e: int, rows: slice, out: np.ndarray) -> np.ndarray:
+        """Epoch e's blocks at rows into out, one n x n C-contiguous block
+        each; returns which of the epoch's rows overflow."""
+        gains, fades, overflows = self._drawn(e)
+        out[...] = self._blank
+        one = len(out) == 1  # one block: 1-D indexing writes it about twice as fast as 2-D
+        flat = out.reshape(-1) if one else out.reshape(len(out), -1).T
+        for (up, down), values in ((self._links, gains), (self._fades, fades)):
+            if values is not None:
+                values = values[rows]
+                flat[up] = flat[down] = values[0] if one else values.T
+        return overflows
+
+    def write_epoch(self, e: int, out: np.ndarray) -> int | None:
+        """Blocks e*T to e*T + T - 1 into out, a (T, n, n) float array whose
+        blocks are each C-contiguous, as realization(k) gives them. The
+        blocks are not checked: returns the first with an overflowing gain,
+        which realization raises for, or None."""
+        if e < 0:
+            raise ValueError(f"epoch index must be nonnegative, got {e}")
+        overflows = self._write(e, slice(None), out)
+        return e * len(overflows) + int(np.argmax(overflows)) if overflows.any() else None
+
+    def realization(self, k: int) -> ChannelRealization:
         """Gain matrix of block k; a pure function of (process fields, k).
         Built symmetric, nonnegative and with the self_weight diagonal, it
         is checked only for a gain overflowing to inf: a ValueError naming
-        the block, the pair and the keys that set its size.
-
-        out, an n x n C-contiguous float array that holds a block of this
-        process, is overwritten with block k instead of allocating one:
-        only the entries that vary between blocks (the links, and with deep
-        fade the off-topology pairs) are rewritten, and the returned
-        block's gains are a read-only view of out."""
+        the block, the pair and the keys that set its size."""
         if k < 0:
             raise ValueError(f"block index must be nonnegative, got {k}")
         n = self.topology.n
-        if out is None:
-            out = self._blank.copy()
-        elif out.shape != (n, n) or out.dtype != np.float64 or not out.flags.c_contiguous:
-            raise ValueError(f"out must be a C-contiguous {n}x{n} float array, got shape {out.shape}")
-        rng = self._rng
-        rng.bit_generator.state = self._state
-        rng.bit_generator.advance(k << 64)
-        up, down = self._links
-        gains = self.model.draw(rng, up.size)
-        if self._scales is not None:
-            with np.errstate(over="ignore"):  # an overflowing gain is refused below
-                gains *= self._scales
-        if not gains.max(initial=0.0) < np.inf:
-            a, b = divmod(int(up[np.argmax(gains)]), n)
+        e, r = divmod(k, epoch_blocks(n))
+        gains, _, overflows = self._drawn(e)
+        if overflows[r]:
+            a, b = divmod(int(self._links[0][np.argmax(gains[r])]), n)
             keys = "fading times pair_scales" if (a, b) in dict(self.pair_scales) else "fading"
-            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(gains.max())!r}: {keys} overflows")
-        flat = out.reshape(-1)
-        flat[up] = flat[down] = gains
-        if self.deep_fade_epsilon is not None:
-            up, down = self._fades
-            u = rng.random(up.size)
-            flat[up] = flat[down] = (1.0 - u) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
-        gains = out.view()
+            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(gains[r].max())!r}: {keys} overflows")
+        out = np.empty((1, n, n))
+        self._write(e, slice(r, r + 1), out)
+        gains = out[0]
         gains.setflags(write=False)
         block = object.__new__(ChannelRealization)
         for name, value in (("n", n), ("gains", gains), ("self_weight", self.self_weight)):

@@ -14,7 +14,7 @@ from itertools import count, groupby
 
 import numpy as np
 
-from .channel import ChannelProcess, FadingModel
+from .channel import ChannelProcess, FadingModel, epoch_blocks
 from .protocol import InitialStates, NonFiniteStateError, ota_step, pilot, prop1_weights, ratio
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
@@ -214,7 +214,12 @@ def prepare(config: SimulationConfig):
     Exposed separately so audits can rebuild exactly the channel sequence a
     run saw without replaying the run.
     """
-    topo_seed, channel_seed, initial_seed, _ = stream_seeds(config.seed)
+    return _setup(config)[:3]
+
+
+def _setup(config: SimulationConfig):
+    """prepare's set-up and the run's noise seed, from one derivation."""
+    topo_seed, channel_seed, initial_seed, noise_seed = stream_seeds(config.seed)
     g = generate_topology(config.topology, config.n, topo_seed)
     if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g.adj):
         raise ValueError(f"{config.algorithm} requires a strongly connected topology")
@@ -229,7 +234,7 @@ def prepare(config: SimulationConfig):
             pair_scales=config.pair_scales,
         )
     S = make_initial_values(config.initial, config.n, initial_seed)
-    return g, channel, S
+    return g, channel, S, noise_seed
 
 
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
@@ -241,19 +246,26 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     likewise for x_tilde:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
-    - tvc: step k reads block k - 1 into its member's slot of G, one
-      (m, n, n) buffer: a ChannelProcess writes it in place from step 2 on,
-      and any other channel's block is copied in. A fresh pilot measures it,
-      and with epsilon_B, an (epsilon, B) pair, the pass's EpsilonBAudit,
-      built symmetric when every member's channel is a ChannelProcess,
-      judges it: each summary's epsilon_B_satisfied, None in any other pass;
+    - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
+      stack of epochs, T = channel.epoch_blocks(n): at an epoch's first
+      step each ChannelProcess member writes the whole epoch into its slot,
+      and any other channel's block is copied in at the step that reads it.
+      A block whose gain overflows is refused at that step, never before.
+      A fresh pilot measures G, and with epsilon_B, an (epsilon, B) pair,
+      the pass's EpsilonBAudit, built symmetric when every member's channel
+      is a ChannelProcess, judges it: each summary's epsilon_B_satisfied,
+      None in any other pass;
     - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
       that draws no receiver noise.
 
     With noise_std > 0 each analog slot draws n values from the member's
     generator, in slot order: tic's pilot once, then numerator and
     denominator each step; tvc's pilot, numerator and denominator each step.
-    A G that is not n x n raises ValueError, a broken state as in run().
+    The steps' draws are read ahead in chunks, one call per member each:
+    DRIFT_STEPS steps, or fewer to the pass's next step budget, so no member
+    draws past its budget, but one that converges or faults mid-chunk has
+    drawn to the chunk's end. A G that is not n x n raises ValueError, a
+    broken state as in run().
 
     A member stops at its budget or after window steps in a row with its
     ratio spread at or below tol, and then draws nothing more. The states
@@ -269,18 +281,13 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     m, n = y.shape
     live, results, x = np.arange(m), [None] * m, np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
-    reciprocal = all(isinstance(c, ChannelProcess) for c in channels)  # every block symmetric
-    audit = EpsilonBAudit(*epsilon_B, reciprocal) if algorithm == "tvc" and epsilon_B else None
+    processes = [isinstance(c, ChannelProcess) for c in channels]  # their blocks are symmetric
+    audit = EpsilonBAudit(*epsilon_B, all(processes)) if algorithm == "tvc" and epsilon_B else None
 
     def sized(G, what):
         if G.shape != (n, n):
             raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
         return G
-
-    def noise(count):  # one (len(live), n) array per slot
-        if not noisy:
-            return (None,) * count
-        return np.array([rngs[i].normal(0.0, noise_std, size=(count, n)) for i in live]).swapaxes(0, 1)
 
     def checked(k, y, x):
         mu = ratio(y, x, f" at step {k}")
@@ -298,28 +305,46 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
         drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
         streak, next_stop = np.zeros(m, dtype=int), budgets.min()
+    slots = 3 if algorithm == "tvc" else 2
+    draws, drawn = np.empty((0, slots, m, n)), 0  # the noise read ahead, (steps, slots, m, n)
     if algorithm == "baseline":
         G, sigma = np.array([sized(prop1_weights(g), "the graph") for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
         G = np.array([sized(c.realization(0).gains, "the channel") for c in channels])
-        sigma = pilot(G, noise(1)[0], "at initialization")
+        sigma = pilot(G, np.array([r.normal(0.0, noise_std, size=n) for r in rngs]) if noisy else None,
+                      "at initialization")
+    else:
+        T = epoch_blocks(n)
+        blocks, faults = np.empty((T, m, n, n)), {}  # faults: first overflowing block -> its members
+        copied = [j for j in live if not processes[j]]  # the slots whose blocks are copied in
     for k in count():
+        if k:
+            if noisy and drawn == len(draws):
+                steps = DRIFT_STEPS if not books else int(min(DRIFT_STEPS, next_stop - k + 1))
+                draws, drawn = np.stack([rngs[i].normal(0.0, noise_std, size=(steps, slots, n)) for i in live], 2), 0
+            w, drawn = draws[drawn] if noisy else (None,) * slots, drawn + 1
         if k and algorithm == "tvc":
-            if k == 1:
-                G = np.array([sized(channels[i].realization(0).gains, "the channel at step 1") for i in live])
-            else:  # each slot holds its member's last block
+            e, r = divmod(k - 1, T)
+            if r == 0:
+                faults.clear()
                 for j, i in enumerate(live):
-                    if isinstance(channels[i], ChannelProcess):
-                        channels[i].realization(k - 1, out=G[j])
-                    else:
-                        G[j] = sized(channels[i].realization(k - 1).gains, f"the channel at step {k}")
+                    if processes[i]:
+                        sized(channels[i].topology.adj, f"the channel at step {k}")
+                        bad = channels[i].write_epoch(e, blocks[:, j])
+                        if bad is not None:
+                            faults.setdefault(bad, []).append(i)
+            for i in faults.get(k - 1, ()):
+                if i in live:
+                    channels[i].realization(k - 1)  # raises its overflow by name
+            G = blocks[r]
+            for j in copied:
+                G[j] = sized(channels[live[j]].realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
                 audit.add(G)
-            w_sigma, w_y, w_x = noise(3)
-            sigma = pilot(G, w_sigma, f"at step {k}")
-            y, x = ota_step(G, sigma, y, x, w_y, w_x)
+            sigma = pilot(G, w[0], f"at step {k}")
+            y, x = ota_step(G, sigma, y, x, *w[1:])
         elif k:
-            y, x = ota_step(G, sigma, y, x, *noise(2))
+            y, x = ota_step(G, sigma, y, x, *w)
         mu = checked(k, y, x)
         yield y, x, mu
         if not books:
@@ -361,8 +386,10 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         # every per-member array keeps the columns of the members still stepping
         live, y, x, streak, budgets = live[keep], y[keep], x[keep], streak[keep], budgets[keep]
         conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
-        chunk = np.empty((3, DRIFT_STEPS, live.size, n))
-        if algorithm != "tvc" or k > 0:  # a member's slot of G moves with it
+        chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
+        if algorithm == "tvc":  # a member's slot moves with it
+            blocks, copied = blocks[:, keep], [j for j, i in enumerate(live) if not processes[i]]
+        else:
             G, sigma = G[keep], sigma[keep]
         if audit is not None:
             audit.keep(keep)
@@ -374,7 +401,10 @@ def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
     hold hand-stepped references against. Yields (y_tilde, x_tilde, mu) for
     step 0 (the initial values) and after every step, stepped as _kernel
     describes from the graph g (baseline) or the channel, any object with a
-    realization(k) method; the caller decides when to stop."""
+    realization(k) method; the caller decides when to stop. With noise,
+    noise_rng is read DRIFT_STEPS steps at a time, ahead of the steps
+    taken: each step adds the draws it would take alone, but the
+    generator's state is up to a chunk ahead of them."""
     kernel = _kernel(algorithm, [(g, channel, S, noise_rng, None)], noise_std)
     while True:
         with np.errstate(over="ignore"):  # every overflow is refused by name
@@ -399,8 +429,12 @@ def run_group(configs, done=None) -> list[RunSummary]:
 def _seed_group(configs, record=False):
     """_drive over configs that differ only in seed, one member each."""
     cfg = configs[0]
-    members = [lambda c=c: (*prepare(c), np.random.default_rng(stream_seeds(c.seed)[3]), c.max_iters)
-               for c in configs]
+
+    def member(c):
+        g, channel, S, noise_seed = _setup(c)
+        return g, channel, S, np.random.default_rng(noise_seed), c.max_iters
+
+    members = [lambda c=c: member(c) for c in configs]
     return _drive(cfg.algorithm, members, noise_std=cfg.noise_std, epsilon_B=(cfg.epsilon, cfg.B),
                   tol=cfg.tol, window=cfg.tol_window, record=record)
 

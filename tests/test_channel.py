@@ -1,9 +1,11 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
+from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.simulator import InitialSpec, SimulationConfig
 from otaconsensus.topology import Digraph, EpsilonBAudit, TopologySpec, generate_topology
 
@@ -145,18 +147,67 @@ def test_process_blocks_pass_construction_checks(proc, k):
 @settings(max_examples=30, deadline=None)
 def test_random_access_equals_sequential(proc, order):
     # block k is a pure function of (process, k): neither the blocks read
-    # before it nor writing it into a buffer holding another block changes it
-    sequential = [proc.realization(k).gains for k in range(8)]
-    out = proc.realization(order[-1]).gains.copy()
-    for k in order:
+    # before it nor the epoch cached changes it, across epoch boundaries,
+    # and the epochs the kernel writes hold the same blocks
+    n, T = proc.topology.n, epoch_blocks(proc.topology.n)
+    ks = [0, 1, T - 1, T, T + 1, 2 * T - 1, 3 * T, 3 * T + 2]
+    sequential = {k: proc.realization(k).gains for k in sorted(ks)}
+    for k in (ks[i] for i in order):
         np.testing.assert_array_equal(proc.realization(k).gains, sequential[k])
-        block = proc.realization(k, out=out)
-        np.testing.assert_array_equal(out, sequential[k])
-        assert np.shares_memory(block.gains, out) and not block.gains.flags.writeable
-    n = proc.topology.n
-    for bad in (np.zeros((n + 1, n + 1)), np.zeros((n, n), dtype=np.float32), np.zeros((n, 2 * n))[:, ::2]):
-        with pytest.raises(ValueError, match="out must be"):
-            proc.realization(0, out=bad)
+    stack = np.full((T, 2, n, n), np.nan)  # the kernel's (T, m, n, n) layout
+    for e in (3, 0, 1):
+        proc.write_epoch(e, stack[:, 1])
+        for k in ks:
+            if k // T == e:
+                np.testing.assert_array_equal(stack[k % T, 1], sequential[k])
+    assert np.isnan(stack[:, 0]).all()
+
+
+def test_epoch_length_follows_the_pair_count():
+    # T = max(1, min(64, 4096 // P)) for the P = n(n-1)/2 pairs
+    assert [epoch_blocks(n) for n in (1, 2, 10, 11, 12, 50, 64, 65, 200)] == [64, 64, 64, 64, 62, 3, 2, 1, 1]
+
+
+@pytest.mark.parametrize("n", [10, 50, 200])
+def test_epoch_cache_is_bounded(n):
+    # the cached epoch, link gains and fades, holds at most 4096 values
+    # when it holds several blocks, and one block's when it holds one
+    proc = ChannelProcess(FadingModel.half_normal(1.0), generate_topology(TopologySpec("erdos_renyi", p=0.5), n, 0),
+                          seed=1, deep_fade_epsilon=1e-3)
+    assert proc._epoch == [None]  # nothing drawn at construction
+    proc.realization(5)
+    cached = sum(a.size for a in proc._epoch[1:3])
+    T = epoch_blocks(n)
+    assert cached == T * n * (n - 1) // 2 and (T == 1 or cached <= 4096)
+
+
+def test_deep_fade_keeps_link_gains_across_an_epoch_boundary():
+    # the fades are an epoch of their own, drawn after the gains
+    topo = generate_topology(TopologySpec("erdos_renyi", p=0.5), 10, 3)
+    plain = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=4)
+    faded = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=4, deep_fade_epsilon=1e-3)
+    T, adj = epoch_blocks(10), topo.adj
+    for k in (T - 1, T, T + 1):
+        np.testing.assert_array_equal(plain.realization(k).gains[adj], faded.realization(k).gains[adj])
+        assert np.all(faded.realization(k).gains[~adj & ~np.eye(10, dtype=bool)] <= 5e-4)
+
+
+def test_overflow_is_refused_only_for_the_block_read():
+    # with one link's gain scaled to the edge of overflow, some blocks of an
+    # epoch overflow: reading one raises by name, writing the epoch reports
+    # the first, and the blocks before it read clean
+    topo = generate_topology(TopologySpec("ring"), 12, 0)
+    proc = ChannelProcess(FadingModel.uniform(0.1, 2.0), topo, seed=7, pair_scales=(((0, 1), 9.02e307),))
+    T = epoch_blocks(12)
+    out = np.empty((T, 12, 12))
+    with np.errstate(over="ignore"):
+        firsts = [proc.write_epoch(e, out) for e in range(4)]
+    bad = next(b for b in firsts if b is not None)
+    for k in range(bad // T * T, bad):
+        assert np.isfinite(proc.realization(k).gains).all()
+    with pytest.raises(ValueError, match=rf"^gain of pair \(0,1\) in block {bad} is inf: fading times pair_scales "
+                                         "overflows$"):
+        proc.realization(bad)
 
 
 def test_process_without_links_keeps_its_diagonal():
@@ -177,6 +228,21 @@ def test_process_rejects_negative_step():
     proc = ChannelProcess(FadingModel.constant(1.0), ring(4))
     with pytest.raises(ValueError):
         proc.realization(-1)
+    with pytest.raises(ValueError, match="^epoch index must be nonnegative, got -1$"):
+        proc.write_epoch(-1, np.empty((epoch_blocks(4), 4, 4)))
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"self_weight": -0.5}, "self_weight must be finite and nonnegative, got -0.5"),
+    ({"self_weight": float("inf")}, "self_weight must be finite and nonnegative, got inf"),
+    ({"seed": -1}, "seed must be nonnegative, got -1"),
+    ({"pair_scales": (((1, 0), 0.0),)}, "pair scale for (1,0) must be finite and positive, got 0.0"),
+    ({"pair_scales": (((0, 1), float("nan")),)}, "pair scale for (0,1) must be finite and positive, got nan"),
+])
+def test_process_refuses_a_bad_field(fields, message):
+    # the config refuses these first; the process refuses them on its own
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        ChannelProcess(FadingModel.constant(1.0), ring(4), **fields)
 
 
 def test_deep_fade_requires_finite_positive_epsilon():

@@ -889,18 +889,16 @@ def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
 
 def test_verify_suite_realizes_each_block_once(monkeypatch):
     # 100 blocks shared by both oracles, the audits, the tic pass (which
-    # holds block 0) and both equivariance passes, plus 1000 for the tvc pass
-    calls = 0
-    realization = ChannelProcess.realization
-
-    def counted(self, k, **out):
-        nonlocal calls
-        calls += 1
-        return realization(self, k, **out)
-
-    monkeypatch.setattr(ChannelProcess, "realization", counted)
+    # holds block 0) and both equivariance passes, and for the tvc pass's
+    # 1000 steps the 16 epochs of 64 blocks that hold them, written once each
+    calls = []
+    realization, write_epoch = ChannelProcess.realization, ChannelProcess.write_epoch
+    monkeypatch.setattr(ChannelProcess, "realization",
+                        lambda self, k: calls.append(("block", k)) or realization(self, k))
+    monkeypatch.setattr(ChannelProcess, "write_epoch",
+                        lambda self, e, out: calls.append(("epoch", e)) or write_epoch(self, e, out))
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
-    assert calls == 100 + 1000
+    assert calls == [("block", k) for k in range(100)] + [("epoch", e) for e in range(16)]
 
 
 def test_verify_passes_step_together_as_they_step_alone():
@@ -1020,6 +1018,23 @@ def test_benchmark_setup_probe_runs(kind, config, tmp_path):
     assert json.loads(proc.stdout)["setup_s"] > 0
 
 
+def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    # at n = 200 a LAPACK stationary solve over threaded OpenBLAS rounded
+    # differently under one and two threads; verify.json must not
+    written = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run(
+            [sys.executable, "-m", "otaconsensus.cli", "verify", str(CONFIG_DIR / "tvc10.cfg"), "--set", "n=200",
+             "-o", str(tmp_path / threads)],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        written.append((tmp_path / threads / "verify.json").read_bytes())
+    assert written[0] == written[1]
+
+
 def test_verify_suite_negative_controls(minimal_cfg):
     checks = run_verify_suite(parse_config(str(minimal_cfg), ["n=6"]))
     by_name = {c.check_name: c for c in checks}
@@ -1074,24 +1089,24 @@ def test_sweep_fault_names_its_row(sweep_block, row, tmp_path, capsys):
 
 
 def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
-    # seed 3 overflows its pilot sum first in step order, but seed 1 comes
+    # seed 6 overflows its pilot sum first in step order, but seed 1 comes
     # first in row order, and row order is what a sweep reports
     p = tmp_path / "s.cfg"
     p.write_text(
         "n = 3\ntopology = complete\nalgorithm = tvc\nfading = half_normal(5e307)\n"
         "initial = explicit(0, 1, 2)\nseed = 0\ntol = 1e-300\nmax_iters = 300\n"
-        "[sweep]\nparameter = noise_std\nvalues = 0.0\nseeds = 1, 3\n"
+        "[sweep]\nparameter = noise_std\nvalues = 0.0\nseeds = 1, 6\n"
     )
     alone = {}
-    for seed in (1, 3):
+    for seed in (1, 6):
         with pytest.raises(NonFiniteStateError) as exc:
             run(parse_config(str(p), [f"seed={seed}"]))
         alone[seed] = str(exc.value)
-    assert alone == {1: "node 1 overflowed at step 82: pilot sum inf is not finite",
-                     3: "node 1 overflowed at step 15: pilot sum inf is not finite"}
+    assert alone == {1: "node 0 overflowed at step 16: pilot sum inf is not finite",
+                     6: "node 1 overflowed at step 10: pilot sum inf is not finite"}
     assert main(["sweep", str(p), "-o", str(tmp_path / "o")]) == 3
     assert capsys.readouterr().err == (
-        "runtime error: noise_std = 0.0, seed 1: node 1 overflowed at step 82: pilot sum inf is not finite\n"
+        "runtime error: noise_std = 0.0, seed 1: node 0 overflowed at step 16: pilot sum inf is not finite\n"
     )
     assert not (tmp_path / "o").exists()
 
@@ -1099,8 +1114,8 @@ def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
 @pytest.mark.parametrize("config, sweep_block, overrides, stdout, csv_sha256", [
     ("self_weight_sweep.cfg", "", [], "sweep over self_weight: 6 runs, 3 converged\n",
      "eb251d28f3c003ee5b4adb5b67aa6c32fb6db043a8ff28db0942783756a93371"),
-    ("noise_sweep.cfg", "", ["max_iters=50"], "sweep over noise_std: 12 runs, 4 converged\n",
-     "b4e678a83e247b718a51d788b8d1bb75a47db2dd76198c4588c32cf33dfb7937"),
+    ("noise_sweep.cfg", "", ["max_iters=50"], "sweep over noise_std: 12 runs, 5 converged\n",
+     "81961bc0500b000b7c0d6dccc7ecc35f70577528c175171827ce9d8197f954c1"),
     ("tic10.cfg", "parameter = topology\nvalues = ring, complete\n", [],
      "sweep over topology: 2 runs, 2 converged\n",
      "a8f9d016f6a072c6b76ff9845572c492fcf2b49e34d95c80e7c7d1edd3aa0897"),
@@ -1108,7 +1123,7 @@ def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):
      "sweep over seed: 2 runs, 2 converged\n",
      "7db8b398c06cfb4f637c42f8386ce7e19af16f9b17cccb4ab52d5fde615a6549"),
     ("algorithm_sweep.cfg", "", [], "sweep over algorithm: 20 runs, 20 converged\n",
-     "2e98eb3bf99ba641bb1d4bd80bfc84c8d97cbd7a0b6935dcf4418758e91aad6d"),
+     "e18a5a99453c512e373e2626b054fd7b443e7e7f2df9362b18aec5a54050a410"),
 ])
 def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256, tmp_path, capsys):
     path = CONFIG_DIR / config
@@ -1128,18 +1143,18 @@ def test_sweep_output_pinned(config, sweep_block, overrides, stdout, csv_sha256,
         "summary.json": "0ea8e44f09a5a7d43e3021989c1a3a87166697e5c2bf2ea07f7f6a88fc9a83e9",
         "trajectory.csv": "2843654feefd1b2815898a0ce3a729ec0f547ae960567627d3de71a6d4d21bfc"}),
     ("run", "tvc10.cfg", {
-        "summary.json": "d88788022126d1de76ba9e823adc851d37c62f9916c429dd212f7a36efd2a362",
-        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+        "summary.json": "02bd0f65d06cbf59547b39b4e0a5ebcd8790c9a947a78c46e6643569fd5efead",
+        "trajectory.csv": "9801fadeabc80fd7b132a25d89b69bfb5b00f03568611f64f2ed426f9440fd93"}),
     ("verify", "algorithm_sweep.cfg",
-     {"verify.json": "2b2ce6d80a429876e79cc46f1e3309c8318c848e2be8536ae7072cec515a1bb8"}),
+     {"verify.json": "280649b76f5c4e0ce3ef6066e2b27746699b35aad78cb0c8b8db7b6ce61cbde9"}),
     ("verify", "noise_sweep.cfg",
-     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+     {"verify.json": "b4162ada052ef381e78cb43a85dfd6bc63f085f9ad2b31ccfd935f8cd42c8c35"}),
     ("verify", "self_weight_sweep.cfg",
      {"verify.json": "ad9605dfe47aaaa903e904c745e98267163dc83274c47947d81b507d39d43730"}),
     ("verify", "tic10.cfg",
-     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+     {"verify.json": "b4162ada052ef381e78cb43a85dfd6bc63f085f9ad2b31ccfd935f8cd42c8c35"}),
     ("verify", "tvc10.cfg",
-     {"verify.json": "06b6a469300a1902338f7568bf9198a2119f936cee6e0a1e96be9119f42788d0"}),
+     {"verify.json": "b4162ada052ef381e78cb43a85dfd6bc63f085f9ad2b31ccfd935f8cd42c8c35"}),
 ])
 def test_run_and_verify_outputs_pinned(command, config, sha256s, tmp_path):
     # every file run and verify write, to the byte, as the shipped configs give them
@@ -1150,11 +1165,11 @@ def test_run_and_verify_outputs_pinned(command, config, sha256s, tmp_path):
 
 @pytest.mark.parametrize("overrides, satisfied, sha256s", [
     (["epsilon=0.9"], False, {
-        "summary.json": "ba3d4cc56292c14d40e032faadf55e698c7e78de39d973287d8f615f813f6bba",
-        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+        "summary.json": "d14710c3e57af177f792997b6d21daa1499f574f75e47d59d3e4aada72c9d1c9",
+        "trajectory.csv": "9801fadeabc80fd7b132a25d89b69bfb5b00f03568611f64f2ed426f9440fd93"}),
     (["B=3", "epsilon=0.5"], True, {
-        "summary.json": "2f4237831da6a54d9c14680e6e5ccfd5d1d24c711cf04763ea27912e6a918ee7",
-        "trajectory.csv": "dc2a8dacb3e905dacb7bb15bffdf4bbc0c950d68a2236396f35417f0352c3f94"}),
+        "summary.json": "abba5a0ef663011cdcf79809663f169f71a94fb3f8e8a3437fadfa1d67d78c78",
+        "trajectory.csv": "9801fadeabc80fd7b132a25d89b69bfb5b00f03568611f64f2ed426f9440fd93"}),
 ], ids=["unsatisfied", "satisfied"])
 def test_run_pins_both_epsilon_B_verdicts(overrides, satisfied, sha256s, tmp_path):
     # both verdicts of the tvc audit, to the byte, through the CLI

@@ -11,4 +11,4 @@ def test_readme_python_example_runs(capsys):
     assert len(blocks) == 1
     exec(compile(blocks[0], str(README), "exec"), {})
     converged, iterations, error = capsys.readouterr().out.split()
-    assert (converged, iterations) == ("True", "31") and float(error) < 1e-9
+    assert (converged, iterations) == ("True", "32") and float(error) < 1e-9

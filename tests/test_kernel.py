@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
+from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
 from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError, ota_step, pilot
 from otaconsensus.analysis import mass_audit, matrix_oracle
@@ -78,12 +78,13 @@ def test_baseline_ignores_receiver_noise():
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_noise_stream_order(algorithm):
     # tic spends one pilot draw up front, then two slots per step; tvc
-    # spends three slots per step, pilot first
-    n, std = 6, 1e-3
+    # spends three slots per step, pilot first; the kernel reads them a
+    # chunk ahead, and past two chunks each step's draws are still these
+    n, std, steps = 6, 1e-3, 2 * DRIFT_STEPS + 5
     proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5)
     S = InitialStates(np.arange(n, dtype=float))
     Y, X, _ = take(iterate(algorithm, S, channel=proc, noise_std=std,
-                           noise_rng=np.random.default_rng(9)), 3)
+                           noise_rng=np.random.default_rng(9)), steps)
     rng = np.random.default_rng(9)
 
     def draw():
@@ -93,7 +94,7 @@ def test_kernel_noise_stream_order(algorithm):
     if algorithm == "tic":
         gains = proc.realization(0).gains
         sigma = pilot(gains, draw())
-    for k in range(1, 4):
+    for k in range(1, steps + 1):
         if algorithm == "tvc":
             gains = proc.realization(k - 1).gains
             sigma = pilot(gains, draw())
@@ -102,39 +103,51 @@ def test_kernel_noise_stream_order(algorithm):
         np.testing.assert_array_equal(X[k], x)
 
 
-@pytest.mark.parametrize("algorithm, blocks", [("tic", [0]), ("tvc", list(range(50)))])
+@pytest.mark.parametrize("algorithm, blocks", [
+    ("tic", [("block", 0)]), ("tvc", [("epoch", e) for e in range(3)]),
+])
 def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
     # the process is a plain sequence of blocks; which block a step reads is
-    # the kernel's rule: tic realizes block 0 once, tvc block k - 1 at step k
+    # the kernel's rule: tic realizes block 0 once, tvc reads block k - 1 at
+    # step k from the epoch of T blocks it writes at the epoch's first step
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
     seen = []
-    realization = ChannelProcess.realization
+    realization, write_epoch = ChannelProcess.realization, ChannelProcess.write_epoch
     monkeypatch.setattr(ChannelProcess, "realization",
-                        lambda self, k, **out: seen.append(k) or realization(self, k, **out))
-    take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 50)
+                        lambda self, k: seen.append(("block", k)) or realization(self, k))
+    monkeypatch.setattr(ChannelProcess, "write_epoch",
+                        lambda self, e, out: seen.append(("epoch", e)) or write_epoch(self, e, out))
+    T = epoch_blocks(6)
+    _, _, mu = take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 2 * T + 1)
     assert seen == blocks
+    if algorithm == "tvc":  # step k is the matrix oracle over blocks 0 .. k - 1
+        _, _, expected = matrix_oracle([proc.realization(k) for k in range(2 * T + 1)], InitialStates(np.arange(6.0)),
+                                       2 * T + 1)
+        np.testing.assert_allclose(mu, expected, rtol=0, atol=1e-12)
 
 
 def test_kernel_writes_a_process_block_in_place_beside_any_channel(monkeypatch):
-    # a ChannelProcess member's block route is its own: from step 2 on it
-    # writes each block into its slot, though the other member's channel
-    # is not a process, and the pass steps each member as it steps alone
-    proc = ChannelProcess(FadingModel.half_normal(1.0), er(6, 1), seed=3)
-    other = ChannelProcess(FadingModel.half_normal(1.0), er(6, 2), seed=4)
-    held = SimpleNamespace(realization=other.realization)
+    # a ChannelProcess member's block route is its own: it writes an epoch
+    # of T blocks into its slot at the epoch's first step, and never
+    # realizes a block, though the other member's channel is not a process
+    # and has each block copied in at its step; the pass steps each member
+    # as it steps alone
+    n = 50
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(n, 1), seed=3)
+    other = ChannelProcess(FadingModel.half_normal(1.0), er(n, 2), seed=4)
+    held = SimpleNamespace(realization=lambda k: other.realization(k))
     calls = []
-    realization = ChannelProcess.realization
-
-    def counted(self, k, **out):
-        if self is proc:
-            calls.append((k, "out" in out))
-        return realization(self, k, **out)
-
-    monkeypatch.setattr(ChannelProcess, "realization", counted)
-    members = [lambda: (None, proc, InitialStates(np.arange(6.0)), None, 20),
-               lambda: (None, held, InitialStates(np.ones(6) - np.arange(6.0)), None, 30)]
+    realization, write_epoch = ChannelProcess.realization, ChannelProcess.write_epoch
+    monkeypatch.setattr(ChannelProcess, "realization",
+                        lambda self, k: calls.append((self is proc, "block", k)) or realization(self, k))
+    monkeypatch.setattr(ChannelProcess, "write_epoch",
+                        lambda self, e, out: calls.append((self is proc, "epoch", e)) or write_epoch(self, e, out))
+    members = [lambda: (None, proc, InitialStates(np.arange(float(n))), None, 20),
+               lambda: (None, held, InitialStates(np.ones(n) - np.arange(float(n))), None, 30)]
     together = [rows for _, rows in _drive("tvc", members, record=True)]
-    assert calls == [(0, False)] + [(k, True) for k in range(1, 20)]
+    T = epoch_blocks(n)
+    assert [c[1:] for c in calls if c[0]] == [("epoch", e) for e in range(-(-20 // T))]
+    assert [c[1:] for c in calls if not c[0]] == [("block", k) for k in range(30)]
     for setup, rows in zip(members, together):
         (_, alone), = _drive("tvc", [setup], record=True)
         assert all(np.array_equal(a, b) for a, b in zip(rows, alone))
@@ -365,13 +378,13 @@ def test_seed_group_equals_runs_one_by_one(group):
 
 
 @pytest.mark.parametrize("pair_scales, seeds, stops", [
-    ((), (0, 6, 9, 1), [128, 133, 150, 148]),
-    ((((0, 1), 9.02e307),), (3, 8, 7), [150, 150]),
+    ((), (0, 6, 9, 2), [138, 129, 150, 141]),
+    ((((0, 1), 9.02e307),), (4, 8, 7), [150, 150]),
 ], ids=["converging", "faulting"])
 def test_seed_group_across_drift_chunks(pair_scales, seeds, stops):
     # runs longer than two chunks of DRIFT_STEPS whose members stop mid-chunk:
     # three converge, one reaches max_iters, and with one link's gain scaled
-    # to the edge of overflow seed 7 faults at step 94 (block 93 overflows)
+    # to the edge of overflow seed 7 faults at step 69 (block 68 overflows)
     group = [base_config(n=12, topology=TopologySpec(kind="ring"), algorithm="tvc",
                          fading=FadingModel.uniform(0.1, 2.0), noise_std=1e-8, tol=1e-6, tol_window=3,
                          max_iters=150, seed=s, pair_scales=pair_scales) for s in seeds]
@@ -382,25 +395,64 @@ def test_seed_group_across_drift_chunks(pair_scales, seeds, stops):
     assert [s.iterations_used for s in done] == stops and min(stops) >= 2 * DRIFT_STEPS
     assert all(s.mass_drift_y > 0 and s.mass_drift_x > 0 for s in done)
     if pair_scales:
-        assert expected[1].startswith("gain of pair (0,1) in block 93 is inf")
+        assert expected[1].startswith("gain of pair (0,1) in block 68 is inf")
 
 
 def test_seed_group_draws_one_block_per_member_step(monkeypatch):
-    # a member that has stopped draws no further channel block
-    group = [base_config(n=8, algorithm="tvc", seed=s, tol=1e-6, tol_window=2, max_iters=200)
+    # a member that has stopped draws no further epoch of channel blocks,
+    # and a stepping member realizes no block one at a time
+    group = [base_config(n=60, algorithm="tvc", seed=s, tol=1e-9, tol_window=2, max_iters=200)
              for s in range(4)]
-    calls = 0
-    realization = ChannelProcess.realization
-
-    def counted(self, k, **out):
-        nonlocal calls
-        calls += 1
-        return realization(self, k, **out)
-
-    monkeypatch.setattr(ChannelProcess, "realization", counted)
+    calls = []
+    write_epoch = ChannelProcess.write_epoch
+    monkeypatch.setattr(ChannelProcess, "write_epoch",
+                        lambda self, e, out: calls.append(e) or write_epoch(self, e, out))
+    monkeypatch.setattr(ChannelProcess, "realization", None)
     summaries = run_group(group)
-    assert len({s.iterations_used for s in summaries}) > 1
-    assert calls == sum(s.iterations_used for s in summaries)
+    T = epoch_blocks(60)
+    assert len({-(-s.iterations_used // T) for s in summaries}) > 1
+    assert len(calls) == sum(-(-s.iterations_used // T) for s in summaries)
+
+
+def test_overflow_past_the_budget_does_not_fault_the_run():
+    # block 42 of seed 6 overflows, in the epoch of blocks 0 .. T - 1 that
+    # a 42-step run writes: the run is clean; a run that reads it faults
+    # at step 43, with the blocks before it stepped as before
+    cfg = base_config(n=12, topology=TopologySpec(kind="ring"), algorithm="tvc", fading=FadingModel.uniform(0.1, 2.0),
+                      tol=1e-300, max_iters=42, seed=6, pair_scales=(((0, 1), 9.02e307),))
+    assert 42 < epoch_blocks(12)
+    trajectory, summary = run(cfg)
+    assert summary.iterations_used == 42 and np.isfinite(trajectory.mu).all()
+    with pytest.raises(ValueError, match=r"^gain of pair \(0,1\) in block 42 is inf: fading times pair_scales "
+                                         r"overflows$"):
+        run(replace(cfg, max_iters=43))
+    _, channel, S = prepare(cfg)
+    walk = iterate("tvc", S, channel=channel)
+    with np.errstate(over="ignore"):
+        assert all(np.array_equal(next(walk)[2], row) for row in trajectory.mu)
+    with pytest.raises(ValueError, match="in block 42 is inf"):
+        next(walk)
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_noisy_members_stopping_apart_step_as_alone(algorithm):
+    # each member's noise is read ahead in chunks that end at the pass's
+    # next budget; members whose budgets and convergence differ still draw,
+    # and step, bitwise as they do alone
+    def member(seed, budget):
+        proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, seed), seed=seed)
+        start = InitialStates(np.linspace(0.0, 1.0 + seed, 8))
+        return lambda: (None, proc, start, np.random.default_rng(seed), budget)
+
+    members = [member(seed, budget) for seed, budget in ((1, 150), (2, 40), (3, 64), (4, 200), (5, 3))]
+    rule = dict(noise_std=1e-9, tol=1e-6, window=3, record=True)
+    together = _drive(algorithm, members, **rule)
+    stops = set()
+    for setup, (summary, rows) in zip(members, together):
+        (alone_summary, alone), = _drive(algorithm, [setup], **rule)
+        assert summary == alone_summary and all(np.array_equal(a, b) for a, b in zip(rows, alone))
+        stops.add((summary.iterations_used, summary.converged))
+    assert len(stops) == len(members) and any(converged for _, converged in stops)
 
 
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
@@ -516,7 +568,7 @@ def test_batch_replays_only_member_faults(monkeypatch):
         calls += 1
         raise TypeError("not a member fault")
 
-    monkeypatch.setattr("otaconsensus.simulator.prepare", broken)
+    monkeypatch.setattr("otaconsensus.simulator._setup", broken)
     with pytest.raises(TypeError, match="not a member fault"):
         run_group([base_config(seed=s) for s in range(3)])
     assert calls == 1
@@ -547,17 +599,19 @@ def test_sweep_memory_holds_no_trajectory(tmp_path):
 
 
 def test_no_generator_built_per_block(monkeypatch):
-    # block k re-keys the process's one generator; building a generator or
-    # a seed sequence per block costs more than drawing a small block
+    # epoch e re-keys the process's one generator; building a generator or
+    # a seed sequence per epoch costs more than drawing a small one
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(12, 0), seed=7, deep_fade_epsilon=1e-3)
     built = []
     for name in ("default_rng", "SeedSequence", "PCG64", "Generator"):
         real = getattr(np.random, name)
         monkeypatch.setattr(np.random, name, lambda *a, real=real, name=name, **kw: built.append(name)
                             or real(*a, **kw))
-    out = proc.realization(4).gains.copy()
-    for k in (0, 9, 4):
-        proc.realization(k, out=out)
+    T = epoch_blocks(12)
+    for k in (0, 9 * T, 4):
+        proc.realization(k)
+    for e in (2, 0):
+        proc.write_epoch(e, np.empty((T, 12, 12)))
     assert built == []
 
 
