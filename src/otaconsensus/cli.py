@@ -201,7 +201,7 @@ _DEFAULTS = {f.name: f.default for f in fields(SimulationConfig)}
 def _read_sections(path: str) -> dict[str, dict[str, tuple[str, str]]]:
     """Raw sections: section name -> key -> (value text, location label)."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     sections: dict[str, dict[str, tuple[str, str]]] = {"": {}}
@@ -355,7 +355,7 @@ def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
 def write_summary_json(path: Path, summary, cfg: SimulationConfig) -> None:
     """RunSummary's fields in declaration order, then the config echo."""
     doc = {**asdict(summary), "config_echo": config_echo(cfg)}
-    path.write_text(to_json(doc) + "\n")
+    path.write_text(to_json(doc) + "\n", encoding="utf-8")
 
 
 # ------------------------------------------------------------------ verify suite
@@ -502,7 +502,7 @@ def cmd_sweep(args) -> int:
             f"{sweep.parameter},{value},{cfg.seed},{str(summary.converged).lower()},"
             f"{summary.iterations_used},{fmt_float(summary.final_max_error)}"
         )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n")
+    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
     print(f"sweep over {sweep.parameter}: {len(summaries)} runs, "
           f"{sum(s.converged for s in summaries)} converged")
     return 0
@@ -513,7 +513,7 @@ def cmd_verify(args) -> int:
     checks = run_verify_suite(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "verify.json").write_text(to_json([asdict(c) for c in checks]) + "\n")
+    (out / "verify.json").write_text(to_json([asdict(c) for c in checks]) + "\n", encoding="utf-8")
     n_pass = sum(1 for c in checks if c.passed)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.check_name} "
@@ -535,7 +535,7 @@ def cmd_topo(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         lines = ["# i j  (directed edges; load with topology_symmetric=false)"]
         lines += [f"{a} {b}" for a, b in g.edges]
-        (out / "topology.edges").write_text("\n".join(lines) + "\n")
+        (out / "topology.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
     return 0
 
 

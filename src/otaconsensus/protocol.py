@@ -11,7 +11,7 @@ Three variants share one array step, ota_step, over all receivers at
 once: the time-invariant-channel update with the normalization measured
 once at startup, the time-varying-channel update with a per-block pilot
 slot, and a digital baseline that mixes with explicit 1/(1+out-degree)
-weights instead of channel gains. simulator.iterate schedules the slots.
+weights instead of channel gains. simulator._kernel schedules the slots.
 """
 from __future__ import annotations
 

@@ -238,12 +238,11 @@ def _setup(config: SimulationConfig):
 
 
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
-    """The one stepping loop, which only _drive and iterate() step: a pass
-    of set-up members, each (graph, channel, InitialStates, noise generator,
-    step budget), stepping together as one (m, n) state. Yields the
-    (y_tilde, x_tilde, mu) of the members still stepping for step 0 and
-    after every step. Each step is y_tilde' = G @ (y_tilde / sigma) + noise,
-    likewise for x_tilde:
+    """The one stepping loop, which _drive runs: a pass of set-up members,
+    each (graph, channel, InitialStates, noise generator, step budget),
+    stepping together as one (m, n) state from step 0, the initial values.
+    Each step is y_tilde' = G @ (y_tilde / sigma) + noise, likewise for
+    x_tilde:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
@@ -261,7 +260,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     With noise_std > 0 each analog slot draws n values from the member's
     generator, in slot order: tic's pilot once, then numerator and
     denominator each step; tvc's pilot, numerator and denominator each step.
-    The steps' draws are read ahead in chunks, one call per member each:
+    The steps' draws are read in chunks, one call per member each:
     DRIFT_STEPS steps, or fewer to the pass's next step budget, so no member
     draws past its budget, but one that converges or faults mid-chunk has
     drawn to the chunk's end. A G that is not n x n raises ValueError, a
@@ -272,8 +271,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
     After the last stop the pass returns each member's (summary, rows) in
-    member order, its rows cut to length and read-only. A member with
-    budget None never stops and keeps no books: iterate()'s."""
+    member order, its rows cut to length and read-only."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     graphs, channels, starts, rngs, budgets = zip(*members)
@@ -289,24 +287,15 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
         return G
 
-    def checked(k, y, x):
-        mu = ratio(y, x, f" at step {k}")
-        finite = np.isfinite(x) & np.isfinite(mu)  # mu is not finite where y is not
-        if not finite.all():
-            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
-        return mu
-
-    books = budgets[0] is not None
-    if books:
-        # each member's rows, grown in place up to its budget; conserved (y, x)
-        # sums, their worst deviation so far, and the states not yet folded in
-        rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
-        budgets = np.array(budgets)  # int64 or uint64, where b + 1 can wrap: rows size by Python ints
-        conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
-        drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
-        streak, next_stop = np.zeros(m, dtype=int), budgets.min()
+    # each member's rows, grown in place up to its budget; conserved (y, x)
+    # sums, their worst deviation so far, and the states not yet folded in
+    rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
+    budgets = np.array(budgets)  # int64 or uint64, where b + 1 can wrap: rows size by Python ints
+    conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
+    drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
+    streak, next_stop = np.zeros(m, dtype=int), budgets.min()
     slots = 3 if algorithm == "tvc" else 2
-    draws, drawn = np.empty((0, slots, m, n)), 0  # the noise read ahead, (steps, slots, m, n)
+    draws, drawn = np.empty((0, slots, m, n)), 0  # the chunk of noise, (steps, slots, m, n)
     if algorithm == "baseline":
         G, sigma = np.array([sized(prop1_weights(g), "the graph") for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
@@ -320,7 +309,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     for k in count():
         if k:
             if noisy and drawn == len(draws):
-                steps = DRIFT_STEPS if not books else int(min(DRIFT_STEPS, next_stop - k + 1))
+                steps = int(min(DRIFT_STEPS, next_stop - k + 1))
                 draws, drawn = np.stack([rngs[i].normal(0.0, noise_std, size=(steps, slots, n)) for i in live], 2), 0
             w, drawn = draws[drawn] if noisy else (None,) * slots, drawn + 1
         if k and algorithm == "tvc":
@@ -345,10 +334,10 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             y, x = ota_step(G, sigma, y, x, *w[1:])
         elif k:
             y, x = ota_step(G, sigma, y, x, *w)
-        mu = checked(k, y, x)
-        yield y, x, mu
-        if not books:
-            continue
+        mu = ratio(y, x, f" at step {k}")
+        finite = np.isfinite(x) & np.isfinite(mu)  # mu is not finite where y is not
+        if not finite.all():
+            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
         chunk[0, filled], chunk[1, filled], chunk[2, filled] = y, x, mu
         filled += 1
         stopping = k == next_stop  # some member stops
@@ -395,23 +384,6 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             audit.keep(keep)
 
 
-def iterate(algorithm: str, S: InitialStates, g=None, channel=None,
-            noise_std: float = 0.0, noise_rng=None):
-    """A _kernel pass of one member, without end or audit: what the tests
-    hold hand-stepped references against. Yields (y_tilde, x_tilde, mu) for
-    step 0 (the initial values) and after every step, stepped as _kernel
-    describes from the graph g (baseline) or the channel, any object with a
-    realization(k) method; the caller decides when to stop. With noise,
-    noise_rng is read DRIFT_STEPS steps at a time, ahead of the steps
-    taken: each step adds the draws it would take alone, but the
-    generator's state is up to a chunk ahead of them."""
-    kernel = _kernel(algorithm, [(g, channel, S, noise_rng, None)], noise_std)
-    while True:
-        with np.errstate(over="ignore"):  # every overflow is refused by name
-            y, x, mu = next(kernel)
-        yield y[0], x[0], mu[0]
-
-
 def run_group(configs, done=None) -> list[RunSummary]:
     """run()'s summary for each config, in order, without the trajectories.
     Consecutive configs that differ only in seed (a sweep value's seeds)
@@ -446,12 +418,9 @@ def _drive(algorithm, members, **rule):
     under the same rule, as the results are read: the fault raised is the
     earliest member's, after the results before it."""
     try:
-        kernel = _kernel(algorithm, [setup() for setup in members], **rule)
+        started = [setup() for setup in members]
         with np.errstate(over="ignore"):  # every overflow is refused by name
-            while True:
-                next(kernel)
-    except StopIteration as end:
-        return end.value
+            return _kernel(algorithm, started, **rule)
     except (ValueError, RuntimeError):  # every fault a member names
         if len(members) == 1:
             raise

@@ -258,7 +258,7 @@ def _parse_edge_list(path: str, n: int) -> np.ndarray:
     non-ASCII digits), and the line loop, which reads every id int() reads,
     takes any other file and names its first faulty line."""
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except (OSError, UnicodeDecodeError) as exc:
         raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
     lines = text.splitlines()

@@ -10,7 +10,6 @@ make a failing build pass.
 """
 
 from contextlib import contextmanager
-from itertools import islice
 from time import perf_counter
 from types import SimpleNamespace
 
@@ -30,7 +29,7 @@ from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import (
     InitialSpec,
     SimulationConfig,
-    iterate,
+    _drive,
     prepare,
     run,
     spread,
@@ -56,9 +55,10 @@ def make_config(algorithm: str, seed: int, **kw) -> SimulationConfig:
 
 def kernel_rows(algorithm: str, S: InitialStates, channel, steps: int):
     """The stepping kernel's y_tilde, x_tilde and ratio for steps 0..steps,
-    each as a (steps + 1, n) array."""
-    rows = islice(iterate(algorithm, S, channel=channel), steps + 1)
-    return tuple(np.array(a) for a in zip(*rows))
+    each as a (steps + 1, n) array: a recording one-member pass with budget
+    steps."""
+    (_, rows), = _drive(algorithm, [lambda: (None, channel, S, None, steps)], record=True)
+    return rows
 
 
 @pytest.fixture
@@ -252,9 +252,9 @@ def test_09_alternating_graphs_need_window_two(criterion):
 
         S = InitialStates(np.array([0.0, 1.0, 2.0]))
         alternating = SimpleNamespace(realization=lambda k: h_seq[k % 2])
-        steps = islice(iterate("tvc", S, channel=alternating), 1, 2001)
+        steps = kernel_rows("tvc", S, alternating, 2000)[2][1:]
         converged_at = None
-        for k, (_, _, mu) in enumerate(steps):
+        for k, mu in enumerate(steps):
             if spread(mu) <= 1e-9:
                 converged_at = k + 1
                 break

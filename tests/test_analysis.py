@@ -1,5 +1,3 @@
-from itertools import islice
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -15,7 +13,7 @@ from otaconsensus.analysis import (
 )
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.protocol import InitialStates, IsolationError
-from otaconsensus.simulator import InitialSpec, SimulationConfig, iterate, prepare
+from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive, prepare
 from otaconsensus.topology import TopologySpec, generate_topology
 
 
@@ -128,8 +126,8 @@ def test_oracle_matches_protocol_tic():
     S = InitialStates(np.array([3.0, -1.0, 0.0, 2.5, 4.0, -2.0]))
     k_max = 100
     Y, X, MU = matrix_oracle([h] * k_max, S, k_max)
-    kernel = iterate("tic", S, channel=proc)
-    for k, (y_tilde, x_tilde, mu) in enumerate(islice(kernel, k_max + 1)):
+    (_, rows), = _drive("tic", [lambda: (None, proc, S, None, k_max)], record=True)
+    for k, (y_tilde, x_tilde, mu) in enumerate(zip(*rows)):
         np.testing.assert_allclose(y_tilde, Y[k], atol=1e-10)
         np.testing.assert_allclose(x_tilde, X[k], atol=1e-10)
         np.testing.assert_allclose(mu, MU[k], atol=1e-10)
@@ -142,8 +140,8 @@ def test_oracle_matches_protocol_tvc():
     k_max = 100
     h_seq = [proc.realization(k) for k in range(k_max)]
     Y, X, MU = matrix_oracle(h_seq, S, k_max)
-    kernel = iterate("tvc", S, channel=proc)
-    for k, (y_tilde, x_tilde, _) in enumerate(islice(kernel, k_max + 1)):
+    (_, rows), = _drive("tvc", [lambda: (None, proc, S, None, k_max)], record=True)
+    for k, (y_tilde, x_tilde, _) in enumerate(zip(*rows)):
         np.testing.assert_allclose(y_tilde, Y[k], atol=1e-10)
         np.testing.assert_allclose(x_tilde, X[k], atol=1e-10)
 
@@ -281,3 +279,20 @@ def test_mass_audit_flags_non_reciprocal():
 def test_mass_audit_empty_rejected():
     with pytest.raises(ValueError, match="empty"):
         mass_audit([], InitialStates(np.array([1.0, 2.0])))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_oracle([], InitialStates([1.0, 2.0]), -1), "k_max must be nonnegative, got -1"),
+    (lambda: matrix_oracle([sym_realization(np.ones((3, 3)))], InitialStates([1.0, 2.0]), 1),
+     "realization 0 is 3-node, expected 2"),
+    (lambda: stationary_limit(np.full((2, 2), 0.5), InitialStates([1.0, 2.0, 3.0])),
+     "got 3 initial values for 2-node matrix"),
+    (lambda: mass_audit((np.ones((3, 2)), np.ones((3, 3))), InitialStates([1.0, 2.0])),
+     "array trajectories must share a (steps, n) shape, got (3, 2) and (3, 3)"),
+    (lambda: mass_audit((np.ones((3, 2)), np.ones((3, 2))), InitialStates([1.0, 2.0, 3.0])),
+     "trajectory is over 2 nodes but got 3 initial values"),
+])
+def test_analysis_refuses_mismatched_arguments(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message

@@ -1018,21 +1018,54 @@ def test_benchmark_setup_probe_runs(kind, config, tmp_path):
     assert json.loads(proc.stdout)["setup_s"] > 0
 
 
+def cli_subprocess(args, cwd=None, **env):
+    """The CLI run in a fresh interpreter of this package under os.environ
+    updated by env: its exit code, stdout and stderr as bytes."""
+    env = {**os.environ, **env,
+           "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-m", "otaconsensus.cli", *args], cwd=cwd, env=env, capture_output=True,
+                          timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def written_files(out):
+    return {p.name: p.read_bytes() for p in sorted(out.iterdir())}
+
+
 def test_verify_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
     # at n = 200 a LAPACK stationary solve over threaded OpenBLAS rounded
-    # differently under one and two threads; verify.json must not
-    written = []
-    for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
-               "PYTHONPATH": os.pathsep.join([str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH", "")])}
-        proc = subprocess.run(
-            [sys.executable, "-m", "otaconsensus.cli", "verify", str(CONFIG_DIR / "tvc10.cfg"), "--set", "n=200",
-             "-o", str(tmp_path / threads)],
-            env=env, capture_output=True, text=True, timeout=120,
-        )
-        assert proc.returncode == 0, proc.stderr
-        written.append((tmp_path / threads / "verify.json").read_bytes())
-    assert written[0] == written[1]
+    # differently under one and two threads; verify.json must not, and no
+    # more must a noisy n = 200 run's files or a sweep's
+    for i, args in enumerate([
+        ["verify", str(CONFIG_DIR / "tvc10.cfg"), "--set", "n=200"],
+        ["run", str(CONFIG_DIR / "tvc10.cfg"), "--set", "n=200", "--set", "max_iters=60",
+         "--set", "noise_std=1e-6"],
+        ["sweep", str(CONFIG_DIR / "noise_sweep.cfg"), "--set", "n=200", "--set", "max_iters=60"],
+    ]):
+        written = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"{i}-{threads}"
+            code, stdout, stderr = cli_subprocess([*args, "-o", str(out)], OPENBLAS_NUM_THREADS=threads)
+            assert code == 0, stderr
+            written.append((stdout, written_files(out)))
+        assert written[0] == written[1], args[0]
+
+
+def test_config_and_edge_list_are_read_as_utf8_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode the preferred encoding is ASCII;
+    # a UTF-8 config and edge list with non-ASCII comments still run, and
+    # write what they write under C.UTF-8
+    (tmp_path / "square.edges").write_text("# carré\n0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    (tmp_path / "c.cfg").write_text(
+        "# café\n" + MINIMAL.replace("n = 10", "n = 4").replace("erdos_renyi(0.5)", "edge_list(square.edges)"),
+        encoding="utf-8")
+    outcomes = []
+    for locale in ("C", "C.UTF-8"):
+        code, stdout, stderr = cli_subprocess(["run", "c.cfg", "-o", locale], cwd=tmp_path, LC_ALL=locale,
+                                              PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert code == 0, stderr
+        outcomes.append((stdout, stderr, written_files(tmp_path / locale)))
+    assert outcomes[0] == outcomes[1]
 
 
 def test_verify_suite_negative_controls(minimal_cfg):

@@ -1,8 +1,8 @@
 """The shared stepping kernel, keyed channel draws, the incremental
 windowed-connectivity audit, and the run loop's memory bound."""
 import tracemalloc
+from bisect import bisect_left
 from dataclasses import replace
-from itertools import islice
 from pathlib import Path
 from types import SimpleNamespace
 from unittest import mock
@@ -24,7 +24,6 @@ from otaconsensus.simulator import (
     RunSummary,
     SimulationConfig,
     _drive,
-    iterate,
     prepare,
     run,
     run_group,
@@ -58,9 +57,11 @@ def base_config(**overrides):
     return SimulationConfig(**kw)
 
 
-def take(kernel, steps):
-    out = [next(kernel) for _ in range(steps + 1)]
-    return tuple(np.array(a) for a in zip(*out))
+def take(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
+    """A recording one-member pass with budget steps: its (y_tilde, x_tilde,
+    mu), each a (steps + 1, n) array."""
+    (_, rows), = _drive(algorithm, [lambda: (g, channel, S, noise_rng, steps)], noise_std=noise_std, record=True)
+    return rows
 
 
 # ---------------------------------------------------------------- kernel
@@ -78,13 +79,12 @@ def test_baseline_ignores_receiver_noise():
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_noise_stream_order(algorithm):
     # tic spends one pilot draw up front, then two slots per step; tvc
-    # spends three slots per step, pilot first; the kernel reads them a
-    # chunk ahead, and past two chunks each step's draws are still these
+    # spends three slots per step, pilot first; the kernel reads them in
+    # chunks, and past two chunks each step's draws are still these
     n, std, steps = 6, 1e-3, 2 * DRIFT_STEPS + 5
     proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5)
     S = InitialStates(np.arange(n, dtype=float))
-    Y, X, _ = take(iterate(algorithm, S, channel=proc, noise_std=std,
-                           noise_rng=np.random.default_rng(9)), steps)
+    Y, X, _ = take(algorithm, S, steps, channel=proc, noise_std=std, noise_rng=np.random.default_rng(9))
     rng = np.random.default_rng(9)
 
     def draw():
@@ -118,7 +118,7 @@ def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
     monkeypatch.setattr(ChannelProcess, "write_epoch",
                         lambda self, e, out: seen.append(("epoch", e)) or write_epoch(self, e, out))
     T = epoch_blocks(6)
-    _, _, mu = take(iterate(algorithm, InitialStates(np.arange(6.0)), channel=proc), 2 * T + 1)
+    _, _, mu = take(algorithm, InitialStates(np.arange(6.0)), 2 * T + 1, channel=proc)
     assert seen == blocks
     if algorithm == "tvc":  # step k is the matrix oracle over blocks 0 .. k - 1
         _, _, expected = matrix_oracle([proc.realization(k) for k in range(2 * T + 1)], InitialStates(np.arange(6.0)),
@@ -158,8 +158,8 @@ def test_kernel_prefix_is_stable(algorithm):
     # checks the oracle on the prefix of its mass-conservation pass
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(8, 3), seed=4)
     S = InitialStates(np.linspace(-1.0, 2.0, 8))
-    long = take(iterate(algorithm, S, channel=proc), 1000)
-    short = take(iterate(algorithm, S, channel=proc), 100)
+    long = take(algorithm, S, 1000, channel=proc)
+    short = take(algorithm, S, 100, channel=proc)
     for a, b in zip(long, short):
         assert np.array_equal(a[:101], b)
 
@@ -171,15 +171,14 @@ def test_kernel_rejects_size_mismatch(algorithm, what):
     # numpy would broadcast one initial value across a 3-node gain matrix
     g = er(3, 0, p=1.0)
     proc = ChannelProcess(FadingModel.constant(1.0), g)
-    kernel = iterate(algorithm, InitialStates([1.0]), g=g, channel=proc)
     with pytest.raises(ValueError, match=f"{what} is 3-node but got 1 initial values"):
-        list(islice(kernel, 2))
+        take(algorithm, InitialStates([1.0]), 1, g=g, channel=proc)
 
 
 def test_kernel_names_an_unknown_algorithm():
     _, channel, S = prepare(base_config(algorithm="tvc"))
     with pytest.raises(ValueError, match="unknown algorithm 'TVC'"):
-        next(iterate("TVC", S, channel=channel))
+        take("TVC", S, 1, channel=channel)
 
 
 def test_kernel_isolation_names_node_and_step(tmp_path):
@@ -201,34 +200,23 @@ def test_kernel_isolation_names_node_and_step(tmp_path):
 def test_kernel_refuses_a_non_finite_state(algorithm):
     # node 0 hears node 1's 1e10 through a 1e300 gain: its first state is inf
     block = ChannelRealization(2, [[1, 1e300], [1, 1]], 1.0)
-    kernel = iterate(algorithm, InitialStates([1.0, 1e10]), channel=SimpleNamespace(realization=lambda k: block))
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1, node 0$"):
-        take(kernel, 1)
+        take(algorithm, InitialStates([1.0, 1e10]), 1, channel=SimpleNamespace(realization=lambda k: block))
 
 
-@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
-def test_iterate_walks_a_start_whose_sum_overflows(algorithm):
-    # iterate() keeps no mass drift, so finite values whose sum is inf walk
-    # past every chunk of DRIFT_STEPS; warnings are errors here
-    proc = ChannelProcess(FadingModel.half_normal(1.0), generate_topology(TopologySpec("complete"), 4, 0), seed=1)
-    _, _, mu = take(iterate(algorithm, InitialStates(np.full(4, 1e308)), channel=proc), 200)
-    assert mu.shape == (201, 4) and np.isfinite(mu).all()
-
-
-def test_iterate_memory_does_not_grow_with_the_walk():
-    # iterate() records no rows: its peak is the same after 10x the steps
+def test_unrecorded_pass_memory_does_not_grow_with_its_budget():
+    # a pass without record keeps no rows: its peak is the same at 10x the steps
     ring = generate_topology(TopologySpec("ring"), 50, 0)
     peaks = []
     for steps in (200, 2000):
-        walk = iterate("tvc", InitialStates(np.arange(50.0)), channel=ChannelProcess(
-            FadingModel.half_normal(1.0), ring, seed=1))
+        proc, S = ChannelProcess(FadingModel.half_normal(1.0), ring, seed=1), InitialStates(np.arange(50.0))
         tracemalloc.start()
         try:
-            for _ in islice(walk, steps):
-                pass
+            (summary, rows), = _drive("tvc", [lambda: (None, proc, S, None, steps)])
             peaks.append(tracemalloc.get_traced_memory()[1])
         finally:
             tracemalloc.stop()
+        assert summary.iterations_used == steps and rows is None
     assert peaks[1] < peaks[0] + 4096
 
 
@@ -299,19 +287,39 @@ def test_run_holds_one_copy_of_its_trajectory():
 
 
 def serial_summary(cfg):
-    """run()'s summary the way it was computed one run at a time: the
-    one-member kernel view to the stop, then mass_audit over the whole
-    trajectory and, for tvc, the sequence audit over the blocks it read."""
+    """run()'s summary the way it was computed one run at a time: the rows
+    of a one-member pass without stop rule, cut at the first stop, then
+    mass_audit over the whole trajectory and, for tvc, the sequence audit
+    over the blocks it read. A pass that faults at step f is cut to its
+    last clean budget f - 1, found by bisection as a shorter pass's rows
+    are a longer one's prefix, and its fault is raised unless the stop
+    comes first."""
     g, channel, S = prepare(cfg)
-    noise_rng = np.random.default_rng(stream_seeds(cfg.seed)[3])
-    rows, streak = [], 0
-    for k, row in enumerate(iterate(cfg.algorithm, S, g, channel, cfg.noise_std, noise_rng)):
-        rows.append(row)
+    noise_seed = stream_seeds(cfg.seed)[3]
+
+    def walk(steps):
+        try:
+            return take(cfg.algorithm, S, steps, g, channel, cfg.noise_std, np.random.default_rng(noise_seed))
+        except (ValueError, RuntimeError) as fault:
+            return fault
+
+    rows, fault = walk(cfg.max_iters), None
+    if isinstance(rows, Exception):
+        fault = rows
+        first = bisect_left(range(cfg.max_iters), True, key=lambda steps: isinstance(walk(steps), Exception))
+        if first == 0:
+            raise fault
+        rows = walk(first - 1)
+    streak = 0
+    for k, mu in enumerate(rows[2]):
         if k > 0:
-            streak = streak + 1 if spread(row[2]) <= cfg.tol else 0
-        if streak >= cfg.tol_window or k == cfg.max_iters:
+            streak = streak + 1 if spread(mu) <= cfg.tol else 0
+        if streak >= cfg.tol_window:
             break
-    Y, X, MU = (np.array(a) for a in zip(*rows))
+    else:
+        if fault is not None:
+            raise fault
+    Y, X, MU = (a[:k + 1] for a in rows)
     target = S.mean()
     return RunSummary(
         converged=streak >= cfg.tol_window,
@@ -427,16 +435,14 @@ def test_overflow_past_the_budget_does_not_fault_the_run():
                                          r"overflows$"):
         run(replace(cfg, max_iters=43))
     _, channel, S = prepare(cfg)
-    walk = iterate("tvc", S, channel=channel)
-    with np.errstate(over="ignore"):
-        assert all(np.array_equal(next(walk)[2], row) for row in trajectory.mu)
+    assert np.array_equal(take("tvc", S, 42, channel=channel)[2], trajectory.mu)
     with pytest.raises(ValueError, match="in block 42 is inf"):
-        next(walk)
+        take("tvc", S, 43, channel=channel)
 
 
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_noisy_members_stopping_apart_step_as_alone(algorithm):
-    # each member's noise is read ahead in chunks that end at the pass's
+    # each member's noise is read in chunks that end at the pass's
     # next budget; members whose budgets and convergence differ still draw,
     # and step, bitwise as they do alone
     def member(seed, budget):

@@ -1,4 +1,3 @@
-from itertools import islice
 from types import SimpleNamespace
 
 import numpy as np
@@ -17,7 +16,7 @@ from otaconsensus.protocol import (
     prop1_weights,
     ratio,
 )
-from otaconsensus.simulator import iterate
+from otaconsensus.simulator import _drive
 from otaconsensus.topology import Digraph, TopologySpec, generate_topology
 
 
@@ -27,14 +26,15 @@ def sym_realization(gains, self_weight=1.0):
 
 
 def fixed(h):
-    """A channel for iterate whose every realization is the block h."""
+    """A channel whose every realization is the block h."""
     return SimpleNamespace(realization=lambda k: h)
 
 
-def trajectory(algorithm, S, steps, **kw):
-    """The kernel's (y_tilde, x_tilde, mu) for steps 0..steps, as arrays."""
-    rows = islice(iterate(algorithm, S, **kw), steps + 1)
-    return tuple(np.array(a) for a in zip(*rows))
+def trajectory(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
+    """The kernel's (y_tilde, x_tilde, mu) for steps 0..steps, as arrays: a
+    recording one-member pass with budget steps."""
+    (_, rows), = _drive(algorithm, [lambda: (g, channel, S, noise_rng, steps)], noise_std=noise_std, record=True)
+    return rows
 
 
 # ---------------------------------------------------------------- aggregation
@@ -179,9 +179,8 @@ def test_tic_initialize_two_node_symmetry():
 
 def test_tic_initialize_isolated_node_named():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
-    kernel = iterate("tic", InitialStates(np.array([1.0, 2.0])), channel=fixed(h))
     with pytest.raises(IsolationError, match="node 0 is isolated at initialization"):
-        next(kernel)
+        trajectory("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=fixed(h))
 
 
 def test_tic_all_equal_initial_values_pin_ratio():
@@ -221,14 +220,15 @@ def test_tic_mass_conservation_exact_channel():
 
 def test_tvc_initialize_placeholders():
     # tvc has no sigma until the first block's pilot: step 0 seeds the
-    # chains with (S, 1) without drawing a realization or any noise
+    # chains with (S, 1) without drawing a realization or any noise: a pass
+    # of budget 0 stops there
     def no_block(k):
         raise AssertionError(f"realization {k} drawn before step 1")
 
     noise = np.random.default_rng(0)
-    kernel = iterate("tvc", InitialStates(np.array([2.0, 3.0])),
-                     channel=SimpleNamespace(realization=no_block), noise_std=0.1, noise_rng=noise)
-    y_tilde, x_tilde, mu = next(kernel)
+    (y_tilde,), (x_tilde,), (mu,) = trajectory("tvc", InitialStates(np.array([2.0, 3.0])), 0,
+                                               channel=SimpleNamespace(realization=no_block), noise_std=0.1,
+                                               noise_rng=noise)
     np.testing.assert_array_equal(y_tilde, [2.0, 3.0])
     np.testing.assert_array_equal(x_tilde, [1.0, 1.0])
     np.testing.assert_array_equal(mu, [2.0, 3.0])
@@ -258,10 +258,10 @@ def test_tvc_per_step_normalization_is_column_stochastic():
 
 def test_tvc_deep_fade_isolation_error():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
-    kernel = iterate("tvc", InitialStates(np.array([1.0, 2.0])), channel=fixed(h))
-    next(kernel)  # step 0 is the initial values: no pilot yet
+    S = InitialStates(np.array([1.0, 2.0]))
+    np.testing.assert_array_equal(trajectory("tvc", S, 0, channel=fixed(h))[2], [[1.0, 2.0]])  # no pilot yet
     with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1: pilot sum"):
-        next(kernel)
+        trajectory("tvc", S, 1, channel=fixed(h))
 
 
 def test_tvc_stored_normalization_uses_current_block():
@@ -297,6 +297,17 @@ def test_ratio_output_degenerate():
         ratio(np.array([1.0]), np.array([0.0]))
     with pytest.raises(DegenerateStateError, match=r"node 1 .*nan at step 3"):
         ratio(np.array([1.0, 1.0]), np.array([1.0, np.nan]), " at step 3")
+
+
+@pytest.mark.parametrize("values, message", [
+    (np.ones((2, 2)), "initial values must be a nonempty 1-D sequence, got shape (2, 2)"),
+    ([], "initial values must be a nonempty 1-D sequence, got shape (0,)"),
+    ([1.0, np.nan], "initial values must be finite"),
+])
+def test_initial_states_refuse_bad_values(values, message):
+    with pytest.raises(ValueError) as refused:
+        InitialStates(values)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------- invariants

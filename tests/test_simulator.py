@@ -88,6 +88,18 @@ def test_initial_spec_validation():
         InitialSpec("gaussian")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: InitialSpec("random_mean", target_mean=1.0), "random_mean needs target_mean and half_width"),
+    (lambda: Trajectory(np.ones((3, 2)), np.ones((3, 2)), np.ones((3, 3))),
+     "trajectory fields must share a (steps, n) shape, got [(3, 2), (3, 3)]"),
+    (lambda: Trajectory(np.ones(3), np.ones(3), np.ones(3)), "trajectory fields must share a (steps, n) shape, got [(3,)]"),
+])
+def test_initial_spec_and_trajectory_refuse_malformed_fields(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 # ---------------------------------------------------------------- initial values
 
 

@@ -190,6 +190,16 @@ def test_unknown_kind_rejected():
         TopologySpec(kind="smallworld")
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: TopologySpec("edge_list"), "edge_list topology needs a file path"),
+    (lambda: generate_topology(TopologySpec("ring"), 1, seed=0), "a network needs at least 2 nodes, got n=1"),
+])
+def test_topology_refuses_what_the_config_refuses_first(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_edge_list_parse(tmp_path):
     f = tmp_path / "g.edges"
     f.write_text("# comment line\n0 1\n1 2  # trailing comment\n\n2 0\n")
