@@ -15,7 +15,6 @@ from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
 from operator import attrgetter
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 
@@ -352,10 +351,15 @@ def write_trajectory_csv(path: Path, trajectory: Trajectory) -> None:
             f.write(trajectory_rows(k, nodes, *(c[k : k + block] for c in columns)))
 
 
+def _write_text(path: Path, text: str) -> None:
+    """A text output as UTF-8; an argv path that arrived surrogate-escaped
+    is written back as the bytes typed."""
+    path.write_bytes(text.encode("utf-8", "surrogateescape"))
+
+
 def write_summary_json(path: Path, summary, cfg: SimulationConfig) -> None:
     """RunSummary's fields in declaration order, then the config echo."""
-    doc = {**asdict(summary), "config_echo": config_echo(cfg)}
-    path.write_text(to_json(doc) + "\n", encoding="utf-8")
+    _write_text(path, to_json({**asdict(summary), "config_echo": config_echo(cfg)}) + "\n")
 
 
 # ------------------------------------------------------------------ verify suite
@@ -372,14 +376,13 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """Invariant checks derived from the config's topology, fading, and seeds.
 
     The graph, initial values and channel are prepare's for the config run
-    as tvc without deep fade. Each regime is realized once and is one
-    driver pass of fixed step counts: tic holds block 0, tvc reads block
+    as tvc without deep fade. Each regime is one driver pass of fixed step
+    counts over that channel process: tic holds block 0, tvc reads block
     k - 1 at step k. A 1000-step member feeds the mass-conservation check,
     and its first 101 rows, bitwise those of a 100-step pass, are held
     against the matrix oracle over the first 100 blocks. The equivariance
     passes, refused first if their starts overflow, are 100-step members of
-    the tvc pass. Members that read no later block step over the blocks as
-    realized, not over the process.
+    the tvc pass.
 
     Positive checks pass when the measured error is at or below the
     threshold. The two negative controls invert that: they pass when the
@@ -388,10 +391,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """
     g, channel, S = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
     k_eq, k_mass = 100, 1000
-    # tvc steps through the blocks, tic holds block 0; the blocks also feed the audits
-    h_varying = [channel.realization(k) for k in range(k_eq)]
-    h_static = h_varying[:1] * k_eq
-    held = SimpleNamespace(realization=h_varying.__getitem__)
+    h_varying = [channel.realization(k) for k in range(k_eq)]  # the oracles' and the audits' blocks
 
     # the equivariance passes' starts; one that overflows is refused before any pass
     shifted = (("scale_equivariance", lambda v: 3.7 * v), ("shift_equivariance", lambda v: v - 2.0))
@@ -408,11 +408,11 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     # protocol vs matrix oracle and chain-sum conservation per regime; tvc's pass carries the equivariance passes
     oracle, mass = [], []
     for regime, h_seq, passes in (
-        ("tic", h_static, [(S, held, k_mass)]),
-        ("tvc", h_varying, [(S, channel, k_mass), *((InitialStates(v), held, k_eq) for v in starts)]),
+        ("tic", h_varying[:1] * k_eq, [(S, k_mass)]),
+        ("tvc", h_varying, [(S, k_mass), *((InitialStates(v), k_eq) for v in starts)]),
     ):
         expected = matrix_oracle(h_seq, S, k_eq)
-        members = [lambda s=s, c=c, k=k: (None, c, s, None, k) for s, c, k in passes]
+        members = [lambda s=s, k=k: (None, channel, s, None, k) for s, k in passes]
         (summary, (Y, X, MU)), *equivariant = _drive(regime, members, record=True)
         err = max(float(np.max(np.abs(e - p[: k_eq + 1]))) for e, p in zip(expected, (Y, X, MU)))
         oracle.append(CheckResult(f"oracle_equivalence_{regime}", err <= 1e-10, err, 1e-10))
@@ -473,8 +473,8 @@ def cmd_run(args) -> int:
     trajectory, summary = run(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
+    write_summary_json(out / "summary.json", summary, cfg)  # first: a fault formatting it leaves no file
     write_trajectory_csv(out / "trajectory.csv", trajectory)
-    write_summary_json(out / "summary.json", summary, cfg)
     print(
         f"{cfg.algorithm}: converged={str(summary.converged).lower()} "
         f"iterations={summary.iterations_used} "
@@ -502,7 +502,7 @@ def cmd_sweep(args) -> int:
             f"{sweep.parameter},{value},{cfg.seed},{str(summary.converged).lower()},"
             f"{summary.iterations_used},{fmt_float(summary.final_max_error)}"
         )
-    (out / "sweep.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(out / "sweep.csv", "\n".join(lines) + "\n")
     print(f"sweep over {sweep.parameter}: {len(summaries)} runs, "
           f"{sum(s.converged for s in summaries)} converged")
     return 0
@@ -513,7 +513,7 @@ def cmd_verify(args) -> int:
     checks = run_verify_suite(cfg)
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
-    (out / "verify.json").write_text(to_json([asdict(c) for c in checks]) + "\n", encoding="utf-8")
+    _write_text(out / "verify.json", to_json([asdict(c) for c in checks]) + "\n")
     n_pass = sum(1 for c in checks if c.passed)
     for c in checks:
         print(f"{'PASS' if c.passed else 'FAIL'} {c.check_name} "
@@ -535,7 +535,7 @@ def cmd_topo(args) -> int:
         out.mkdir(parents=True, exist_ok=True)
         lines = ["# i j  (directed edges; load with topology_symmetric=false)"]
         lines += [f"{a} {b}" for a, b in g.edges]
-        (out / "topology.edges").write_text("\n".join(lines) + "\n", encoding="utf-8")
+        _write_text(out / "topology.edges", "\n".join(lines) + "\n")
     return 0
 
 

@@ -259,7 +259,7 @@ def _parse_edge_list(path: str, n: int) -> np.ndarray:
     takes any other file and names its first faulty line."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, UnicodeError) as exc:
         raise EdgeListError(f"cannot read edge list {path}: {exc}") from exc
     lines = text.splitlines()
     adj = _read_edge_array(lines, n) if text.isascii() else None

@@ -2,6 +2,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
@@ -10,11 +11,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from otaconsensus import cli
-from otaconsensus.channel import ChannelProcess, FadingModel
+from otaconsensus.channel import FADING_ARGS, ChannelProcess, FadingModel
 from otaconsensus.cli import (
     ConfigError,
     build_parser,
@@ -29,8 +30,8 @@ from otaconsensus.cli import (
 )
 from otaconsensus.floattext import float_fields
 from otaconsensus.protocol import InitialStates
-from otaconsensus.simulator import NonFiniteStateError, Trajectory, _drive, run, run_group
-from otaconsensus.topology import TopologySpec, generate_topology
+from otaconsensus.simulator import INITIAL_ARGS, NonFiniteStateError, Trajectory, _drive, run, run_group
+from otaconsensus.topology import TOPOLOGY_ARGS, TopologySpec, generate_topology
 
 MINIMAL = """\
 n = 10
@@ -888,17 +889,21 @@ def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
 
 
 def test_verify_suite_realizes_each_block_once(monkeypatch):
-    # 100 blocks shared by both oracles, the audits, the tic pass (which
-    # holds block 0) and both equivariance passes, and for the tvc pass's
-    # 1000 steps the 16 epochs of 64 blocks that hold them, written once each
-    calls = []
-    realization, write_epoch = ChannelProcess.realization, ChannelProcess.write_epoch
+    # 100 blocks shared by both oracles and the audits, block 0 again for
+    # the tic pass, and the tvc pass's 16 epochs of 64 blocks, epochs 0 and
+    # 1 written by each of its three members; every pass steps over the
+    # process, which draws 18 epochs: 0 and 1, 0 again for tic, then 1-15
+    calls, draws = [], []
+    realization, write_epoch, draw = ChannelProcess.realization, ChannelProcess.write_epoch, FadingModel.draw
     monkeypatch.setattr(ChannelProcess, "realization",
                         lambda self, k: calls.append(("block", k)) or realization(self, k))
     monkeypatch.setattr(ChannelProcess, "write_epoch",
                         lambda self, e, out: calls.append(("epoch", e)) or write_epoch(self, e, out))
+    monkeypatch.setattr(FadingModel, "draw", lambda self, rng, size: draws.append(size) or draw(self, rng, size))
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
-    assert calls == [("block", k) for k in range(100)] + [("epoch", e) for e in range(16)]
+    epochs = [0] * 3 + [1] * 3 + list(range(2, 16))
+    assert calls == [("block", k) for k in range(100)] + [("block", 0)] + [("epoch", e) for e in epochs]
+    assert len(draws) == 18
 
 
 def test_verify_passes_step_together_as_they_step_alone():
@@ -1066,6 +1071,36 @@ def test_config_and_edge_list_are_read_as_utf8_whatever_the_locale(tmp_path):
         assert code == 0, stderr
         outcomes.append((stdout, stderr, written_files(tmp_path / locale)))
     assert outcomes[0] == outcomes[1]
+
+
+def test_non_ascii_argv_path_is_written_back_as_typed_whatever_the_locale(tmp_path):
+    # under the C locale without UTF-8 mode an argv path arrives
+    # surrogate-escaped; summary.json echoes it as the bytes typed, as
+    # under C.UTF-8
+    (tmp_path / "carré.edges").write_text("0 1\n1 2\n2 3\n3 0\n", encoding="utf-8")
+    (tmp_path / "a.cfg").write_text(MINIMAL)
+    outcomes = []
+    for locale in ("C", "C.UTF-8"):
+        code, stdout, stderr = cli_subprocess(
+            ["run", "a.cfg", "-o", locale, "--set", "n=4", "--set", "topology=edge_list(carré.edges)"],
+            cwd=tmp_path, LC_ALL=locale, PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+        assert code == 0, stderr
+        outcomes.append((stdout, stderr, written_files(tmp_path / locale)))
+    assert outcomes[0] == outcomes[1]
+    assert '"topology": "edge_list(carré.edges)"' in outcomes[0][2]["summary.json"].decode("utf-8")
+
+
+def test_edge_list_path_the_filesystem_cannot_encode_is_named(tmp_path):
+    # a config file's non-ASCII path has no bytes under an ASCII filesystem
+    # encoding: refused as an unreadable edge list, nothing written
+    (tmp_path / "a.cfg").write_text(MINIMAL.replace("n = 10", "n = 4").replace(
+        "erdos_renyi(0.5)", "edge_list(carré.edges)"), encoding="utf-8")
+    code, stdout, stderr = cli_subprocess(["run", "a.cfg", "-o", "out"], cwd=tmp_path, LC_ALL="C",
+                                          PYTHONUTF8="0", PYTHONCOERCECLOCALE="0")
+    assert (code, stdout) == (2, b"")
+    assert stderr == (b"config error: cannot read edge list carr\\xe9.edges: 'ascii' codec can't encode "
+                      b"character '\\xe9' in position 4: ordinal not in range(128)\n")
+    assert not (tmp_path / "out").exists()
 
 
 def test_verify_suite_negative_controls(minimal_cfg):
@@ -1302,3 +1337,63 @@ def test_module_entry_point(minimal_cfg, tmp_path):
     )
     assert res.returncode == 0
     assert "converged=true" in res.stdout
+
+
+#: Numbers at the edges of every key's type, and texts a parser must refuse.
+BOUNDARY_NUMBERS = ("0", "-1", str(2**63 - 1), str(2**64 - 1), str(2**64), "1e308", "5e-324", "nan", "inf")
+MALFORMED = ("", "ring(", "(", "constant(1, 2)", "half_normal(x)", "explicit()", "random_mean(1)", "edge_list()",
+             "0-1:", "0-1:x", "true")
+
+
+@st.composite
+def boundary_overrides(draw):
+    """A SCHEMA key and its value text: a boundary number or a malformed
+    text, or, for a call key, one of its kinds called with boundary numbers,
+    or for pair_scales a boundary scale."""
+    key = draw(st.sampled_from(cli.KNOWN_KEYS))
+    texts = [st.sampled_from(BOUNDARY_NUMBERS + MALFORMED)]
+    kinds = {"topology": TOPOLOGY_ARGS, "fading": FADING_ARGS, "initial": INITIAL_ARGS}.get(key)
+    if kinds:
+        args = st.lists(st.sampled_from(BOUNDARY_NUMBERS + ("0.5",)), min_size=1, max_size=2).map(", ".join)
+        texts.append(st.builds("{}({})".format, st.sampled_from(sorted(kinds)), args))
+    if key == "pair_scales":
+        texts.append(st.builds("0-1:{}".format, st.sampled_from(BOUNDARY_NUMBERS)))
+    return key, draw(st.one_of(texts))
+
+
+#: exit 3's documented faults: an isolated node, a degenerate or non-finite
+#: state, topology exhaustion, or no memory for an array
+RUNTIME_FAULT = re.compile(r"runtime error: (node \d+ (is isolated|overflowed|has nonpositive denominator) .*"
+                           r"|non-finite state at step \d+, node \d+|no strongly connected sample .*"
+                           r"|out of memory.*)\n")
+
+
+@given(command=st.sampled_from(["run", "verify"]), config=st.sampled_from(["tic10.cfg", "tvc10.cfg"]),
+       override=boundary_overrides())
+@example(command="run", config="tic10.cfg", override=("initial", "random_mean(1e308, 0)"))
+@example(command="run", config="tvc10.cfg", override=("max_iters", str(2**64 - 1)))
+@settings(max_examples=200, deadline=None)
+def test_boundary_override_exits_truthfully(command, config, override, tmp_path_factory):
+    # any key set to a boundary value either runs and writes its outputs,
+    # or is refused in one config error line, or hits a documented runtime
+    # fault, writing nothing; a traceback or a numpy warning (an error
+    # under this suite's filterwarnings) fails the test. Runs are short:
+    # n = 10 and 60 steps, or a larger budget that tol cuts short. The
+    # examples are a start whose sum overflows and a budget at the top of
+    # uint64, both once faults
+    out = tmp_path_factory.mktemp("boundary") / "out"
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with redirect_stdout(stdout), redirect_stderr(stderr):
+        code = main([command, str(CONFIG_DIR / config), "-o", str(out),
+                     "--set", "n=10", "--set", "max_iters=60", "--set", "=".join(override)])
+    err = stderr.getvalue()
+    if code == 2:
+        assert err.startswith("config error: ") and err.count("\n") == 1
+    elif code == 3:
+        assert RUNTIME_FAULT.fullmatch(err), err
+    else:
+        assert (code == 0 or (code, command) == (1, "verify")) and err == "" and stdout.getvalue()
+        expected = ["summary.json", "trajectory.csv"] if command == "run" else ["verify.json"]
+        assert sorted(p.name for p in out.iterdir()) == expected
+        return
+    assert stdout.getvalue() == "" and not out.exists()

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
-from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError, ota_step, pilot
+from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError, ota_step, pilot, prop1_weights
 from otaconsensus.analysis import mass_audit, matrix_oracle
 from otaconsensus import topology
 from otaconsensus.simulator import (
@@ -562,6 +562,83 @@ def test_run_keeps_the_papers_invariants_on_listed_and_scaled_links(group, data,
     pair_scales = tuple((pair, data.draw(st.sampled_from([0.5, 2.0]))) for pair in scaled)
     group = [replace(c, topology=spec, pair_scales=pair_scales) for c in group]
     test_run_keeps_the_papers_invariants.hypothesis.inner_test(group)
+
+
+@given(group=seed_groups().map(lambda group: [replace(c, algorithm="baseline", deep_fade=False) for c in group]))
+@settings(max_examples=15, deadline=None)
+def test_baseline_keeps_the_papers_invariants(group):
+    # the digital exchange steps y_tilde and x_tilde by prop1_weights(g) and
+    # ignores noise: its rows are W^k S and W^k 1, within the same bounds
+    for cfg in group:
+        try:
+            g, _, S = prepare(cfg)
+        except ValueError as exc:  # an erdos_renyi draw that baseline cannot run on
+            assert str(exc) == "baseline requires a strongly connected topology"
+            continue
+        trajectory, summary = run(cfg)
+        W, y, x = prop1_weights(g), S.values, np.ones(cfg.n)
+        for k in range(summary.iterations_used + 1):
+            for got, expected in zip((trajectory.y_tilde, trajectory.x_tilde, trajectory.mu), (y, x, y / x)):
+                np.testing.assert_allclose(got[k], expected, rtol=0, atol=1e-10)
+            y, x = W @ y, W @ x
+        assert max(summary.mass_drift_y, summary.mass_drift_x) <= 1e-9
+        lo, hi = S.values.min(), S.values.max()
+        assert lo - 1e-12 <= trajectory.mu.min() and trajectory.mu.max() <= hi + 1e-12
+
+
+@st.composite
+def bipartite_configs(draw, tmp_path_factory):
+    """A quiet tic or tvc config without self terms on an even ring or a
+    complete bipartite edge_list, from a start of nonzero width, and the
+    mask of one side of its bipartition."""
+    if draw(st.booleans()):
+        n, topology = 2 * draw(st.integers(1, 6)), TopologySpec("ring")
+        side = np.arange(n) % 2 == 0
+    else:
+        n = draw(st.integers(2, 12))
+        a = draw(st.integers(1, n - 1))
+        path = tmp_path_factory.mktemp("bipartite") / "k.edges"
+        path.write_text("".join(f"{i} {j}\n" for i in range(a) for j in range(a, n)))
+        topology, side = TopologySpec("edge_list", path=str(path)), np.arange(n) < a
+    cfg = base_config(
+        n=n, topology=topology, algorithm=draw(st.sampled_from(["tic", "tvc"])),
+        fading=draw(st.sampled_from([FadingModel.constant(0.8), FadingModel.half_normal(1.0),
+                                     FadingModel.uniform(0.1, 2.0)])),
+        initial=InitialSpec.random_mean(draw(st.sampled_from([-3.0, 1.0])), draw(st.sampled_from([0.5, 2.0]))),
+        self_weight=0.0, tol=1e-9, max_iters=draw(st.integers(20, 120)), seed=draw(st.integers(0, 10_000)),
+    )
+    return cfg, side
+
+
+@given(data=st.data())
+@settings(max_examples=15, deadline=None)
+def test_run_on_a_bipartite_support_without_self_terms_does_not_converge(data, tmp_path_factory):
+    # the first designed failure mode: each step moves all of one side's
+    # mass to the other, so the sides' chain sums swap every step, each
+    # side's ratios bracket its share's mean y/x, and the spread never
+    # falls below the gap between the two sides' start means
+    cfg, side = data.draw(bipartite_configs(tmp_path_factory))
+    trajectory, summary = run(cfg)
+    S = prepare(cfg)[2].values
+    gap = abs(S[side].mean() - S[~side].mean())
+    assert not summary.converged and summary.iterations_used == cfg.max_iters
+    assert gap > 1e-6 and np.ptp(trajectory.mu, axis=1).min() >= gap - 1e-12
+
+
+@given(group=quiet_seed_groups, kind=st.sampled_from(["ring", "complete"]))
+@settings(max_examples=15, deadline=None)
+def test_a_non_reciprocal_channel_breaks_mass_conservation(group, kind):
+    # the second designed failure mode: a stub channel whose every block is
+    # prepare's block 0 with one link scaled by 1.5 one way, as verify's
+    # control builds it, conserves the chain sums no more
+    cfg = replace(group[0], topology=TopologySpec(kind))
+    g, channel, S = prepare(cfg)
+    gains = channel.realization(0).gains.copy()
+    a, b = np.argwhere(g.adj)[0]
+    gains[a, b] *= 1.5
+    broken = SimpleNamespace(realization=lambda k: ChannelRealization(cfg.n, gains, cfg.self_weight))
+    (summary, _), = _drive(cfg.algorithm, [lambda: (g, broken, S, None, cfg.max_iters)])
+    assert max(summary.mass_drift_y, summary.mass_drift_x) > 1e-9
 
 
 def test_batch_replays_only_member_faults(monkeypatch):
