@@ -16,8 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import ChannelRealization
-from .protocol import (COLUMN_SUM_TOL, SIGMA_MIN, DegenerateStateError, InitialStates, IsolationError,
-                       NonFiniteStateError)
+from .protocol import COLUMN_SUM_TOL, DegenerateStateError, InitialStates, refuse_pilot_sums
 
 class PeriodicityError(RuntimeError):
     """The mixing matrix is not primitive, so no unique limit exists."""
@@ -39,18 +38,12 @@ def build_Hbar(h: ChannelRealization, context: str = "") -> np.ndarray:
     sum (row sum j). Column j then sums to (column sum)/(row sum), which is
     1 exactly when the gains are reciprocal; feeding a non-reciprocal matrix
     through here is the designed way to break the stochasticity audit.
-    A pilot sum that overflows or falls to SIGMA_MIN raises, naming the node
-    and, when given, the context ("at step 3").
+    Its pilot sums are refused as pilot's are, by protocol.refuse_pilot_sums,
+    naming the node and, when given, the context ("at step 3").
     """
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         sigma = h.gains.sum(axis=1)
-    finite = np.isfinite(sigma)
-    at = f" {context}" if context else ""
-    for j in range(h.n):
-        if not finite[j]:
-            raise NonFiniteStateError(f"node {j} overflowed{at}: pilot sum {float(sigma[j])!r} is not finite")
-        if sigma[j] <= SIGMA_MIN:
-            raise IsolationError(f"node {j} is isolated{at}: pilot sum {float(sigma[j])!r} <= {SIGMA_MIN}")
+    refuse_pilot_sums(sigma, context)
     return h.gains / sigma[np.newaxis, :]
 
 

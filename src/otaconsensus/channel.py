@@ -154,7 +154,7 @@ class ChannelProcess:
     # every link's (a, b) and (b, a) entries, a < b, in canonical order, the
     # same for the off-topology pairs, each link's scale (None when all are
     # 1), a block with no link drawn, the generator with its seeded state,
-    # and the cached epoch: its index, link gains, fades and overflowing rows
+    # and the cached epoch: its index, link gains and fades
     _links: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _fades: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
     _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
@@ -203,8 +203,8 @@ class ChannelProcess:
         object.__setattr__(self, "_epoch", [None])  # nothing drawn yet
 
     def _drawn(self, e: int):
-        """Epoch e as (link gains, fades or None, overflowing rows), one row
-        per block; drawn unless it is the cached one, which it replaces."""
+        """Epoch e as (link gains, fades or None), one row per block; drawn
+        unless it is the cached one, which it replaces."""
         if self._epoch[0] != e:
             rng = self._rng
             rng.bit_generator.state = self._state
@@ -214,18 +214,17 @@ class ChannelProcess:
             width = n * (n - 1) // 2 if T > 1 else links
             gains = np.ascontiguousarray(self.model.draw(rng, T * width).reshape(T, width)[:, :links])
             if self._scales is not None:
-                with np.errstate(over="ignore"):  # an overflowing gain is refused when its block is read
+                with np.errstate(over="ignore"):  # an overflowing gain is inf, refused when its block is read
                     gains *= self._scales
             fades = None
             if self.deep_fade_epsilon is not None:
                 fades = (1.0 - rng.random((T, self._fades[0].size))) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
-            self._epoch[:] = e, gains, fades, ~(gains.max(axis=1, initial=0.0) < np.inf)
+            self._epoch[:] = e, gains, fades
         return self._epoch[1:]
 
-    def _write(self, e: int, rows: slice, out: np.ndarray) -> np.ndarray:
-        """Epoch e's blocks at rows into out, one n x n C-contiguous block
-        each; returns which of the epoch's rows overflow."""
-        gains, fades, overflows = self._drawn(e)
+    def _write(self, e: int, rows: slice, out: np.ndarray) -> None:
+        """Epoch e's blocks at rows into out, one n x n C-contiguous block each."""
+        gains, fades = self._drawn(e)
         out[...] = self._blank
         one = len(out) == 1  # one block: 1-D indexing writes it about twice as fast as 2-D
         flat = out.reshape(-1) if one else out.reshape(len(out), -1).T
@@ -233,17 +232,15 @@ class ChannelProcess:
             if values is not None:
                 values = values[rows]
                 flat[up] = flat[down] = values[0] if one else values.T
-        return overflows
 
-    def write_epoch(self, e: int, out: np.ndarray) -> int | None:
+    def write_epoch(self, e: int, out: np.ndarray) -> None:
         """Blocks e*T to e*T + T - 1 into out, a (T, n, n) float array whose
         blocks are each C-contiguous, as realization(k) gives them. The
-        blocks are not checked: returns the first with an overflowing gain,
-        which realization raises for, or None."""
+        blocks are not checked: a gain that overflows is written as inf, and
+        realization(k) names it."""
         if e < 0:
             raise ValueError(f"epoch index must be nonnegative, got {e}")
-        overflows = self._write(e, slice(None), out)
-        return e * len(overflows) + int(np.argmax(overflows)) if overflows.any() else None
+        self._write(e, slice(None), out)
 
     def realization(self, k: int) -> ChannelRealization:
         """Gain matrix of block k; a pure function of (process fields, k).
@@ -254,13 +251,12 @@ class ChannelProcess:
             raise ValueError(f"block index must be nonnegative, got {k}")
         n = self.topology.n
         e, r = divmod(k, epoch_blocks(n))
-        gains, _, overflows = self._drawn(e)
-        if overflows[r]:
-            a, b = divmod(int(self._links[0][np.argmax(gains[r])]), n)
-            keys = "fading times pair_scales" if (a, b) in dict(self.pair_scales) else "fading"
-            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(gains[r].max())!r}: {keys} overflows")
         out = np.empty((1, n, n))
         self._write(e, slice(r, r + 1), out)
+        if not out.max() < np.inf:  # its first inf, row-major, is the first overflowing link in canonical order
+            a, b = divmod(int(np.argmax(out)), n)
+            keys = "fading times pair_scales" if (a, b) in dict(self.pair_scales) else "fading"
+            raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(out[0, a, b])!r}: {keys} overflows")
         gains = out[0]
         gains.setflags(write=False)
         block = object.__new__(ChannelRealization)

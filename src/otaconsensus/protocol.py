@@ -91,24 +91,30 @@ def _ones(n: int) -> np.ndarray:  # the pilot's transmission, built once per n
     return ones
 
 
+def refuse_pilot_sums(sigma: np.ndarray, context: str = "") -> None:
+    """Refuse sigma's first unusable sum, naming its node and the context
+    ("at step 3") if given: an IsolationError at SIGMA_MIN or below first,
+    else a NonFiniteStateError for an overflow (or nan). pilot and
+    analysis.build_Hbar both refuse here, so run and verify agree."""
+    if sigma.min() > SIGMA_MIN and sigma.max() < np.inf:
+        return
+    at, n, cut = f" {context}" if context else "", sigma.shape[-1], sigma <= SIGMA_MIN
+    if cut.any():
+        j = int(np.argmax(cut))
+        raise IsolationError(f"node {j % n} is isolated{at}: pilot sum {float(sigma.flat[j])!r} <= {SIGMA_MIN}")
+    j = int(np.argmin(np.isfinite(sigma)))
+    raise NonFiniteStateError(f"node {j % n} overflowed{at}: pilot sum {float(sigma.flat[j])!r} is not finite")
+
+
 def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
     """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
-    gains @ 1 (self term included) plus its noise, is its normalization sum.
-    A sum that overflows (the caller silences numpy's warning) or falls to
-    SIGMA_MIN or below raises, naming the node. Stacked gains (m, n, n)
-    give (m, n) sums."""
+    gains @ 1 (self term included) plus its noise, is its normalization sum,
+    checked by refuse_pilot_sums (the caller silences numpy's overflow
+    warning). Stacked gains (m, n, n) give (m, n) sums."""
     sigma = gains @ _ones(gains.shape[-1])
     if noise is not None:
         sigma = sigma + noise
-    cut = sigma <= SIGMA_MIN
-    if cut.any():
-        j = int(np.argmax(cut))
-        raise IsolationError(f"node {j % sigma.shape[-1]} is isolated {context}: "
-                             f"pilot sum {float(sigma.flat[j])!r} <= {SIGMA_MIN}")
-    if not sigma.max() < np.inf:  # inf from an overflow (nan fails too)
-        j = int(np.argmin(np.isfinite(sigma)))
-        raise NonFiniteStateError(f"node {j % sigma.shape[-1]} overflowed {context}: "
-                                  f"pilot sum {float(sigma.flat[j])!r} is not finite")
+    refuse_pilot_sums(sigma, context)
     return sigma
 
 

@@ -249,11 +249,12 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
       stack of epochs, T = channel.epoch_blocks(n): at an epoch's first
       step each ChannelProcess member writes the whole epoch into its slot,
       and any other channel's block is copied in at the step that reads it.
-      A block whose gain overflows is refused at that step, never before.
-      A fresh pilot measures G, and with epsilon_B, an (epsilon, B) pair,
-      the pass's EpsilonBAudit, built symmetric when every member's channel
-      is a ChannelProcess, judges it: each summary's epsilon_B_satisfied,
-      None in any other pass;
+      A fresh pilot measures G; one that raises has each member realize
+      its block first, refusing an overflowing gain (written as inf) by
+      name at the step that reads it, never before. With epsilon_B, an
+      (epsilon, B) pair, the pass's EpsilonBAudit, built symmetric when
+      every member's channel is a ChannelProcess, judges G: each
+      summary's epsilon_B_satisfied, None in any other pass;
     - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
       that draws no receiver noise.
 
@@ -304,7 +305,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                       "at initialization")
     else:
         T = epoch_blocks(n)
-        blocks, faults = np.empty((T, m, n, n)), {}  # faults: first overflowing block -> its members
+        blocks = np.empty((T, m, n, n))
         copied = [j for j in live if not processes[j]]  # the slots whose blocks are copied in
     for k in count():
         if k:
@@ -315,22 +316,21 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         if k and algorithm == "tvc":
             e, r = divmod(k - 1, T)
             if r == 0:
-                faults.clear()
                 for j, i in enumerate(live):
                     if processes[i]:
                         sized(channels[i].topology.adj, f"the channel at step {k}")
-                        bad = channels[i].write_epoch(e, blocks[:, j])
-                        if bad is not None:
-                            faults.setdefault(bad, []).append(i)
-            for i in faults.get(k - 1, ()):
-                if i in live:
-                    channels[i].realization(k - 1)  # raises its overflow by name
+                        channels[i].write_epoch(e, blocks[:, j])
             G = blocks[r]
             for j in copied:
                 G[j] = sized(channels[live[j]].realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
                 audit.add(G)
-            sigma = pilot(G, w[0], f"at step {k}")
+            try:
+                sigma = pilot(G, w[0], f"at step {k}")
+            except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
+                for i in live:
+                    channels[i].realization(k - 1)
+                raise
             y, x = ota_step(G, sigma, y, x, *w[1:])
         elif k:
             y, x = ota_step(G, sigma, y, x, *w)

@@ -194,15 +194,19 @@ def test_deep_fade_keeps_link_gains_across_an_epoch_boundary():
 
 def test_overflow_is_refused_only_for_the_block_read():
     # with one link's gain scaled to the edge of overflow, some blocks of an
-    # epoch overflow: reading one raises by name, writing the epoch reports
-    # the first, and the blocks before it read clean
+    # epoch overflow: writing the epoch writes the first as inf without
+    # raising, reading it raises by name, and the blocks before it read clean
     topo = generate_topology(TopologySpec("ring"), 12, 0)
     proc = ChannelProcess(FadingModel.uniform(0.1, 2.0), topo, seed=7, pair_scales=(((0, 1), 9.02e307),))
     T = epoch_blocks(12)
     out = np.empty((T, 12, 12))
-    with np.errstate(over="ignore"):
-        firsts = [proc.write_epoch(e, out) for e in range(4)]
-    bad = next(b for b in firsts if b is not None)
+    for e in range(4):
+        assert proc.write_epoch(e, out) is None
+        overflowing = np.flatnonzero(np.isinf(out).any(axis=(1, 2)))
+        if overflowing.size:
+            bad = e * T + int(overflowing[0])
+            break
+    assert out[bad % T, 0, 1] == out[bad % T, 1, 0] == np.inf
     for k in range(bad // T * T, bad):
         assert np.isfinite(proc.realization(k).gains).all()
     with pytest.raises(ValueError, match=rf"^gain of pair \(0,1\) in block {bad} is inf: fading times pair_scales "

@@ -11,7 +11,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from otaconsensus import cli
@@ -981,6 +981,28 @@ def test_overflowing_gain_names_its_keys(overrides, expected, tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {expected}\n"
 
 
+@pytest.mark.parametrize("edges, keys, argv, code, expected", [
+    # one block holds both faults: node 2 is isolated and the (0,1) gain
+    # overflows; the gain is named first, as a config fault
+    ("0 1\n", "n = 3\nalgorithm = tvc\nfading = half_normal(1e300)\ninitial = explicit(1, 2, 3)\n"
+     "pair_scales = 0-1:1e10\n", ["run"], 2,
+     "config error: gain of pair (0,1) in block 0 is inf: fading times pair_scales overflows"),
+    # node 0's two finite gains overflow its pilot sum and node 2 has no
+    # link: the oracle names the isolated node first, as the kernel does
+    ("0 1\n0 3\n", "n = 4\nalgorithm = tic\nfading = constant(1e308)\ninitial = explicit(1, 2, 3, 4)\n",
+     ["verify"], 3, "runtime error: node 2 is isolated at step 1: pilot sum 0.0 <= 1e-12"),
+    ("0 1\n0 3\n", "n = 4\nalgorithm = tic\nfading = constant(1e308)\ninitial = explicit(1, 2, 3, 4)\n",
+     ["run", "--set", "algorithm=tvc"], 3, "runtime error: node 2 is isolated at step 1: pilot sum 0.0 <= 1e-12"),
+], ids=["overflow-before-isolation", "verify-isolation-before-overflow", "run-isolation-before-overflow"])
+def test_one_block_names_one_fault_on_every_route(edges, keys, argv, code, expected, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)  # the edge list is read from the working directory
+    (tmp_path / "g.edges").write_text(edges)
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"topology = edge_list(g.edges)\n{keys}seed = 0\nself_weight = 0\nmax_iters = 5\n")
+    assert main([argv[0], str(cfg), "-o", str(tmp_path / "o"), *argv[1:]]) == code
+    assert capsys.readouterr().err == f"{expected}\n"
+
+
 # one config per benchmark workload kind
 BENCHMARK_KINDS = [("run", "tic10.cfg"), ("sweep", "self_weight_sweep.cfg"), ("verify", "tvc10.cfg")]
 
@@ -1366,6 +1388,9 @@ def boundary_overrides(draw):
 RUNTIME_FAULT = re.compile(r"runtime error: (node \d+ (is isolated|overflowed|has nonpositive denominator) .*"
                            r"|non-finite state at step \d+, node \d+|no strongly connected sample .*"
                            r"|out of memory.*)\n")
+#: a sweep names the row of a run's fault: "<parameter> = <value>, seed <s>: "
+SWEEP_RUNTIME_FAULT = re.compile(RUNTIME_FAULT.pattern.replace(
+    "runtime error: ", r"runtime error: (?:(?:\w+ = [^,\n]+, )?seed \d+: )?", 1))
 
 
 @given(command=st.sampled_from(["run", "verify"]), config=st.sampled_from(["tic10.cfg", "tvc10.cfg"]),
@@ -1382,18 +1407,62 @@ def test_boundary_override_exits_truthfully(command, config, override, tmp_path_
     # examples are a start whose sum overflows and a budget at the top of
     # uint64, both once faults
     out = tmp_path_factory.mktemp("boundary") / "out"
+    assert_exits_truthfully([command, str(CONFIG_DIR / config), "-o", str(out),
+                             "--set", "n=10", "--set", "max_iters=60", "--set", "=".join(override)], out)
+
+
+#: the files each command writes when it exits 0 (or verify 1)
+OUTPUTS = {"run": ["summary.json", "trajectory.csv"], "verify": ["verify.json"], "sweep": ["sweep.csv"]}
+
+
+def assert_exits_truthfully(argv, out):
+    """main(argv) writes its outputs to out and exits 0 (verify 1 too), or
+    writes nothing and exits 2 with one config error line or 3 with a
+    documented runtime fault, which a sweep may prefix with its row."""
+    command = argv[0]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
-        code = main([command, str(CONFIG_DIR / config), "-o", str(out),
-                     "--set", "n=10", "--set", "max_iters=60", "--set", "=".join(override)])
+        code = main(argv)
     err = stderr.getvalue()
     if code == 2:
         assert err.startswith("config error: ") and err.count("\n") == 1
     elif code == 3:
-        assert RUNTIME_FAULT.fullmatch(err), err
+        assert (SWEEP_RUNTIME_FAULT if command == "sweep" else RUNTIME_FAULT).fullmatch(err), err
     else:
         assert (code == 0 or (code, command) == (1, "verify")) and err == "" and stdout.getvalue()
-        expected = ["summary.json", "trajectory.csv"] if command == "run" else ["verify.json"]
-        assert sorted(p.name for p in out.iterdir()) == expected
+        assert sorted(p.name for p in out.iterdir()) == OUTPUTS[command]
         return
     assert stdout.getvalue() == "" and not out.exists()
+
+
+#: each command with the configs its two-override calls run on
+FUZZED_CALLS = [("run", "tic10.cfg"), ("run", "tvc10.cfg"), ("verify", "tic10.cfg"), ("verify", "tvc10.cfg"),
+                ("sweep", "noise_sweep.cfg"), ("sweep", "self_weight_sweep.cfg"), ("sweep", "algorithm_sweep.cfg")]
+#: budgets no run reaches in a test, kept only where tol stops every run: on
+#: the configs that converge (noise_sweep's noise and self_weight_sweep's
+#: swap never do), with no other key drawn than ones that cannot stop that
+HUGE_BUDGETS = (str(2**63 - 1), str(2**64 - 1), str(2**64))
+CONVERGING_CONFIGS = ("tic10.cfg", "tvc10.cfg", "algorithm_sweep.cfg")
+INERT_KEYS = ("seed", "max_iters", "epsilon", "B", "deep_fade")
+
+
+@given(call=st.sampled_from(FUZZED_CALLS), overrides=st.lists(boundary_overrides(), min_size=2, max_size=2))
+@example(call=("sweep", "algorithm_sweep.cfg"), overrides=[("seed", "0"), ("max_iters", str(2**64 - 1))])
+@example(call=("sweep", "algorithm_sweep.cfg"), overrides=[("noise_std", str(2**63 - 1)), ("epsilon", "1e308")])
+@settings(max_examples=150, deadline=None)
+def test_two_boundary_overrides_exit_truthfully(call, overrides, tmp_path_factory):
+    # test_boundary_override_exits_truthfully's outcomes for two drawn
+    # overrides per call, on sweep too: a sweep writes sweep.csv, or its
+    # fault names the row. Runs are short: 60 steps, n = 10 for run and
+    # verify, or a huge budget that tol cuts short. The examples are a
+    # uint64 budget over a whole sweep and a runtime fault in its first row
+    command, config = call
+    budgets = [value for key, value in overrides if key == "max_iters"]
+    if budgets and budgets[-1] in HUGE_BUDGETS:
+        assume(config in CONVERGING_CONFIGS and all(key in INERT_KEYS for key, _ in overrides))
+    out = tmp_path_factory.mktemp("boundary") / "out"
+    argv = [command, str(CONFIG_DIR / config), "-o", str(out), "--set", "max_iters=60"]
+    argv += [] if command == "sweep" else ["--set", "n=10"]
+    for override in overrides:
+        argv += ["--set", "=".join(override)]
+    assert_exits_truthfully(argv, out)

@@ -532,6 +532,32 @@ def test_run_doubles_with_its_start(group):
         assert np.array_equal(twice.mu[:rows], 2 * once.mu[:rows])
 
 
+@given(group=seed_groups().filter(lambda group: group[0].fading != FadingModel.half_normal(4e307)),
+       c=st.sampled_from([-1e6, -1e3, -1.0, 0.5, 1e3]))
+@settings(max_examples=25, deadline=None)
+def test_run_shifts_with_its_start(group, c):
+    # both chains are linear and x_tilde does not depend on the start, so
+    # starting from S - c gives mu - c: not bitwise, unlike doubling, but
+    # within the first-order rounding bound ((n + 1) k + 2) eps M at step k,
+    # M = max|S| + |c|. Each step's division and length-n sum add at most
+    # gamma_{n+1} M x_tilde to y_tilde' - y_tilde + c x_tilde from each run and
+    # from x_tilde, and the step mixes the error over x_tilde by a convex
+    # combination; S - c, the two ratios and mu - c round once each. Only
+    # the rows both runs take are compared: a shifted run can stop at
+    # another step under a tiny tol
+    eps = np.finfo(float).eps
+    for cfg in group:
+        cfg = replace(cfg, noise_std=0.0)  # noise enters x_tilde unshifted: mu would move by c times it
+        S = prepare(cfg)[2]
+        base = run(cfg)[0]
+        shifted = run(replace(cfg, initial=InitialSpec.explicit(S.values - c)))[0]
+        rows = min(len(base.mu), len(shifted.mu))
+        assert np.array_equal(shifted.x_tilde[:rows], base.x_tilde[:rows])
+        err = np.abs(shifted.mu[:rows] - (base.mu[:rows] - c)).max(axis=1)
+        bound = ((cfg.n + 1) * np.arange(rows) + 2) * eps * (np.abs(S.values).max() + abs(c))
+        assert np.all(err <= bound)
+
+
 @st.composite
 def linked_topologies(draw, n):
     """A ring, the complete graph, or a drawn connected edge set given as
@@ -659,7 +685,9 @@ def test_batch_replays_only_member_faults(monkeypatch):
 
 def test_sweep_memory_holds_no_trajectory(tmp_path):
     # four noisy members use their whole budget; the sweep keeps summaries
-    # only, less than one member's trajectory arrays
+    # only, less than one member's trajectory arrays. The same sweep runs
+    # once untraced first, so the one-time allocations of a fresh process
+    # (imports, caches) fall outside the traced one
     n, steps = 60, 1500
     cfg = tmp_path / "s.cfg"
     cfg.write_text(
@@ -667,6 +695,7 @@ def test_sweep_memory_holds_no_trajectory(tmp_path):
         f"initial = random_mean(1.0, 1.0)\nseed = 42\nnoise_std = 1e-6\nmax_iters = {steps}\n"
         "[sweep]\nparameter = noise_std\nvalues = 1e-6\nseeds = 0, 1, 2, 3\n"
     )
+    assert main(["sweep", str(cfg), "-o", str(tmp_path / "warm")]) == 0
     tracemalloc.start()
     try:
         assert main(["sweep", str(cfg), "-o", str(tmp_path / "o")]) == 0
