@@ -71,7 +71,7 @@ class InitialStates:
 def prop1_weights(g: Digraph) -> np.ndarray:
     """Classical digital ratio-consensus weights as a read-only array: node j
     assigns 1/(1+d_j_out) to itself and to each out-neighbor, so every
-    column sums to 1 exactly."""
+    column sums to 1 within 2**-53 (3 fl(1/3) is 1 - 2**-54)."""
     adj = g.adj
     if not is_strongly_connected(adj):
         raise ValueError("baseline weights need a strongly connected digraph")

@@ -241,15 +241,15 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     """The one stepping loop, which _drive runs: a pass of set-up members,
     each (graph, channel, InitialStates, noise generator, step budget),
     stepping together as one (m, n) state from step 0, the initial values.
-    Each step is y_tilde' = G @ (y_tilde / sigma) + noise, likewise for
-    x_tilde:
+    A channel has a ChannelProcess's topology, realization(k) and
+    write_epoch(e, out). Each step is y_tilde' = G @ (y_tilde / sigma) +
+    noise, likewise for x_tilde:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
       stack of epochs, T = channel.epoch_blocks(n): at an epoch's first
-      step each ChannelProcess member writes the whole epoch into its slot,
-      and any other channel's block is copied in at the step that reads it.
-      A fresh pilot measures G; one that raises has each member realize
+      step each member's channel writes the whole epoch into its slot. A
+      fresh pilot measures G; one that raises has each member realize
       its block first, refusing an overflowing gain (written as inf) by
       name at the step that reads it, never before. With epsilon_B, an
       (epsilon, B) pair, the pass's EpsilonBAudit, built symmetric when
@@ -280,8 +280,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     m, n = y.shape
     live, results, x = np.arange(m), [None] * m, np.ones((m, n))
     noisy = noise_std > 0.0 and algorithm != "baseline"
-    processes = [isinstance(c, ChannelProcess) for c in channels]  # their blocks are symmetric
-    audit = EpsilonBAudit(*epsilon_B, all(processes)) if algorithm == "tvc" and epsilon_B else None
+    symmetric = all(isinstance(c, ChannelProcess) for c in channels)  # a process's blocks are symmetric
+    audit = EpsilonBAudit(*epsilon_B, symmetric) if algorithm == "tvc" and epsilon_B else None
 
     def sized(G, what):
         if G.shape != (n, n):
@@ -306,7 +306,6 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     else:
         T = epoch_blocks(n)
         blocks = np.empty((T, m, n, n))
-        copied = [j for j in live if not processes[j]]  # the slots whose blocks are copied in
     for k in count():
         if k:
             if noisy and drawn == len(draws):
@@ -317,12 +316,9 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             e, r = divmod(k - 1, T)
             if r == 0:
                 for j, i in enumerate(live):
-                    if processes[i]:
-                        sized(channels[i].topology.adj, f"the channel at step {k}")
-                        channels[i].write_epoch(e, blocks[:, j])
+                    sized(channels[i].topology.adj, f"the channel at step {k}")
+                    channels[i].write_epoch(e, blocks[:, j])
             G = blocks[r]
-            for j in copied:
-                G[j] = sized(channels[live[j]].realization(k - 1).gains, f"the channel at step {k}")
             if audit is not None:
                 audit.add(G)
             try:
@@ -377,7 +373,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
         chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
         if algorithm == "tvc":  # a member's slot moves with it
-            blocks, copied = blocks[:, keep], [j for j, i in enumerate(live) if not processes[i]]
+            blocks = blocks[:, keep]
         else:
             G, sigma = G[keep], sigma[keep]
         if audit is not None:

@@ -11,7 +11,6 @@ make a failing build pass.
 
 from contextlib import contextmanager
 from time import perf_counter
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -35,6 +34,7 @@ from otaconsensus.simulator import (
     spread,
 )
 from otaconsensus.topology import TopologySpec, check_epsilon_B_connectivity
+from standin import Blocks
 
 N_SEEDS = 10
 
@@ -251,7 +251,7 @@ def test_09_alternating_graphs_need_window_two(criterion):
         assert check_epsilon_B_connectivity(h_seq, epsilon=0.5, B=1) is False
 
         S = InitialStates(np.array([0.0, 1.0, 2.0]))
-        alternating = SimpleNamespace(realization=lambda k: h_seq[k % 2])
+        alternating = Blocks(lambda k: h_seq[k % 2])
         steps = kernel_rows("tvc", S, alternating, 2000)[2][1:]
         converged_at = None
         for k, mu in enumerate(steps):

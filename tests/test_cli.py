@@ -7,7 +7,6 @@ import subprocess
 import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -32,6 +31,7 @@ from otaconsensus.floattext import float_fields
 from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import INITIAL_ARGS, NonFiniteStateError, Trajectory, _drive, run, run_group
 from otaconsensus.topology import TOPOLOGY_ARGS, TopologySpec, generate_topology
+from standin import Blocks
 
 MINIMAL = """\
 n = 10
@@ -917,7 +917,7 @@ def test_verify_passes_step_together_as_they_step_alone():
             if k == fault_at:
                 raise ValueError(f"block {k} of the pass failing at {fault_at}")
             return proc.realization(k)
-        return SimpleNamespace(realization=realization)
+        return Blocks(realization)
 
     starts = [np.arange(6.0), 3.7 * np.arange(6.0), np.arange(6.0) - 2.0]
     together = [rows for _, rows in _drive("tvc", [

@@ -4,7 +4,6 @@ import tracemalloc
 from bisect import bisect_left
 from dataclasses import replace
 from pathlib import Path
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -38,6 +37,7 @@ from otaconsensus.topology import (
     generate_topology,
     is_strongly_connected,
 )
+from standin import Blocks
 
 
 def er(n, seed, p=0.5):
@@ -127,30 +127,44 @@ def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
 
 
 def test_kernel_writes_a_process_block_in_place_beside_any_channel(monkeypatch):
-    # a ChannelProcess member's block route is its own: it writes an epoch
-    # of T blocks into its slot at the epoch's first step, and never
-    # realizes a block, though the other member's channel is not a process
-    # and has each block copied in at its step; the pass steps each member
-    # as it steps alone
+    # every tvc member writes an epoch of T blocks into its slot at the
+    # epoch's first step, whatever its channel: the ChannelProcess member
+    # never realizes a block, though the other member's channel is a
+    # stand-in; the pass steps each member as it steps alone
     n = 50
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(n, 1), seed=3)
-    other = ChannelProcess(FadingModel.half_normal(1.0), er(n, 2), seed=4)
-    held = SimpleNamespace(realization=lambda k: other.realization(k))
+    held = Blocks(ChannelProcess(FadingModel.half_normal(1.0), er(n, 2), seed=4).realization)
     calls = []
-    realization, write_epoch = ChannelProcess.realization, ChannelProcess.write_epoch
-    monkeypatch.setattr(ChannelProcess, "realization",
-                        lambda self, k: calls.append((self is proc, "block", k)) or realization(self, k))
-    monkeypatch.setattr(ChannelProcess, "write_epoch",
-                        lambda self, e, out: calls.append((self is proc, "epoch", e)) or write_epoch(self, e, out))
+
+    def spy(cls, name):  # record (channel, method, block or epoch index) per call
+        method = getattr(cls, name)
+        monkeypatch.setattr(cls, name, lambda self, i, *out: calls.append((self, name, i)) or method(self, i, *out))
+
+    spy(ChannelProcess, "realization")
+    spy(ChannelProcess, "write_epoch")
+    spy(Blocks, "write_epoch")
     members = [lambda: (None, proc, InitialStates(np.arange(float(n))), None, 20),
                lambda: (None, held, InitialStates(np.ones(n) - np.arange(float(n))), None, 30)]
     together = [rows for _, rows in _drive("tvc", members, record=True)]
     T = epoch_blocks(n)
-    assert [c[1:] for c in calls if c[0]] == [("epoch", e) for e in range(-(-20 // T))]
-    assert [c[1:] for c in calls if not c[0]] == [("block", k) for k in range(30)]
+    assert [c[1:] for c in calls if c[0] is proc] == [("write_epoch", e) for e in range(-(-20 // T))]
+    assert [c[1:] for c in calls if c[0] is held] == [("write_epoch", e) for e in range(-(-30 // T))]
     for setup, rows in zip(members, together):
         (_, alone), = _drive("tvc", [setup], record=True)
         assert all(np.array_equal(a, b) for a, b in zip(rows, alone))
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+@pytest.mark.parametrize("n", [10, 50, 70])  # T = 64, 3 and 1
+def test_a_stand_in_steps_as_the_process_it_wraps(algorithm, n):
+    # the kernel has one channel contract: a stand-in over a process's
+    # blocks steps bitwise as the process itself, receiver noise and all
+    proc = ChannelProcess(FadingModel.half_normal(1.0), er(n, 5), seed=6)
+    S = InitialStates(np.linspace(-1.0, 2.0, n))
+    own, stood_in = (take(algorithm, S, 130, channel=c, noise_std=1e-3, noise_rng=np.random.default_rng(7))
+                     for c in (proc, Blocks(proc.realization)))
+    assert all(np.array_equal(a, b) for a, b in zip(own, stood_in))
+
 
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_prefix_is_stable(algorithm):
@@ -201,7 +215,7 @@ def test_kernel_refuses_a_non_finite_state(algorithm):
     # node 0 hears node 1's 1e10 through a 1e300 gain: its first state is inf
     block = ChannelRealization(2, [[1, 1e300], [1, 1]], 1.0)
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1, node 0$"):
-        take(algorithm, InitialStates([1.0, 1e10]), 1, channel=SimpleNamespace(realization=lambda k: block))
+        take(algorithm, InitialStates([1.0, 1e10]), 1, channel=Blocks(lambda k: block))
 
 
 def test_unrecorded_pass_memory_does_not_grow_with_its_budget():
@@ -662,7 +676,7 @@ def test_a_non_reciprocal_channel_breaks_mass_conservation(group, kind):
     gains = channel.realization(0).gains.copy()
     a, b = np.argwhere(g.adj)[0]
     gains[a, b] *= 1.5
-    broken = SimpleNamespace(realization=lambda k: ChannelRealization(cfg.n, gains, cfg.self_weight))
+    broken = Blocks(lambda k: ChannelRealization(cfg.n, gains, cfg.self_weight))
     (summary, _), = _drive(cfg.algorithm, [lambda: (g, broken, S, None, cfg.max_iters)])
     assert max(summary.mass_drift_y, summary.mass_drift_x) > 1e-9
 

@@ -1,5 +1,3 @@
-from types import SimpleNamespace
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,16 +16,12 @@ from otaconsensus.protocol import (
 )
 from otaconsensus.simulator import _drive
 from otaconsensus.topology import Digraph, TopologySpec, generate_topology
+from standin import Blocks
 
 
 def sym_realization(gains, self_weight=1.0):
     g = np.asarray(gains, dtype=float)
     return ChannelRealization(g.shape[0], g, self_weight)
-
-
-def fixed(h):
-    """A channel whose every realization is the block h."""
-    return SimpleNamespace(realization=lambda k: h)
 
 
 def trajectory(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
@@ -154,7 +148,7 @@ def test_tic_initialize_arithmetic():
     )
     h = ChannelRealization(3, gains, 0.0)
     np.testing.assert_array_equal(pilot(h.gains), [2.0, 0.5, 1.5])
-    Y, X, _ = trajectory("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=fixed(h))
+    Y, X, _ = trajectory("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: h))
     assert Y[0, 0] == 4.0 and X[0, 0] == 1.0
     # node 0 transmits y = 4 / 2 = 2 and x = 1 / 2; receivers 1 and 2 hear
     # only node 0, at gains 0.5 and 1.5
@@ -166,7 +160,7 @@ def test_tic_initialize_self_only():
     h = ChannelRealization(2, np.eye(2), 1.0)
     S = InitialStates(np.array([7.0, -1.0]))
     np.testing.assert_array_equal(pilot(h.gains), [1.0, 1.0])
-    Y, X, _ = trajectory("tic", S, 1, channel=fixed(h))
+    Y, X, _ = trajectory("tic", S, 1, channel=Blocks(lambda k: h))
     np.testing.assert_array_equal(Y[1], [7.0, -1.0])
     np.testing.assert_array_equal(X[1], [1.0, 1.0])
 
@@ -180,7 +174,7 @@ def test_tic_initialize_two_node_symmetry():
 def test_tic_initialize_isolated_node_named():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     with pytest.raises(IsolationError, match="node 0 is isolated at initialization"):
-        trajectory("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=fixed(h))
+        trajectory("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h))
 
 
 def test_tic_all_equal_initial_values_pin_ratio():
@@ -199,7 +193,7 @@ def test_tic_two_node_doubly_stochastic_limit():
     # stochastic, so the ratio must converge to the plain average
     h = sym_realization([[1.0, 0.6], [0.6, 1.0]], self_weight=1.0)
     S = InitialStates(np.array([0.0, 2.0]))
-    _, _, MU = trajectory("tic", S, 200, channel=fixed(h))
+    _, _, MU = trajectory("tic", S, 200, channel=Blocks(lambda k: h))
     np.testing.assert_allclose(MU[-1], 1.0, atol=1e-12)
 
 
@@ -227,7 +221,7 @@ def test_tvc_initialize_placeholders():
 
     noise = np.random.default_rng(0)
     (y_tilde,), (x_tilde,), (mu,) = trajectory("tvc", InitialStates(np.array([2.0, 3.0])), 0,
-                                               channel=SimpleNamespace(realization=no_block), noise_std=0.1,
+                                               channel=Blocks(no_block), noise_std=0.1,
                                                noise_rng=noise)
     np.testing.assert_array_equal(y_tilde, [2.0, 3.0])
     np.testing.assert_array_equal(x_tilde, [1.0, 1.0])
@@ -241,7 +235,7 @@ def test_tvc_matches_tic_on_constant_channel():
     S = InitialStates(np.arange(7, dtype=float))
     Yc, Xc, _ = trajectory("tic", S, 100, channel=proc)
     # tvc re-measures every block; frozen at block 0 it must track tic
-    Yv, Xv, _ = trajectory("tvc", S, 100, channel=fixed(proc.realization(0)))
+    Yv, Xv, _ = trajectory("tvc", S, 100, channel=Blocks(lambda k: proc.realization(0)))
     np.testing.assert_allclose(Yc, Yv, rtol=1e-12)
     np.testing.assert_allclose(Xc, Xv, rtol=1e-12)
 
@@ -259,9 +253,9 @@ def test_tvc_per_step_normalization_is_column_stochastic():
 def test_tvc_deep_fade_isolation_error():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     S = InitialStates(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(trajectory("tvc", S, 0, channel=fixed(h))[2], [[1.0, 2.0]])  # no pilot yet
+    np.testing.assert_array_equal(trajectory("tvc", S, 0, channel=Blocks(lambda k: h))[2], [[1.0, 2.0]])  # no pilot yet
     with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1: pilot sum"):
-        trajectory("tvc", S, 1, channel=fixed(h))
+        trajectory("tvc", S, 1, channel=Blocks(lambda k: h))
 
 
 def test_tvc_stored_normalization_uses_current_block():
@@ -288,7 +282,7 @@ def test_ratio_output_equals_initial_values_after_init():
     h = sym_realization([[1.0, 0.4], [0.4, 1.0]])
     S = InitialStates(np.array([3.5, -1.25]))
     for algorithm in ("tic", "tvc"):
-        _, _, MU = trajectory(algorithm, S, 0, channel=fixed(h))
+        _, _, MU = trajectory(algorithm, S, 0, channel=Blocks(lambda k: h))
         np.testing.assert_array_equal(MU[0], S.values)
 
 
