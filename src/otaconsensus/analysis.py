@@ -67,16 +67,15 @@ def matrix_oracle(
     """Brute-force reference trajectories by explicit matrix products.
 
     Iterates both chains from (S, all-ones) under the per-step mixing
-    matrices and returns arrays of shape (k_max+1, n) for the numerator
-    chain, the denominator chain, and their ratio. Completely independent
-    of the per-node protocol implementation, which is what makes it an
-    oracle for it.
+    matrices of h_seq's realizations, read one per step from any iterable
+    and none held past its step, and returns arrays of shape (k_max+1, n)
+    for the numerator chain, the denominator chain, and their ratio.
+    Completely independent of the per-node protocol implementation, which
+    is what makes it an oracle for it.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    if len(h_seq) < k_max:
-        raise ValueError(f"need {k_max} realizations, got {len(h_seq)}")
-    n = S.n
+    n, blocks = S.n, iter(h_seq)
     y = S.values.astype(float).copy()
     x = np.ones(n)
     Y = np.empty((k_max + 1, n))
@@ -91,7 +90,10 @@ def matrix_oracle(
         MU[k] = y / x
         if k == k_max:
             break
-        hbar = build_Hbar(h_seq[k], f"at step {k + 1}")
+        h = next(blocks, None)
+        if h is None:
+            raise ValueError(f"need {k_max} realizations, got {k}")
+        hbar = build_Hbar(h, f"at step {k + 1}")
         if hbar.shape != (n, n):
             raise ValueError(f"realization {k} is {hbar.shape[0]}-node, expected {n}")
         y = hbar @ y

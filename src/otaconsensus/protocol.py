@@ -1,8 +1,8 @@
 """Consensus state machines over the aggregate-only channel.
 
-Two parallel linear iterations run under column-stochastic mixing: a
-numerator carrying the initial values and a denominator started at all
-ones. Their per-node ratio converges to the network average while the
+Two parallel linear iterations run under column-stochastic mixing as one
+state: row 0, y_tilde, starts at the initial values and row 1, x_tilde, at
+all ones. Their per-node ratio converges to the network average while the
 individual iterations need not converge at all. Receivers never decode
 individual neighbor values; every update consumes only the channel-weighted
 sum of simultaneous transmissions plus the locally known self term.
@@ -118,30 +118,27 @@ def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
     return sigma
 
 
-def ota_step(gains, sigma, y_tilde, x_tilde, noise_y=None, noise_x=None):
+def ota_step(gains, sigma, state, noise=None):
     """One iteration's numerator and denominator slots for all receivers at
-    once: every node transmits its chain state over its own sigma, and
-    receiver i observes row i of gains times those signals plus its own
-    noise draw. Returns the new (y_tilde, x_tilde). Stacked gains (m, n, n)
-    step m members' (m, n) states, each exactly as it would step alone."""
-    y = (gains @ (y_tilde / sigma)[..., np.newaxis])[..., 0]
-    x = (gains @ (x_tilde / sigma)[..., np.newaxis])[..., 0]
-    if noise_y is not None:
-        y += noise_y
-    if noise_x is not None:
-        x += noise_x
-    return y, x
+    once: every node transmits each chain's row of state, (2, n), over its
+    own sigma, and receiver i observes row i of gains times those signals
+    plus its noise draw. Stacked gains (m, n, n) step a (2, m, n) state,
+    each chain and member exactly as it would step alone."""
+    z = (gains @ (state / sigma)[..., np.newaxis])[..., 0]
+    if noise is not None:
+        z += noise
+    return z
 
 
-def ratio(y_tilde: np.ndarray, x_tilde: np.ndarray, where: str = "") -> np.ndarray:
-    """Per-node estimates y_tilde / x_tilde; a denominator that is not
-    positive (NaN included) raises, naming the node (of the first failing
-    member, for stacked states)."""
-    bad = ~(x_tilde > 0)
+def ratio(state: np.ndarray, where: str = "") -> np.ndarray:
+    """Per-node estimates y_tilde / x_tilde of a state (2, ..., n); an
+    x_tilde that is not positive (NaN included) raises, naming the node (of
+    the first failing member, for stacked states)."""
+    bad = ~(state[1] > 0)
     if bad.any():
         j = int(np.argmax(bad))
         raise DegenerateStateError(
-            f"node {j % x_tilde.shape[-1]} has nonpositive denominator state "
-            f"x_tilde={float(x_tilde.flat[j])!r}{where}"
+            f"node {j % state.shape[-1]} has nonpositive denominator state "
+            f"x_tilde={float(state[1].flat[j])!r}{where}"
         )
-    return y_tilde / x_tilde
+    return state[0] / state[1]

@@ -240,10 +240,10 @@ def _setup(config: SimulationConfig):
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
     """The one stepping loop, which _drive runs: a pass of set-up members,
     each (graph, channel, InitialStates, noise generator, step budget),
-    stepping together as one (m, n) state from step 0, the initial values.
-    A channel has a ChannelProcess's topology, realization(k) and
-    write_epoch(e, out). Each step is y_tilde' = G @ (y_tilde / sigma) +
-    noise, likewise for x_tilde:
+    stepping together as one (2, m, n) state z, y_tilde over x_tilde, from
+    step 0, the initial values. A channel has a ChannelProcess's topology,
+    realization(k) and write_epoch(e, out). Each step is one product for
+    both chains, z' = G @ (z / sigma) + noise:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
@@ -276,9 +276,9 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     graphs, channels, starts, rngs, budgets = zip(*members)
-    y = np.array([s.values for s in starts])
-    m, n = y.shape
-    live, results, x = np.arange(m), [None] * m, np.ones((m, n))
+    z = np.array([[s.values for s in starts], [np.ones(s.n) for s in starts]])  # (y_tilde, x_tilde)
+    _, m, n = z.shape
+    live, results = np.arange(m), [None] * m
     noisy = noise_std > 0.0 and algorithm != "baseline"
     symmetric = all(isinstance(c, ChannelProcess) for c in channels)  # a process's blocks are symmetric
     audit = EpsilonBAudit(*epsilon_B, symmetric) if algorithm == "tvc" and epsilon_B else None
@@ -292,7 +292,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     # sums, their worst deviation so far, and the states not yet folded in
     rows = [[np.empty((min(b + 1, DRIFT_STEPS), n)) for _ in range(3)] for b in budgets] if record else None
     budgets = np.array(budgets)  # int64 or uint64, where b + 1 can wrap: rows size by Python ints
-    conserved = np.array([y.sum(axis=-1), np.full(m, float(n))])
+    conserved = z.sum(axis=-1)
     drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
     streak, next_stop = np.zeros(m, dtype=int), budgets.min()
     slots = 3 if algorithm == "tvc" else 2
@@ -311,30 +311,28 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             if noisy and drawn == len(draws):
                 steps = int(min(DRIFT_STEPS, next_stop - k + 1))
                 draws, drawn = np.stack([rngs[i].normal(0.0, noise_std, size=(steps, slots, n)) for i in live], 2), 0
-            w, drawn = draws[drawn] if noisy else (None,) * slots, drawn + 1
-        if k and algorithm == "tvc":
-            e, r = divmod(k - 1, T)
-            if r == 0:
-                for j, i in enumerate(live):
-                    sized(channels[i].topology.adj, f"the channel at step {k}")
-                    channels[i].write_epoch(e, blocks[:, j])
-            G = blocks[r]
-            if audit is not None:
-                audit.add(G)
-            try:
-                sigma = pilot(G, w[0], f"at step {k}")
-            except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
-                for i in live:
-                    channels[i].realization(k - 1)
-                raise
-            y, x = ota_step(G, sigma, y, x, *w[1:])
-        elif k:
-            y, x = ota_step(G, sigma, y, x, *w)
-        mu = ratio(y, x, f" at step {k}")
-        finite = np.isfinite(x) & np.isfinite(mu)  # mu is not finite where y is not
+            w, drawn = draws[drawn] if noisy else None, drawn + 1  # (slots, m, n), pilot first
+            if algorithm == "tvc":
+                e, r = divmod(k - 1, T)
+                if r == 0:
+                    for j, i in enumerate(live):
+                        sized(channels[i].topology.adj, f"the channel at step {k}")
+                        channels[i].write_epoch(e, blocks[:, j])
+                G = blocks[r]
+                if audit is not None:
+                    audit.add(G)
+                try:
+                    sigma = pilot(G, w[0] if noisy else None, f"at step {k}")
+                except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
+                    for i in live:
+                        channels[i].realization(k - 1)
+                    raise
+            z = ota_step(G, sigma, z, w[-2:] if noisy else None)
+        mu = ratio(z, f" at step {k}")
+        finite = np.isfinite(z[1]) & np.isfinite(mu)  # mu is not finite where y_tilde is not
         if not finite.all():
             raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
-        chunk[0, filled], chunk[1, filled], chunk[2, filled] = y, x, mu
+        chunk[:2, filled], chunk[2, filled] = z, mu
         filled += 1
         stopping = k == next_stop  # some member stops
         if tol is not None and k > 0:
@@ -369,7 +367,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         if not keep.any():
             return results
         # every per-member array keeps the columns of the members still stepping
-        live, y, x, streak, budgets = live[keep], y[keep], x[keep], streak[keep], budgets[keep]
+        live, z, streak, budgets = live[keep], z[:, keep], streak[keep], budgets[keep]
         conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
         chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
         if algorithm == "tvc":  # a member's slot moves with it

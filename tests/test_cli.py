@@ -5,6 +5,7 @@ import os
 import re
 import subprocess
 import sys
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -888,11 +889,12 @@ def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
         "non_reciprocal_breaks_stochasticity", "stationary_limit_fixed_point"}
 
 
-def test_verify_suite_realizes_each_block_once(monkeypatch):
-    # 100 blocks shared by both oracles and the audits, block 0 again for
-    # the tic pass, and the tvc pass's 16 epochs of 64 blocks, epochs 0 and
-    # 1 written by each of its three members; every pass steps over the
-    # process, which draws 18 epochs: 0 and 1, 0 again for tic, then 1-15
+def test_verify_suite_realizes_blocks_as_it_reads_them(monkeypatch):
+    # block 0 is held for the tic oracle and the stationary checks; the tic
+    # pass realizes block 0, the tvc oracle blocks 0-99 one at a time, the
+    # tvc pass writes 16 epochs of 64 blocks, epochs 0 and 1 by each of its
+    # three members, and the audits realize blocks 0-49 again; the process
+    # caches one epoch, so it draws 19: 0, 1 for the oracle, 0-15, then 0
     calls, draws = [], []
     realization, write_epoch, draw = ChannelProcess.realization, ChannelProcess.write_epoch, FadingModel.draw
     monkeypatch.setattr(ChannelProcess, "realization",
@@ -902,8 +904,27 @@ def test_verify_suite_realizes_each_block_once(monkeypatch):
     monkeypatch.setattr(FadingModel, "draw", lambda self, rng, size: draws.append(size) or draw(self, rng, size))
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
     epochs = [0] * 3 + [1] * 3 + list(range(2, 16))
-    assert calls == [("block", k) for k in range(100)] + [("block", 0)] + [("epoch", e) for e in epochs]
-    assert len(draws) == 18
+    assert calls == ([("block", 0)] * 2 + [("block", k) for k in range(100)] + [("epoch", e) for e in epochs]
+                     + [("block", k) for k in range(50)])
+    assert len(draws) == 19
+
+
+def test_verify_memory_is_bounded_without_channel_history():
+    # verify holds its passes' recorded rows, the tic pass's (one 1000-step
+    # member) until the tvc pass's (a 1000-step and two 100-step members)
+    # replace them, and a few blocks at a time: 16 n x n blocks bound the
+    # rest; holding the 100 oracle blocks would cost 100 n^2 doubles
+    n = 200
+    rows = 3 * 8 * n * ((1000 + 1) + (1000 + 1) + 2 * (100 + 1))
+    cfg = parse_config(str(CONFIG_DIR / "tvc10.cfg"), [f"n={n}"])
+    tracemalloc.start()
+    try:
+        checks = run_verify_suite(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(c.passed for c in checks[:3])  # both oracle rows and the audit ran
+    assert peak < rows + 16 * 8 * n * n
 
 
 def test_verify_passes_step_together_as_they_step_alone():

@@ -90,7 +90,7 @@ def test_kernel_noise_stream_order(algorithm):
     def draw():
         return rng.normal(0.0, std, size=n)
 
-    y, x = S.values, np.ones(n)
+    z = np.array([S.values, np.ones(n)])
     if algorithm == "tic":
         gains = proc.realization(0).gains
         sigma = pilot(gains, draw())
@@ -98,7 +98,7 @@ def test_kernel_noise_stream_order(algorithm):
         if algorithm == "tvc":
             gains = proc.realization(k - 1).gains
             sigma = pilot(gains, draw())
-        y, x = ota_step(gains, sigma, y, x, draw(), draw())  # numerator first
+        y, x = z = ota_step(gains, sigma, z, np.array([draw(), draw()]))  # numerator first
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
 

@@ -37,14 +37,33 @@ def trajectory(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_r
 def test_ota_aggregate_arithmetic():
     # receiver 0 hears 0.5 * 4 + 1.5 * 2; receiver 1 hears nothing
     gains = np.array([[0.5, 1.5], [0.0, 0.0]])
-    y, x = ota_step(gains, np.ones(2), np.array([4.0, 2.0]), np.array([100.0, -3.0]))
+    y, x = ota_step(gains, np.ones(2), np.array([[4.0, 2.0], [100.0, -3.0]]))
     np.testing.assert_array_equal(y, [5.0, 0.0])
     np.testing.assert_array_equal(x, [45.5, 0.0])
     # each transmitter divides by its own sigma; noise adds per receiver
-    y, x = ota_step(gains, np.array([2.0, 0.5]), np.array([8.0, 1.0]), np.array([2.0, 0.5]),
-                    noise_y=np.array([0.25, 0.0]), noise_x=np.array([0.0, -1.0]))
+    y, x = ota_step(gains, np.array([2.0, 0.5]), np.array([[8.0, 1.0], [2.0, 0.5]]),
+                    noise=np.array([[0.25, 0.0], [0.0, -1.0]]))
     np.testing.assert_array_equal(y, [5.25, 0.0])
     np.testing.assert_array_equal(x, [2.0, -1.0])
+
+
+@pytest.mark.parametrize("n", [2, 10, 50, 65, 200])
+def test_ota_step_stacked_equals_each_chain_and_member_alone(n):
+    # the kernel steps a (2, m, n) state in one product and relies on each
+    # chain c and member i coming out bitwise as gains[i] @ (z[c, i] / sigma[i])
+    rng = np.random.default_rng(n)
+    for m in range(1, 8):
+        gains = rng.uniform(0.0, 2.0, (m, n, n)) * (rng.random((m, n, n)) < 0.5)
+        sigma = rng.uniform(0.5, 2.0, (m, n))
+        z = rng.normal(0.0, 10.0, (2, m, n))
+        for noise in (None, rng.normal(0.0, 1e-3, (2, m, n))):
+            stepped = ota_step(gains, sigma, z, noise)
+            for c in range(2):
+                for i in range(m):
+                    alone = gains[i] @ (z[c, i] / sigma[i])
+                    if noise is not None:
+                        alone += noise[c, i]
+                    assert stepped[c, i].tobytes() == alone.tobytes(), (m, c, i)
 
 
 def test_ota_aggregate_pilot_gives_row_sum():
@@ -109,7 +128,7 @@ def test_weight_matrix_validation():
 
 
 def test_baseline_step_identity():
-    y, x = ota_step(np.eye(3), np.ones(3), np.array([1.0, 2.0, 3.0]), np.ones(3))
+    y, x = ota_step(np.eye(3), np.ones(3), np.array([[1.0, 2.0, 3.0], [1.0, 1.0, 1.0]]))
     np.testing.assert_array_equal(y, [1, 2, 3])
     np.testing.assert_array_equal(x, [1, 1, 1])
 
@@ -266,7 +285,7 @@ def test_tvc_stored_normalization_uses_current_block():
     Y, X, _ = trajectory("tvc", InitialStates(np.array([1.0, 2.0, 3.0, 4.0])), 3, channel=proc)
     for k in range(1, 4):
         gains = proc.realization(k - 1).gains
-        y, x = ota_step(gains, pilot(gains), Y[k - 1], X[k - 1])
+        y, x = ota_step(gains, pilot(gains), np.array([Y[k - 1], X[k - 1]]))
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
 
@@ -275,7 +294,7 @@ def test_tvc_stored_normalization_uses_current_block():
 
 
 def test_ratio_output_division():
-    np.testing.assert_array_equal(ratio(np.array([2.0, 4.0]), np.array([1.0, 2.0])), [2.0, 2.0])
+    np.testing.assert_array_equal(ratio(np.array([[2.0, 4.0], [1.0, 2.0]])), [2.0, 2.0])
 
 
 def test_ratio_output_equals_initial_values_after_init():
@@ -288,9 +307,9 @@ def test_ratio_output_equals_initial_values_after_init():
 
 def test_ratio_output_degenerate():
     with pytest.raises(DegenerateStateError, match="node 0"):
-        ratio(np.array([1.0]), np.array([0.0]))
+        ratio(np.array([[1.0], [0.0]]))
     with pytest.raises(DegenerateStateError, match=r"node 1 .*nan at step 3"):
-        ratio(np.array([1.0, 1.0]), np.array([1.0, np.nan]), " at step 3")
+        ratio(np.array([[1.0, 1.0], [1.0, np.nan]]), " at step 3")
 
 
 @pytest.mark.parametrize("values, message", [
