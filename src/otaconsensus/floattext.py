@@ -45,57 +45,66 @@ _WORD = np.dtype("<u4")
 
 
 def _group_tables():
-    """For each 4-digit group g: its ASCII digits, and 0xFF on its digits up
-    to its last nonzero one (none for g = 0), each as one word. Built a
-    column at a time in 8 and 16 bits, so the import's temporaries stay small."""
+    """Each 4-digit group g as one word of ASCII digits: at g up to its last
+    nonzero digit (all NUL for g = 0), at 10**4 + g all four. Built a column
+    at a time in 8 and 16 bits, so the import's temporaries stay small."""
     digits, kept = np.empty((10_000, 4), np.uint8), np.empty((10_000, 4), np.uint8)
     g, seen = np.arange(10_000, dtype=np.uint16), np.zeros(10_000, bool)
     for i in range(3, -1, -1):
         digits[:, i] = g % 10 + ord("0")
         seen |= g % 10 != 0
-        kept[:, i] = seen * 0xFF
+        kept[:, i] = seen * digits[:, i]
         g //= 10
-    return digits.view(_WORD).ravel(), kept.view(_WORD).ravel()
+    return np.r_[kept, digits].view(_WORD).ravel()
 
 
-_WORDS, _KEPT = _group_tables()
+_GROUPS = _group_tables()
+_WORDS = _GROUPS[10_000:]  # every group's four digits
+_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, each exact
+_POW10_INT = np.cumprod(np.r_[1, np.full(17, 10)])  # 10**0 .. 10**17 as int64
 # indexed by the decade X = -4 .. 3 itself (X < 0 wraps to the end): the
-# integer places of words 0 and 1, and the leading-zero places of word 2
+# integer places of words 0 and 1, the leading-zero places of word 2, and
+# the divisor and scale of _fixed_fields' integer part and fraction
 _X = (np.arange(8)[:, None] + 4) % 8 - 4
 _INT_KEPT = (np.arange(4) >= 3 - np.maximum(_X, 0)) * 0xFF
 _INT_MASKS = np.c_[np.zeros((8, 3)), _INT_KEPT, np.zeros((8, 1))].astype(np.uint8).view(_WORD).T.copy()
 _LEAD_MASKS = np.c_[(np.arange(3) < -1 - _X) * 0xFF, np.full((8, 1), 0xFF)].astype(np.uint8).view(_WORD).ravel()
-_POW10 = np.cumprod(np.r_[1.0, np.full(22, 10.0)])  # 10**0 .. 10**22, each exact
-_POW10_INT = np.cumprod(np.r_[1, np.full(17, 10)])  # 10**0 .. 10**17 as int64
+_INT_DIVISORS = _POW10_INT[np.minimum(16 - _X[:, 0], 17)]
+_FRACTION_SCALES = _POW10_INT[np.maximum(_X[:, 0], -1) + 1]
+
+# The formatter's working set bounds the block trajectory_rows can take, so
+# the helpers below reuse their buffers and drop each temporary once used.
 
 
 def _split(a):
     """Dekker's split: a == hi + lo, each half with at most 26 significant bits."""
-    t = 134217729.0 * a  # 2**27 + 1
-    hi = t - (t - a)
-    return hi, a - hi
+    hi = 134217729.0 * a  # t, with 2**27 + 1
+    lo = hi - a
+    hi -= lo  # t - (t - a)
+    return hi, np.subtract(a, hi, out=lo)
 
 
 _POW10_HI, _POW10_LO = _split(_POW10)
 
 
 def _times_pow10(a, s):
-    """p + e == a * 10**s exactly, with p = fl(a * 10**s) (Dekker's TwoProduct)."""
+    """p + e == a * 10**s exactly, with p = fl(a * 10**s) (Dekker's TwoProduct).
+    e sums the partial products as (((hi*bhi - p) + lo*bhi) + hi*blo) + lo*blo,
+    which rounds to exactly the same double as lo*blo - (((p - hi*bhi) -
+    lo*bhi) - hi*blo): each partial sum is the negation of the other's."""
     p = a * _POW10[s]
-    a_hi, a_lo = _split(a)
-    b_hi, b_lo = _POW10_HI[s], _POW10_LO[s]
-    return p, a_lo * b_lo - (((p - a_hi * b_hi) - a_lo * b_hi) - a_hi * b_lo)
-
-
-def _groups(ints, count):
-    """Non-negative ints below 10**(4 * count) in base 10**4, most
-    significant group first: (count, len)."""
-    g = np.empty((count, ints.size), np.int64)
-    for i in range(count - 1, -1, -1):
-        q = ints // 10_000
-        g[i] = ints - q * 10_000
-        ints = q
-    return g
+    hi, lo = _split(a)
+    b = _POW10_HI[s]
+    e = hi * b
+    e -= p
+    b *= lo
+    e += b
+    np.take(_POW10_LO, s, out=b, mode="clip")  # s is in range; "clip" writes b unbuffered
+    hi *= b
+    e += hi
+    lo *= b
+    e += lo
+    return p, e
 
 
 def _digits17(a):
@@ -107,30 +116,39 @@ def _digits17(a):
     if ((p <= 1e16) | (p >= 1e17)).any():
         X += (p > 1e17) | ((p == 1e17) & (e >= 0))
         X -= (p < 1e16) | ((p == 1e16) & (e < 0))
+        del p, e
         p, e = _times_pow10(a, 16 - X)
     return p.astype(np.int64) + np.rint(e).astype(np.int64), X
 
 
-def _fixed_fields(a, negative, out):
-    """'%.17g' of 1e-4 <= a < 1e4, signed by `negative`, into out's (len, 7) words."""
+def _fixed_fields(a, negative):
+    """'%.17g' of 1e-4 <= a < 1e4, signed by `negative`, as (len, 7) words."""
     N, X = _digits17(a)
+    out = np.empty((a.size, FIELD // 4), _WORD)
     # the integer part I, and the fraction Q over 20 places: X < 0 leaves
     # I = 0 and Q = N, 17 digits after 3 places for leading zeros
-    I, Q = np.divmod(N, _POW10_INT[np.minimum(16 - X, 17)])
-    Q *= _POW10_INT[np.maximum(X, -1) + 1]
+    Q = _INT_DIVISORS[X]
+    I, Q = np.divmod(N, Q, out=(N, Q))
+    Q *= _FRACTION_SCALES[X]
     digits = _WORDS[I]  # I < 10**4: thousands, hundreds, tens, ones
-    out[:, 0] = ((digits << 24) & _INT_MASKS[0][X]) | (negative * (ord("-") << 8))
-    out[:, 1] = ((digits >> 8) & _INT_MASKS[1][X]) | ((Q != 0) * (ord(".") << 24))
-    g = _groups(Q, 5)
-    nonzero = g != 0
-    later = np.zeros_like(nonzero)  # a nonzero group keeps every group before it whole
-    for i in range(3, -1, -1):
-        np.logical_or(later[i + 1], nonzero[i + 1], out=later[i])
-    kept = _KEPT[g]
-    kept[later] = 0xFFFFFFFF
-    kept[0] &= _LEAD_MASKS[X]
-    kept &= _WORDS[g]
-    out[:, 2:] = kept.T
+    del N, I
+    out[:, 0] = ((digits << 24) & _INT_MASKS[0][X]) | (negative * np.uint32(ord("-") << 8))
+    out[:, 1] = ((digits >> 8) & _INT_MASKS[1][X]) | ((Q != 0) * np.uint32(ord(".") << 24))
+    # Q's 4-digit groups g, first to last, each split off by numpy's fast
+    # division by a scalar (its divmod is about three times slower); a group
+    # with a nonzero fraction after it keeps all four digits, so its
+    # _GROUPS index is offset by 10**4
+    g = np.empty_like(Q)
+    for i in range(5):
+        scale = 10 ** (16 - 4 * i)
+        np.floor_divide(Q, scale, out=g)
+        g *= scale
+        Q -= g
+        g //= scale
+        np.add(g, 10_000, out=g, where=Q != 0)
+        out[:, 2 + i] = _GROUPS[g]
+    out[:, 2] &= _LEAD_MASKS[X]
+    return out
 
 
 def float_fields(values) -> np.ndarray:
@@ -140,9 +158,8 @@ def float_fields(values) -> np.ndarray:
     v = np.ravel(np.asarray(values, dtype=np.float64))
     a = np.abs(v)
     fixed = (a >= 1e-4) & (a < 1e4)
-    out = np.empty((v.size, FIELD // 4), _WORD)
-    _fixed_fields(np.where(fixed, a, 1.0), v < 0, out)
-    out = out.view(np.uint8)
+    a[~fixed] = 1.0  # a stand-in in range; fmt_float writes these fields
+    out = _fixed_fields(a, v < 0).view(np.uint8)
     if not fixed.all():
         others = np.array([fmt_float(x) for x in v[~fixed].tolist()], dtype=f"S{FIELD - 1}")
         out[~fixed] = np.c_[np.zeros(others.size, np.uint8), others.view(np.uint8).reshape(-1, FIELD - 1)]
@@ -179,4 +196,7 @@ def trajectory_rows(first_step: int, nodes: np.ndarray, *columns) -> bytes:
     cells[:, :, :: FIELD // 4] |= ord(",")  # into each field's free first byte
     rows[:, :, head : head + width] = cells
     rows[:, :, -1] = ord("\n")
-    return rows.tobytes().translate(None, b"\0")
+    del cells
+    text = rows.tobytes()
+    del rows
+    return text.translate(None, b"\0")

@@ -28,7 +28,7 @@ from otaconsensus.cli import (
     to_json,
     write_trajectory_csv,
 )
-from otaconsensus.floattext import float_fields
+from otaconsensus.floattext import float_fields, node_words, trajectory_rows
 from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import INITIAL_ARGS, NonFiniteStateError, Trajectory, _drive, run, run_group
 from otaconsensus.topology import TOPOLOGY_ARGS, TopologySpec, generate_topology
@@ -372,15 +372,51 @@ def test_trajectory_csv_matches_reference_in_uneven_blocks(overrides, tmp_path):
     # the writer formats whole steps in blocks of about CHUNK_VALUES reals;
     # none of these runs fills its last block, and the last two send values
     # of both signs outside [1e-4, 1e4) through the scalar route
+    steps, n = run_csv_matches_reference(overrides, tmp_path)
+    assert steps % max(1, cli.CHUNK_VALUES // (3 * n)) != 0
+
+
+def test_trajectory_csv_matches_reference_in_full_blocks(tmp_path):
+    # an n = 200 ring whose rows fill every block, the last one included
+    block = cli.CHUNK_VALUES // (3 * 200)
+    rows = 300 // block * block
+    steps, n = run_csv_matches_reference(["n=200", "topology=ring", f"max_iters={rows - 1}", "tol=1e-300"], tmp_path)
+    assert steps == rows and steps % block == 0
+
+
+def run_csv_matches_reference(overrides, tmp_path):
+    """`run` of tic10.cfg with `overrides` writes the reference writer's
+    trajectory.csv; the trajectory's (steps, n)."""
     config = str(CONFIG_DIR / "tic10.cfg")
     argv = ["run", config, "-o", str(tmp_path)]
     for item in overrides:
         argv += ["--set", item]
     assert main(argv) == 0
     trajectory, _ = run(parse_config(config, overrides))
-    steps, n = trajectory.mu.shape
-    assert steps % max(1, cli.CHUNK_VALUES // (3 * n)) != 0
     assert (tmp_path / "trajectory.csv").read_bytes() == reference_trajectory_csv(trajectory).encode()
+    return trajectory.mu.shape
+
+
+def test_trajectory_rows_footprint_per_real():
+    # the formatter's working set is what bounds cli.CHUNK_VALUES under
+    # test_n200_trajectory_memory_is_bounded's write_peak: one block of it
+    # at n = 200, the writer's first (step 0's x_tilde = 1 takes the decade
+    # check's second product), measured 79.5 bytes per real
+    n = 200
+    steps = cli.CHUNK_VALUES // (3 * n)
+    trajectory, _ = run(parse_config(str(CONFIG_DIR / "tic10.cfg"),
+                                     [f"n={n}", "topology=ring", f"max_iters={steps}", "tol=1e-300"]))
+    columns = [c[:steps] for c in (trajectory.y_tilde, trajectory.x_tilde, trajectory.mu)]
+    nodes = node_words(n)
+    tracemalloc.start()
+    try:
+        trajectory_rows(0, nodes, *columns)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    reals = 3 * steps * n
+    assert peak < 89 * reals, (f"floattext.trajectory_rows holds {peak / reals:.1f} bytes per real, "
+                               f"over 89: a new temporary in the formatter")
 
 
 def test_run_non_finite_output_exit_three(minimal_cfg, tmp_path, monkeypatch, capsys):
@@ -910,12 +946,13 @@ def test_verify_suite_realizes_blocks_as_it_reads_them(monkeypatch):
 
 
 def test_verify_memory_is_bounded_without_channel_history():
-    # verify holds its passes' recorded rows, the tic pass's (one 1000-step
-    # member) until the tvc pass's (a 1000-step and two 100-step members)
-    # replace them, and a few blocks at a time: 16 n x n blocks bound the
-    # rest; holding the 100 oracle blocks would cost 100 n^2 doubles
+    # verify holds one regime's recorded rows at a time, at most the tvc
+    # pass's (a 1000-step and two 100-step members), and a few blocks at a
+    # time: 16 n x n blocks bound the rest; holding the 100 oracle blocks
+    # would cost 100 n^2 doubles, and the tic pass's rows through the tvc
+    # pass another 1001 rows
     n = 200
-    rows = 3 * 8 * n * ((1000 + 1) + (1000 + 1) + 2 * (100 + 1))
+    rows = 3 * 8 * n * ((1000 + 1) + 2 * (100 + 1))
     cfg = parse_config(str(CONFIG_DIR / "tvc10.cfg"), [f"n={n}"])
     tracemalloc.start()
     try:

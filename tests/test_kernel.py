@@ -253,7 +253,7 @@ def test_n200_trajectory_memory_is_bounded(tmp_path):
     # the stored trajectory is three (steps + 1, n) float arrays; run() may
     # use a small multiple of that plus O(n^2) channel state, and the CSV
     # writer, which holds a block of about cli.CHUNK_VALUES reals at a time
-    # (two steps at n = 200), a fraction of it
+    # (six steps at n = 200), a fraction of it
     n, steps = 200, 300
     stored = 3 * 8 * (steps + 1) * n
     cfg = base_config(n=n, topology=TopologySpec(kind="ring"), max_iters=steps, tol=1e-300)
