@@ -237,6 +237,20 @@ def _setup(config: SimulationConfig):
     return g, channel, S, noise_seed
 
 
+def _judge(states, first):
+    """Refuse the first broken state of a chunk of steps, states a (3, steps,
+    m, n) array of (y_tilde, x_tilde, mu) from step first, in step, then
+    member, then node order: ratio names a nonpositive x_tilde (NaN
+    included), else a non-finite x_tilde or mu is named here."""
+    x, mu = states[1], states[2]
+    sound = (x > 0) & (x < np.inf) & np.isfinite(mu)  # mu is not finite where y_tilde is not
+    if sound.all():
+        return
+    s = int(np.argmin(sound.all(axis=(1, 2))))
+    ratio(states[:2, s], f" at step {first + s}")
+    raise NonFiniteStateError(f"non-finite state at step {first + s}, node {int(np.argmin(sound[s])) % x.shape[-1]}")
+
+
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
     """The one stepping loop, which _drive runs: a pass of set-up members,
     each (graph, channel, InitialStates, noise generator, step budget),
@@ -271,6 +285,11 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     ratio spread at or below tol, and then draws nothing more. The states
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
+    Each fold first judges its chunk's states, so a broken state (x_tilde
+    not positive, or x_tilde or mu not finite) raises at the fold, naming
+    the step and node it would have named at its own step; a fault raised
+    later in the chunk (a pilot's, a block's or a size's) waits for the
+    steps before it to be judged, so the broken state still comes first.
     After the last stop the pass returns each member's (summary, rows) in
     member order, its rows cut to length and read-only."""
     if algorithm not in ALGORITHMS:
@@ -314,31 +333,33 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             w, drawn = draws[drawn] if noisy else None, drawn + 1  # (slots, m, n), pilot first
             if algorithm == "tvc":
                 e, r = divmod(k - 1, T)
-                if r == 0:
-                    for j, i in enumerate(live):
-                        sized(channels[i].topology.adj, f"the channel at step {k}")
-                        channels[i].write_epoch(e, blocks[:, j])
-                G = blocks[r]
-                if audit is not None:
-                    audit.add(G)
                 try:
-                    sigma = pilot(G, w[0] if noisy else None, f"at step {k}")
-                except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
-                    for i in live:
-                        channels[i].realization(k - 1)
+                    if r == 0:
+                        for j, i in enumerate(live):
+                            sized(channels[i].topology.adj, f"the channel at step {k}")
+                            channels[i].write_epoch(e, blocks[:, j])
+                    G = blocks[r]
+                    if audit is not None:
+                        audit.add(G)
+                    try:
+                        sigma = pilot(G, w[0] if noisy else None, f"at step {k}")
+                    except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
+                        for i in live:
+                            channels[i].realization(k - 1)
+                        raise
+                except (ValueError, RuntimeError):  # a state broken earlier in the chunk comes first
+                    _judge(chunk[:, :filled], k - filled)
                     raise
             z = ota_step(G, sigma, z, w[-2:] if noisy else None)
-        mu = ratio(z, f" at step {k}")
-        finite = np.isfinite(z[1]) & np.isfinite(mu)  # mu is not finite where y_tilde is not
-        if not finite.all():
-            raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite)) % n}")
-        chunk[:2, filled], chunk[2, filled] = z, mu
+        chunk[:2, filled] = z
+        mu = np.divide(z[0], z[1], out=chunk[2, filled])
         filled += 1
         stopping = k == next_stop  # some member stops
         if tol is not None and k > 0:
-            streak = np.where(np.ptp(mu, axis=-1) <= tol, streak + 1, 0)
+            streak = np.where(mu.max(-1) - mu.min(-1) <= tol, streak + 1, 0)
             stopping = stopping or streak.max() >= window
         if filled == DRIFT_STEPS or stopping:
+            _judge(chunk[:, :filled], k + 1 - filled)
             deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
             np.maximum(drift, deviation, out=drift)
             for j, i in enumerate(live if record else ()):
@@ -413,7 +434,7 @@ def _drive(algorithm, members, **rule):
     earliest member's, after the results before it."""
     try:
         started = [setup() for setup in members]
-        with np.errstate(over="ignore"):  # every overflow is refused by name
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):  # each refused by name
             return _kernel(algorithm, started, **rule)
     except (ValueError, RuntimeError):  # every fault a member names
         if len(members) == 1:

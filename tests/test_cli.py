@@ -1008,6 +1008,25 @@ def test_overflowing_pilot_sum_exits_three(command, overrides, expected, tmp_pat
     assert "Warning" not in err
 
 
+@pytest.mark.parametrize("keys, step", [
+    ("seed = 421\n", 5),
+    # block 9, read at step 10 of the same chunk, overflows a gain too
+    ("seed = 1290\npair_scales = 3-4:9.5e307\n", 3),
+], ids=["state", "state-before-gain"])
+def test_state_overflowing_mid_chunk_exits_three_without_a_warning(keys, step, tmp_path, capsys):
+    # starts with a finite sum whose mixing overflows a node's state: the
+    # pass steps the broken state on to its chunk's fold without a numpy
+    # warning (filterwarnings = error raises one), then names the step it
+    # broke at, ahead of the later gain's config error
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text("n = 5\ntopology = ring\nalgorithm = tvc\nfading = uniform(0.1, 2.0)\n"
+                   "initial = explicit(0.9e308, -1.7e308, 0.9e308, -0.05e308, 0.0)\nself_weight = 0.05\n"
+                   f"tol = 1e-300\nmax_iters = 60\n{keys}")
+    assert main(["run", str(cfg), "-o", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == f"runtime error: non-finite state at step {step}, node 0\n"
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("initial, expected", [
     ("explicit(1e308, -1e308, 5, 6, 7, 8, 9, 10, 11, 12)",
      "scale_equivariance start overflows at node 0: initial value 1e+308 becomes inf"),

@@ -13,7 +13,15 @@ from hypothesis import strategies as st
 
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
-from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError, ota_step, pilot, prop1_weights
+from otaconsensus.protocol import (
+    InitialStates,
+    IsolationError,
+    NonFiniteStateError,
+    ota_step,
+    pilot,
+    prop1_weights,
+    ratio,
+)
 from otaconsensus.analysis import mass_audit, matrix_oracle
 from otaconsensus import topology
 from otaconsensus.simulator import (
@@ -23,6 +31,7 @@ from otaconsensus.simulator import (
     RunSummary,
     SimulationConfig,
     _drive,
+    _kernel,
     prepare,
     run,
     run_group,
@@ -216,6 +225,130 @@ def test_kernel_refuses_a_non_finite_state(algorithm):
     block = ChannelRealization(2, [[1, 1e300], [1, 1]], 1.0)
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1, node 0$"):
         take(algorithm, InitialStates([1.0, 1e10]), 1, channel=Blocks(lambda k: block))
+
+
+def judged_each_step(cfg):
+    """run(cfg)'s fault, (type, message), with each state judged at its own
+    step as pilot, ota_step and ratio are called one step at a time; None
+    if max_iters steps run clean (tol is never met)."""
+    _, channel, S = prepare(cfg)
+    rng = np.random.default_rng(stream_seeds(cfg.seed)[3])
+
+    def draw():
+        return rng.normal(0.0, cfg.noise_std, size=cfg.n) if cfg.noise_std else None
+
+    z = np.array([S.values, np.ones(cfg.n)])
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            if cfg.algorithm == "tic":
+                gains = channel.realization(0).gains
+                sigma = pilot(gains, draw(), "at initialization")
+            for k in range(1, cfg.max_iters + 1):
+                if cfg.algorithm == "tvc":
+                    gains = channel.realization(k - 1).gains  # names an overflowing gain
+                    sigma = pilot(gains, draw(), f"at step {k}")
+                noise = None if cfg.noise_std == 0 else np.array([draw(), draw()])
+                z = ota_step(gains, sigma, z, noise)
+                mu = ratio(z, f" at step {k}")
+                finite = np.isfinite(z[1]) & np.isfinite(mu)
+                if not finite.all():
+                    raise NonFiniteStateError(f"non-finite state at step {k}, node {int(np.argmin(finite))}")
+    except (ValueError, RuntimeError) as fault:
+        return type(fault), str(fault)
+    return None
+
+
+# starts whose sum is finite but whose mixing can overflow a node's state
+HUGE_STARTS = dict(n=5, topology=TopologySpec("ring"), algorithm="tvc", fading=FadingModel.uniform(0.1, 2.0),
+                   initial=InitialSpec.explicit([0.9e308, -1.7e308, 0.9e308, -0.05e308, 0.0]), self_weight=0.05)
+
+
+@pytest.mark.parametrize("overrides, fault", [
+    # receiver noise drives an x_tilde negative, within the first chunk or later
+    (dict(algorithm="tic", seed=14), "node 2 has nonpositive denominator state x_tilde=-0.1699082027789478 "
+                                     "at step 168"),
+    (dict(algorithm="tvc", seed=9), "node 1 has nonpositive denominator state x_tilde=-0.0886287941859859 "
+                                    "at step 71"),
+    (dict(algorithm="tvc", seed=39), "node 2 has nonpositive denominator state x_tilde=-0.2387810363469119 "
+                                     "at step 27"),
+    (dict(HUGE_STARTS, seed=421, noise_std=0.0), "non-finite state at step 5, node 0"),
+    # the state overflows at step 3; block 9, read at step 10, overflows too
+    (dict(HUGE_STARTS, seed=1290, noise_std=0.0, pair_scales=(((3, 4), 9.5e307),)),
+     "non-finite state at step 3, node 0"),
+], ids=["tic-noise-late", "tvc-noise-second-chunk", "tvc-noise", "huge-starts", "huge-starts-before-gain"])
+def test_a_fold_names_the_state_fault_each_step_would(overrides, fault):
+    # states are judged once per chunk, yet the fault raised is the first
+    # one a judge at every step finds: its step, node and class
+    cfg = base_config(**{"n": 4, "topology": TopologySpec("complete"), "noise_std": 0.3, "tol": 1e-300,
+                         "max_iters": 200, **overrides})
+    expected = judged_each_step(cfg)
+    assert expected is not None and expected[1] == fault
+    with pytest.raises(expected[0]) as exc:
+        run(cfg)
+    assert str(exc.value) == fault
+
+
+def faulting_blocks(late, n=65, broken=True):
+    """A Blocks channel of an n-node tvc pass, T = 1 so that each step
+    writes the block it reads: self-only blocks, where with broken block 4,
+    read at step 5, takes a 1e308 gain from node 1 to node 0, whose state
+    overflows, and block 8, read at step 9, faults as late names: a
+    pilot sum of 0 at node 2 ("isolated"), a gain that overflows
+    ("overflow"), or a 3-node topology at the epoch's start ("size")."""
+    assert epoch_blocks(n) == 1
+    ring = generate_topology(TopologySpec("ring"), n, 0)
+    overflowing = ChannelProcess(FadingModel.constant(2.0), ring, pair_scales=(((0, 1), 1e308),))
+    eye, hot, cut = np.eye(n), np.eye(n), ring.adj.astype(float)
+    hot[0, 1], cut[2] = 1e308, 0.0
+
+    def realization(k):
+        if late == "size" and k == 7:
+            channel.topology = er(3, 0)  # read at the next epoch's start
+        if k == 8 and late == "isolated":
+            return ChannelRealization(n, cut, 0.0)
+        if k == 8 and late == "overflow":
+            return overflowing.realization(k)
+        return ChannelRealization(n, hot if broken and k == 4 else eye, 1.0)
+
+    channel = Blocks(realization)
+    return channel
+
+
+@pytest.mark.parametrize("late, error, message", [
+    ("isolated", IsolationError, "node 2 is isolated at step 9: pilot sum 0.0 <= 1e-12"),
+    ("overflow", ValueError, "gain of pair (0,1) in block 8 is inf: fading times pair_scales overflows"),
+    ("size", ValueError, "the channel at step 9 is 3-node but got 65 initial values"),
+])
+def test_a_broken_state_outranks_a_later_fault_in_its_chunk(late, error, message):
+    # the state breaks at step 5 and a block faults at step 9, both within
+    # the first chunk: the state is judged before the later fault is raised
+    S = InitialStates(10.0 + np.arange(65.0))
+    with pytest.raises(error) as exc:
+        take("tvc", S, 20, channel=faulting_blocks(late, broken=False))
+    assert str(exc.value) == message
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 5, node 0$"):
+        take("tvc", S, 20, channel=faulting_blocks(late))
+
+
+def test_a_member_that_converged_mid_chunk_keeps_its_summary_when_another_faults():
+    # one member converges at step 2, whose fold judges both members' steps;
+    # the other breaks at step 5 and isolates a node at step 9 of the same
+    # chunk. The pass raises the broken state; read through _drive, the
+    # converged member's summary is its solo run's
+    n, S = 65, InitialStates(10.0 + np.arange(65.0))
+    mixed = ChannelRealization(n, np.ones((n, n)), 1.0)  # every ratio is the mean after one step
+    members = [lambda: (None, Blocks(lambda k: mixed), S, None, 20),
+               lambda: (None, faulting_blocks("isolated"), S, None, 20)]
+    rule = dict(tol=1e-9, window=2)
+    (alone, _), = _drive("tvc", members[:1], **rule)
+    assert alone.converged and alone.iterations_used == 2
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 5, node 0$"):
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            _kernel("tvc", [setup() for setup in members], **rule)
+    done = []
+    with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 5, node 0$"):
+        done.extend(summary for summary, _ in _drive("tvc", members, **rule))
+    assert done == [alone]
 
 
 def test_unrecorded_pass_memory_does_not_grow_with_its_budget():
