@@ -238,11 +238,11 @@ def _setup(config: SimulationConfig):
 
 
 def _judge(states, first):
-    """Refuse the first broken state of a chunk of steps, states a (3, steps,
-    m, n) array of (y_tilde, x_tilde, mu) from step first, in step, then
-    member, then node order: ratio names a nonpositive x_tilde (NaN
-    included), else a non-finite x_tilde or mu is named here."""
-    x, mu = states[1], states[2]
+    """Write the ratios of a chunk of steps, states a (3, steps, m, n) array
+    of (y_tilde, x_tilde, mu) from step first, and refuse its first broken
+    state in step, then member, then node order: ratio names a nonpositive
+    x_tilde (NaN included), else a non-finite x_tilde or mu is named here."""
+    x, mu = states[1], np.divide(states[0], states[1], out=states[2])
     sound = (x > 0) & (x < np.inf) & np.isfinite(mu)  # mu is not finite where y_tilde is not
     if sound.all():
         return
@@ -285,11 +285,18 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     ratio spread at or below tol, and then draws nothing more. The states
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
-    Each fold first judges its chunk's states, so a broken state (x_tilde
-    not positive, or x_tilde or mu not finite) raises at the fold, naming
-    the step and node it would have named at its own step; a fault raised
-    later in the chunk (a pilot's, a block's or a size's) waits for the
-    steps before it to be judged, so the broken state still comes first.
+    The stop rule is checked only where a member could first stop: a streak
+    grows by at most one a step, so after a check whose longest streak is
+    s the next is window - s steps on, or at the next budget or fold. A
+    check divides the ratios of the steps since the last one and folds
+    their spreads into each streak in one call, a step between checks
+    computing neither; the stops are those of a check at every step.
+    Each fold first divides and judges its chunk's states, so a broken
+    state (x_tilde not positive, or x_tilde or mu not finite) raises at the
+    fold, naming the step and node it would have named at its own step; a
+    fault raised later in the chunk (a pilot's, a block's or a size's)
+    waits for the steps before it to be judged, so the broken state still
+    comes first.
     After the last stop the pass returns each member's (summary, rows) in
     member order, its rows cut to length and read-only."""
     if algorithm not in ALGORITHMS:
@@ -314,6 +321,10 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     conserved = z.sum(axis=-1)
     drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
     streak, next_stop = np.zeros(m, dtype=int), budgets.min()
+    # the longest streak at the last check, the first step a member could
+    # reach window, and the first chunk row whose spread no streak has
+    # counted: step 0 starts no streak
+    top, next_check, seen = 0, window if tol is not None else None, 1
     slots = 3 if algorithm == "tvc" else 2
     draws, drawn = np.empty((0, slots, m, n)), 0  # the chunk of noise, (steps, slots, m, n)
     if algorithm == "baseline":
@@ -352,12 +363,17 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                     raise
             z = ota_step(G, sigma, z, w[-2:] if noisy else None)
         chunk[:2, filled] = z
-        mu = np.divide(z[0], z[1], out=chunk[2, filled])
         filled += 1
-        stopping = k == next_stop  # some member stops
-        if tol is not None and k > 0:
-            streak = np.where(mu.max(-1) - mu.min(-1) <= tol, streak + 1, 0)
-            stopping = stopping or streak.max() >= window
+        if k != next_check and k != next_stop and filled < DRIFT_STEPS:
+            continue  # no member can stop here
+        if tol is not None and k > 0:  # fold the steps since the last check into each streak
+            span = np.divide(chunk[0, seen:filled], chunk[1, seen:filled], out=chunk[2, seen:filled])
+            ok = span.max(-1) - span.min(-1) <= tol  # (steps, m)
+            streak, seen = np.where(ok.all(0), streak + len(ok), ok[::-1].argmin(0)), filled
+            top = int(streak.max())
+            # a streak grows by at most one a step; members at window stop here
+            next_check = k + max(window - top, 1)
+        stopping = k == next_stop or top >= window  # some member stops
         if filled == DRIFT_STEPS or stopping:
             _judge(chunk[:, :filled], k + 1 - filled)
             deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
@@ -367,12 +383,13 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                     if len(a) <= k:  # double, up to the member's budget
                         a.resize((min(2 * len(a), int(budgets[j]) + 1), n), refcheck=False)
                     a[k + 1 - filled : k + 1] = c
-            filled = 0
+            filled = seen = 0
         if not stopping:
             continue
         converged = streak >= window
         stop = converged | (budgets == k)
         verdicts = None if audit is None else np.broadcast_to(audit.verdicts, live.shape)
+        mu = z[0] / z[1]  # the ratios of the step they stop at
         for j in np.flatnonzero(stop):
             i, target = live[j], starts[live[j]].mean()
             for a in rows[i] if record else ():  # cut to length, read-only

@@ -801,6 +801,26 @@ def test_run_takes_a_step_budget_at_the_top_of_its_integer_type(budget, tmp_path
     assert (outs[budget] / "trajectory.csv").read_bytes() == (outs[10**6] / "trajectory.csv").read_bytes()
 
 
+@pytest.mark.parametrize("window, summary_sha256", [
+    (2**63 - 1, "34bda4f7385613680ebebffe422120fce774c0b0e3fe583933ba1faca0dd0301"),
+    (2**70, "b2c3ba56f8431862a583593dcaa6eb7358fe4f2fa3ea27efd25dce02c749b99e"),
+], ids=["int64", "past-int64"])
+def test_run_takes_a_window_at_the_top_of_its_integer_type(window, summary_sha256, tmp_path, capsys):
+    # the next step a member could stop at is counted in Python ints, so a
+    # window far past the budget neither wraps nor overflows: the run steps
+    # to max_iters unconverged, its trajectory the same bytes as with any
+    # window that the run does not reach
+    out = tmp_path / "o"
+    argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out), "--set", f"tol_window={window}"]
+    assert main(argv) == 0
+    assert capsys.readouterr() == ("tic: converged=false iterations=500 final_max_error=0 "
+                                   "target=1.0000000000000002\n", "")
+    assert {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()} == {
+        "summary.json": summary_sha256,
+        "trajectory.csv": "02dcb76fbb29880a6368b19238c42a57c95b80e9c8bf017964afe00f738a3c0b",
+    }
+
+
 def test_run_malformed_edge_list_exit_two(tmp_path, capsys):
     edges = tmp_path / "bad.edges"
     edges.write_text("0 1\n1 2 3\n")

@@ -515,7 +515,7 @@ def seed_groups(draw, mixed=False):
         deep_fade=algorithm == "tvc" and draw(st.booleans()),
         max_iters=draw(st.integers(1, 60)),
         tol=draw(st.sampled_from([1e-1, 1e-3, 1e-9])),
-        tol_window=draw(st.integers(1, 4)),
+        tol_window=draw(st.one_of(st.integers(1, 4), st.integers(61, 130))),  # or longer than any budget
     )
     seeds = draw(st.lists(st.integers(0, 10_000), min_size=2, max_size=5))
     tols = (base.tol, draw(st.sampled_from([1e-2, 1e-6]))) if mixed else (base.tol,)
@@ -551,6 +551,44 @@ def test_seed_group_across_drift_chunks(pair_scales, seeds, stops):
     assert all(s.mass_drift_y > 0 and s.mass_drift_x > 0 for s in done)
     if pair_scales:
         assert expected[1].startswith("gain of pair (0,1) in block 68 is inf")
+
+
+@pytest.mark.parametrize("window", [1, 10, 63, 64, 65, 129])
+def test_streaks_folded_over_spans_stop_where_each_step_would(window):
+    # noisy tvc members whose spread crosses tol again and again near the
+    # noise floor, so streaks break and restart inside a span and run over
+    # one or more chunk folds; the member that would stop last has its
+    # budget at the step another first converges. Each stop and verdict is
+    # the step-by-step reference's
+    base = base_config(n=12, topology=TopologySpec(kind="ring"), algorithm="tvc",
+                       fading=FadingModel.uniform(0.1, 2.0), noise_std=1e-6, tol=1e-5, tol_window=window,
+                       max_iters=400)
+    alone = [serial_summary(replace(base, seed=s)) for s in range(4)]
+    first = min(s.iterations_used for s in alone)
+    last = max(range(4), key=lambda s: alone[s].iterations_used)
+    configs = [replace(base, seed=s, max_iters=first if s == last else base.max_iters) for s in range(4)]
+
+    def member(c):
+        g, channel, S = prepare(c)
+        return g, channel, S, np.random.default_rng(stream_seeds(c.seed)[3]), c.max_iters
+
+    together = _drive("tvc", [lambda c=c: member(c) for c in configs], noise_std=base.noise_std,
+                      epsilon_B=(base.epsilon, base.B), tol=base.tol, window=window)
+    summaries = [summary for summary, _ in together]
+    assert summaries == [serial_summary(c) for c in configs]
+    stops = [(s.iterations_used, s.converged) for s in summaries]
+    assert stops[last] == (first, False) and (first, True) in stops and len(set(stops)) >= 3
+    assert first > window
+
+
+@pytest.mark.parametrize("window", [1, 2, 64, 65, 100])
+def test_a_start_in_agreement_counts_no_streak_at_step_zero(window):
+    # equal starts keep every ratio exactly 1 from step 0 on, but a streak
+    # counts post-update steps only: the run converges at step window
+    cfg = base_config(initial=InitialSpec.explicit([2.0] * 10), tol=1e-300, tol_window=window, max_iters=300)
+    _, summary = run(cfg)
+    assert (summary.iterations_used, summary.converged) == (window, True)
+    assert summary == serial_summary(cfg)
 
 
 def test_seed_group_draws_one_block_per_member_step(monkeypatch):
