@@ -384,8 +384,8 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     k - 1 at step k. A 1000-step member feeds the mass-conservation check,
     and its first 101 rows, bitwise those of a 100-step pass, are held
     against the matrix oracle over the first 100 blocks. The equivariance
-    passes, refused first if their starts overflow, are 100-step members of
-    the tvc pass.
+    passes are 100-step members of the tvc pass; InitialStates refuses their
+    starts before any pass, the message led by "scale_equivariance start: ".
 
     Positive checks pass when the measured error is at or below the
     threshold. The two negative controls invert that: they pass when the
@@ -396,23 +396,21 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     k_eq, k_mass = 100, 1000
     h0 = channel.realization(0)  # every later block is realized when it is read
 
-    # the equivariance passes' starts; one that overflows is refused before any pass
+    # the equivariance passes' starts, each refused before any pass if it overflows
     shifted = (("scale_equivariance", lambda v: 3.7 * v), ("shift_equivariance", lambda v: v - 2.0))
-    with np.errstate(over="ignore", invalid="ignore"):  # refused here by name
-        starts = [f(S.values) for _, f in shifted]
-        for (name, _), v in zip(shifted, starts):
-            j = int(np.argmin(np.isfinite(v)))
-            if not np.isfinite(v[j]):
-                raise ValueError(f"{name} start overflows at node {j}: "
-                                 f"initial value {float(S.values[j])!r} becomes {float(v[j])!r}")
-            if not np.isfinite(np.sum(v)):
-                raise ValueError(f"{name} start overflows its sum: {float(np.sum(v))!r}")
+    starts = []
+    for name, f in shifted:
+        try:
+            with np.errstate(over="ignore"):  # an overflowing value is refused by InitialStates
+                starts.append(InitialStates(f(S.values)))
+        except ValueError as refused:
+            raise ValueError(f"{name} start: {refused}") from None
 
     # protocol vs matrix oracle and chain-sum conservation per regime; tvc's pass carries the equivariance passes
     oracle, mass = [], []
     for regime, h_seq, passes in (
         ("tic", [h0] * k_eq, [(S, k_mass)]),
-        ("tvc", map(channel.realization, range(k_eq)), [(S, k_mass), *((InitialStates(v), k_eq) for v in starts)]),
+        ("tvc", map(channel.realization, range(k_eq)), [(S, k_mass), *((s, k_eq) for s in starts)]),
     ):
         expected = matrix_oracle(h_seq, S, k_eq)
         members = [lambda s=s, k=k: (None, channel, s, None, k) for s, k in passes]

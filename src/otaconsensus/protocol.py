@@ -45,7 +45,7 @@ class NonFiniteStateError(RuntimeError):
 
 @dataclass(frozen=True)
 class InitialStates:
-    """The values to be averaged, one per node."""
+    """The values to be averaged, one per node, whose sum must be finite: the one refusal of a start."""
 
     values: np.ndarray
 
@@ -53,8 +53,12 @@ class InitialStates:
         vals = np.asarray(self.values, dtype=float)
         if vals.ndim != 1 or vals.size < 1:
             raise ValueError(f"initial values must be a nonempty 1-D sequence, got shape {vals.shape}")
-        if not np.all(np.isfinite(vals)):
-            raise ValueError("initial values must be finite")
+        with np.errstate(over="ignore", invalid="ignore"):  # refused below by node, else by sum
+            total = vals.sum()  # as mean() sums them; a value that is not finite makes it not finite
+        if not np.isfinite(total):
+            j = int(np.argmin(np.isfinite(vals)))
+            raise ValueError(f"initial value at node {j} is {float(vals[j])!r}" if not np.isfinite(vals[j])
+                             else f"initial values sum to {float(total)!r}")
         vals = vals.copy()
         vals.setflags(write=False)
         object.__setattr__(self, "values", vals)

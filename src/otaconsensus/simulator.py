@@ -34,7 +34,7 @@ DRIFT_STEPS = 64
 
 @dataclass(frozen=True)
 class InitialSpec:
-    """How the to-be-averaged values come into being."""
+    """How the to-be-averaged values come into being; InitialStates refuses explicit ones at once."""
 
     kind: str
     values: tuple[float, ...] | None = None
@@ -45,13 +45,7 @@ class InitialSpec:
         if self.kind not in INITIAL_KINDS:
             raise ValueError(f"unknown initial kind {self.kind!r}; expected one of {INITIAL_KINDS}")
         if self.kind == "explicit":
-            if not self.values:
-                raise ValueError("explicit initial values must be a nonempty sequence")
-            object.__setattr__(self, "values", tuple(float(v) for v in self.values))
-            with np.errstate(over="ignore", invalid="ignore"):  # refused below, before it reaches the run
-                total = float(np.sum(self.values))  # as InitialStates.mean sums them
-            if not math.isfinite(total):
-                raise ValueError(f"explicit initial values must have a finite sum, got {total!r}")
+            object.__setattr__(self, "values", tuple(InitialStates(self.values).values.tolist()))
         else:
             if self.target_mean is None or self.half_width is None:
                 raise ValueError("random_mean needs target_mean and half_width")
@@ -185,19 +179,16 @@ def stream_seeds(seed: int) -> tuple[int, int, int, int]:
 
 
 def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
-    """Materialize initial values; random_mean recenters the sample so the
-    realized average hits the target exactly (to rounding), which is what
-    makes convergence-to-target assertions meaningful."""
+    """Materialize initial values through InitialStates; random_mean recenters
+    the sample so the realized average hits the target exactly (to rounding),
+    which is what makes convergence-to-target assertions meaningful."""
     if spec.kind == "explicit":
-        return InitialStates(np.array(spec.values))
+        return InitialStates(spec.values)
     rng = np.random.default_rng(seed)
     vals = rng.uniform(spec.target_mean - spec.half_width, spec.target_mean + spec.half_width, size=n)
-    with np.errstate(over="ignore", invalid="ignore"):  # refused below by name
-        total = vals.sum()
-    if not math.isfinite(total):
-        raise ValueError(f"random_mean initial values must have a finite sum, got {float(total)!r}")
-    vals = vals + (spec.target_mean - total / n)
-    return InitialStates(vals)
+    S = InitialStates(vals)
+    with np.errstate(over="ignore"):  # a recentered value that overflows is refused by name
+        return InitialStates(vals + (spec.target_mean - S.mean()))
 
 
 def spread(mu) -> float:

@@ -728,9 +728,7 @@ def test_run_overflowing_explicit_sum_exit_two(tmp_path, capsys):
     argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out),
             "--set", "n=2", "--set", "initial=explicit(1.7e308, 1.7e308)"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: override: explicit initial values must have a finite sum, got inf\n"
-    )
+    assert capsys.readouterr().err == "config error: override: initial values sum to inf\n"
     assert not out.exists()
 
 
@@ -741,17 +739,27 @@ def test_run_overflowing_random_mean_sum_exit_two(tmp_path, capsys):
     argv = ["run", str(CONFIG_DIR / "tic10.cfg"), "-o", str(out),
             "--set", "initial=random_mean(1.5e308, 1e307)"]
     assert main(argv) == 2
-    assert capsys.readouterr().err == (
-        "config error: random_mean initial values must have a finite sum, got inf\n"
-    )
+    assert capsys.readouterr().err == "config error: initial values sum to inf\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "verify"])
+def test_a_recentered_sample_that_overflows_exits_two(command, tmp_path, capsys):
+    # seed 76's sample has a finite sum, but recentering it on the target
+    # pushes node 1 past the double range: refused by node, with no numpy
+    # warning and no output
+    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "-o", str(tmp_path / "o"), "--set", "n=3",
+            "--set", "topology=complete", "--set", "seed=76", "--set", "initial=random_mean(8.98e307, 8.98e307)"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "config error: initial value at node 1 is inf\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("overrides, message", [
     (["initial=explicit(1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0, 0, 0)"],
-     "override: explicit initial values must have a finite sum, got nan"),
+     "override: initial values sum to nan"),
     (["n=400", "topology=ring", "initial=random_mean(0, 8.9e307)", "max_iters=2"],
-     "random_mean initial values must have a finite sum, got nan"),
+     "initial values sum to nan"),
 ], ids=["explicit", "random_mean"])
 def test_run_refuses_a_start_summing_to_inf_minus_inf(overrides, message, tmp_path, capsys):
     # numpy's pairwise sum meets inf + (-inf): refused by name, with no numpy warning
@@ -764,27 +772,40 @@ def test_run_refuses_a_start_summing_to_inf_minus_inf(overrides, message, tmp_pa
     assert not out.exists()
 
 
-@given(command=st.sampled_from(["run", "verify"]),
+@given(command=st.sampled_from(["run", "sweep", "verify"]),
        magnitudes=st.lists(st.floats(1e307, 1.79e308), min_size=5, max_size=5), data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_huge_opposite_starts_leak_no_warning(command, magnitudes, data, tmp_path_factory):
     # half the values negate the other half; whatever their float sum, no
-    # numpy warning leaks (warnings are errors here), and a sum that is not
-    # finite is refused by name
+    # numpy warning leaks (warnings are errors here), and each command exits
+    # 2, naming the refusal and writing nothing, exactly when the start (for
+    # verify, also its scaled or shifted copy) has a value or a sum that is
+    # not finite
     values = data.draw(st.permutations(magnitudes + [-v for v in magnitudes]))
     out = tmp_path_factory.mktemp("huge") / "o"
-    argv = [command, str(CONFIG_DIR / "tic10.cfg"), "-o", str(out), "--set", "max_iters=5",
+    config = "noise_sweep.cfg" if command == "sweep" else "tic10.cfg"
+    argv = [command, str(CONFIG_DIR / config), "-o", str(out), "--set", "max_iters=5",
             "--set", f"initial=explicit({', '.join(map(repr, values))})"]
     err = io.StringIO()
     with redirect_stdout(io.StringIO()), redirect_stderr(err):
         code = main(argv)
+    refusals = []
     with np.errstate(over="ignore", invalid="ignore"):
-        total = float(np.sum(values))
-    if not np.isfinite(total):
-        assert (code, err.getvalue()) == (
-            2, f"config error: override: explicit initial values must have a finite sum, got {total!r}\n")
+        starts = [("override", np.array(values))]
+        if command == "verify":
+            starts += [("scale_equivariance start", 3.7 * starts[0][1]),
+                       ("shift_equivariance start", starts[0][1] - 2.0)]
+        for label, v in starts:
+            bad = np.flatnonzero(~np.isfinite(v))
+            if bad.size:
+                refusals.append(f"{label}: initial value at node {bad[0]} is {float(v[bad[0]])!r}")
+            elif not np.isfinite(v.sum()):
+                refusals.append(f"{label}: initial values sum to {float(v.sum())!r}")
+    if refusals:
+        assert (code, err.getvalue()) == (2, f"config error: {refusals[0]}\n")
+        assert not out.exists()
     else:
-        assert "finite sum" not in err.getvalue()
+        assert code != 2 and "Warning" not in err.getvalue()
 
 
 @pytest.mark.parametrize("budget", [2**63 - 1, 2**64 - 1], ids=["int64", "uint64"])
@@ -1049,8 +1070,8 @@ def test_state_overflowing_mid_chunk_exits_three_without_a_warning(keys, step, t
 
 @pytest.mark.parametrize("initial, expected", [
     ("explicit(1e308, -1e308, 5, 6, 7, 8, 9, 10, 11, 12)",
-     "scale_equivariance start overflows at node 0: initial value 1e+308 becomes inf"),
-    ("explicit(4e307, 4e307, 5, 6, 7, 8, 9, 10, 11, 12)", "scale_equivariance start overflows its sum: inf"),
+     "scale_equivariance start: initial value at node 0 is inf"),
+    ("explicit(4e307, 4e307, 5, 6, 7, 8, 9, 10, 11, 12)", "scale_equivariance start: initial values sum to inf"),
 ], ids=["value", "sum"])
 def test_verify_refuses_overflowing_scaled_start(initial, expected, tmp_path, capsys, monkeypatch):
     # verify makes the scaled start itself, so it names the check that

@@ -315,7 +315,11 @@ def test_ratio_output_degenerate():
 @pytest.mark.parametrize("values, message", [
     (np.ones((2, 2)), "initial values must be a nonempty 1-D sequence, got shape (2, 2)"),
     ([], "initial values must be a nonempty 1-D sequence, got shape (0,)"),
-    ([1.0, np.nan], "initial values must be finite"),
+    pytest.param([1.0, np.nan], "initial value at node 1 is nan", id="nan-value"),
+    pytest.param([1.7e308, 1.7e308], "initial values sum to inf", id="sum-overflows"),
+    # numpy adds fewer than 8 values in order, and 8 or more pairwise
+    pytest.param([1e308, 1e308, -1e308, -1e308], "initial values sum to inf", id="sum-overflows-in-order"),
+    pytest.param([1e308, 1e308, -1e308, -1e308, 0, 0, 0, 0], "initial values sum to nan", id="sum-meets-inf-minus-inf"),
 ])
 def test_initial_states_refuse_bad_values(values, message):
     with pytest.raises(ValueError) as refused:
