@@ -32,7 +32,6 @@ from .simulator import (
     prepare,
     run,
     run_group,
-    spread,
 )
 from .topology import (
     Digraph,
@@ -75,6 +74,5 @@ __all__ = [
     "prop1_weights",
     "run",
     "run_group",
-    "spread",
     "stationary_limit",
 ]

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from itertools import count, groupby
 
 import numpy as np
@@ -191,14 +192,6 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
         return InitialStates(vals + (spec.target_mean - S.mean()))
 
 
-def spread(mu) -> float:
-    """Agent-computable convergence diagnostic: max minus min of the ratios."""
-    mu = np.asarray(mu, dtype=float)
-    if mu.size == 0:
-        raise ValueError("spread of an empty vector")
-    return float(np.max(mu) - np.min(mu))
-
-
 def prepare(config: SimulationConfig):
     """Deterministic run setup: (digraph, channel process or None, initial values).
 
@@ -209,7 +202,9 @@ def prepare(config: SimulationConfig):
 
 
 def _setup(config: SimulationConfig):
-    """prepare's set-up and the run's noise seed, from one derivation."""
+    """The run's _kernel member, (graph, channel process or None, initial
+    values, noise generator, step budget), each from config.n and one seed
+    derivation; prepare's set-up is its first three."""
     topo_seed, channel_seed, initial_seed, noise_seed = stream_seeds(config.seed)
     g = generate_topology(config.topology, config.n, topo_seed)
     if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g.adj):
@@ -225,7 +220,7 @@ def _setup(config: SimulationConfig):
             pair_scales=config.pair_scales,
         )
     S = make_initial_values(config.initial, config.n, initial_seed)
-    return g, channel, S, noise_seed
+    return g, channel, S, np.random.default_rng(noise_seed), config.max_iters
 
 
 def _judge(states, first):
@@ -246,7 +241,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     """The one stepping loop, which _drive runs: a pass of set-up members,
     each (graph, channel, InitialStates, noise generator, step budget),
     stepping together as one (2, m, n) state z, y_tilde over x_tilde, from
-    step 0, the initial values. A channel has a ChannelProcess's topology,
+    step 0, the initial values. A channel has a ChannelProcess's
     realization(k) and write_epoch(e, out). Each step is one product for
     both chains, z' = G @ (z / sigma) + noise:
 
@@ -269,8 +264,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     The steps' draws are read in chunks, one call per member each:
     DRIFT_STEPS steps, or fewer to the pass's next step budget, so no member
     draws past its budget, but one that converges or faults mid-chunk has
-    drawn to the chunk's end. A G that is not n x n raises ValueError, a
-    broken state as in run().
+    drawn to the chunk's end. A broken state raises as in run(). Sizes are
+    not checked: _setup (and prepare) build graph, channel and start at one n.
 
     A member stops at its budget or after window steps in a row with its
     ratio spread at or below tol, and then draws nothing more. The states
@@ -285,9 +280,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     Each fold first divides and judges its chunk's states, so a broken
     state (x_tilde not positive, or x_tilde or mu not finite) raises at the
     fold, naming the step and node it would have named at its own step; a
-    fault raised later in the chunk (a pilot's, a block's or a size's)
-    waits for the steps before it to be judged, so the broken state still
-    comes first.
+    fault raised later in the chunk (a pilot's or a block's) waits for the
+    steps before it to be judged, so the broken state still comes first.
     After the last stop the pass returns each member's (summary, rows) in
     member order, its rows cut to length and read-only."""
     if algorithm not in ALGORITHMS:
@@ -299,11 +293,6 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     noisy = noise_std > 0.0 and algorithm != "baseline"
     symmetric = all(isinstance(c, ChannelProcess) for c in channels)  # a process's blocks are symmetric
     audit = EpsilonBAudit(*epsilon_B, symmetric) if algorithm == "tvc" and epsilon_B else None
-
-    def sized(G, what):
-        if G.shape != (n, n):
-            raise ValueError(f"{what} is {G.shape[0]}-node but got {n} initial values")
-        return G
 
     # each member's rows, grown in place up to its budget; conserved (y, x)
     # sums, their worst deviation so far, and the states not yet folded in
@@ -319,9 +308,9 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     slots = 3 if algorithm == "tvc" else 2
     draws, drawn = np.empty((0, slots, m, n)), 0  # the chunk of noise, (steps, slots, m, n)
     if algorithm == "baseline":
-        G, sigma = np.array([sized(prop1_weights(g), "the graph") for g in graphs]), np.ones((m, n))
+        G, sigma = np.array([prop1_weights(g) for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
-        G = np.array([sized(c.realization(0).gains, "the channel") for c in channels])
+        G = np.array([c.realization(0).gains for c in channels])
         sigma = pilot(G, np.array([r.normal(0.0, noise_std, size=n) for r in rngs]) if noisy else None,
                       "at initialization")
     else:
@@ -338,7 +327,6 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                 try:
                     if r == 0:
                         for j, i in enumerate(live):
-                            sized(channels[i].topology.adj, f"the channel at step {k}")
                             channels[i].write_epoch(e, blocks[:, j])
                     G = blocks[r]
                     if audit is not None:
@@ -422,16 +410,10 @@ def run_group(configs, done=None) -> list[RunSummary]:
 
 
 def _seed_group(configs, record=False):
-    """_drive over configs that differ only in seed, one member each."""
+    """_drive over configs that differ only in seed, one _setup member each."""
     cfg = configs[0]
-
-    def member(c):
-        g, channel, S, noise_seed = _setup(c)
-        return g, channel, S, np.random.default_rng(noise_seed), c.max_iters
-
-    members = [lambda c=c: member(c) for c in configs]
-    return _drive(cfg.algorithm, members, noise_std=cfg.noise_std, epsilon_B=(cfg.epsilon, cfg.B),
-                  tol=cfg.tol, window=cfg.tol_window, record=record)
+    return _drive(cfg.algorithm, [partial(_setup, c) for c in configs], noise_std=cfg.noise_std,
+                  epsilon_B=(cfg.epsilon, cfg.B), tol=cfg.tol, window=cfg.tol_window, record=record)
 
 
 def _drive(algorithm, members, **rule):

@@ -1,5 +1,7 @@
-"""A channel stand-in for kernel passes: any sequence of blocks, behind the
-one channel contract a ChannelProcess meets (topology, realization(k) and
+"""Stand-ins and helpers the test modules share.
+
+Blocks is a channel stand-in for kernel passes: any sequence of blocks,
+behind the one channel contract a ChannelProcess meets (realization(k) and
 write_epoch(e, out)).
 
     Blocks(lambda k: h)                # every block is h
@@ -8,12 +10,16 @@ write_epoch(e, out)).
 
 A pass reads it as it reads a process, but its blocks are not taken for
 symmetric, so a tvc pass judges its epsilon-B windows both ways.
-"""
-from functools import cached_property
 
+take is a recording one-member pass over any such channel (or a graph, for
+baseline), sym_realization a block from a plain gain matrix, and
+base_config the 10-node tic config that tests vary by keyword.
+"""
 import numpy as np
 
-from otaconsensus.topology import Digraph
+from otaconsensus.channel import ChannelRealization, FadingModel
+from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive
+from otaconsensus.topology import TopologySpec
 
 
 class Blocks:
@@ -22,15 +28,36 @@ class Blocks:
     def __init__(self, realization):
         self.realization = realization
 
-    @cached_property
-    def topology(self) -> Digraph:
-        """The links of block 0, realized when a pass first asks for them,
-        so a pass that steps nothing realizes nothing."""
-        gains = self.realization(0).gains
-        return Digraph((gains.T > 0) & ~np.eye(len(gains), dtype=bool))
-
     def write_epoch(self, e: int, out: np.ndarray) -> None:
         """Blocks e*T to e*T + T - 1 into out, a (T, n, n) array, each
         realized in turn: a block that raises does so at its epoch's write."""
         for r, block in enumerate(out):
             block[...] = self.realization(e * len(out) + r).gains
+
+
+def take(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
+    """A recording one-member pass with budget steps: its (y_tilde, x_tilde,
+    mu), each a (steps + 1, n) array whose row k is the state after step k."""
+    (_, rows), = _drive(algorithm, [lambda: (g, channel, S, noise_rng, steps)], noise_std=noise_std, record=True)
+    return rows
+
+
+def sym_realization(gains, self_weight=1.0):
+    """The block whose gain matrix is gains, validated as ChannelRealization
+    validates any block."""
+    g = np.asarray(gains, dtype=float)
+    return ChannelRealization(g.shape[0], g, self_weight)
+
+
+def base_config(**overrides):
+    """A 10-node tic run on ER(0.5) at seed 42, with overrides applied."""
+    kw = dict(
+        n=10,
+        topology=TopologySpec(kind="erdos_renyi", p=0.5),
+        algorithm="tic",
+        fading=FadingModel.half_normal(1.0),
+        initial=InitialSpec.random_mean(1.0, 1.0),
+        seed=42,
+    )
+    kw.update(overrides)
+    return SimulationConfig(**kw)

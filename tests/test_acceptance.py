@@ -28,13 +28,11 @@ from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import (
     InitialSpec,
     SimulationConfig,
-    _drive,
     prepare,
     run,
-    spread,
 )
 from otaconsensus.topology import TopologySpec, check_epsilon_B_connectivity
-from standin import Blocks
+from standin import Blocks, take
 
 N_SEEDS = 10
 
@@ -51,14 +49,6 @@ def make_config(algorithm: str, seed: int, **kw) -> SimulationConfig:
     )
     defaults.update(kw)
     return SimulationConfig(**defaults)
-
-
-def kernel_rows(algorithm: str, S: InitialStates, channel, steps: int):
-    """The stepping kernel's y_tilde, x_tilde and ratio for steps 0..steps,
-    each as a (steps + 1, n) array: a recording one-member pass with budget
-    steps."""
-    (_, rows), = _drive(algorithm, [lambda: (None, channel, S, None, steps)], record=True)
-    return rows
 
 
 @pytest.fixture
@@ -144,7 +134,7 @@ def test_04_mass_conservation_long_horizon(criterion):
         for algorithm in ("tic", "tvc"):
             cfg = make_config(algorithm, seed=4)
             _, channel, S = prepare(cfg)
-            yt, xt, _ = kernel_rows(algorithm, S, channel, 1000)
+            yt, xt, _ = take(algorithm, S, 1000, channel=channel)
             drift_y, drift_x = mass_audit((yt, xt), S)
             assert drift_y <= 1e-9, f"{algorithm}: numerator drift {drift_y:.3e}"
             assert drift_x <= 1e-9, f"{algorithm}: denominator drift {drift_x:.3e}"
@@ -164,7 +154,7 @@ def test_05_protocol_matches_matrix_oracle(criterion):
             )
             _, channel, S = prepare(cfg)
             h_seq = [channel.realization(k if time_varying else 0) for k in range(k_max)]
-            Y, X, MU = kernel_rows(cfg.algorithm, S, channel, k_max)
+            Y, X, MU = take(cfg.algorithm, S, k_max, channel=channel)
             Yo, Xo, MUo = matrix_oracle(h_seq, S, k_max)
             for got, want, label in ((Y, Yo, "y"), (X, Xo, "x"), (MU, MUo, "mu")):
                 diff = np.max(np.abs(got - want))
@@ -197,14 +187,14 @@ def test_07_consensus_on_agreement_and_equivariance(criterion):
             "tvc", seed=7, initial=InitialSpec.explicit((4.0,) * 10), max_iters=50, tol=1e-300
         )
         mu = run(cfg)[0].mu
-        assert all(spread(row) == 0.0 for row in mu)
+        assert all(np.ptp(row) == 0.0 for row in mu)
         assert np.all(mu == 4.0)
         # a non-dyadic constant accumulates rounding only
         cfg5 = make_config(
             "tvc", seed=7, initial=InitialSpec.explicit((5.0,) * 10), max_iters=50, tol=1e-300
         )
         mu5 = run(cfg5)[0].mu
-        assert max(spread(row) for row in mu5) <= 5e-13
+        assert max(np.ptp(row) for row in mu5) <= 5e-13
 
         # scale and shift equivariance on a shared channel realization
         base_vals = np.random.default_rng(123).uniform(0.0, 2.0, 10)
@@ -252,10 +242,10 @@ def test_09_alternating_graphs_need_window_two(criterion):
 
         S = InitialStates(np.array([0.0, 1.0, 2.0]))
         alternating = Blocks(lambda k: h_seq[k % 2])
-        steps = kernel_rows("tvc", S, alternating, 2000)[2][1:]
+        steps = take("tvc", S, 2000, channel=alternating)[2][1:]
         converged_at = None
         for k, mu in enumerate(steps):
-            if spread(mu) <= 1e-9:
+            if np.ptp(mu) <= 1e-9:
                 converged_at = k + 1
                 break
         assert converged_at is not None, "no consensus under alternating graphs"
@@ -279,7 +269,7 @@ def test_10_designed_failure_modes(criterion):
         traj, summary = run(cfg)
         assert not summary.converged
         mu = traj.mu
-        assert min(spread(row) for row in mu[1:]) >= 1.0
+        assert min(np.ptp(row) for row in mu[1:]) >= 1.0
 
         hbar = np.array([[0.0, 1.0], [1.0, 0.0]])
         with pytest.raises(PeriodicityError):

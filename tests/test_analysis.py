@@ -15,11 +15,7 @@ from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
 from otaconsensus.protocol import InitialStates, IsolationError
 from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive, prepare
 from otaconsensus.topology import TopologySpec, generate_topology
-
-
-def sym_realization(gains, self_weight=1.0):
-    g = np.asarray(gains, dtype=float)
-    return ChannelRealization(g.shape[0], g, self_weight)
+from standin import sym_realization
 
 
 # ---------------------------------------------------------------- build_Hbar

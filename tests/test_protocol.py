@@ -14,21 +14,8 @@ from otaconsensus.protocol import (
     prop1_weights,
     ratio,
 )
-from otaconsensus.simulator import _drive
 from otaconsensus.topology import Digraph, TopologySpec, generate_topology
-from standin import Blocks
-
-
-def sym_realization(gains, self_weight=1.0):
-    g = np.asarray(gains, dtype=float)
-    return ChannelRealization(g.shape[0], g, self_weight)
-
-
-def trajectory(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
-    """The kernel's (y_tilde, x_tilde, mu) for steps 0..steps, as arrays: a
-    recording one-member pass with budget steps."""
-    (_, rows), = _drive(algorithm, [lambda: (g, channel, S, noise_rng, steps)], noise_std=noise_std, record=True)
-    return rows
+from standin import Blocks, sym_realization, take
 
 
 # ---------------------------------------------------------------- aggregation
@@ -135,7 +122,7 @@ def test_baseline_step_identity():
 
 def test_baseline_step_complete_graph_one_shot():
     g = generate_topology(TopologySpec(kind="complete"), 3, seed=0)
-    Y, X, MU = trajectory("baseline", InitialStates(np.array([3.0, 0.0, 0.0])), 1, g=g)
+    Y, X, MU = take("baseline", InitialStates(np.array([3.0, 0.0, 0.0])), 1, g=g)
     np.testing.assert_allclose(Y[1], [1, 1, 1], atol=1e-15)
     np.testing.assert_allclose(X[1], [1, 1, 1], atol=1e-15)
     np.testing.assert_allclose(MU[1], 1.0, atol=1e-15)
@@ -147,7 +134,7 @@ def test_baseline_step_preserves_sums(seed):
     rng = np.random.default_rng(seed)
     g = generate_topology(TopologySpec(kind="erdos_renyi", p=0.5), 6, seed=seed)
     S = InitialStates(rng.normal(size=6))
-    Y, X, _ = trajectory("baseline", S, 50, g=g)
+    Y, X, _ = take("baseline", S, 50, g=g)
     s0 = S.values.sum()
     assert Y[-1].sum() == pytest.approx(s0, abs=1e-12 * max(1, abs(s0)))
     assert X[-1].sum() == pytest.approx(6.0, abs=1e-12)
@@ -167,7 +154,7 @@ def test_tic_initialize_arithmetic():
     )
     h = ChannelRealization(3, gains, 0.0)
     np.testing.assert_array_equal(pilot(h.gains), [2.0, 0.5, 1.5])
-    Y, X, _ = trajectory("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: h))
+    Y, X, _ = take("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: h))
     assert Y[0, 0] == 4.0 and X[0, 0] == 1.0
     # node 0 transmits y = 4 / 2 = 2 and x = 1 / 2; receivers 1 and 2 hear
     # only node 0, at gains 0.5 and 1.5
@@ -179,7 +166,7 @@ def test_tic_initialize_self_only():
     h = ChannelRealization(2, np.eye(2), 1.0)
     S = InitialStates(np.array([7.0, -1.0]))
     np.testing.assert_array_equal(pilot(h.gains), [1.0, 1.0])
-    Y, X, _ = trajectory("tic", S, 1, channel=Blocks(lambda k: h))
+    Y, X, _ = take("tic", S, 1, channel=Blocks(lambda k: h))
     np.testing.assert_array_equal(Y[1], [7.0, -1.0])
     np.testing.assert_array_equal(X[1], [1.0, 1.0])
 
@@ -193,7 +180,7 @@ def test_tic_initialize_two_node_symmetry():
 def test_tic_initialize_isolated_node_named():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     with pytest.raises(IsolationError, match="node 0 is isolated at initialization"):
-        trajectory("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h))
+        take("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h))
 
 
 def test_tic_all_equal_initial_values_pin_ratio():
@@ -203,7 +190,7 @@ def test_tic_all_equal_initial_values_pin_ratio():
         generate_topology(TopologySpec(kind="erdos_renyi", p=0.5), 6, seed=1),
         seed=2,
     )
-    _, _, MU = trajectory("tic", InitialStates(np.full(6, c)), 50, channel=proc)
+    _, _, MU = take("tic", InitialStates(np.full(6, c)), 50, channel=proc)
     np.testing.assert_allclose(MU, c, rtol=1e-12)
 
 
@@ -212,7 +199,7 @@ def test_tic_two_node_doubly_stochastic_limit():
     # stochastic, so the ratio must converge to the plain average
     h = sym_realization([[1.0, 0.6], [0.6, 1.0]], self_weight=1.0)
     S = InitialStates(np.array([0.0, 2.0]))
-    _, _, MU = trajectory("tic", S, 200, channel=Blocks(lambda k: h))
+    _, _, MU = take("tic", S, 200, channel=Blocks(lambda k: h))
     np.testing.assert_allclose(MU[-1], 1.0, atol=1e-12)
 
 
@@ -223,7 +210,7 @@ def test_tic_mass_conservation_exact_channel():
         seed=4,
     )
     S = InitialStates(np.linspace(-3, 5, 8))
-    Y, X, _ = trajectory("tic", S, 300, channel=proc)
+    Y, X, _ = take("tic", S, 300, channel=proc)
     np.testing.assert_allclose(Y.sum(axis=1), S.values.sum(), rtol=0, atol=1e-10)
     np.testing.assert_allclose(X.sum(axis=1), 8.0, rtol=0, atol=1e-10)
 
@@ -239,7 +226,7 @@ def test_tvc_initialize_placeholders():
         raise AssertionError(f"realization {k} drawn before step 1")
 
     noise = np.random.default_rng(0)
-    (y_tilde,), (x_tilde,), (mu,) = trajectory("tvc", InitialStates(np.array([2.0, 3.0])), 0,
+    (y_tilde,), (x_tilde,), (mu,) = take("tvc", InitialStates(np.array([2.0, 3.0])), 0,
                                                channel=Blocks(no_block), noise_std=0.1,
                                                noise_rng=noise)
     np.testing.assert_array_equal(y_tilde, [2.0, 3.0])
@@ -252,9 +239,9 @@ def test_tvc_matches_tic_on_constant_channel():
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.5), 7, seed=5)
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=6)
     S = InitialStates(np.arange(7, dtype=float))
-    Yc, Xc, _ = trajectory("tic", S, 100, channel=proc)
+    Yc, Xc, _ = take("tic", S, 100, channel=proc)
     # tvc re-measures every block; frozen at block 0 it must track tic
-    Yv, Xv, _ = trajectory("tvc", S, 100, channel=Blocks(lambda k: proc.realization(0)))
+    Yv, Xv, _ = take("tvc", S, 100, channel=Blocks(lambda k: proc.realization(0)))
     np.testing.assert_allclose(Yc, Yv, rtol=1e-12)
     np.testing.assert_allclose(Xc, Xv, rtol=1e-12)
 
@@ -272,9 +259,9 @@ def test_tvc_per_step_normalization_is_column_stochastic():
 def test_tvc_deep_fade_isolation_error():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     S = InitialStates(np.array([1.0, 2.0]))
-    np.testing.assert_array_equal(trajectory("tvc", S, 0, channel=Blocks(lambda k: h))[2], [[1.0, 2.0]])  # no pilot yet
+    np.testing.assert_array_equal(take("tvc", S, 0, channel=Blocks(lambda k: h))[2], [[1.0, 2.0]])  # no pilot yet
     with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1: pilot sum"):
-        trajectory("tvc", S, 1, channel=Blocks(lambda k: h))
+        take("tvc", S, 1, channel=Blocks(lambda k: h))
 
 
 def test_tvc_stored_normalization_uses_current_block():
@@ -282,7 +269,7 @@ def test_tvc_stored_normalization_uses_current_block():
     # aggregates over, never over an earlier block's sigma
     topo = generate_topology(TopologySpec(kind="ring"), 4, seed=0)
     proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), topo, seed=9)
-    Y, X, _ = trajectory("tvc", InitialStates(np.array([1.0, 2.0, 3.0, 4.0])), 3, channel=proc)
+    Y, X, _ = take("tvc", InitialStates(np.array([1.0, 2.0, 3.0, 4.0])), 3, channel=proc)
     for k in range(1, 4):
         gains = proc.realization(k - 1).gains
         y, x = ota_step(gains, pilot(gains), np.array([Y[k - 1], X[k - 1]]))
@@ -301,7 +288,7 @@ def test_ratio_output_equals_initial_values_after_init():
     h = sym_realization([[1.0, 0.4], [0.4, 1.0]])
     S = InitialStates(np.array([3.5, -1.25]))
     for algorithm in ("tic", "tvc"):
-        _, _, MU = trajectory(algorithm, S, 0, channel=Blocks(lambda k: h))
+        _, _, MU = take(algorithm, S, 0, channel=Blocks(lambda k: h))
         np.testing.assert_array_equal(MU[0], S.values)
 
 
@@ -339,7 +326,7 @@ def test_ratio_bounds_with_self_weight(seed):
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, self_weight=1.0, seed=seed)
     S = InitialStates(rng.uniform(-5, 5, size=n))
     lo, hi = S.values.min(), S.values.max()
-    _, _, MU = trajectory("tvc", S, 60, channel=proc)
+    _, _, MU = take("tvc", S, 60, channel=proc)
     assert np.all(MU >= lo - 1e-12) and np.all(MU <= hi + 1e-12)
 
 
@@ -355,7 +342,7 @@ def test_scale_and_shift_equivariance(seed):
     d = -2.0
     hists = {}
     for tag, vals in (("base", base_vals), ("scaled", c * base_vals), ("shifted", base_vals + d)):
-        hists[tag] = trajectory("tvc", InitialStates(vals), 50, channel=proc)[2]
+        hists[tag] = take("tvc", InitialStates(vals), 50, channel=proc)[2]
     np.testing.assert_allclose(hists["scaled"], c * hists["base"], atol=1e-12)
     np.testing.assert_allclose(hists["shifted"], hists["base"] + d, atol=1e-12)
 
@@ -366,8 +353,8 @@ def test_baseline_and_tic_agree_on_limit():
     target = S.mean()
 
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=11)
-    tic_mu = trajectory("tic", S, 2000, channel=proc)[2][-1]
-    base_mu = trajectory("baseline", S, 2000, g=topo)[2][-1]
+    tic_mu = take("tic", S, 2000, channel=proc)[2][-1]
+    base_mu = take("baseline", S, 2000, g=topo)[2][-1]
 
     np.testing.assert_allclose(tic_mu, target, atol=1e-8)
     np.testing.assert_allclose(base_mu, target, atol=1e-8)

@@ -14,23 +14,12 @@ from otaconsensus.simulator import (
     make_initial_values,
     prepare,
     run,
-    spread,
     stream_seeds,
 )
 from otaconsensus.topology import TopologySpec
 
 
-def base_config(**overrides):
-    kw = dict(
-        n=10,
-        topology=TopologySpec(kind="erdos_renyi", p=0.5),
-        algorithm="tic",
-        fading=FadingModel.half_normal(1.0),
-        initial=InitialSpec.random_mean(1.0, 1.0),
-        seed=42,
-    )
-    kw.update(overrides)
-    return SimulationConfig(**kw)
+from standin import base_config
 
 
 # ---------------------------------------------------------------- config
@@ -123,13 +112,6 @@ def test_explicit_initial_values():
 def test_half_width_zero_degenerate():
     S = make_initial_values(InitialSpec.random_mean(2.5, 0.0), 5, seed=3)
     np.testing.assert_array_equal(S.values, np.full(5, 2.5))
-
-
-def test_spread():
-    assert spread([1.0, 1.0, 1.0]) == 0.0
-    assert spread([0.0, 2.0]) == 2.0
-    with pytest.raises(ValueError):
-        spread([])
 
 
 def test_stream_seeds_stable_and_distinct():
@@ -241,7 +223,7 @@ def test_bipartite_without_self_weight_never_converges():
     traj, summary = run(cfg)
     assert not summary.converged
     # the two ratios swap forever: spread stays at 2 at every recorded step
-    assert all(spread(mus) == 2.0 for mus in traj.mu)
+    assert all(np.ptp(mus) == 2.0 for mus in traj.mu)
 
 
 def test_noise_perturbs_but_keeps_determinism():
