@@ -392,7 +392,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     designed breakage actually shows up (measured error above threshold, or
     the expected error raised).
     """
-    g, channel, S = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
+    g, channel, S, _, _ = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
     k_eq, k_mass = 100, 1000
     h0 = channel.realization(0)  # every later block is realized when it is read
 

@@ -193,18 +193,11 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
 
 
 def prepare(config: SimulationConfig):
-    """Deterministic run setup: (digraph, channel process or None, initial values).
-
-    Exposed separately so audits can rebuild exactly the channel sequence a
-    run saw without replaying the run.
-    """
-    return _setup(config)[:3]
-
-
-def _setup(config: SimulationConfig):
-    """The run's _kernel member, (graph, channel process or None, initial
-    values, noise generator, step budget), each from config.n and one seed
-    derivation; prepare's set-up is its first three."""
+    """The run's set-up, its _kernel member: (digraph, channel process or
+    None, InitialStates, noise generator, step budget), each from config.n
+    and one seed derivation. Every run, sweep and verify pass sets its
+    members up here, so an audit that calls it again rebuilds exactly the
+    channel sequence a run saw without replaying the run."""
     topo_seed, channel_seed, initial_seed, noise_seed = stream_seeds(config.seed)
     g = generate_topology(config.topology, config.n, topo_seed)
     if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g.adj):
@@ -238,12 +231,12 @@ def _judge(states, first):
 
 
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
-    """The one stepping loop, which _drive runs: a pass of set-up members,
-    each (graph, channel, InitialStates, noise generator, step budget),
-    stepping together as one (2, m, n) state z, y_tilde over x_tilde, from
-    step 0, the initial values. A channel has a ChannelProcess's
-    realization(k) and write_epoch(e, out). Each step is one product for
-    both chains, z' = G @ (z / sigma) + noise:
+    """The one stepping loop, which _drive runs: a pass of members, each
+    prepare's (graph, channel, InitialStates, noise generator, step budget)
+    or one built alike by hand, stepping together as one (2, m, n) state
+    z, y_tilde over x_tilde, from step 0, the initial values. A channel has
+    a ChannelProcess's realization(k) and write_epoch(e, out). Each step is
+    one product for both chains, z' = G @ (z / sigma) + noise:
 
     - tic: G is block 0 at every step, sigma measured once by a pilot;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
@@ -265,7 +258,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     DRIFT_STEPS steps, or fewer to the pass's next step budget, so no member
     draws past its budget, but one that converges or faults mid-chunk has
     drawn to the chunk's end. A broken state raises as in run(). Sizes are
-    not checked: _setup (and prepare) build graph, channel and start at one n.
+    not checked: prepare builds graph, channel and start at one n.
 
     A member stops at its budget or after window steps in a row with its
     ratio spread at or below tol, and then draws nothing more. The states
@@ -410,9 +403,9 @@ def run_group(configs, done=None) -> list[RunSummary]:
 
 
 def _seed_group(configs, record=False):
-    """_drive over configs that differ only in seed, one _setup member each."""
+    """_drive over configs that differ only in seed, one prepare member each."""
     cfg = configs[0]
-    return _drive(cfg.algorithm, [partial(_setup, c) for c in configs], noise_std=cfg.noise_std,
+    return _drive(cfg.algorithm, [partial(prepare, c) for c in configs], noise_std=cfg.noise_std,
                   epsilon_B=(cfg.epsilon, cfg.B), tol=cfg.tol, window=cfg.tol_window, record=record)
 
 

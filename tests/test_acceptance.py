@@ -117,12 +117,12 @@ def test_02_tvc_reaches_target_under_variation(criterion, tvc_runs):
 def test_03_every_step_column_stochastic(criterion, tic_runs, tvc_runs):
     with criterion(3, "every_effective_matrix_column_stochastic"):
         for seed, (cfg, _, summary, dt) in tic_runs.items():
-            _, channel, _ = prepare(cfg)
+            _, channel, *_ = prepare(cfg)
             audit = audit_column_stochastic(build_Hbar(channel.realization(0)))
             assert audit.max_column_sum_error <= 1e-12
             assert audit.min_entry >= 0.0
         for seed, (cfg, _, summary) in tvc_runs.items():
-            _, channel, _ = prepare(cfg)
+            _, channel, *_ = prepare(cfg)
             for k in range(summary.iterations_used):
                 audit = audit_column_stochastic(build_Hbar(channel.realization(k)))
                 assert audit.max_column_sum_error <= 1e-12, f"seed {seed} step {k}"
@@ -133,7 +133,7 @@ def test_04_mass_conservation_long_horizon(criterion):
     with criterion(4, "mass_conserved_over_1000_steps"):
         for algorithm in ("tic", "tvc"):
             cfg = make_config(algorithm, seed=4)
-            _, channel, S = prepare(cfg)
+            _, channel, S, *_ = prepare(cfg)
             yt, xt, _ = take(algorithm, S, 1000, channel=channel)
             drift_y, drift_x = mass_audit((yt, xt), S)
             assert drift_y <= 1e-9, f"{algorithm}: numerator drift {drift_y:.3e}"
@@ -152,7 +152,7 @@ def test_05_protocol_matches_matrix_oracle(criterion):
                 n=n,
                 topology=TopologySpec("erdos_renyi", p=0.7),
             )
-            _, channel, S = prepare(cfg)
+            _, channel, S, *_ = prepare(cfg)
             h_seq = [channel.realization(k if time_varying else 0) for k in range(k_max)]
             Y, X, MU = take(cfg.algorithm, S, k_max, channel=channel)
             Yo, Xo, MUo = matrix_oracle(h_seq, S, k_max)
@@ -165,7 +165,7 @@ def test_06_baseline_and_tic_share_limit(criterion):
     with criterion(6, "baseline_and_tic_limits_agree"):
         cfg_tic = make_config("tic", seed=6, max_iters=5000, tol=1e-12)
         cfg_base = make_config("baseline", seed=6, max_iters=5000, tol=1e-12)
-        _, _, S = prepare(cfg_tic)
+        _, _, S, *_ = prepare(cfg_tic)
         target = S.mean()
         finals = {}
         for cfg in (cfg_tic, cfg_base):
@@ -221,7 +221,7 @@ def test_08_ratio_stays_in_initial_hull(criterion, tic_runs, tvc_runs):
         for group in (tic_runs, tvc_runs):
             for seed, entry in group.items():
                 cfg, traj = entry[0], entry[1]
-                _, _, S = prepare(cfg)
+                _, _, S, *_ = prepare(cfg)
                 lo, hi = float(np.min(S.values)), float(np.max(S.values))
                 mu = traj.mu
                 assert mu.min() >= lo - 1e-12, f"{cfg.algorithm} seed {seed}"

@@ -195,7 +195,7 @@ def test_stationary_limit_identity_scales_with_mean(mean):
     cfg = SimulationConfig(n=10, topology=TopologySpec("erdos_renyi", p=0.5), algorithm="tic",
                            fading=FadingModel.half_normal(1.0),
                            initial=InitialSpec.random_mean(mean, 1.0), seed=42)
-    _, channel, S = prepare(cfg)
+    _, channel, S, *_ = prepare(cfg)
     v = stationary_limit(build_Hbar(channel.realization(0)), S)
     assert np.all(v > 0)
     assert v.sum() == pytest.approx(1.0, abs=1e-12)

@@ -40,6 +40,21 @@ def test_fading_samples_strictly_positive(seed):
     assert np.all((0.2 <= u) & (u < 0.9))
 
 
+def test_half_normal_redraws_exact_zeros():
+    # an exact zero gain would drop a link: each zero is drawn again, as
+    # often as it takes, and the other gains keep their first draws
+    draws = [np.array([0.0, -1.5, -0.0, 2.0]), np.array([0.0, -4.0]), np.array([3.0])]
+    sizes = []
+
+    class Scripted:
+        def normal(self, loc, scale, size):
+            sizes.append(size)
+            return draws.pop(0)
+
+    g = FadingModel.half_normal(1.0).draw(Scripted(), 4)
+    assert g.tolist() == [3.0, 1.5, 4.0, 2.0] and sizes == [4, 2, 1]
+
+
 # ---------------------------------------------------------------- noise
 
 

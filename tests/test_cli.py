@@ -947,6 +947,28 @@ def test_verify_periodic_support_fails_check_and_writes(minimal_cfg, tmp_path, c
         assert "FAIL stationary_limit_fixed_point" in capsys.readouterr().out
 
 
+def test_verify_bipartite_control_fails_when_no_periodicity_is_raised(monkeypatch, tmp_path, capsys):
+    # the negative control passes only when stationary_limit refuses the
+    # 2-node swap matrix; a limit that returns a vector for it fails the
+    # row, measured 1, and verify still writes every row
+    real = cli.stationary_limit
+
+    def lenient(hbar, S):
+        return np.full(2, 0.5) if hbar.shape == (2, 2) else real(hbar, S)
+
+    monkeypatch.setattr(cli, "stationary_limit", lenient)
+    out = tmp_path / "o"
+    assert main(["verify", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "" and captured.out.endswith("verify: 9/10 checks passed\n")
+    doc = {c["check_name"]: c for c in json.loads((out / "verify.json").read_text())}
+    assert doc["primitivity_bipartite_expected_fail"] == {
+        "check_name": "primitivity_bipartite_expected_fail", "passed": False,
+        "measured_error": 1.0, "threshold": 0.5,
+    }
+    assert [name for name, c in doc.items() if not c["passed"]] == ["primitivity_bipartite_expected_fail"]
+
+
 def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
     # no link to break: the non-reciprocal control measures 0 and fails, as
     # does the limit of the identity mixing matrix, which is periodic
@@ -1295,6 +1317,30 @@ def test_sweep_fault_names_its_row(sweep_block, row, tmp_path, capsys):
     assert main(["sweep"] + argv) == 2
     assert capsys.readouterr().err == f"config error: {row}: pair (0,1) is not a valid link\n"
     assert not (tmp_path / "o" / "sweep.csv").exists()
+
+
+def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, capsys):
+    # prepare sets up every member a pass steps: once for run and verify,
+    # once per row of a sweep (3 values x 4 seeds)
+    from otaconsensus import simulator
+
+    calls, prepare = [], simulator.prepare
+
+    def counted(cfg):
+        calls.append(cfg.seed)
+        return prepare(cfg)
+
+    monkeypatch.setattr(simulator, "prepare", counted)
+    monkeypatch.setattr(cli, "prepare", counted)
+    sweep = tmp_path / "s.cfg"
+    sweep.write_text((CONFIG_DIR / "tic10.cfg").read_text().replace("erdos_renyi(0.5)", "ring")
+                     + "[sweep]\nparameter = algorithm\nvalues = tic, tvc, baseline\nseeds = 0, 1, 2, 3\n")
+    for command, config, made in (("run", CONFIG_DIR / "tic10.cfg", [42]), ("sweep", sweep, [0, 1, 2, 3] * 3),
+                                  ("verify", CONFIG_DIR / "tvc10.cfg", [42])):
+        calls.clear()
+        assert main([command, str(config), "-o", str(tmp_path / command)]) == 0
+        assert calls == made, command
+    capsys.readouterr()
 
 
 def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):

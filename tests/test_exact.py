@@ -47,7 +47,7 @@ def passes(algorithm, topology, seed):
     spec = TopologySpec(topology, p=0.6) if topology == "erdos_renyi" else TopologySpec(topology)
     cfg = SimulationConfig(n=4 + seed % 3, topology=spec, algorithm=algorithm, fading=FadingModel.half_normal(1.0),
                            initial=InitialSpec.random_mean(1.0, 1.0), seed=seed)
-    g, channel, S = prepare(cfg)
+    g, channel, S, *_ = prepare(cfg)
     (_, (Y, X, _)), = _drive(algorithm, [lambda: (g, channel, S, None, STEPS)], record=True)
     return g, S, exact_pass(algorithm, g, channel, S, STEPS), (Y, X)
 

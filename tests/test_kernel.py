@@ -3,7 +3,9 @@ windowed-connectivity audit, and the run loop's memory bound."""
 import re
 import tracemalloc
 from bisect import bisect_left
+from copy import deepcopy
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 from unittest import mock
 
@@ -37,7 +39,6 @@ from otaconsensus.simulator import (
     prepare,
     run,
     run_group,
-    stream_seeds,
 )
 from otaconsensus.topology import (
     Digraph,
@@ -172,7 +173,7 @@ def test_kernel_prefix_is_stable(algorithm):
     ("tic", "the channel"), ("tvc", "the channel at step 1"), ("baseline", "the graph"),
 ])
 def test_kernel_rejects_size_mismatch(algorithm, what):
-    # _setup builds every part of a member at one n, so the kernel checks
+    # prepare builds every part of a member at one n, so the kernel checks
     # no sizes; a member built by hand whose start does not match what it
     # steps still fails in numpy, at set-up or at step 1, before any row
     g = er(3, 0, p=1.0)
@@ -187,7 +188,7 @@ def test_kernel_rejects_size_mismatch(algorithm, what):
 
 
 def test_kernel_names_an_unknown_algorithm():
-    _, channel, S = prepare(base_config(algorithm="tvc"))
+    _, channel, S, *_ = prepare(base_config(algorithm="tvc"))
     with pytest.raises(ValueError, match="unknown algorithm 'TVC'"):
         take("TVC", S, 1, channel=channel)
 
@@ -219,8 +220,7 @@ def judged_each_step(cfg):
     """run(cfg)'s fault, (type, message), with each state judged at its own
     step as pilot, ota_step and ratio are called one step at a time; None
     if max_iters steps run clean (tol is never met)."""
-    _, channel, S = prepare(cfg)
-    rng = np.random.default_rng(stream_seeds(cfg.seed)[3])
+    _, channel, S, rng, _ = prepare(cfg)
 
     def draw():
         return rng.normal(0.0, cfg.noise_std, size=cfg.n) if cfg.noise_std else None
@@ -427,12 +427,11 @@ def serial_summary(cfg):
     last clean budget f - 1, found by bisection as a shorter pass's rows
     are a longer one's prefix, and its fault is raised unless the stop
     comes first."""
-    g, channel, S = prepare(cfg)
-    noise_seed = stream_seeds(cfg.seed)[3]
+    g, channel, S, rng, _ = prepare(cfg)
 
     def walk(steps):
         try:
-            return take(cfg.algorithm, S, steps, g, channel, cfg.noise_std, np.random.default_rng(noise_seed))
+            return take(cfg.algorithm, S, steps, g, channel, cfg.noise_std, deepcopy(rng))
         except (ValueError, RuntimeError) as fault:
             return fault
 
@@ -554,11 +553,7 @@ def test_streaks_folded_over_spans_stop_where_each_step_would(window):
     last = max(range(4), key=lambda s: alone[s].iterations_used)
     configs = [replace(base, seed=s, max_iters=first if s == last else base.max_iters) for s in range(4)]
 
-    def member(c):
-        g, channel, S = prepare(c)
-        return g, channel, S, np.random.default_rng(stream_seeds(c.seed)[3]), c.max_iters
-
-    together = _drive("tvc", [lambda c=c: member(c) for c in configs], noise_std=base.noise_std,
+    together = _drive("tvc", [partial(prepare, c) for c in configs], noise_std=base.noise_std,
                       epsilon_B=(base.epsilon, base.B), tol=base.tol, window=window)
     summaries = [summary for summary, _ in together]
     assert summaries == [serial_summary(c) for c in configs]
@@ -605,7 +600,7 @@ def test_overflow_past_the_budget_does_not_fault_the_run():
     with pytest.raises(ValueError, match=r"^gain of pair \(0,1\) in block 42 is inf: fading times pair_scales "
                                          r"overflows$"):
         run(replace(cfg, max_iters=43))
-    _, channel, S = prepare(cfg)
+    _, channel, S, *_ = prepare(cfg)
     assert np.array_equal(take("tvc", S, 42, channel=channel)[2], trajectory.mu)
     with pytest.raises(ValueError, match="in block 42 is inf"):
         take("tvc", S, 43, channel=channel)
@@ -677,7 +672,7 @@ def test_run_keeps_the_papers_invariants(group):
     # chain sums, and keeps every ratio within the initial values' range
     for cfg in group:
         trajectory, summary = run(cfg)
-        _, channel, S = prepare(cfg)
+        _, channel, S, *_ = prepare(cfg)
         k = summary.iterations_used
         tvc = cfg.algorithm == "tvc"
         blocks = [channel.realization(j) for j in range(k)] if tvc else [channel.realization(0)] * k
@@ -768,7 +763,7 @@ def test_baseline_keeps_the_papers_invariants(group):
     # ignores noise: its rows are W^k S and W^k 1, within the same bounds
     for cfg in group:
         try:
-            g, _, S = prepare(cfg)
+            g, _, S, *_ = prepare(cfg)
         except ValueError as exc:  # an erdos_renyi draw that baseline cannot run on
             assert str(exc) == "baseline requires a strongly connected topology"
             continue
@@ -829,7 +824,7 @@ def test_a_non_reciprocal_channel_breaks_mass_conservation(group, kind):
     # prepare's block 0 with one link scaled by 1.5 one way, as verify's
     # control builds it, conserves the chain sums no more
     cfg = replace(group[0], topology=TopologySpec(kind))
-    g, channel, S = prepare(cfg)
+    g, channel, S, *_ = prepare(cfg)
     gains = channel.realization(0).gains.copy()
     a, b = np.argwhere(g.adj)[0]
     gains[a, b] *= 1.5
@@ -848,7 +843,7 @@ def test_batch_replays_only_member_faults(monkeypatch):
         calls += 1
         raise TypeError("not a member fault")
 
-    monkeypatch.setattr("otaconsensus.simulator._setup", broken)
+    monkeypatch.setattr("otaconsensus.simulator.prepare", broken)
     with pytest.raises(TypeError, match="not a member fault"):
         run_group([base_config(seed=s) for s in range(3)])
     assert calls == 1

@@ -163,6 +163,7 @@ def test_trajectory_copies_a_callers_writable_arrays():
     assert traj == Trajectory(np.arange(6.0).reshape(3, 2), np.ones((3, 2)), [[0.5, 1.0]] * 3)
     assert not any(getattr(traj, name).flags.writeable for name in TRAJECTORY_FIELDS)
     assert Trajectory(traj.y_tilde, traj.x_tilde, traj.mu).mu is traj.mu
+    assert traj != (traj.y_tilde, traj.x_tilde, traj.mu)  # only a Trajectory equals one
 
 def test_all_equal_initials_converge_at_window():
     cfg = base_config(initial=InitialSpec.explicit([5.0] * 10), tol_window=10)
@@ -251,13 +252,15 @@ def test_tic_requires_strong_connectivity(tmp_path):
 
 
 def test_prepare_rebuilds_identical_channel():
-    cfg = base_config(algorithm="tvc")
-    g1, ch1, S1 = prepare(cfg)
-    g2, ch2, S2 = prepare(cfg)
+    cfg = base_config(algorithm="tvc", max_iters=77)
+    g1, ch1, S1, rng1, budget1 = prepare(cfg)
+    g2, ch2, S2, rng2, budget2 = prepare(cfg)
     assert g1 == g2
     np.testing.assert_array_equal(S1.values, S2.values)
     for k in (0, 3, 17):
         np.testing.assert_array_equal(ch1.realization(k).gains, ch2.realization(k).gains)
+    np.testing.assert_array_equal(rng1.normal(size=5), rng2.normal(size=5))
+    assert budget1 == budget2 == 77
 
 
 def test_deep_fade_run_still_converges():

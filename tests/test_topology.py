@@ -54,6 +54,7 @@ def test_digraph_is_read_only_and_compares_by_matrix():
         g.adj[2, 0] = True
     assert g == digraph(3, (0, 1))
     assert g != digraph(3, (1, 0))
+    assert g != g.edges  # only a Digraph equals one
 
 
 def test_neighbors_and_degrees(tmp_path):
