@@ -9,9 +9,12 @@ sum of simultaneous transmissions plus the locally known self term.
 
 Three variants share one array step, ota_step, over all receivers at
 once: the time-invariant-channel update with the normalization measured
-once at startup, the time-varying-channel update with a per-block pilot
-slot, and a digital baseline that mixes with explicit 1/(1+out-degree)
-weights instead of channel gains. simulator._kernel schedules the slots.
+once at startup, the time-varying-channel update with a pilot slot at
+every block, and a digital baseline that mixes with explicit
+1/(1+out-degree) weights instead of channel gains. simulator._kernel
+schedules the slots: it takes a tvc epoch's noise-free pilot sums in one
+pilot_sums product, adds each step's pilot noise, and refuses the sums
+through refuse_pilot_sums when it judges the step's chunk of states.
 """
 from __future__ import annotations
 
@@ -98,8 +101,9 @@ def _ones(n: int) -> np.ndarray:  # the pilot's transmission, built once per n
 def refuse_pilot_sums(sigma: np.ndarray, context: str = "") -> None:
     """Refuse sigma's first unusable sum, naming its node and the context
     ("at step 3") if given: an IsolationError at SIGMA_MIN or below first,
-    else a NonFiniteStateError for an overflow (or nan). pilot and
-    analysis.build_Hbar both refuse here, so run and verify agree."""
+    else a NonFiniteStateError for an overflow (or nan). pilot, the
+    stepping kernel's fold and analysis.build_Hbar all refuse here, so run
+    and verify agree."""
     if sigma.min() > SIGMA_MIN and sigma.max() < np.inf:
         return
     at, n, cut = f" {context}" if context else "", sigma.shape[-1], sigma <= SIGMA_MIN
@@ -110,12 +114,19 @@ def refuse_pilot_sums(sigma: np.ndarray, context: str = "") -> None:
     raise NonFiniteStateError(f"node {j % n} overflowed{at}: pilot sum {float(sigma.flat[j])!r} is not finite")
 
 
+def pilot_sums(gains: np.ndarray) -> np.ndarray:
+    """All nodes transmit 1 simultaneously: receiver j's noise-free
+    aggregate is row j of gains @ 1, self term included. Stacked gains
+    (..., n, n) give (..., n) sums, each block's bitwise as if alone, so
+    one product serves a tvc epoch's (T, m, n, n) stack."""
+    return gains @ _ones(gains.shape[-1])
+
+
 def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
-    """All nodes transmit 1 simultaneously; receiver j's aggregate, row j of
-    gains @ 1 (self term included) plus its noise, is its normalization sum,
-    checked by refuse_pilot_sums (the caller silences numpy's overflow
-    warning). Stacked gains (m, n, n) give (m, n) sums."""
-    sigma = gains @ _ones(gains.shape[-1])
+    """Each receiver's normalization sum: its pilot_sums aggregate plus its
+    noise, checked by refuse_pilot_sums (the caller silences numpy's
+    overflow warning). Stacked gains (m, n, n) give (m, n) sums."""
+    sigma = pilot_sums(gains)
     if noise is not None:
         sigma = sigma + noise
     refuse_pilot_sums(sigma, context)

@@ -16,7 +16,17 @@ from itertools import count, groupby
 import numpy as np
 
 from .channel import ChannelProcess, FadingModel, epoch_blocks
-from .protocol import InitialStates, NonFiniteStateError, ota_step, pilot, prop1_weights, ratio
+from .protocol import (
+    SIGMA_MIN,
+    InitialStates,
+    NonFiniteStateError,
+    ota_step,
+    pilot,
+    pilot_sums,
+    prop1_weights,
+    ratio,
+    refuse_pilot_sums,
+)
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
 ALGORITHMS = ("tic", "tvc", "baseline")
@@ -216,16 +226,30 @@ def prepare(config: SimulationConfig):
     return g, channel, S, np.random.default_rng(noise_seed), config.max_iters
 
 
-def _judge(states, first):
+def _judge(states, first, sums=None, channels=()):
     """Write the ratios of a chunk of steps, states a (3, steps, m, n) array
-    of (y_tilde, x_tilde, mu) from step first, and refuse its first broken
-    state in step, then member, then node order: ratio names a nonpositive
-    x_tilde (NaN included), else a non-finite x_tilde or mu is named here."""
+    of (y_tilde, x_tilde, mu) from step first, and refuse its first fault in
+    step, then member, then node order. In a tvc pass the first rows of
+    sums hold each step's (m, n) pilot sums, row s the sigma that step s
+    divided by, and a step's sums are refused before its state, by
+    refuse_pilot_sums, once each of channels (the live members') has
+    realized the step's block, so that an overflowing gain is named rather
+    than its sum. In a state, ratio names a nonpositive x_tilde (NaN
+    included), else a non-finite x_tilde or mu is named here."""
     x, mu = states[1], np.divide(states[0], states[1], out=states[2])
     sound = (x > 0) & (x < np.inf) & np.isfinite(mu)  # mu is not finite where y_tilde is not
-    if sound.all():
+    ok = sound.all(axis=(1, 2))
+    if sums is not None:
+        sums = sums[: len(ok)]
+        heard = ((sums > SIGMA_MIN) & (sums < np.inf)).all(axis=(1, 2))  # refuse_pilot_sums' test
+        ok &= heard
+    if ok.all():
         return
-    s = int(np.argmin(sound.all(axis=(1, 2))))
+    s = int(np.argmin(ok))
+    if sums is not None and not heard[s]:
+        for channel in channels:
+            channel.realization(first + s - 1)
+        refuse_pilot_sums(sums[s], f"at step {first + s}")
     ratio(states[:2, s], f" at step {first + s}")
     raise NonFiniteStateError(f"non-finite state at step {first + s}, node {int(np.argmin(sound[s])) % x.shape[-1]}")
 
@@ -241,13 +265,13 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     - tic: G is block 0 at every step, sigma measured once by a pilot;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
       stack of epochs, T = channel.epoch_blocks(n): at an epoch's first
-      step each member's channel writes the whole epoch into its slot. A
-      fresh pilot measures G; one that raises has each member realize
-      its block first, refusing an overflowing gain (written as inf) by
-      name at the step that reads it, never before. With epsilon_B, an
-      (epsilon, B) pair, the pass's EpsilonBAudit, built symmetric when
-      every member's channel is a ChannelProcess, judges G: each
-      summary's epsilon_B_satisfied, None in any other pass;
+      step each member's channel writes the whole epoch into its slot,
+      and one pilot_sums product takes the epoch's noise-free pilot sums,
+      (T, m, n). A step's sigma is its row of them plus its pilot noise,
+      kept beside the chunk and refused at the fold (below). With
+      epsilon_B, an (epsilon, B) pair, the pass's EpsilonBAudit, built
+      symmetric when every member's channel is a ChannelProcess, judges
+      G: each summary's epsilon_B_satisfied, None in any other pass;
     - baseline: G = prop1_weights(graph) and sigma = 1, a digital exchange
       that draws no receiver noise.
 
@@ -270,13 +294,19 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     check divides the ratios of the steps since the last one and folds
     their spreads into each streak in one call, a step between checks
     computing neither; the stops are those of a check at every step.
-    Each fold first divides and judges its chunk's states, so a broken
-    state (x_tilde not positive, or x_tilde or mu not finite) raises at the
-    fold, naming the step and node it would have named at its own step; a
-    fault raised later in the chunk (a pilot's or a block's) waits for the
-    steps before it to be judged, so the broken state still comes first.
-    After the last stop the pass returns each member's (summary, rows) in
-    member order, its rows cut to length and read-only."""
+    Each fold first divides and judges its chunk, so its first faulty step
+    raises at the fold what a check at that step would have raised. A tvc
+    step's sigma is judged before its state, which divides by it: a sum at
+    SIGMA_MIN or below, then one not finite, by member, then node, once
+    each member has realized the step's block, so that an overflowing gain
+    (written as inf) is named, not its sum, at the step that reads it and
+    never before. Then a broken state: x_tilde not positive, or x_tilde or
+    mu not finite. The steps after a faulty one step on broken values to
+    the fold, under the caller's np.errstate. A block that raises as its
+    epoch is written waits for the steps before it to be judged, so an
+    earlier fault still comes first. After the last stop the pass returns
+    each member's (summary, rows) in member order, its rows cut to length
+    and read-only."""
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}; expected one of {ALGORITHMS}")
     graphs, channels, starts, rngs, budgets = zip(*members)
@@ -300,6 +330,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     top, next_check, seen = 0, window if tol is not None else None, 1
     slots = 3 if algorithm == "tvc" else 2
     draws, drawn = np.empty((0, slots, m, n)), 0  # the chunk of noise, (steps, slots, m, n)
+    sums = None  # a tvc pass's pilot sums, one (m, n) row per chunk row
     if algorithm == "baseline":
         G, sigma = np.array([prop1_weights(g) for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
@@ -308,11 +339,13 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                       "at initialization")
     else:
         T = epoch_blocks(n)
-        blocks = np.empty((T, m, n, n))
+        blocks, clean = np.empty((T, m, n, n)), np.empty((T, m, n))
+        sums = np.ones((DRIFT_STEPS, m, n))  # row 0 of the first chunk is step 0, which divides by none
     for k in count():
         if k:
             if noisy and drawn == len(draws):
                 steps = int(min(DRIFT_STEPS, next_stop - k + 1))
+                draws = w = None  # the spent chunk is freed before the next is drawn
                 draws, drawn = np.stack([rngs[i].normal(0.0, noise_std, size=(steps, slots, n)) for i in live], 2), 0
             w, drawn = draws[drawn] if noisy else None, drawn + 1  # (slots, m, n), pilot first
             if algorithm == "tvc":
@@ -321,18 +354,18 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                     if r == 0:
                         for j, i in enumerate(live):
                             channels[i].write_epoch(e, blocks[:, j])
+                        clean = pilot_sums(blocks)
                     G = blocks[r]
                     if audit is not None:
                         audit.add(G)
-                    try:
-                        sigma = pilot(G, w[0] if noisy else None, f"at step {k}")
-                    except RuntimeError:  # an inf gain makes its pilot sum inf: name the gain first
-                        for i in live:
-                            channels[i].realization(k - 1)
-                        raise
-                except (ValueError, RuntimeError):  # a state broken earlier in the chunk comes first
-                    _judge(chunk[:, :filled], k - filled)
+                except (ValueError, RuntimeError):  # a fault earlier in the chunk comes first
+                    _judge(chunk[:, :filled], k - filled, sums, (channels[i] for i in live))
                     raise
+                sigma = sums[filled]  # refused at the fold
+                if noisy:
+                    np.add(clean[r], w[0], out=sigma)
+                else:
+                    sigma[...] = clean[r]
             z = ota_step(G, sigma, z, w[-2:] if noisy else None)
         chunk[:2, filled] = z
         filled += 1
@@ -347,7 +380,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             next_check = k + max(window - top, 1)
         stopping = k == next_stop or top >= window  # some member stops
         if filled == DRIFT_STEPS or stopping:
-            _judge(chunk[:, :filled], k + 1 - filled)
+            _judge(chunk[:, :filled], k + 1 - filled, sums, (channels[i] for i in live))
             deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
             np.maximum(drift, deviation, out=drift)
             for j, i in enumerate(live if record else ()):
@@ -380,8 +413,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         live, z, streak, budgets = live[keep], z[:, keep], streak[keep], budgets[keep]
         conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
         chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
-        if algorithm == "tvc":  # a member's slot moves with it
-            blocks = blocks[:, keep]
+        if algorithm == "tvc":  # a member's slot and sums move with it
+            blocks, clean, sums = blocks[:, keep], clean[:, keep], np.empty((DRIFT_STEPS, live.size, n))
         else:
             G, sigma = G[keep], sigma[keep]
         if audit is not None:

@@ -216,11 +216,13 @@ def test_kernel_refuses_a_non_finite_state(algorithm):
         take(algorithm, InitialStates([1.0, 1e10]), 1, channel=Blocks(lambda k: block))
 
 
-def judged_each_step(cfg):
+def judged_each_step(cfg, channel=None):
     """run(cfg)'s fault, (type, message), with each state judged at its own
     step as pilot, ota_step and ratio are called one step at a time; None
-    if max_iters steps run clean (tol is never met)."""
-    _, channel, S, rng, _ = prepare(cfg)
+    if max_iters steps run clean (tol is never met). A channel, when given,
+    stands in for prepare's."""
+    _, built, S, rng, _ = prepare(cfg)
+    channel = built if channel is None else channel
 
     def draw():
         return rng.normal(0.0, cfg.noise_std, size=cfg.n) if cfg.noise_std else None
@@ -278,25 +280,26 @@ def test_a_fold_names_the_state_fault_each_step_would(overrides, error, fault):
     assert str(exc.value) == expected[1]
 
 
-def faulting_blocks(late, n=65, broken=True):
+def faulting_blocks(late, n=65, broken=True, hot=4, at=8):
     """A Blocks channel of an n-node tvc pass, T = 1 so that each step
-    writes the block it reads: self-only blocks, where with broken block 4,
-    read at step 5, takes a 1e308 gain from node 1 to node 0, whose state
-    overflows, and block 8, read at step 9, faults as late names: a
-    pilot sum of 0 at node 2 ("isolated") or a gain that overflows
-    ("overflow")."""
+    writes the block it reads: self-only blocks, where with broken block
+    hot, read at step hot + 1, takes a 1e308 gain from node 1 to node 0,
+    whose state overflows, and block at, read at step at + 1, faults as
+    late names: a pilot sum of 0 at node 2 ("isolated") or a gain that
+    overflows ("overflow"). An isolating block at hot takes the gain too."""
     assert epoch_blocks(n) == 1
     ring = generate_topology(TopologySpec("ring"), n, 0)
     overflowing = ChannelProcess(FadingModel.constant(2.0), ring, pair_scales=(((0, 1), 1e308),))
-    eye, hot, cut = np.eye(n), np.eye(n), ring.adj.astype(float)
-    hot[0, 1], cut[2] = 1e308, 0.0
+    cut = ring.adj.astype(float)
+    cut[2] = 0.0
 
     def realization(k):
-        if k == 8 and late == "isolated":
-            return ChannelRealization(n, cut, 0.0)
-        if k == 8 and late == "overflow":
+        if k == at and late == "overflow":
             return overflowing.realization(k)
-        return ChannelRealization(n, hot if broken and k == 4 else eye, 1.0)
+        gains, self_weight = (cut.copy(), 0.0) if k == at and late == "isolated" else (np.eye(n), 1.0)
+        if broken and k == hot:
+            gains[0, 1] = 1e308
+        return ChannelRealization(n, gains, self_weight)
 
     return Blocks(realization)
 
@@ -314,6 +317,72 @@ def test_a_broken_state_outranks_a_later_fault_in_its_chunk(late, error, message
     assert str(exc.value) == message
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 5, node 0$"):
         take("tvc", S, 20, channel=faulting_blocks(late))
+
+
+SPREAD_65 = InitialStates(10.0 + np.arange(65.0))
+
+
+@pytest.mark.parametrize("hot, at, message", [
+    (4, 8, "non-finite state at step 5, node 0"),
+    (8, 4, "node 2 is isolated at step 5: pilot sum 0.0 <= 1e-12"),
+    # block 4 isolates node 2 and overflows node 0's state: a state that
+    # divides by a refused sum is not judged before it
+    (4, 4, "node 2 is isolated at step 5: pilot sum 0.0 <= 1e-12"),
+], ids=["state-first", "pilot-first", "same-step"])
+def test_a_pilot_fault_and_a_state_fault_in_one_chunk_raise_in_step_order(hot, at, message):
+    # the pilot sums are refused at the fold, beside the states: the first
+    # faulty step raises, and within a step its pilot before its state
+    cfg = base_config(n=65, algorithm="tvc", initial=InitialSpec.explicit(SPREAD_65.values), max_iters=20)
+    expected = judged_each_step(cfg, faulting_blocks("isolated", hot=hot, at=at))
+    assert expected[1] == message
+    with pytest.raises(expected[0]) as exc:
+        take("tvc", SPREAD_65, 20, channel=faulting_blocks("isolated", hot=hot, at=at))
+    assert str(exc.value) == message
+
+
+def test_a_block_that_raises_as_its_epoch_is_written_waits_for_an_earlier_pilot_fault():
+    # block 4 isolates node 2 at step 5; the stand-in raises block 8's
+    # overflowing gain as it writes the epoch of step 9, after the sums of
+    # steps 5 to 8 went into the chunk unrefused
+    isolated, overflow = faulting_blocks("isolated", broken=False, at=4), faulting_blocks("overflow", broken=False)
+    channel = Blocks(lambda k: (isolated if k < 8 else overflow).realization(k))
+    cfg = base_config(n=65, algorithm="tvc", initial=InitialSpec.explicit(SPREAD_65.values), max_iters=20)
+    message = "node 2 is isolated at step 5: pilot sum 0.0 <= 1e-12"
+    assert judged_each_step(cfg, channel) == (IsolationError, message)
+    with pytest.raises(IsolationError) as exc:
+        take("tvc", SPREAD_65, 20, channel=channel)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 1e-6])
+def test_a_gain_that_overflows_mid_epoch_is_named_not_its_pilot_sum(noise_std):
+    # n = 50 draws epochs of 3 blocks; pair (0,2)'s gain overflows in block
+    # 22, row 1 of the epoch written at step 22 and read at step 23. The
+    # epoch's sums hold its inf from the write on, and the fold refuses
+    # them only after each member has realized block 22, which names it
+    cfg = base_config(n=50, algorithm="tvc", pair_scales=(((0, 2), 1e308),), noise_std=noise_std,
+                      tol=1e-300, max_iters=100)
+    assert epoch_blocks(50) == 3 and 22 % 3 == 1
+    message = "gain of pair (0,2) in block 22 is inf: fading times pair_scales overflows"
+    assert judged_each_step(cfg) == (ValueError, message)
+    with pytest.raises(ValueError) as exc:
+        run(cfg)
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("seed, step", [(0, 75), (4, 96)])
+def test_pilot_noise_that_isolates_a_node_mid_chunk_is_named_at_its_step(seed, step):
+    # without self terms, faint gains and pilot noise drive a receiver's sum
+    # negative in the middle of the second chunk; the state that divides by
+    # it breaks at the same step, yet the isolation is what each step names
+    cfg = base_config(n=4, topology=TopologySpec("complete"), algorithm="tvc", self_weight=0.0,
+                      fading=FadingModel.half_normal(3e-3), noise_std=1e-3, seed=seed, tol=1e-300, max_iters=200)
+    expected = judged_each_step(cfg)
+    assert expected[0] is IsolationError and f" is isolated at step {step}: " in expected[1]
+    assert step // DRIFT_STEPS == 1 and step % DRIFT_STEPS > 1
+    with pytest.raises(IsolationError) as exc:
+        run(cfg)
+    assert str(exc.value) == expected[1]
 
 
 def test_a_member_that_converged_mid_chunk_keeps_its_summary_when_another_faults():
@@ -351,6 +420,34 @@ def test_unrecorded_pass_memory_does_not_grow_with_its_budget():
             tracemalloc.stop()
         assert summary.iterations_used == steps and rows is None
     assert peaks[1] < peaks[0] + 4096
+
+
+@pytest.mark.parametrize("n, m, steps", [(10, 4, 1500), (60, 4, 1500), (100, 2, 300)])
+def test_noisy_tvc_pass_memory_is_the_arrays_it_holds(n, m, steps):
+    # at its peak a noisy tvc pass holds its chunk of (y_tilde, x_tilde, mu)
+    # and its pilot sums for DRIFT_STEPS steps; one chunk of noise, twice
+    # while np.stack builds it from the members' draws; and its (T, m, n, n)
+    # epoch stack with the epoch's sums, twice, as each member's channel
+    # keeps at most T n^2 values of the epoch it drew last. The members are
+    # set up before tracing, and a warm pass runs first
+    T, d = epoch_blocks(n), DRIFT_STEPS
+    chunk, sums, noise, epoch = 8 * 3 * d * m * n, 8 * d * m * n, 8 * d * 3 * m * n, 8 * T * m * n * (n + 1)
+    bound = chunk + sums + 2 * noise + 2 * epoch
+
+    def members():
+        built = [prepare(base_config(n=n, algorithm="tvc", noise_std=1e-6, seed=s, max_iters=steps)) for s in range(m)]
+        return [lambda member=member: member for member in built]
+
+    _drive("tvc", members(), noise_std=1e-6)
+    built = members()
+    tracemalloc.start()
+    try:
+        results = _drive("tvc", built, noise_std=1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert [summary.iterations_used for summary, _ in results] == [steps] * m
+    assert peak < bound
 
 
 def test_run_memory_is_bounded_without_channel_history():

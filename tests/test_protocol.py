@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
+from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.protocol import (
     COLUMN_SUM_TOL,
     DegenerateStateError,
@@ -11,6 +11,7 @@ from otaconsensus.protocol import (
     IsolationError,
     ota_step,
     pilot,
+    pilot_sums,
     prop1_weights,
     ratio,
 )
@@ -51,6 +52,22 @@ def test_ota_step_stacked_equals_each_chain_and_member_alone(n):
                     if noise is not None:
                         alone += noise[c, i]
                     assert stepped[c, i].tobytes() == alone.tobytes(), (m, c, i)
+
+
+def test_an_epochs_pilot_sums_equal_each_blocks_pilot():
+    # the tvc kernel takes an epoch's sums in one product over its
+    # (T, m, n, n) stack and adds each step's pilot noise to row r: that
+    # relies on row r coming out bitwise as pilot gives block r alone
+    rng = np.random.default_rng(26)
+    for n in [*range(2, 66), 100, 200]:
+        T = epoch_blocks(n)
+        for m in range(1, 8):
+            blocks = rng.uniform(0.0, 2.0, (T, m, n, n)) * (rng.random((T, m, n, n)) < 0.5)
+            blocks[..., range(n), range(n)] = 1.0
+            clean, noise = pilot_sums(blocks), rng.normal(0.0, 1e-3, (T, m, n))
+            for r in range(T):
+                assert clean[r].tobytes() == pilot(blocks[r]).tobytes(), (n, m, r)
+                assert (clean[r] + noise[r]).tobytes() == pilot(blocks[r], noise[r]).tobytes(), (n, m, r)
 
 
 def test_ota_aggregate_pilot_gives_row_sum():
