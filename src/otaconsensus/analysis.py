@@ -38,8 +38,8 @@ def build_Hbar(h: ChannelRealization, context: str = "") -> np.ndarray:
     sum (row sum j). Column j then sums to (column sum)/(row sum), which is
     1 exactly when the gains are reciprocal; feeding a non-reciprocal matrix
     through here is the designed way to break the stochasticity audit.
-    Its pilot sums are refused as pilot's are, by protocol.refuse_pilot_sums,
-    naming the node and, when given, the context ("at step 3").
+    Its own row sums are refused as the kernel's pilot sums are, by
+    protocol.refuse_pilot_sums, naming the node and any context ("at step 3").
     """
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
         sigma = h.gains.sum(axis=1)

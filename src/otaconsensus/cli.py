@@ -84,6 +84,11 @@ def _located(where: str):
         raise ConfigError(f"{where}: {exc}") from exc
 
 
+def _led(lead: str, fault: Exception) -> Exception:
+    """fault's message led by lead, as the base type that keeps main's exit code for it."""
+    return (ValueError if isinstance(fault, ValueError) else RuntimeError)(f"{lead}: {fault}")
+
+
 def _as_int(key: str, text: str) -> int:
     try:
         return int(text)
@@ -404,7 +409,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
             with np.errstate(over="ignore"):  # an overflowing value is refused by InitialStates
                 starts.append(InitialStates(f(S.values)))
         except ValueError as refused:
-            raise ValueError(f"{name} start: {refused}") from None
+            raise _led(f"{name} start", refused) from None
 
     # protocol vs matrix oracle and chain-sum conservation per regime; tvc's pass carries the equivariance passes
     oracle, mass = [], []
@@ -412,9 +417,12 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
         ("tic", [h0] * k_eq, [(S, k_mass)]),
         ("tvc", map(channel.realization, range(k_eq)), [(S, k_mass), *((s, k_eq) for s in starts)]),
     ):
-        expected = matrix_oracle(h_seq, S, k_eq)
         members = [lambda s=s, k=k: (None, channel, s, None, k) for s, k in passes]
-        (summary, rows), *equivariant = _drive(regime, members, record=True)
+        try:
+            expected = matrix_oracle(h_seq, S, k_eq)
+            (summary, rows), *equivariant = _drive(regime, members, record=True)
+        except (ValueError, RuntimeError) as fault:  # not the user's run: say which regime saw it
+            raise _led(f"{regime} regime (config run as tvc without deep fade)", fault) from fault
         err = max(float(np.max(np.abs(e - p[: k_eq + 1]))) for e, p in zip(expected, rows))
         oracle.append(CheckResult(f"oracle_equivalence_{regime}", err <= 1e-10, err, 1e-10))
         err = max(summary.mass_drift_y, summary.mass_drift_x)  # mass_audit's drift, from the driver
@@ -492,10 +500,10 @@ def cmd_sweep(args) -> int:
     summaries = []
     try:
         run_group([cfg for _, cfg in sweep.runs], summaries)
-    except (ValueError, RuntimeError) as exc:  # named by its row; the base type keeps the exit code
+    except (ValueError, RuntimeError) as exc:  # named by its row
         value, cfg = sweep.runs[len(summaries)]
         row = f"seed {cfg.seed}" if sweep.parameter == "seed" else f"{sweep.parameter} = {value}, seed {cfg.seed}"
-        raise (ValueError if isinstance(exc, ValueError) else RuntimeError)(f"{row}: {exc}") from exc
+        raise _led(row, exc) from exc
     out = Path(args.out or ".")
     out.mkdir(parents=True, exist_ok=True)
     lines = ["parameter,value,seed,converged,iterations_used,final_max_error"]

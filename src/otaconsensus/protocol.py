@@ -12,14 +12,15 @@ once: the time-invariant-channel update with the normalization measured
 once at startup, the time-varying-channel update with a pilot slot at
 every block, and a digital baseline that mixes with explicit
 1/(1+out-degree) weights instead of channel gains. simulator._kernel
-schedules the slots: it takes a tvc epoch's noise-free pilot sums in one
-pilot_sums product, adds each step's pilot noise, and refuses the sums
-through refuse_pilot_sums when it judges the step's chunk of states.
+schedules the slots, and every pilot goes one route: pilot_sums takes the
+noise-free sums, the kernel adds the pilot noise, and refuse_pilot_sums
+refuses them. tic's sums are taken and refused once, at start-up; a tvc
+epoch's are taken in one product, and each step's are refused when the
+kernel judges the step's chunk of states.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache
 
 import numpy as np
 
@@ -91,20 +92,18 @@ def prop1_weights(g: Digraph) -> np.ndarray:
     return w
 
 
-@cache
-def _ones(n: int) -> np.ndarray:  # the pilot's transmission, built once per n
-    ones = np.ones(n)
-    ones.setflags(write=False)
-    return ones
+def usable_sums(sigma: np.ndarray) -> np.ndarray:
+    """Where a pilot sum can be divided by: above SIGMA_MIN and finite (nan is neither)."""
+    return (sigma > SIGMA_MIN) & (sigma < np.inf)
 
 
 def refuse_pilot_sums(sigma: np.ndarray, context: str = "") -> None:
-    """Refuse sigma's first unusable sum, naming its node and the context
-    ("at step 3") if given: an IsolationError at SIGMA_MIN or below first,
-    else a NonFiniteStateError for an overflow (or nan). pilot, the
-    stepping kernel's fold and analysis.build_Hbar all refuse here, so run
-    and verify agree."""
-    if sigma.min() > SIGMA_MIN and sigma.max() < np.inf:
+    """Refuse sigma's first sum that is not usable_sums', naming its node
+    and the context ("at step 3") if given: an IsolationError at SIGMA_MIN
+    or below first, else a NonFiniteStateError for an overflow (or nan).
+    tic's start-up pilot, the stepping kernel's fold and
+    analysis.build_Hbar all refuse here, so run and verify agree."""
+    if usable_sums(sigma).all():
         return
     at, n, cut = f" {context}" if context else "", sigma.shape[-1], sigma <= SIGMA_MIN
     if cut.any():
@@ -118,19 +117,9 @@ def pilot_sums(gains: np.ndarray) -> np.ndarray:
     """All nodes transmit 1 simultaneously: receiver j's noise-free
     aggregate is row j of gains @ 1, self term included. Stacked gains
     (..., n, n) give (..., n) sums, each block's bitwise as if alone, so
-    one product serves a tvc epoch's (T, m, n, n) stack."""
-    return gains @ _ones(gains.shape[-1])
-
-
-def pilot(gains: np.ndarray, noise=None, context: str = "") -> np.ndarray:
-    """Each receiver's normalization sum: its pilot_sums aggregate plus its
-    noise, checked by refuse_pilot_sums (the caller silences numpy's
-    overflow warning). Stacked gains (m, n, n) give (m, n) sums."""
-    sigma = pilot_sums(gains)
-    if noise is not None:
-        sigma = sigma + noise
-    refuse_pilot_sums(sigma, context)
-    return sigma
+    one product serves tic's (m, n, n) start-up stack and a tvc epoch's
+    (T, m, n, n) stack alike."""
+    return gains @ np.ones(gains.shape[-1])
 
 
 def ota_step(gains, sigma, state, noise=None):

@@ -17,15 +17,14 @@ import numpy as np
 
 from .channel import ChannelProcess, FadingModel, epoch_blocks
 from .protocol import (
-    SIGMA_MIN,
     InitialStates,
     NonFiniteStateError,
     ota_step,
-    pilot,
     pilot_sums,
     prop1_weights,
     ratio,
     refuse_pilot_sums,
+    usable_sums,
 )
 from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
 
@@ -241,7 +240,7 @@ def _judge(states, first, sums=None, channels=()):
     ok = sound.all(axis=(1, 2))
     if sums is not None:
         sums = sums[: len(ok)]
-        heard = ((sums > SIGMA_MIN) & (sums < np.inf)).all(axis=(1, 2))  # refuse_pilot_sums' test
+        heard = usable_sums(sums).all(axis=(1, 2))
         ok &= heard
     if ok.all():
         return
@@ -262,7 +261,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     a ChannelProcess's realization(k) and write_epoch(e, out). Each step is
     one product for both chains, z' = G @ (z / sigma) + noise:
 
-    - tic: G is block 0 at every step, sigma measured once by a pilot;
+    - tic: G is block 0 at every step, and sigma its pilot_sums plus the
+      start-up pilot noise, refused by refuse_pilot_sums before any step;
     - tvc: step k reads block k - 1, row (k - 1) mod T of a (T, m, n, n)
       stack of epochs, T = channel.epoch_blocks(n): at an epoch's first
       step each member's channel writes the whole epoch into its slot,
@@ -335,8 +335,10 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         G, sigma = np.array([prop1_weights(g) for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
         G = np.array([c.realization(0).gains for c in channels])
-        sigma = pilot(G, np.array([r.normal(0.0, noise_std, size=n) for r in rngs]) if noisy else None,
-                      "at initialization")
+        sigma = pilot_sums(G)
+        if noisy:
+            sigma += np.array([r.normal(0.0, noise_std, size=n) for r in rngs])
+        refuse_pilot_sums(sigma, "at initialization")
     else:
         T = epoch_blocks(n)
         blocks, clean = np.empty((T, m, n, n)), np.empty((T, m, n))

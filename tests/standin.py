@@ -12,12 +12,14 @@ A pass reads it as it reads a process, but its blocks are not taken for
 symmetric, so a tvc pass judges its epsilon-B windows both ways.
 
 take is a recording one-member pass over any such channel (or a graph, for
-baseline), sym_realization a block from a plain gain matrix, and
-base_config the 10-node tic config that tests vary by keyword.
+baseline), measured_sigma the kernel's normalization sums one block at a
+time, sym_realization a block from a plain gain matrix, and base_config
+the 10-node tic config that tests vary by keyword.
 """
 import numpy as np
 
 from otaconsensus.channel import ChannelRealization, FadingModel
+from otaconsensus.protocol import pilot_sums, refuse_pilot_sums
 from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive
 from otaconsensus.topology import TopologySpec
 
@@ -40,6 +42,17 @@ def take(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=Non
     mu), each a (steps + 1, n) array whose row k is the state after step k."""
     (_, rows), = _drive(algorithm, [lambda: (g, channel, S, noise_rng, steps)], noise_std=noise_std, record=True)
     return rows
+
+
+def measured_sigma(gains, noise=None, context=""):
+    """The normalization sums a pass divides by, as a reference: the
+    pilot_sums of gains (a block or a stack of them) plus noise, refused
+    by refuse_pilot_sums naming the context."""
+    sigma = pilot_sums(gains)
+    if noise is not None:
+        sigma = sigma + noise
+    refuse_pilot_sums(sigma, context)
+    return sigma
 
 
 def sym_realization(gains, self_weight=1.0):

@@ -1121,6 +1121,20 @@ def test_overflowing_gain_names_its_keys(overrides, expected, tmp_path, capsys):
     assert capsys.readouterr().err == f"config error: {expected}\n"
 
 
+def test_verify_leads_a_regime_fault_with_its_regime(tmp_path, capsys):
+    # verify steps the config as tvc without deep fade, so a fault of its
+    # tic regime is not one the user's deep-fade run has: run converges,
+    # and verify's message says which regime raised it, with its exit code
+    overrides = ["--set", "deep_fade=true", "--set", "epsilon=0.5", "--set", "self_weight=0",
+                 "--set", "fading=half_normal(1e-13)"]
+    assert main(["run", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(tmp_path / "run"), *overrides]) == 0
+    assert capsys.readouterr().out.startswith("tvc: converged=true ")
+    assert main(["verify", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(tmp_path / "verify"), *overrides]) == 3
+    assert capsys.readouterr().err == (
+        "runtime error: tic regime (config run as tvc without deep fade): "
+        "node 0 is isolated at step 1: pilot sum 6.231121086673822e-13 <= 1e-12\n")
+
+
 @pytest.mark.parametrize("edges, keys, argv, code, expected", [
     # one block holds both faults: node 2 is isolated and the (0,1) gain
     # overflows; the gain is named first, as a config fault
@@ -1128,9 +1142,11 @@ def test_overflowing_gain_names_its_keys(overrides, expected, tmp_path, capsys):
      "pair_scales = 0-1:1e10\n", ["run"], 2,
      "config error: gain of pair (0,1) in block 0 is inf: fading times pair_scales overflows"),
     # node 0's two finite gains overflow its pilot sum and node 2 has no
-    # link: the oracle names the isolated node first, as the kernel does
+    # link: the oracle names the isolated node first, as the kernel does,
+    # led by the regime whose oracle it is
     ("0 1\n0 3\n", "n = 4\nalgorithm = tic\nfading = constant(1e308)\ninitial = explicit(1, 2, 3, 4)\n",
-     ["verify"], 3, "runtime error: node 2 is isolated at step 1: pilot sum 0.0 <= 1e-12"),
+     ["verify"], 3, "runtime error: tic regime (config run as tvc without deep fade): "
+     "node 2 is isolated at step 1: pilot sum 0.0 <= 1e-12"),
     ("0 1\n0 3\n", "n = 4\nalgorithm = tic\nfading = constant(1e308)\ninitial = explicit(1, 2, 3, 4)\n",
      ["run", "--set", "algorithm=tvc"], 3, "runtime error: node 2 is isolated at step 1: pilot sum 0.0 <= 1e-12"),
 ], ids=["overflow-before-isolation", "verify-isolation-before-overflow", "run-isolation-before-overflow"])
@@ -1556,6 +1572,9 @@ RUNTIME_FAULT = re.compile(r"runtime error: (node \d+ (is isolated|overflowed|ha
 #: a sweep names the row of a run's fault: "<parameter> = <value>, seed <s>: "
 SWEEP_RUNTIME_FAULT = re.compile(RUNTIME_FAULT.pattern.replace(
     "runtime error: ", r"runtime error: (?:(?:\w+ = [^,\n]+, )?seed \d+: )?", 1))
+#: verify names the regime of a fault its oracle or pass raises
+VERIFY_RUNTIME_FAULT = re.compile(RUNTIME_FAULT.pattern.replace(
+    "runtime error: ", r"runtime error: (?:t[iv]c regime \(config run as tvc without deep fade\): )?", 1))
 
 
 @given(command=st.sampled_from(["run", "verify"]), config=st.sampled_from(["tic10.cfg", "tvc10.cfg"]),
@@ -1583,7 +1602,8 @@ OUTPUTS = {"run": ["summary.json", "trajectory.csv"], "verify": ["verify.json"],
 def assert_exits_truthfully(argv, out):
     """main(argv) writes its outputs to out and exits 0 (verify 1 too), or
     writes nothing and exits 2 with one config error line or 3 with a
-    documented runtime fault, which a sweep may prefix with its row."""
+    documented runtime fault, which a sweep may prefix with its row and
+    verify with its regime."""
     command = argv[0]
     stdout, stderr = io.StringIO(), io.StringIO()
     with redirect_stdout(stdout), redirect_stderr(stderr):
@@ -1592,7 +1612,8 @@ def assert_exits_truthfully(argv, out):
     if code == 2:
         assert err.startswith("config error: ") and err.count("\n") == 1
     elif code == 3:
-        assert (SWEEP_RUNTIME_FAULT if command == "sweep" else RUNTIME_FAULT).fullmatch(err), err
+        fault = {"sweep": SWEEP_RUNTIME_FAULT, "verify": VERIFY_RUNTIME_FAULT}.get(command, RUNTIME_FAULT)
+        assert fault.fullmatch(err), err
     else:
         assert (code == 0 or (code, command) == (1, "verify")) and err == "" and stdout.getvalue()
         assert sorted(p.name for p in out.iterdir()) == OUTPUTS[command]

@@ -22,7 +22,6 @@ from otaconsensus.protocol import (
     IsolationError,
     NonFiniteStateError,
     ota_step,
-    pilot,
     prop1_weights,
     ratio,
 )
@@ -48,7 +47,7 @@ from otaconsensus.topology import (
     generate_topology,
     is_strongly_connected,
 )
-from standin import Blocks, base_config, take
+from standin import Blocks, base_config, measured_sigma, take
 
 
 def er(n, seed, p=0.5):
@@ -84,11 +83,11 @@ def test_kernel_noise_stream_order(algorithm):
     z = np.array([S.values, np.ones(n)])
     if algorithm == "tic":
         gains = proc.realization(0).gains
-        sigma = pilot(gains, draw())
+        sigma = measured_sigma(gains, draw())
     for k in range(1, steps + 1):
         if algorithm == "tvc":
             gains = proc.realization(k - 1).gains
-            sigma = pilot(gains, draw())
+            sigma = measured_sigma(gains, draw())
         y, x = z = ota_step(gains, sigma, z, np.array([draw(), draw()]))  # numerator first
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
@@ -218,9 +217,9 @@ def test_kernel_refuses_a_non_finite_state(algorithm):
 
 def judged_each_step(cfg, channel=None):
     """run(cfg)'s fault, (type, message), with each state judged at its own
-    step as pilot, ota_step and ratio are called one step at a time; None
-    if max_iters steps run clean (tol is never met). A channel, when given,
-    stands in for prepare's."""
+    step as measured_sigma, ota_step and ratio are called one step at a
+    time; None if max_iters steps run clean (tol is never met). A channel,
+    when given, stands in for prepare's."""
     _, built, S, rng, _ = prepare(cfg)
     channel = built if channel is None else channel
 
@@ -232,11 +231,11 @@ def judged_each_step(cfg, channel=None):
         with np.errstate(over="ignore", invalid="ignore"):
             if cfg.algorithm == "tic":
                 gains = channel.realization(0).gains
-                sigma = pilot(gains, draw(), "at initialization")
+                sigma = measured_sigma(gains, draw(), "at initialization")
             for k in range(1, cfg.max_iters + 1):
                 if cfg.algorithm == "tvc":
                     gains = channel.realization(k - 1).gains  # names an overflowing gain
-                    sigma = pilot(gains, draw(), f"at step {k}")
+                    sigma = measured_sigma(gains, draw(), f"at step {k}")
                 noise = None if cfg.noise_std == 0 else np.array([draw(), draw()])
                 z = ota_step(gains, sigma, z, noise)
                 mu = ratio(z, f" at step {k}")

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,17 +8,17 @@ from hypothesis import strategies as st
 from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
 from otaconsensus.protocol import (
     COLUMN_SUM_TOL,
+    SIGMA_MIN,
     DegenerateStateError,
     InitialStates,
     IsolationError,
     ota_step,
-    pilot,
     pilot_sums,
     prop1_weights,
     ratio,
 )
 from otaconsensus.topology import Digraph, TopologySpec, generate_topology
-from standin import Blocks, sym_realization, take
+from standin import Blocks, measured_sigma, sym_realization, take
 
 
 # ---------------------------------------------------------------- aggregation
@@ -57,7 +59,7 @@ def test_ota_step_stacked_equals_each_chain_and_member_alone(n):
 def test_an_epochs_pilot_sums_equal_each_blocks_pilot():
     # the tvc kernel takes an epoch's sums in one product over its
     # (T, m, n, n) stack and adds each step's pilot noise to row r: that
-    # relies on row r coming out bitwise as pilot gives block r alone
+    # relies on row r coming out bitwise as pilot_sums gives block r alone
     rng = np.random.default_rng(26)
     for n in [*range(2, 66), 100, 200]:
         T = epoch_blocks(n)
@@ -66,17 +68,17 @@ def test_an_epochs_pilot_sums_equal_each_blocks_pilot():
             blocks[..., range(n), range(n)] = 1.0
             clean, noise = pilot_sums(blocks), rng.normal(0.0, 1e-3, (T, m, n))
             for r in range(T):
-                assert clean[r].tobytes() == pilot(blocks[r]).tobytes(), (n, m, r)
-                assert (clean[r] + noise[r]).tobytes() == pilot(blocks[r], noise[r]).tobytes(), (n, m, r)
+                assert clean[r].tobytes() == pilot_sums(blocks[r]).tobytes(), (n, m, r)
+                assert (clean[r] + noise[r]).tobytes() == measured_sigma(blocks[r], noise[r]).tobytes(), (n, m, r)
 
 
 def test_ota_aggregate_pilot_gives_row_sum():
     row = np.array([1.0, 0.3, 0.0, 2.2])
     gains = np.vstack([row, np.eye(4)[1:]])
-    sigma = pilot(gains)
+    sigma = measured_sigma(gains)
     assert sigma[0] == pytest.approx(row.sum(), abs=0)
     np.testing.assert_array_equal(sigma[1:], [1.0, 1.0, 1.0])
-    np.testing.assert_array_equal(pilot(gains, np.full(4, 0.5)), sigma + 0.5)
+    np.testing.assert_array_equal(measured_sigma(gains, np.full(4, 0.5)), sigma + 0.5)
 
 
 # ---------------------------------------------------------------- baseline
@@ -170,7 +172,7 @@ def test_tic_initialize_arithmetic():
         ]
     )
     h = ChannelRealization(3, gains, 0.0)
-    np.testing.assert_array_equal(pilot(h.gains), [2.0, 0.5, 1.5])
+    np.testing.assert_array_equal(measured_sigma(h.gains), [2.0, 0.5, 1.5])
     Y, X, _ = take("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: h))
     assert Y[0, 0] == 4.0 and X[0, 0] == 1.0
     # node 0 transmits y = 4 / 2 = 2 and x = 1 / 2; receivers 1 and 2 hear
@@ -182,7 +184,7 @@ def test_tic_initialize_arithmetic():
 def test_tic_initialize_self_only():
     h = ChannelRealization(2, np.eye(2), 1.0)
     S = InitialStates(np.array([7.0, -1.0]))
-    np.testing.assert_array_equal(pilot(h.gains), [1.0, 1.0])
+    np.testing.assert_array_equal(measured_sigma(h.gains), [1.0, 1.0])
     Y, X, _ = take("tic", S, 1, channel=Blocks(lambda k: h))
     np.testing.assert_array_equal(Y[1], [7.0, -1.0])
     np.testing.assert_array_equal(X[1], [1.0, 1.0])
@@ -190,7 +192,7 @@ def test_tic_initialize_self_only():
 
 def test_tic_initialize_two_node_symmetry():
     h = sym_realization([[0.0, 0.8], [0.8, 0.0]], self_weight=0.0)
-    sigma = pilot(h.gains)
+    sigma = measured_sigma(h.gains)
     assert sigma[0] == sigma[1] == 0.8
 
 
@@ -198,6 +200,20 @@ def test_tic_initialize_isolated_node_named():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     with pytest.raises(IsolationError, match="node 0 is isolated at initialization"):
         take("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h))
+
+
+def test_tic_initialize_noisy_isolated_node_named():
+    # both noise-free sums, 2e-12, are usable; the start-up pilot noise
+    # takes one to SIGMA_MIN or below, and the noisy sum is the one named
+    h = sym_realization([[0.0, 2e-12], [2e-12, 0.0]], self_weight=0.0)
+    assert pilot_sums(h.gains).min() > SIGMA_MIN
+    sigma = pilot_sums(h.gains) + np.random.default_rng(3).normal(0.0, 1e-11, size=2)
+    j = int(np.argmax(sigma <= SIGMA_MIN))
+    assert sigma[j] <= SIGMA_MIN
+    message = f"^node {j} is isolated at initialization: pilot sum {re.escape(repr(float(sigma[j])))} <= 1e-12$"
+    with pytest.raises(IsolationError, match=message):
+        take("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h),
+             noise_std=1e-11, noise_rng=np.random.default_rng(3))
 
 
 def test_tic_all_equal_initial_values_pin_ratio():
@@ -289,7 +305,7 @@ def test_tvc_stored_normalization_uses_current_block():
     Y, X, _ = take("tvc", InitialStates(np.array([1.0, 2.0, 3.0, 4.0])), 3, channel=proc)
     for k in range(1, 4):
         gains = proc.realization(k - 1).gains
-        y, x = ota_step(gains, pilot(gains), np.array([Y[k - 1], X[k - 1]]))
+        y, x = ota_step(gains, measured_sigma(gains), np.array([Y[k - 1], X[k - 1]]))
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
 
