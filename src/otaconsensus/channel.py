@@ -142,6 +142,10 @@ class ChannelProcess:
     link of the topology, listed once in either order. All three fading
     families are scale families, so this is exactly a per-pair variance
     (or gain) knob; unlisted pairs keep factor 1.
+
+    The flat indices of the links and off-topology pairs are the topology's
+    pair_indices, so processes on one Digraph share them; all else is each
+    process's own.
     """
 
     model: FadingModel
@@ -150,13 +154,11 @@ class ChannelProcess:
     seed: int = 0
     deep_fade_epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
-    # built once from the fields above: the flat gain-matrix indices of
-    # every link's (a, b) and (b, a) entries, a < b, in canonical order, the
-    # same for the off-topology pairs, each link's scale (None when all are
-    # 1), a block with no link drawn, the generator with its seeded state,
-    # and the cached epoch: its index, link gains and fades
-    _links: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
-    _fades: tuple[np.ndarray, np.ndarray] = field(init=False, repr=False, compare=False)
+    # built once from the fields above: the topology's pair_indices, each
+    # link's scale (None when all are 1), a block with no link drawn, the
+    # generator with its seeded state, and the cached epoch: its index,
+    # link gains and fades
+    _pairs: tuple = field(init=False, repr=False, compare=False)
     _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
     _blank: np.ndarray = field(init=False, repr=False, compare=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
@@ -185,16 +187,13 @@ class ChannelProcess:
                 raise ValueError(f"pair ({a},{b}) is listed twice in pair_scales")
             norm[a, b] = float(s)
         object.__setattr__(self, "pair_scales", tuple(sorted(norm.items())))
-        upper = np.triu(np.ones((n, n), dtype=bool), 1)
-        for name, pairs in (("_links", upper & self.topology.adj), ("_fades", upper & ~self.topology.adj)):
-            a, b = np.nonzero(pairs)  # row-major: the canonical np.triu_indices order
-            object.__setattr__(self, name, (a * n + b, b * n + a))
+        object.__setattr__(self, "_pairs", self.topology.pair_indices)
         scales = None
         if norm:
             scales = np.ones((n, n))
             for (a, b), s in norm.items():
                 scales[a, b] = s
-            scales = scales.reshape(-1)[self._links[0]]
+            scales = scales.reshape(-1)[self._pairs[0][0]]
         bit_generator = np.random.PCG64(self.seed)
         object.__setattr__(self, "_scales", scales)
         object.__setattr__(self, "_blank", self.self_weight * np.eye(n))
@@ -210,15 +209,15 @@ class ChannelProcess:
             rng.bit_generator.state = self._state
             rng.bit_generator.advance(e << 64)
             n, T = self.topology.n, epoch_blocks(self.topology.n)
-            links = self._links[0].size
-            width = n * (n - 1) // 2 if T > 1 else links
-            gains = np.ascontiguousarray(self.model.draw(rng, T * width).reshape(T, width)[:, :links])
+            (links, _), (off, _) = self._pairs
+            width = n * (n - 1) // 2 if T > 1 else links.size
+            gains = np.ascontiguousarray(self.model.draw(rng, T * width).reshape(T, width)[:, : links.size])
             if self._scales is not None:
                 with np.errstate(over="ignore"):  # an overflowing gain is inf, refused when its block is read
                     gains *= self._scales
             fades = None
             if self.deep_fade_epsilon is not None:
-                fades = (1.0 - rng.random((T, self._fades[0].size))) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
+                fades = (1.0 - rng.random((T, off.size))) * 0.5 * self.deep_fade_epsilon  # in (0, epsilon/2]
             self._epoch[:] = e, gains, fades
         return self._epoch[1:]
 
@@ -228,7 +227,7 @@ class ChannelProcess:
         out[...] = self._blank
         one = len(out) == 1  # one block: 1-D indexing writes it about twice as fast as 2-D
         flat = out.reshape(-1) if one else out.reshape(len(out), -1).T
-        for (up, down), values in ((self._links, gains), (self._fades, fades)):
+        for (up, down), values in zip(self._pairs, (gains, fades)):
             if values is not None:
                 values = values[rows]
                 flat[up] = flat[down] = values[0] if one else values.T

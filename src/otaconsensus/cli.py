@@ -40,7 +40,7 @@ from .simulator import (
     run_group,
     stream_seeds,
 )
-from .topology import TOPOLOGY_ARGS, TopologySpec, generate_topology, is_strongly_connected
+from .topology import TOPOLOGY_ARGS, TopologySpec, generate_topology
 
 
 class ConfigError(ValueError):
@@ -538,7 +538,7 @@ def cmd_topo(args) -> int:
     g = generate_topology(cfg.topology, cfg.n, topo_seed)
     print(
         f"n={g.n} edges={g.m} symmetric={str(g.is_symmetric()).lower()} "
-        f"strongly_connected={str(is_strongly_connected(g.adj)).lower()}"
+        f"strongly_connected={str(g.strongly_connected).lower()}"
     )
     if args.out is not None:
         out = Path(args.out)

@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .topology import Digraph, is_strongly_connected
+from .topology import Digraph
 
 # floor for any measured normalization sum; at or below it the node is
 # treated as cut off and the run errors out rather than dividing
@@ -81,7 +81,7 @@ def prop1_weights(g: Digraph) -> np.ndarray:
     assigns 1/(1+d_j_out) to itself and to each out-neighbor, so every
     column sums to 1 within 2**-53 (3 fl(1/3) is 1 - 2**-54)."""
     adj = g.adj
-    if not is_strongly_connected(adj):
+    if not g.strongly_connected:
         raise ValueError("baseline weights need a strongly connected digraph")
     share = 1.0 / (1.0 + adj.sum(axis=1))
     w = np.where(adj.T | np.eye(g.n, dtype=bool), share[np.newaxis, :], 0.0)

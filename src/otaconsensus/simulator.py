@@ -26,7 +26,7 @@ from .protocol import (
     refuse_pilot_sums,
     usable_sums,
 )
-from .topology import EpsilonBAudit, TopologySpec, generate_topology, is_strongly_connected
+from .topology import EpsilonBAudit, TopologySpec, generate_topology
 
 ALGORITHMS = ("tic", "tvc", "baseline")
 
@@ -201,15 +201,17 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
         return InitialStates(vals + (spec.target_mean - S.mean()))
 
 
-def prepare(config: SimulationConfig):
+def prepare(config: SimulationConfig, graph=None):
     """The run's set-up, its _kernel member: (digraph, channel process or
     None, InitialStates, noise generator, step budget), each from config.n
     and one seed derivation. Every run, sweep and verify pass sets its
     members up here, so an audit that calls it again rebuilds exactly the
-    channel sequence a run saw without replaying the run."""
+    channel sequence a run saw without replaying the run. graph, when
+    given, is the config's topology, built already: run_group shares one
+    among the members of its passes on a topology that ignores the seed."""
     topo_seed, channel_seed, initial_seed, noise_seed = stream_seeds(config.seed)
-    g = generate_topology(config.topology, config.n, topo_seed)
-    if config.algorithm in ("tic", "baseline") and not is_strongly_connected(g.adj):
+    g = generate_topology(config.topology, config.n, topo_seed) if graph is None else graph
+    if config.algorithm in ("tic", "baseline") and not g.strongly_connected:
         raise ValueError(f"{config.algorithm} requires a strongly connected topology")
     channel = None
     if config.algorithm in ("tic", "tvc"):
@@ -429,18 +431,33 @@ def run_group(configs, done=None) -> list[RunSummary]:
     are the members of one _kernel pass, so a failing config raises what it
     would raise alone, and no later config runs. The summaries are appended
     to done, a list when given, as they are due: after a fault it holds
-    those of the configs before the failing one."""
+    those of the configs before the failing one.
+
+    A topology that ignores the seed (any kind but erdos_renyi) is built
+    when the first pass on it is set up, and shared by the members of that
+    pass and of the next passes on the same topology and n. Only the last
+    such graph is held, and only for the call: a call reads an edge list
+    once, and the next call reads it again."""
     done = [] if done is None else done
+    built = graph = None  # graph, built for built = (topology, n)
     for _, batch in groupby(configs, key=lambda c: replace(c, seed=0)):
-        for summary, _ in _seed_group(list(batch)):
+        batch = list(batch)
+        c = batch[0]
+        if c.topology.kind == "erdos_renyi":  # drawn from each member's topology seed
+            built = graph = None
+        elif built != (c.topology, c.n):
+            graph = None  # the last graph goes before the next is built
+            built, graph = (c.topology, c.n), generate_topology(c.topology, c.n, 0)
+        for summary, _ in _seed_group(batch, graph=graph):
             done.append(summary)
     return done
 
 
-def _seed_group(configs, record=False):
-    """_drive over configs that differ only in seed, one prepare member each."""
+def _seed_group(configs, record=False, graph=None):
+    """_drive over configs that differ only in seed, one prepare member
+    each, on graph when it is given (prepare's)."""
     cfg = configs[0]
-    return _drive(cfg.algorithm, [partial(prepare, c) for c in configs], noise_std=cfg.noise_std,
+    return _drive(cfg.algorithm, [partial(prepare, c, graph) for c in configs], noise_std=cfg.noise_std,
                   epsilon_B=(cfg.epsilon, cfg.B), tol=cfg.tol, window=cfg.tol_window, record=record)
 
 

@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +35,9 @@ class Digraph:
     """Immutable directed graph on nodes 0..n-1, held as a read-only n x n
     boolean adjacency matrix: adj[i, j] is True iff i transmits to j, so i is
     an in-neighbor of j and j an out-neighbor of i. Two graphs are equal when
-    their matrices are.
+    their matrices are. What is a function of the graph alone, its
+    strong-connectivity verdict and its pair indices, is computed on first
+    use and kept, so the members that share one graph share them too.
     """
 
     adj: np.ndarray
@@ -69,6 +72,23 @@ class Digraph:
 
     def is_symmetric(self) -> bool:
         return np.array_equal(self.adj, self.adj.T)
+
+    @cached_property
+    def strongly_connected(self) -> bool:
+        return is_strongly_connected(self.adj)
+
+    @cached_property
+    def pair_indices(self) -> tuple:
+        """(links, non-links): for each, the flat n x n indices of every
+        node pair's (a, b) and (b, a) entries, a < b, in the canonical
+        row-major np.triu_indices order, as read-only arrays."""
+        n = self.n
+        a, b = np.triu_indices(n, 1)
+        up, down, link = a * n + b, b * n + a, self.adj[a, b]
+        pairs = tuple((up[kept], down[kept]) for kept in (link, ~link))
+        for index in (*pairs[0], *pairs[1]):
+            index.setflags(write=False)
+        return pairs
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Digraph):

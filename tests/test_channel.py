@@ -229,6 +229,32 @@ def test_overflow_is_refused_only_for_the_block_read():
         proc.realization(bad)
 
 
+@pytest.mark.parametrize("deep_fade, pair_scales", [
+    (None, ()), (1e-3, ()), (None, (((0, 1), 2.0),)), (1e-3, (((1, 0), 0.5), ((2, 3), 3.0))),
+])
+def test_processes_sharing_a_digraph_draw_as_on_their_own(deep_fade, pair_scales):
+    # processes on one Digraph share its pair indices and nothing else:
+    # read in turn, each writes and realizes, byte for byte, what a process
+    # on a fresh equal Digraph does
+    topo, T = ring(12), epoch_blocks(12)
+
+    def process(graph, seed):
+        return ChannelProcess(FadingModel.half_normal(1.0), graph, seed=seed, deep_fade_epsilon=deep_fade,
+                              pair_scales=pair_scales)
+
+    shared = [process(topo, seed) for seed in (4, 5)]
+    fresh = [process(Digraph(topo.adj.copy()), seed) for seed in (4, 5)]
+    for e in (0, 1):
+        for a, b in zip(shared, fresh):
+            out_a, out_b = np.empty((T, 12, 12)), np.empty((T, 12, 12))
+            a.write_epoch(e, out_a)
+            b.write_epoch(e, out_b)
+            assert out_a.tobytes() == out_b.tobytes()
+    for k in (0, T - 1, T, 2 * T + 3):
+        for a, b in zip(shared, fresh):
+            assert a.realization(k).gains.tobytes() == b.realization(k).gains.tobytes()
+
+
 def test_process_without_links_keeps_its_diagonal():
     proc = ChannelProcess(FadingModel.half_normal(1.0), Digraph(np.zeros((3, 3), dtype=bool)),
                           self_weight=0.5, seed=1)

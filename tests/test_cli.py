@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
@@ -1342,9 +1343,9 @@ def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, c
 
     calls, prepare = [], simulator.prepare
 
-    def counted(cfg):
+    def counted(cfg, graph=None):
         calls.append(cfg.seed)
-        return prepare(cfg)
+        return prepare(cfg, graph)
 
     monkeypatch.setattr(simulator, "prepare", counted)
     monkeypatch.setattr(cli, "prepare", counted)
@@ -1357,6 +1358,77 @@ def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, c
         assert main([command, str(config), "-o", str(tmp_path / command)]) == 0
         assert calls == made, command
     capsys.readouterr()
+
+
+def edge_list_sweep(tmp_path, edges, values="tic, tvc, baseline", parameter="algorithm"):
+    """A 6-node sweep over the edge list edges ('i j' lines) at four seeds."""
+    (tmp_path / "g.edges").write_text(edges)
+    sweep = tmp_path / "s.cfg"
+    sweep.write_text(f"n = 6\ntopology = edge_list({tmp_path / 'g.edges'})\nalgorithm = tvc\n"
+                     "fading = half_normal(1.0)\ninitial = random_mean(1.0, 1.0)\nseed = 0\nmax_iters = 50\n"
+                     f"[sweep]\nparameter = {parameter}\nvalues = {values}\nseeds = 0, 1, 2, 3\n")
+    return sweep
+
+
+def test_a_sweep_reads_its_edge_list_once_per_invocation(monkeypatch, tmp_path, capsys):
+    # the 12 members of three passes share one graph; a later invocation
+    # in the same process reads the file again and writes what a sweep of
+    # its new content alone writes
+    from otaconsensus import topology
+
+    parses, parse = [], topology._parse_edge_list
+    monkeypatch.setattr(topology, "_parse_edge_list", lambda path, n: parses.append(n) or parse(path, n))
+    sweep = edge_list_sweep(tmp_path, "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "ring")]) == 0
+    assert parses == [6]
+    (tmp_path / "g.edges").write_text("0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "star")]) == 0
+    assert parses == [6, 6]
+    (tmp_path / "fresh").mkdir()
+    fresh = edge_list_sweep(tmp_path / "fresh", "0 1\n0 2\n0 3\n0 4\n0 5\n1 2\n")
+    assert main(["sweep", str(fresh), "-o", str(tmp_path / "fresh")]) == 0
+    ring, star = ((tmp_path / d / "sweep.csv").read_text() for d in ("ring", "star"))
+    assert star == (tmp_path / "fresh" / "sweep.csv").read_text() and star != ring
+    capsys.readouterr()
+
+
+def test_an_n_sweep_holds_one_graph_at_a_time(monkeypatch, tmp_path, capsys):
+    # each pass on a new n builds its graph after the last one is let go,
+    # and none outlives the call
+    from otaconsensus import simulator
+
+    built, held, generate = [], [], simulator.generate_topology
+
+    def counted(spec, n, seed):
+        held.append((n, sum(ref() is not None for ref in built)))
+        g = generate(spec, n, seed)
+        built.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(simulator, "generate_topology", counted)
+    sweep = tmp_path / "s.cfg"
+    sweep.write_text((CONFIG_DIR / "tic10.cfg").read_text().replace("erdos_renyi(0.5)", "ring")
+                     + "[sweep]\nparameter = n\nvalues = 10, 12, 10\nseeds = 0, 1\n")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "o")]) == 0
+    assert held == [(10, 0), (12, 0), (10, 0)] and all(ref() is None for ref in built)
+    capsys.readouterr()
+
+
+def test_a_shared_graph_is_refused_at_its_rows_pass(monkeypatch, tmp_path, capsys):
+    # a loadable but disconnected edge list: the tvc rows run on it, then
+    # the first tic row is refused, naming its row, and no sweep.csv is
+    # written; a pair_scales pair that is not a link of the shared graph
+    # is refused at the first row, before any row runs
+    calls, run_group = [], cli.run_group
+    monkeypatch.setattr(cli, "run_group", lambda configs, done: calls.append(done) or run_group(configs, done))
+    sweep = edge_list_sweep(tmp_path, "0 1\n1 2\n3 4\n4 5\n", values="tvc, tic, baseline")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "o")]) == 2
+    assert capsys.readouterr().err == "config error: algorithm = tic, seed 0: tic requires a strongly connected topology\n"
+    assert [s.iterations_used for s in calls[0]] == [50] * 4 and not (tmp_path / "o" / "sweep.csv").exists()
+    sweep = edge_list_sweep(tmp_path, "0 1\n1 2\n2 3\n3 4\n4 5\n5 0\n", values="0.0, 1e-6", parameter="noise_std")
+    assert main(["sweep", str(sweep), "-o", str(tmp_path / "o"), "--set", "pair_scales=0-3:2"]) == 2
+    assert capsys.readouterr().err == "config error: noise_std = 0.0, seed 0: pair (0,3) is not a valid link\n"
+    assert calls[1] == [] and not (tmp_path / "o" / "sweep.csv").exists()
 
 
 def test_sweep_fault_is_the_earliest_rows(tmp_path, capsys):

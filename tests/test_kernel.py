@@ -746,6 +746,39 @@ def test_run_group_takes_any_list(configs):
     assert run_group([]) == []
 
 
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_run_group_across_passes_equals_runs_one_by_one(data, tmp_path_factory):
+    # passes that alternate algorithm, topology kind and n, with repeated
+    # seeds: a graph run_group builds once is shared within a pass and
+    # carried to the next pass on the same topology and n. A drawn edge
+    # list may leave the graph disconnected or a node without links, and
+    # names nodes of the larger n only, so tic and baseline refuse it,
+    # tvc may isolate a node and the smaller n cannot read it. Each
+    # summary, or the earliest config's fault, is run()'s
+    n = data.draw(st.integers(3, 8))
+    path = tmp_path_factory.mktemp("passes") / "drawn.edges"
+    pairs = [(i, j) for i in range(n + 1) for j in range(i + 1, n + 1)]
+    path.write_text("".join(f"{i} {j}\n" for i, j in data.draw(st.lists(st.sampled_from(pairs), min_size=1))))
+    specs = [TopologySpec("ring"), TopologySpec("complete"), TopologySpec("edge_list", path=str(path)),
+             TopologySpec("erdos_renyi", p=0.5)]
+    base = base_config(
+        fading=data.draw(st.sampled_from([FadingModel.half_normal(1.0), FadingModel.half_normal(4e307)])),
+        self_weight=data.draw(st.sampled_from([0.0, 1.0])), noise_std=data.draw(st.sampled_from([0.0, 1e-6])),
+        max_iters=data.draw(st.integers(1, 40)), tol=1e-3, tol_window=2,
+    )
+    configs = []
+    for _ in range(data.draw(st.integers(2, 6))):
+        algorithm = data.draw(st.sampled_from(ALGORITHMS))
+        cfg = replace(base, algorithm=algorithm, topology=data.draw(st.sampled_from(specs)),
+                      n=data.draw(st.sampled_from([n, n + 1])), deep_fade=algorithm == "tvc" and data.draw(st.booleans()))
+        configs += [replace(cfg, seed=s) for s in data.draw(st.lists(st.integers(0, 3), min_size=1, max_size=4))]
+    expected = outcome([lambda c=c: run(c)[1] for c in configs])
+    done = []
+    assert outcome([lambda: run_group(configs, done)]) == (expected if isinstance(expected, tuple) else [expected])
+    assert done == [run(c)[1] for c in configs[:len(done)]]
+
+
 def test_tic_pass_builds_no_audit():
     # only a tvc pass judges windowed connectivity; a tic pass handed an
     # (epsilon, B) pair reports no verdict rather than a vacuous one
@@ -934,7 +967,7 @@ def test_batch_replays_only_member_faults(monkeypatch):
     # after the batch is run again one config at a time
     calls = 0
 
-    def broken(cfg):
+    def broken(cfg, graph=None):
         nonlocal calls
         calls += 1
         raise TypeError("not a member fault")

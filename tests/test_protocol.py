@@ -107,9 +107,12 @@ def test_prop1_weights_directed_ring():
 
 
 def test_prop1_weights_reject_disconnected():
-    g = Digraph(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool))  # 2 is cut off
-    with pytest.raises(ValueError, match="strongly connected"):
-        prop1_weights(g)
+    # whether the graph's kept verdict is computed here or was read before
+    for read_first in (False, True):
+        g = Digraph(np.array([[0, 1, 0], [1, 0, 0], [0, 0, 0]], dtype=bool))  # 2 is cut off
+        assert not (read_first and g.strongly_connected)
+        with pytest.raises(ValueError, match="strongly connected"):
+            prop1_weights(g)
 
 
 @given(n=st.integers(min_value=2, max_value=10), seed=st.integers(min_value=0, max_value=100))

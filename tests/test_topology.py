@@ -86,6 +86,25 @@ def test_strong_connectivity():
     assert not is_strongly_connected(path.adj)
 
 
+def test_a_digraph_computes_its_verdict_and_pair_indices_once(monkeypatch):
+    # both are functions of the graph alone, kept from the first read: the
+    # node pairs a < b as flat (a, b) and (b, a) indices in row-major
+    # order, links then the rest, in arrays that cannot be written
+    from otaconsensus import topology
+
+    calls = []
+    monkeypatch.setattr(topology, "is_strongly_connected", lambda adj: calls.append(1) or is_strongly_connected(adj))
+    g = digraph(4, (0, 1), (1, 0), (0, 3), (3, 0), (1, 2), (2, 1))
+    assert g.strongly_connected and g.strongly_connected and calls == [1]
+    assert not digraph(4, (0, 1), (1, 0), (2, 3), (3, 2)).strongly_connected
+    (up, down), (off_up, off_down) = pairs = g.pair_indices
+    assert g.pair_indices is pairs
+    assert [up.tolist(), down.tolist(), off_up.tolist(), off_down.tolist()] == [[1, 3, 6], [4, 12, 9], [2, 7, 11], [8, 13, 14]]
+    for index in (up, down, off_up, off_down):
+        with pytest.raises(ValueError, match="read-only"):
+            index[0] = 0
+
+
 def test_symmetric_detection():
     sym = digraph(2, (0, 1), (1, 0))
     asym = digraph(2, (0, 1))
