@@ -15,8 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import ChannelRealization
-from .protocol import COLUMN_SUM_TOL, DegenerateStateError, InitialStates, refuse_pilot_sums
+from .protocol import COLUMN_SUM_TOL, DegenerateStateError, InitialStates, refuse_pilot_sums, usable_sums
 
 class PeriodicityError(RuntimeError):
     """The mixing matrix is not primitive, so no unique limit exists."""
@@ -31,28 +30,37 @@ class StochasticAudit:
     is_column_stochastic: bool
 
 
-def build_Hbar(h: ChannelRealization, context: str = "") -> np.ndarray:
-    """Normalize a realization into the step's mixing matrix.
+def build_Hbar(gains: np.ndarray, step: int | None = None) -> np.ndarray:
+    """Normalize gains, one block (n, n) or a stack (..., n, n), into the
+    mixing matrices of the steps that read them.
 
-    Column j is the gain column divided by sigma_j, the receiver-side pilot
-    sum (row sum j). Column j then sums to (column sum)/(row sum), which is
-    1 exactly when the gains are reciprocal; feeding a non-reciprocal matrix
-    through here is the designed way to break the stochasticity audit.
-    Its own row sums are refused as the kernel's pilot sums are, by
-    protocol.refuse_pilot_sums, naming the node and any context ("at step 3").
+    Column j of a block is its gain column divided by sigma_j, the
+    receiver-side pilot sum (row sum j). Column j then sums to (column
+    sum)/(row sum), which is 1 exactly when the gains are reciprocal;
+    feeding a non-reciprocal matrix through here is the designed way to
+    break the stochasticity audit. Each block of a stack comes out bitwise
+    as it would alone. The sums are refused as the kernel's pilot sums are,
+    by protocol.refuse_pilot_sums: those of the first block, in C order,
+    that holds a sum it cannot divide by, naming the node and, when step
+    is given, the step that reads the block, step + its index ("at step 3").
     """
+    gains = np.asarray(gains, dtype=float)
     with np.errstate(over="ignore"):  # an overflowing sum is refused below
-        sigma = h.gains.sum(axis=1)
-    refuse_pilot_sums(sigma, context)
-    return h.gains / sigma[np.newaxis, :]
+        sigma = gains.sum(axis=-1)
+    if not usable_sums(sigma).all():
+        sums = sigma.reshape(-1, sigma.shape[-1])
+        b = int(np.argmin(usable_sums(sums).all(axis=-1)))
+        refuse_pilot_sums(sums[b], "" if step is None else f"at step {step + b}")
+    return gains / sigma[..., np.newaxis, :]
 
 
 def audit_column_stochastic(m: np.ndarray) -> StochasticAudit:
-    """Measure how far a square matrix is from column stochastic."""
+    """Measure how far a square matrix, or the worst of a stack (..., n, n)
+    of them, is from column stochastic."""
     m = np.asarray(m, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-2] != m.shape[-1]:
         raise ValueError(f"audit needs a square matrix, got shape {m.shape}")
-    col_err = float(np.max(np.abs(m.sum(axis=0) - 1.0)))
+    col_err = float(np.max(np.abs(m.sum(axis=-2) - 1.0)))
     min_entry = float(m.min())
     return StochasticAudit(
         max_column_sum_error=col_err,
@@ -62,20 +70,23 @@ def audit_column_stochastic(m: np.ndarray) -> StochasticAudit:
 
 
 def matrix_oracle(
-    h_seq, S: InitialStates, k_max: int
+    hbar_seq, S: InitialStates, k_max: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Brute-force reference trajectories by explicit matrix products.
 
     Iterates both chains from (S, all-ones) under the per-step mixing
-    matrices of h_seq's realizations, read one per step from any iterable
-    and none held past its step, and returns arrays of shape (k_max+1, n)
-    for the numerator chain, the denominator chain, and their ratio.
+    matrices of hbar_seq (build_Hbar's), read one per step from any
+    iterable and none held past its step, and returns arrays of shape
+    (k_max+1, n) for the numerator chain, the denominator chain, and their
+    ratio. The caller normalizes, so a matrix read at every step is built
+    once; an iterable that raises as a matrix is read raises here, after
+    the steps before it.
     Completely independent of the per-node protocol implementation, which
     is what makes it an oracle for it.
     """
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
-    n, blocks = S.n, iter(h_seq)
+    n, mixing = S.n, iter(hbar_seq)
     y = S.values.astype(float).copy()
     x = np.ones(n)
     Y = np.empty((k_max + 1, n))
@@ -90,12 +101,11 @@ def matrix_oracle(
         MU[k] = y / x
         if k == k_max:
             break
-        h = next(blocks, None)
-        if h is None:
-            raise ValueError(f"need {k_max} realizations, got {k}")
-        hbar = build_Hbar(h, f"at step {k + 1}")
+        hbar = next(mixing, None)
+        if hbar is None:
+            raise ValueError(f"need {k_max} mixing matrices, got {k}")
         if hbar.shape != (n, n):
-            raise ValueError(f"realization {k} is {hbar.shape[0]}-node, expected {n}")
+            raise ValueError(f"mixing matrix {k} is {hbar.shape[0]}-node, expected {n}")
         y = hbar @ y
         x = hbar @ x
     return Y, X, MU

@@ -63,11 +63,13 @@ class FadingModel:
         """size independent gains; half_normal redraws any exact zero."""
         if self.kind == "constant":
             return np.full(size, float(self.gain))
-        if self.kind == "half_normal":
-            g = np.abs(rng.normal(0.0, self.scale, size))
-            while not g.all():
-                zero = g == 0.0
-                g[zero] = np.abs(rng.normal(0.0, self.scale, int(zero.sum())))
+        if self.kind == "half_normal":  # |z| * scale: the bits of |normal(0, scale)|, drawn faster
+            g = np.abs(rng.standard_normal(size))
+            with np.errstate(over="ignore"):  # an overflowing gain is inf, refused when its block is read
+                g *= self.scale
+                while not g.all():
+                    zero = g == 0.0
+                    g[zero] = np.abs(rng.standard_normal(int(zero.sum()))) * self.scale
             return g
         return self.lo + (self.hi - self.lo) * rng.random(size)
 

@@ -13,6 +13,7 @@ import sys
 from contextlib import contextmanager
 from dataclasses import MISSING, asdict, dataclass, fields, replace
 from functools import partial
+from itertools import repeat
 from operator import attrgetter
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from .analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from .channel import FADING_ARGS, ChannelRealization, FadingModel
+from .channel import FADING_ARGS, FadingModel, epoch_blocks
 from .floattext import fmt_float, node_words, trajectory_rows
 from .protocol import COLUMN_SUM_TOL, InitialStates, NonFiniteStateError
 from .simulator import (
@@ -380,6 +381,44 @@ class CheckResult:
     threshold: float
 
 
+@contextmanager
+def _regime(regime: str):
+    """Lead a fault raised inside with the regime that raised it: it comes
+    from the config run as tvc without deep fade, not from the user's run."""
+    try:
+        yield
+    except (ValueError, RuntimeError) as fault:
+        raise _led(f"{regime} regime (config run as tvc without deep fade)", fault) from fault
+
+
+def _mixing(channel, steps: int, audited: int, audits: list):
+    """The mixing matrices of channel's blocks 0 to steps - 1, each block
+    read once and normalized once: an epoch at a time, written by
+    write_epoch into one (T, n, n) buffer, the last epoch cut to the blocks
+    asked for so that a block never read cannot raise, and normalized by one
+    build_Hbar call. Those of the first audited blocks are audited as they
+    go by, one audit_column_stochastic call an epoch, into audits.
+
+    An epoch with a pilot sum build_Hbar refuses is read again a block at a
+    time, each block realized and normalized when it is read, so that its
+    faults come as they would one block at a time: after the steps before
+    it, a block's overflowing gain (realization(k) names it), then its
+    sums."""
+    n = channel.topology.n
+    T = epoch_blocks(n)
+    epoch = np.empty((T, n, n))
+    for first in range(0, steps, T):
+        channel.write_epoch(first // T, epoch)
+        try:
+            hbars = build_Hbar(epoch[: steps - first], first + 1)
+        except RuntimeError:  # refused: the epoch again, a block at a time
+            hbars = (build_Hbar(channel.realization(k).gains, k + 1) for k in range(first, min(first + T, steps)))
+        else:
+            if first < audited:
+                audits.append(audit_column_stochastic(hbars[: audited - first]))
+        yield from hbars
+
+
 def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     """Invariant checks derived from the config's topology, fading, and seeds.
 
@@ -392,14 +431,22 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     passes are 100-step members of the tvc pass; InitialStates refuses their
     starts before any pass, the message led by "scale_equivariance start: ".
 
+    The oracle reads each block once, normalized once. Block 0 is realized
+    first and normalized after the starts are refused; that one matrix is
+    the tic oracle's at every step and the stationary check's. The tvc
+    oracle's blocks 0-99 are written and normalized an epoch at a time as
+    it reads them (_mixing), and the first 50 of those same matrices are
+    audited for column stochasticity as they go by; no block is drawn
+    again. A fault a regime's oracle or pass raises is led by the regime.
+
     Positive checks pass when the measured error is at or below the
     threshold. The two negative controls invert that: they pass when the
     designed breakage actually shows up (measured error above threshold, or
     the expected error raised).
     """
     g, channel, S, _, _ = prepare(replace(cfg, algorithm="tvc", deep_fade=False))
-    k_eq, k_mass = 100, 1000
-    h0 = channel.realization(0)  # every later block is realized when it is read
+    k_eq, k_mass, k_audit = 100, 1000, 50
+    block0 = channel.realization(0).gains  # the one block a tic pass reads
 
     # the equivariance passes' starts, each refused before any pass if it overflows
     shifted = (("scale_equivariance", lambda v: 3.7 * v), ("shift_equivariance", lambda v: v - 2.0))
@@ -412,17 +459,17 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
             raise _led(f"{name} start", refused) from None
 
     # protocol vs matrix oracle and chain-sum conservation per regime; tvc's pass carries the equivariance passes
-    oracle, mass = [], []
-    for regime, h_seq, passes in (
-        ("tic", [h0] * k_eq, [(S, k_mass)]),
-        ("tvc", map(channel.realization, range(k_eq)), [(S, k_mass), *((s, k_eq) for s in starts)]),
+    with _regime("tic"):
+        hbar0 = build_Hbar(block0, 1)
+    oracle, mass, audits = [], [], []
+    for regime, mixing, passes in (
+        ("tic", repeat(hbar0, k_eq), [(S, k_mass)]),
+        ("tvc", _mixing(channel, k_eq, k_audit, audits), [(S, k_mass), *((s, k_eq) for s in starts)]),
     ):
         members = [lambda s=s, k=k: (None, channel, s, None, k) for s, k in passes]
-        try:
-            expected = matrix_oracle(h_seq, S, k_eq)
+        with _regime(regime):
+            expected = matrix_oracle(mixing, S, k_eq)
             (summary, rows), *equivariant = _drive(regime, members, record=True)
-        except (ValueError, RuntimeError) as fault:  # not the user's run: say which regime saw it
-            raise _led(f"{regime} regime (config run as tvc without deep fade)", fault) from fault
         err = max(float(np.max(np.abs(e - p[: k_eq + 1]))) for e, p in zip(expected, rows))
         oracle.append(CheckResult(f"oracle_equivalence_{regime}", err <= 1e-10, err, 1e-10))
         err = max(summary.mass_drift_y, summary.mass_drift_x)  # mass_audit's drift, from the driver
@@ -430,8 +477,7 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
         base = rows[2][: k_eq + 1].copy()  # the ratio rows the equivariance passes are held against (tvc's)
         del expected, rows  # one regime's rows at a time
 
-    # realized mixing matrices must be column stochastic every step
-    audits = [audit_column_stochastic(build_Hbar(channel.realization(k))) for k in range(50)]
+    # realized mixing matrices must be column stochastic every step: the tvc oracle's first 50
     worst = max(a.max_column_sum_error for a in audits)
     ok = all(a.is_column_stochastic for a in audits)
     stochastic = CheckResult("column_stochasticity", ok, worst, COLUMN_SUM_TOL)
@@ -445,17 +491,16 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
     # the stationary eigenvector exists, is a fixed point, and certifies
     # mean(S); a limit that cannot be certified (a periodic support, or a
     # solve that fails its own checks) fails the check, measured 1
-    hbar = build_Hbar(h0)
     try:
-        v = stationary_limit(hbar, S)
-        resid = float(np.max(np.abs(hbar @ v - v)))
+        v = stationary_limit(hbar0, S)
+        resid = float(np.max(np.abs(hbar0 @ v - v)))
     except RuntimeError:
         resid = 1.0
     checks.append(CheckResult("stationary_limit_fixed_point", resid <= 1e-10, resid, 1e-10))
 
     # negative control: bipartite support without self terms has no limit;
     # passes iff the periodicity error is raised (measured 0 when it is)
-    swap = ChannelRealization(2, np.array([[0.0, 1.0], [1.0, 0.0]]), 0.0)
+    swap = np.array([[0.0, 1.0], [1.0, 0.0]])
     try:
         stationary_limit(build_Hbar(swap), InitialStates(np.array([0.0, 2.0])))
         raised = False
@@ -467,11 +512,10 @@ def run_verify_suite(cfg: SimulationConfig) -> list[CheckResult]:
 
     # negative control: breaking reciprocity must break column stochasticity;
     # passes iff the measured error EXCEEDS the threshold
-    gains = h0.gains.copy()
+    gains = block0.copy()
     link = np.argwhere(g.adj)[:1]  # none without links: nothing breaks, and the check fails
     gains[link[:, 0], link[:, 1]] *= 1.5
-    broken = ChannelRealization(cfg.n, gains, cfg.self_weight)
-    err = audit_column_stochastic(build_Hbar(broken)).max_column_sum_error
+    err = audit_column_stochastic(build_Hbar(gains)).max_column_sum_error
     checks.append(CheckResult("non_reciprocal_breaks_stochasticity", err > 1e-6, err, 1e-6))
     return checks
 

@@ -9,9 +9,10 @@ the topology draw. Everything downstream is a pure function of the config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields
 from functools import partial
 from itertools import count, groupby
+from operator import attrgetter
 
 import numpy as np
 
@@ -129,6 +130,11 @@ class SimulationConfig:
             raise ValueError(
                 f"explicit initial values have length {len(self.initial.values)}, expected n={self.n}"
             )
+
+
+#: A config's fields but its seed, as a tuple: configs equal in it differ
+#: only in seed, compared without building a config.
+_all_but_seed = attrgetter(*(f.name for f in fields(SimulationConfig) if f.name != "seed"))
 
 
 @dataclass(frozen=True, eq=False)
@@ -440,7 +446,7 @@ def run_group(configs, done=None) -> list[RunSummary]:
     once, and the next call reads it again."""
     done = [] if done is None else done
     built = graph = None  # graph, built for built = (topology, n)
-    for _, batch in groupby(configs, key=lambda c: replace(c, seed=0)):
+    for _, batch in groupby(configs, key=_all_but_seed):
         batch = list(batch)
         c = batch[0]
         if c.topology.kind == "erdos_renyi":  # drawn from each member's topology seed

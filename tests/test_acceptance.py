@@ -118,13 +118,13 @@ def test_03_every_step_column_stochastic(criterion, tic_runs, tvc_runs):
     with criterion(3, "every_effective_matrix_column_stochastic"):
         for seed, (cfg, _, summary, dt) in tic_runs.items():
             _, channel, *_ = prepare(cfg)
-            audit = audit_column_stochastic(build_Hbar(channel.realization(0)))
+            audit = audit_column_stochastic(build_Hbar(channel.realization(0).gains))
             assert audit.max_column_sum_error <= 1e-12
             assert audit.min_entry >= 0.0
         for seed, (cfg, _, summary) in tvc_runs.items():
             _, channel, *_ = prepare(cfg)
             for k in range(summary.iterations_used):
-                audit = audit_column_stochastic(build_Hbar(channel.realization(k)))
+                audit = audit_column_stochastic(build_Hbar(channel.realization(k).gains))
                 assert audit.max_column_sum_error <= 1e-12, f"seed {seed} step {k}"
                 assert audit.min_entry >= 0.0, f"seed {seed} step {k}"
 
@@ -153,7 +153,7 @@ def test_05_protocol_matches_matrix_oracle(criterion):
                 topology=TopologySpec("erdos_renyi", p=0.7),
             )
             _, channel, S, *_ = prepare(cfg)
-            h_seq = [channel.realization(k if time_varying else 0) for k in range(k_max)]
+            h_seq = [build_Hbar(channel.realization(k if time_varying else 0).gains) for k in range(k_max)]
             Y, X, MU = take(cfg.algorithm, S, k_max, channel=channel)
             Yo, Xo, MUo = matrix_oracle(h_seq, S, k_max)
             for got, want, label in ((Y, Yo, "y"), (X, Xo, "x"), (MU, MUo, "mu")):
@@ -278,6 +278,6 @@ def test_10_designed_failure_modes(criterion):
         # non-reciprocal gains: receiver-side pilot sums no longer equal the
         # column sums, so normalization loses column stochasticity
         h_asym = ChannelRealization(2, np.array([[1.0, 2.0], [3.0, 1.0]]), self_weight=1.0)
-        audit = audit_column_stochastic(build_Hbar(h_asym))
+        audit = audit_column_stochastic(build_Hbar(h_asym.gains))
         assert not audit.is_column_stochastic
         assert audit.max_column_sum_error > 1e-6

@@ -11,8 +11,8 @@ from otaconsensus.analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel
-from otaconsensus.protocol import InitialStates, IsolationError
+from otaconsensus.channel import FADING_KINDS, ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
+from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError
 from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive, prepare
 from otaconsensus.topology import TopologySpec, generate_topology
 from standin import sym_realization
@@ -23,12 +23,12 @@ from standin import sym_realization
 
 def test_build_hbar_uniform():
     h = sym_realization([[1.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(build_Hbar(h), np.full((2, 2), 0.5))
+    np.testing.assert_array_equal(build_Hbar(h.gains), np.full((2, 2), 0.5))
 
 
 def test_build_hbar_arithmetic():
     h = sym_realization([[1.0, 2.0], [2.0, 1.0]])
-    np.testing.assert_allclose(build_Hbar(h), [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], atol=1e-16)
+    np.testing.assert_allclose(build_Hbar(h.gains), [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], atol=1e-16)
 
 
 @given(seed=st.integers(min_value=0, max_value=500))
@@ -38,7 +38,7 @@ def test_build_hbar_column_stochastic_under_reciprocity(seed):
     n = int(rng.integers(2, 9))
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), n, seed=seed)
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=seed)
-    audit = audit_column_stochastic(build_Hbar(proc.realization(int(rng.integers(0, 10)))))
+    audit = audit_column_stochastic(build_Hbar(proc.realization(int(rng.integers(0, 10))).gains))
     assert audit.is_column_stochastic
     assert audit.max_column_sum_error <= 1e-12
     assert audit.min_entry >= 0
@@ -47,7 +47,7 @@ def test_build_hbar_column_stochastic_under_reciprocity(seed):
 def test_build_hbar_breaks_without_reciprocity():
     # the stochasticity rests on row sums equaling column sums
     h = ChannelRealization(2, np.array([[1.0, 0.3], [0.7, 1.0]]), 1.0)
-    audit = audit_column_stochastic(build_Hbar(h))
+    audit = audit_column_stochastic(build_Hbar(h.gains))
     assert not audit.is_column_stochastic
     assert audit.max_column_sum_error > 1e-2
 
@@ -55,7 +55,65 @@ def test_build_hbar_breaks_without_reciprocity():
 def test_build_hbar_isolated_node():
     h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
     with pytest.raises(IsolationError, match="node 0"):
-        build_Hbar(h)
+        build_Hbar(h.gains)
+
+
+#: A model of each fading kind, its parameters drawn; a kind missing here fails the test that draws one
+FADING_MODELS = {
+    "constant": st.builds(FadingModel.constant, st.floats(1e-3, 1e3)),
+    "half_normal": st.builds(FadingModel.half_normal, st.floats(1e-3, 1e3)),
+    "uniform": st.tuples(st.floats(1e-3, 1e3), st.floats(1.0, 1e3)).map(
+        lambda lh: FadingModel.uniform(lh[0], lh[0] * lh[1])),
+}
+
+
+@given(n=st.integers(2, 70), model=st.sampled_from(FADING_KINDS).flatmap(FADING_MODELS.__getitem__),
+       seed=st.integers(0, 2**32 - 1), e=st.integers(0, 3), deep_fade=st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_stacked_build_hbar_and_audit_equal_each_block_alone(n, model, seed, e, deep_fade):
+    # an epoch of T = 64 (n <= 11) down to 1 (n >= 65) blocks, normalized
+    # and audited as one stack: each matrix is bitwise the block's alone,
+    # and the stack's audit is the worst of the blocks' audits, of the
+    # mixing matrices and of the raw gains, which are not stochastic
+    T = epoch_blocks(n)
+    topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.5), n, seed=seed)
+    proc = ChannelProcess(model, topo, self_weight=1.0, seed=seed, deep_fade_epsilon=1e-3 if deep_fade else None)
+    epoch = np.empty((T, n, n))
+    proc.write_epoch(e, epoch)
+    hbars = build_Hbar(epoch, e * T + 1)
+    assert hbars.shape == (T, n, n)
+    for block, hbar in zip(epoch, hbars):
+        assert build_Hbar(block).tobytes() == hbar.tobytes()
+    assert build_Hbar(np.stack([epoch, epoch])).tobytes() == np.stack([hbars, hbars]).tobytes()
+    for stack in (hbars, epoch):
+        audit, alone = audit_column_stochastic(stack), [audit_column_stochastic(m) for m in stack]
+        assert audit.max_column_sum_error == max(a.max_column_sum_error for a in alone)
+        assert audit.min_entry == min(a.min_entry for a in alone)
+        assert audit.is_column_stochastic == all(a.is_column_stochastic for a in alone)
+
+
+@pytest.mark.parametrize("faults, step, error, message", [
+    ([(1, "isolated", 2), (2, "overflowed", 0)], 5, IsolationError,
+     "node 2 is isolated at step 6: pilot sum 0.0 <= 1e-12"),
+    ([(1, "overflowed", 0), (2, "isolated", 2)], 5, NonFiniteStateError,
+     "node 0 overflowed at step 6: pilot sum inf is not finite"),
+    ([(1, "overflowed", 0), (1, "isolated", 2)], 5, IsolationError,
+     "node 2 is isolated at step 6: pilot sum 0.0 <= 1e-12"),
+    ([(2, "isolated", 1)], None, IsolationError, "node 1 is isolated: pilot sum 0.0 <= 1e-12"),
+], ids=["isolation-first", "overflow-first", "one-block-isolation-before-overflow", "no-step"])
+def test_stacked_build_hbar_refuses_its_first_failing_block(faults, step, error, message):
+    # three blocks read from the given step on: the first block holding a
+    # sum it cannot divide by is refused, named by the step that reads it,
+    # whatever a later block holds; within a block, isolation comes first
+    stack = np.ones((3, 3, 3))
+    for b, fault, j in faults:
+        if fault == "isolated":
+            stack[b, j] = stack[b, :, j] = 0.0
+        else:
+            stack[b, j] = 1e308
+    with pytest.raises(error) as refused:
+        build_Hbar(stack, step)
+    assert str(refused.value) == message
 
 
 # ---------------------------------------------------------------- audit
@@ -89,7 +147,7 @@ def test_audit_needs_square():
 def test_oracle_k0_returns_initials():
     h = sym_realization([[1.0, 0.5], [0.5, 1.0]])
     S = InitialStates(np.array([4.0, -2.0]))
-    Y, X, MU = matrix_oracle([h], S, 0)
+    Y, X, MU = matrix_oracle([build_Hbar(h.gains)], S, 0)
     np.testing.assert_array_equal(Y, [[4.0, -2.0]])
     np.testing.assert_array_equal(X, [[1.0, 1.0]])
     np.testing.assert_array_equal(MU, [[4.0, -2.0]])
@@ -101,8 +159,8 @@ def test_oracle_constant_sequence_equals_matrix_powers():
     h = proc.realization(0)
     S = InitialStates(np.array([1.0, 2.0, 3.0, 4.0, 5.0]))
     k_max = 30
-    Y, X, MU = matrix_oracle([h] * k_max, S, k_max)
-    hbar = build_Hbar(h)
+    hbar = build_Hbar(h.gains)
+    Y, X, MU = matrix_oracle([hbar] * k_max, S, k_max)
     for k in (0, 1, 7, 30):
         pk = np.linalg.matrix_power(hbar, k)
         np.testing.assert_allclose(Y[k], pk @ S.values, atol=1e-10)
@@ -111,8 +169,8 @@ def test_oracle_constant_sequence_equals_matrix_powers():
 
 def test_oracle_validates_sequence_length():
     h = sym_realization([[1.0, 0.5], [0.5, 1.0]])
-    with pytest.raises(ValueError, match="realizations"):
-        matrix_oracle([h], InitialStates(np.array([1.0, 2.0])), 5)
+    with pytest.raises(ValueError, match="mixing matrices"):
+        matrix_oracle([build_Hbar(h.gains)], InitialStates(np.array([1.0, 2.0])), 5)
 
 
 def test_oracle_matches_protocol_tic():
@@ -121,7 +179,7 @@ def test_oracle_matches_protocol_tic():
     h = proc.realization(0)
     S = InitialStates(np.array([3.0, -1.0, 0.0, 2.5, 4.0, -2.0]))
     k_max = 100
-    Y, X, MU = matrix_oracle([h] * k_max, S, k_max)
+    Y, X, MU = matrix_oracle([build_Hbar(h.gains)] * k_max, S, k_max)
     (_, rows), = _drive("tic", [lambda: (None, proc, S, None, k_max)], record=True)
     for k, (y_tilde, x_tilde, mu) in enumerate(zip(*rows)):
         np.testing.assert_allclose(y_tilde, Y[k], atol=1e-10)
@@ -134,7 +192,7 @@ def test_oracle_matches_protocol_tvc():
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=25)
     S = InitialStates(np.array([3.0, -1.0, 0.0, 2.5, 4.0, -2.0]))
     k_max = 100
-    h_seq = [proc.realization(k) for k in range(k_max)]
+    h_seq = [build_Hbar(proc.realization(k).gains) for k in range(k_max)]
     Y, X, MU = matrix_oracle(h_seq, S, k_max)
     (_, rows), = _drive("tvc", [lambda: (None, proc, S, None, k_max)], record=True)
     for k, (y_tilde, x_tilde, _) in enumerate(zip(*rows)):
@@ -152,7 +210,7 @@ def test_stationary_limit_hand_solved():
 
 
 def test_stationary_limit_doubly_stochastic_uniform():
-    hbar = build_Hbar(sym_realization([[1.0, 0.6], [0.6, 1.0]]))
+    hbar = build_Hbar(sym_realization([[1.0, 0.6], [0.6, 1.0]]).gains)
     v = stationary_limit(hbar, InitialStates(np.array([0.0, 2.0])))
     np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-10)
 
@@ -164,7 +222,7 @@ def test_stationary_limit_is_mean_and_fixed_point(seed):
     n = int(rng.integers(2, 8))
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), n, seed=seed)
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=seed)
-    hbar = build_Hbar(proc.realization(0))
+    hbar = build_Hbar(proc.realization(0).gains)
     S = InitialStates(rng.uniform(-4, 4, size=n))
     v = stationary_limit(hbar, S)
     assert np.all(v > 0)
@@ -181,7 +239,7 @@ def test_stationary_limit_matches_exact_on_slow_mixing_ring():
     n = 200
     topo = generate_topology(TopologySpec(kind="ring"), n, seed=0)
     block = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=1).realization(0)
-    v = stationary_limit(build_Hbar(block), InitialStates(np.linspace(-1.0, 1.0, n)))
+    v = stationary_limit(build_Hbar(block.gains), InitialStates(np.linspace(-1.0, 1.0, n)))
     sigma = block.gains.sum(axis=0)
     ref = sigma / sigma.sum()
     assert np.max(np.abs(v - ref)) <= 1e-10 * np.max(np.abs(ref))
@@ -196,7 +254,7 @@ def test_stationary_limit_identity_scales_with_mean(mean):
                            fading=FadingModel.half_normal(1.0),
                            initial=InitialSpec.random_mean(mean, 1.0), seed=42)
     _, channel, S, *_ = prepare(cfg)
-    v = stationary_limit(build_Hbar(channel.realization(0)), S)
+    v = stationary_limit(build_Hbar(channel.realization(0).gains), S)
     assert np.all(v > 0)
     assert v.sum() == pytest.approx(1.0, abs=1e-12)
 
@@ -251,7 +309,7 @@ def test_mass_audit_long_tic_run():
     h = proc.realization(0)
     S = InitialStates(np.random.default_rng(32).uniform(0, 2, size=10))
     k_max = 1000
-    traj = matrix_oracle([h] * k_max, S, k_max)
+    traj = matrix_oracle([build_Hbar(h.gains)] * k_max, S, k_max)
     drift_y, drift_x = mass_audit(traj, S)
     assert drift_y <= 1e-9 and drift_x <= 1e-9
 
@@ -267,7 +325,7 @@ def test_mass_audit_flags_non_reciprocal():
     )
     h = ChannelRealization(3, gains, 1.0)
     S = InitialStates(np.array([1.0, 2.0, 3.0]))
-    traj = matrix_oracle([h] * 100, S, 100)
+    traj = matrix_oracle([build_Hbar(h.gains)] * 100, S, 100)
     drift_y, drift_x = mass_audit(traj, S)
     assert drift_y > 1e-3 and drift_x > 1e-3
 
@@ -279,8 +337,8 @@ def test_mass_audit_empty_rejected():
 
 @pytest.mark.parametrize("call, message", [
     (lambda: matrix_oracle([], InitialStates([1.0, 2.0]), -1), "k_max must be nonnegative, got -1"),
-    (lambda: matrix_oracle([sym_realization(np.ones((3, 3)))], InitialStates([1.0, 2.0]), 1),
-     "realization 0 is 3-node, expected 2"),
+    (lambda: matrix_oracle([np.full((3, 3), 1 / 3)], InitialStates([1.0, 2.0]), 1),
+     "mixing matrix 0 is 3-node, expected 2"),
     (lambda: stationary_limit(np.full((2, 2), 0.5), InitialStates([1.0, 2.0, 3.0])),
      "got 3 initial values for 2-node matrix"),
     (lambda: mass_audit((np.ones((3, 2)), np.ones((3, 3))), InitialStates([1.0, 2.0])),

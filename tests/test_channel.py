@@ -47,7 +47,7 @@ def test_half_normal_redraws_exact_zeros():
     sizes = []
 
     class Scripted:
-        def normal(self, loc, scale, size):
+        def standard_normal(self, size):
             sizes.append(size)
             return draws.pop(0)
 

@@ -990,11 +990,12 @@ def test_verify_on_a_graph_without_links_fails_a_row(tmp_path, capsys):
 
 
 def test_verify_suite_realizes_blocks_as_it_reads_them(monkeypatch):
-    # block 0 is held for the tic oracle and the stationary checks; the tic
-    # pass realizes block 0, the tvc oracle blocks 0-99 one at a time, the
-    # tvc pass writes 16 epochs of 64 blocks, epochs 0 and 1 by each of its
-    # three members, and the audits realize blocks 0-49 again; the process
-    # caches one epoch, so it draws 19: 0, 1 for the oracle, 0-15, then 0
+    # block 0 is realized once for the tic oracle, the stationary check and
+    # the non-reciprocal control, and the tic pass realizes it again; the
+    # tvc oracle writes epochs 0 and 1 (blocks 0-99, 64 to an epoch), whose
+    # first 50 matrices the audit reads as they go by; the tvc pass writes
+    # 16 epochs, epochs 0 and 1 by each of its three members; the process
+    # caches one epoch, so it draws 18: 0, 1 for the oracle, then 0-15
     calls, draws = [], []
     realization, write_epoch, draw = ChannelProcess.realization, ChannelProcess.write_epoch, FadingModel.draw
     monkeypatch.setattr(ChannelProcess, "realization",
@@ -1004,9 +1005,8 @@ def test_verify_suite_realizes_blocks_as_it_reads_them(monkeypatch):
     monkeypatch.setattr(FadingModel, "draw", lambda self, rng, size: draws.append(size) or draw(self, rng, size))
     run_verify_suite(parse_config(str(CONFIG_DIR / "tvc10.cfg")))
     epochs = [0] * 3 + [1] * 3 + list(range(2, 16))
-    assert calls == ([("block", 0)] * 2 + [("block", k) for k in range(100)] + [("epoch", e) for e in epochs]
-                     + [("block", k) for k in range(50)])
-    assert len(draws) == 19
+    assert calls == [("block", 0)] * 2 + [("epoch", e) for e in [0, 1, *epochs]]
+    assert len(draws) == 18
 
 
 def test_verify_memory_is_bounded_without_channel_history():
@@ -1134,6 +1134,36 @@ def test_verify_leads_a_regime_fault_with_its_regime(tmp_path, capsys):
     assert capsys.readouterr().err == (
         "runtime error: tic regime (config run as tvc without deep fade): "
         "node 0 is isolated at step 1: pilot sum 6.231121086673822e-13 <= 1e-12\n")
+
+
+@pytest.mark.parametrize("keys, code, expected", [
+    # block 91, row 27 of the oracle's second epoch, isolates node 1
+    ("n = 4\ntopology = ring\nfading = half_normal(1.1e-11)\ninitial = explicit(1, 2, 3, 4)\nseed = 0\n", 3,
+     "runtime error: tvc regime (config run as tvc without deep fade): "
+     "node 1 is isolated at step 92: pilot sum 8.521022996973203e-13 <= 1e-12"),
+    # block 99, the last block the oracle reads
+    ("n = 4\ntopology = ring\nfading = half_normal(1.1e-11)\ninitial = explicit(1, 2, 3, 4)\nseed = 12\n", 3,
+     "runtime error: tvc regime (config run as tvc without deep fade): "
+     "node 2 is isolated at step 100: pilot sum 5.405490438090442e-13 <= 1e-12"),
+    # block 117, in the oracle's second epoch but past its last block: the pass names it
+    ("n = 4\ntopology = ring\nfading = half_normal(1.1e-11)\ninitial = explicit(1, 2, 3, 4)\nseed = 17\n", 3,
+     "runtime error: tvc regime (config run as tvc without deep fade): "
+     "node 3 is isolated at step 118: pilot sum 3.8481754089780816e-13 <= 1e-12"),
+    # block 12's one gain overflows: the config error naming it, not its sum
+    ("n = 2\ntopology = complete\nfading = half_normal(1e308)\ninitial = explicit(1, 2)\nseed = 0\n", 2,
+     "config error: tvc regime (config run as tvc without deep fade): "
+     "gain of pair (0,1) in block 12 is inf: fading overflows"),
+], ids=["isolation-mid-epoch", "isolation-in-the-last-block-read", "isolation-past-the-oracle", "overflow-mid-epoch"])
+def test_verify_names_a_tvc_block_fault_mid_epoch(keys, code, expected, tmp_path, capsys):
+    # the tvc oracle normalizes an epoch at a time; a block after the first
+    # of its epoch that cannot be normalized is named as it was read one
+    # block at a time, by its step or, for an overflowing gain, its block,
+    # with the fault's exit code and no verify.json
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"algorithm = tvc\nself_weight = 0\n{keys}")
+    assert main(["verify", str(cfg), "-o", str(tmp_path / "o")]) == code
+    assert capsys.readouterr().err == f"{expected}\n"
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("edges, keys, argv, code, expected", [

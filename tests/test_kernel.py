@@ -25,8 +25,8 @@ from otaconsensus.protocol import (
     prop1_weights,
     ratio,
 )
-from otaconsensus.analysis import mass_audit, matrix_oracle
-from otaconsensus import topology
+from otaconsensus.analysis import build_Hbar, mass_audit, matrix_oracle
+from otaconsensus import simulator, topology
 from otaconsensus.simulator import (
     ALGORITHMS,
     DRIFT_STEPS,
@@ -111,8 +111,8 @@ def test_kernel_reads_blocks_by_algorithm(algorithm, blocks, monkeypatch):
     _, _, mu = take(algorithm, InitialStates(np.arange(6.0)), 2 * T + 1, channel=proc)
     assert seen == blocks
     if algorithm == "tvc":  # step k is the matrix oracle over blocks 0 .. k - 1
-        _, _, expected = matrix_oracle([proc.realization(k) for k in range(2 * T + 1)], InitialStates(np.arange(6.0)),
-                                       2 * T + 1)
+        hbars = [build_Hbar(proc.realization(k).gains) for k in range(2 * T + 1)]
+        _, _, expected = matrix_oracle(hbars, InitialStates(np.arange(6.0)), 2 * T + 1)
         np.testing.assert_allclose(mu, expected, rtol=0, atol=1e-12)
 
 
@@ -746,6 +746,21 @@ def test_run_group_takes_any_list(configs):
     assert run_group([]) == []
 
 
+def test_run_group_keys_its_passes_without_building_a_config(monkeypatch):
+    # a sweep over two noise levels with three seeds each is two passes of
+    # three members, keyed on every field but seed without constructing a
+    # SimulationConfig; each summary is run()'s
+    configs = [base_config(algorithm="tvc", noise_std=v, seed=s, max_iters=60) for v in (0.0, 1e-6) for s in (3, 1, 3)]
+    alone = [run(c)[1] for c in configs]
+    built, passes = [], []
+    post_init, seed_group = SimulationConfig.__post_init__, simulator._seed_group
+    monkeypatch.setattr(SimulationConfig, "__post_init__", lambda self: built.append(self) or post_init(self))
+    monkeypatch.setattr(simulator, "_seed_group",
+                        lambda batch, **kw: passes.append(len(batch)) or seed_group(batch, **kw))
+    assert run_group(configs) == alone
+    assert built == [] and passes == [3, 3]
+
+
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
 def test_run_group_across_passes_equals_runs_one_by_one(data, tmp_path_factory):
@@ -804,9 +819,9 @@ def test_run_keeps_the_papers_invariants(group):
         _, channel, S, *_ = prepare(cfg)
         k = summary.iterations_used
         tvc = cfg.algorithm == "tvc"
-        blocks = [channel.realization(j) for j in range(k)] if tvc else [channel.realization(0)] * k
+        hbars = [build_Hbar(channel.realization(j if tvc else 0).gains) for j in range(k)]
         for got, expected in zip((trajectory.y_tilde, trajectory.x_tilde, trajectory.mu),
-                                 matrix_oracle(blocks, S, k)):
+                                 matrix_oracle(hbars, S, k)):
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-10)
         assert max(summary.mass_drift_y, summary.mass_drift_x) <= 1e-9
         lo, hi = S.values.min(), S.values.max()

@@ -288,7 +288,7 @@ def test_tvc_per_step_normalization_is_column_stochastic():
     topo = generate_topology(TopologySpec(kind="erdos_renyi", p=0.6), 6, seed=7)
     proc = ChannelProcess(FadingModel.half_normal(1.0), topo, seed=8)
     for k in range(40):
-        audit = audit_column_stochastic(build_Hbar(proc.realization(k)))
+        audit = audit_column_stochastic(build_Hbar(proc.realization(k).gains))
         assert audit.is_column_stochastic
 
 
