@@ -16,7 +16,7 @@ from .analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from .channel import ChannelProcess, ChannelRealization, FadingModel
+from .channel import ChannelProcess, FadingModel
 from .protocol import (
     DegenerateStateError,
     InitialStates,
@@ -47,7 +47,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ChannelProcess",
-    "ChannelRealization",
     "DegenerateStateError",
     "Digraph",
     "EdgeListError",

@@ -93,7 +93,7 @@ def matrix_oracle(
     X = np.empty((k_max + 1, n))
     MU = np.empty((k_max + 1, n))
     for k in range(k_max + 1):
-        if np.any(x <= 0):
+        if (x <= 0).any():
             j = int(np.argmin(x))
             raise DegenerateStateError(f"node {j} has nonpositive denominator at step {k}: {float(x[j])!r}")
         Y[k] = y

@@ -76,32 +76,10 @@ class FadingModel:
 
 @dataclass(frozen=True)
 class ChannelRealization:
-    """Gain matrix for one coherence block.
+    """One coherence block: gains[i, j], read-only (n, n), is the coefficient
+    from transmitter j to receiver i, as ChannelProcess.realization(k) builds it."""
 
-    gains[i, j] is the coefficient from transmitter j to receiver i; the
-    diagonal equals self_weight everywhere. Sampled realizations are
-    symmetric; the constructor does not enforce symmetry so that
-    deliberately corrupted (non-reciprocal) matrices can be built for
-    negative-control audits.
-    """
-
-    n: int
     gains: np.ndarray
-    self_weight: float
-
-    def __post_init__(self):
-        gains = np.asarray(self.gains, dtype=float)
-        if gains.shape != (self.n, self.n):
-            raise ValueError(f"gains must be {self.n}x{self.n}, got shape {gains.shape}")
-        if not np.all(np.isfinite(gains)):
-            raise ValueError("gains must be finite")
-        if np.any(gains < 0):
-            raise ValueError("gains must be nonnegative")
-        if not np.all(np.diagonal(gains) == self.self_weight):
-            raise ValueError(f"diagonal must equal self_weight={self.self_weight}")
-        gains = gains.copy()
-        gains.setflags(write=False)
-        object.__setattr__(self, "gains", gains)
 
 
 #: An epoch holds at most EPOCH_BLOCKS blocks and, when it holds more than
@@ -244,10 +222,10 @@ class ChannelProcess:
         self._write(e, slice(None), out)
 
     def realization(self, k: int) -> ChannelRealization:
-        """Gain matrix of block k; a pure function of (process fields, k).
-        Built symmetric, nonnegative and with the self_weight diagonal, it
-        is checked only for a gain overflowing to inf: a ValueError naming
-        the block, the pair and the keys that set its size."""
+        """Block k, a pure function of (process fields, k); its gains is the
+        read-only gain matrix, built symmetric, nonnegative and with the
+        self_weight diagonal. It is checked only for a gain overflowing to
+        inf: a ValueError naming the block, the pair and the keys."""
         if k < 0:
             raise ValueError(f"block index must be nonnegative, got {k}")
         n = self.topology.n
@@ -260,7 +238,4 @@ class ChannelProcess:
             raise ValueError(f"gain of pair ({a},{b}) in block {k} is {float(out[0, a, b])!r}: {keys} overflows")
         gains = out[0]
         gains.setflags(write=False)
-        block = object.__new__(ChannelRealization)
-        for name, value in (("n", n), ("gains", gains), ("self_weight", self.self_weight)):
-            object.__setattr__(block, name, value)
-        return block
+        return ChannelRealization(gains)

@@ -215,18 +215,18 @@ class EpsilonBAudit:
             self._unions[0] = self._unions[done]
 
 
-def check_epsilon_B_connectivity(realizations: Sequence, epsilon: float, B: int) -> bool:
-    """Windowed joint-connectivity audit over a realized channel sequence.
+def check_epsilon_B_connectivity(gains: Sequence, epsilon: float, B: int) -> bool:
+    """Windowed joint-connectivity audit over a sequence of (n, n) gain arrays.
 
     Splits the sequence into consecutive non-overlapping windows of B steps
-    (a trailing partial window is ignored), thresholds each realization's
-    gains at epsilon to get that step's effective graph, and requires the
-    union over every window to be strongly connected. Vacuously true when
-    no complete window fits.
+    (a trailing partial window is ignored), thresholds each step's gains at
+    epsilon to get that step's effective graph, and requires the union over
+    every window to be strongly connected. Vacuously true when no complete
+    window fits.
     """
     audit = EpsilonBAudit(epsilon, B)
-    for h in realizations:
-        audit.add(h.gains)
+    for g in gains:
+        audit.add(g)
     return audit.satisfied
 
 

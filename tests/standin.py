@@ -1,20 +1,19 @@
 """Stand-ins and helpers the test modules share.
 
-Blocks is a channel stand-in for kernel passes: any sequence of blocks,
-behind the one channel contract a ChannelProcess meets (realization(k) and
-write_epoch(e, out)).
+Blocks is a channel stand-in for kernel passes: any sequence of gain
+arrays, behind the one channel contract a ChannelProcess meets
+(realization(k) and write_epoch(e, out)).
 
-    Blocks(lambda k: h)                # every block is h
-    Blocks(lambda k: h_seq[k % 2])     # blocks that alternate
-    Blocks(proc.realization)           # a process's blocks, but not a process
+    Blocks(lambda k: g)                           # every block is g
+    Blocks(lambda k: g_seq[k % 2])                # blocks that alternate
+    Blocks(lambda k: proc.realization(k).gains)   # a process's blocks, but not a process
 
 A pass reads it as it reads a process, but its blocks are not taken for
 symmetric, so a tvc pass judges its epsilon-B windows both ways.
 
 take is a recording one-member pass over any such channel (or a graph, for
 baseline), measured_sigma the kernel's normalization sums one block at a
-time, sym_realization a block from a plain gain matrix, and base_config
-the 10-node tic config that tests vary by keyword.
+time, and base_config the 10-node tic config that tests vary by keyword.
 """
 import numpy as np
 
@@ -25,16 +24,20 @@ from otaconsensus.topology import TopologySpec
 
 
 class Blocks:
-    """The channel whose block k is realization(k), a ChannelRealization."""
+    """The channel whose block k is the (n, n) gain array gains(k)."""
 
-    def __init__(self, realization):
-        self.realization = realization
+    def __init__(self, gains):
+        self.gains = gains
+
+    def realization(self, k: int) -> ChannelRealization:
+        """Block k, wrapped as ChannelProcess.realization(k) gives it."""
+        return ChannelRealization(self.gains(k))
 
     def write_epoch(self, e: int, out: np.ndarray) -> None:
         """Blocks e*T to e*T + T - 1 into out, a (T, n, n) array, each
-        realized in turn: a block that raises does so at its epoch's write."""
+        drawn in turn: a block that raises does so at its epoch's write."""
         for r, block in enumerate(out):
-            block[...] = self.realization(e * len(out) + r).gains
+            block[...] = self.gains(e * len(out) + r)
 
 
 def take(algorithm, S, steps, g=None, channel=None, noise_std=0.0, noise_rng=None):
@@ -53,13 +56,6 @@ def measured_sigma(gains, noise=None, context=""):
         sigma = sigma + noise
     refuse_pilot_sums(sigma, context)
     return sigma
-
-
-def sym_realization(gains, self_weight=1.0):
-    """The block whose gain matrix is gains, validated as ChannelRealization
-    validates any block."""
-    g = np.asarray(gains, dtype=float)
-    return ChannelRealization(g.shape[0], g, self_weight)
 
 
 def base_config(**overrides):

@@ -23,7 +23,7 @@ from otaconsensus.analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from otaconsensus.channel import ChannelRealization, FadingModel
+from otaconsensus.channel import FadingModel
 from otaconsensus.protocol import InitialStates
 from otaconsensus.simulator import (
     InitialSpec,
@@ -230,12 +230,8 @@ def test_08_ratio_stays_in_initial_hull(criterion, tic_runs, tvc_runs):
 
 def test_09_alternating_graphs_need_window_two(criterion):
     with criterion(9, "joint_connectivity_window_and_tvc_convergence"):
-        h_even = ChannelRealization(
-            3, np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), self_weight=1.0
-        )
-        h_odd = ChannelRealization(
-            3, np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]]), self_weight=1.0
-        )
+        h_even = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 0.0], [0.0, 0.0, 1.0]])
+        h_odd = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
         h_seq = [h_even, h_odd, h_even, h_odd]
         assert check_epsilon_B_connectivity(h_seq, epsilon=0.5, B=2) is True
         assert check_epsilon_B_connectivity(h_seq, epsilon=0.5, B=1) is False
@@ -277,7 +273,7 @@ def test_10_designed_failure_modes(criterion):
 
         # non-reciprocal gains: receiver-side pilot sums no longer equal the
         # column sums, so normalization loses column stochasticity
-        h_asym = ChannelRealization(2, np.array([[1.0, 2.0], [3.0, 1.0]]), self_weight=1.0)
-        audit = audit_column_stochastic(build_Hbar(h_asym.gains))
+        h_asym = np.array([[1.0, 2.0], [3.0, 1.0]])
+        audit = audit_column_stochastic(build_Hbar(h_asym))
         assert not audit.is_column_stochastic
         assert audit.max_column_sum_error > 1e-6

@@ -11,24 +11,23 @@ from otaconsensus.analysis import (
     matrix_oracle,
     stationary_limit,
 )
-from otaconsensus.channel import FADING_KINDS, ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
+from otaconsensus.channel import FADING_KINDS, ChannelProcess, FadingModel, epoch_blocks
 from otaconsensus.protocol import InitialStates, IsolationError, NonFiniteStateError
 from otaconsensus.simulator import InitialSpec, SimulationConfig, _drive, prepare
 from otaconsensus.topology import TopologySpec, generate_topology
-from standin import sym_realization
 
 
 # ---------------------------------------------------------------- build_Hbar
 
 
 def test_build_hbar_uniform():
-    h = sym_realization([[1.0, 1.0], [1.0, 1.0]])
-    np.testing.assert_array_equal(build_Hbar(h.gains), np.full((2, 2), 0.5))
+    h = np.array([[1.0, 1.0], [1.0, 1.0]])
+    np.testing.assert_array_equal(build_Hbar(h), np.full((2, 2), 0.5))
 
 
 def test_build_hbar_arithmetic():
-    h = sym_realization([[1.0, 2.0], [2.0, 1.0]])
-    np.testing.assert_allclose(build_Hbar(h.gains), [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], atol=1e-16)
+    h = np.array([[1.0, 2.0], [2.0, 1.0]])
+    np.testing.assert_allclose(build_Hbar(h), [[1 / 3, 2 / 3], [2 / 3, 1 / 3]], atol=1e-16)
 
 
 @given(seed=st.integers(min_value=0, max_value=500))
@@ -46,16 +45,16 @@ def test_build_hbar_column_stochastic_under_reciprocity(seed):
 
 def test_build_hbar_breaks_without_reciprocity():
     # the stochasticity rests on row sums equaling column sums
-    h = ChannelRealization(2, np.array([[1.0, 0.3], [0.7, 1.0]]), 1.0)
-    audit = audit_column_stochastic(build_Hbar(h.gains))
+    h = np.array([[1.0, 0.3], [0.7, 1.0]])
+    audit = audit_column_stochastic(build_Hbar(h))
     assert not audit.is_column_stochastic
     assert audit.max_column_sum_error > 1e-2
 
 
 def test_build_hbar_isolated_node():
-    h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
+    h = np.zeros((2, 2))
     with pytest.raises(IsolationError, match="node 0"):
-        build_Hbar(h.gains)
+        build_Hbar(h)
 
 
 #: A model of each fading kind, its parameters drawn; a kind missing here fails the test that draws one
@@ -145,9 +144,9 @@ def test_audit_needs_square():
 
 
 def test_oracle_k0_returns_initials():
-    h = sym_realization([[1.0, 0.5], [0.5, 1.0]])
+    h = np.array([[1.0, 0.5], [0.5, 1.0]])
     S = InitialStates(np.array([4.0, -2.0]))
-    Y, X, MU = matrix_oracle([build_Hbar(h.gains)], S, 0)
+    Y, X, MU = matrix_oracle([build_Hbar(h)], S, 0)
     np.testing.assert_array_equal(Y, [[4.0, -2.0]])
     np.testing.assert_array_equal(X, [[1.0, 1.0]])
     np.testing.assert_array_equal(MU, [[4.0, -2.0]])
@@ -168,9 +167,9 @@ def test_oracle_constant_sequence_equals_matrix_powers():
 
 
 def test_oracle_validates_sequence_length():
-    h = sym_realization([[1.0, 0.5], [0.5, 1.0]])
+    h = np.array([[1.0, 0.5], [0.5, 1.0]])
     with pytest.raises(ValueError, match="mixing matrices"):
-        matrix_oracle([build_Hbar(h.gains)], InitialStates(np.array([1.0, 2.0])), 5)
+        matrix_oracle([build_Hbar(h)], InitialStates(np.array([1.0, 2.0])), 5)
 
 
 def test_oracle_matches_protocol_tic():
@@ -210,7 +209,7 @@ def test_stationary_limit_hand_solved():
 
 
 def test_stationary_limit_doubly_stochastic_uniform():
-    hbar = build_Hbar(sym_realization([[1.0, 0.6], [0.6, 1.0]]).gains)
+    hbar = build_Hbar(np.array([[1.0, 0.6], [0.6, 1.0]]))
     v = stationary_limit(hbar, InitialStates(np.array([0.0, 2.0])))
     np.testing.assert_allclose(v, [0.5, 0.5], atol=1e-10)
 
@@ -323,9 +322,8 @@ def test_mass_audit_flags_non_reciprocal():
             [0.0, 0.8, 1.0],
         ]
     )
-    h = ChannelRealization(3, gains, 1.0)
     S = InitialStates(np.array([1.0, 2.0, 3.0]))
-    traj = matrix_oracle([build_Hbar(h.gains)] * 100, S, 100)
+    traj = matrix_oracle([build_Hbar(gains)] * 100, S, 100)
     drift_y, drift_x = mass_audit(traj, S)
     assert drift_y > 1e-3 and drift_x > 1e-3
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
+from otaconsensus.channel import ChannelProcess, FadingModel, epoch_blocks
 from otaconsensus.simulator import InitialSpec, SimulationConfig
 from otaconsensus.topology import Digraph, EpsilonBAudit, TopologySpec, generate_topology
 
@@ -68,38 +68,6 @@ def test_noise_model():
         SimulationConfig(**kw, noise_std=-0.1)
 
 
-# ---------------------------------------------------------------- realization
-
-
-def test_realization_validates_shape_and_diagonal():
-    with pytest.raises(ValueError, match="shape"):
-        ChannelRealization(3, np.ones((2, 2)), 1.0)
-    g = np.ones((3, 3))
-    with pytest.raises(ValueError, match="self_weight"):
-        ChannelRealization(3, g, 0.5)
-    bad = np.ones((3, 3))
-    bad[0, 1] = -0.1
-    with pytest.raises(ValueError, match="nonnegative"):
-        ChannelRealization(3, bad, 1.0)
-    nanned = np.ones((3, 3))
-    nanned[0, 1] = np.nan
-    with pytest.raises(ValueError, match="finite"):
-        ChannelRealization(3, nanned, 1.0)
-
-
-def test_realization_is_immutable():
-    r = ChannelRealization(2, np.ones((2, 2)), 1.0)
-    with pytest.raises(ValueError):
-        r.gains[0, 1] = 5.0
-
-
-def test_asymmetric_gains_are_constructible():
-    # negative-control audits need to build non-reciprocal matrices by hand
-    g = np.array([[1.0, 0.3], [0.7, 1.0]])
-    r = ChannelRealization(2, g, 1.0)
-    assert r.gains[0, 1] != r.gains[1, 0]
-
-
 # ---------------------------------------------------------------- process
 
 
@@ -148,14 +116,15 @@ def processes(draw):
 @given(proc=processes(), k=st.integers(min_value=0, max_value=50))
 @settings(max_examples=40, deadline=None)
 def test_process_blocks_pass_construction_checks(proc, k):
-    # a process builds its blocks without re-running ChannelRealization's
-    # checks; every block must pass them anyway, symmetric and read-only
-    r = proc.realization(k)
-    fresh = ChannelRealization(proc.topology.n, r.gains, proc.self_weight)
-    np.testing.assert_array_equal(fresh.gains, r.gains)
-    np.testing.assert_array_equal(r.gains, r.gains.T)
-    assert r.n == proc.topology.n and r.self_weight == proc.self_weight
-    assert not r.gains.flags.writeable
+    # nothing checks a block once built, so every block must be an (n, n)
+    # float gain matrix that is finite, nonnegative, with the self_weight
+    # diagonal, symmetric and read-only
+    n, g = proc.topology.n, proc.realization(k).gains
+    assert g.shape == (n, n) and g.dtype == float
+    assert np.isfinite(g).all() and (g >= 0).all()
+    np.testing.assert_array_equal(np.diagonal(g), np.full(n, proc.self_weight))
+    np.testing.assert_array_equal(g, g.T)
+    assert not g.flags.writeable
 
 
 @given(proc=processes(), order=st.permutations(range(8)))
@@ -333,10 +302,9 @@ def test_effective_graph_threshold_strict():
             [0.1, 0.0, 1.0],
         ]
     )
-    r = ChannelRealization(3, g, 1.0)
     # 0.1 is not > 0.1, so the weak link drops and node 2 is cut off
-    assert not audit_verdict(0.1, r.gains)
-    assert audit_verdict(0.0999, r.gains)
+    assert not audit_verdict(0.1, g)
+    assert audit_verdict(0.0999, g)
     with pytest.raises(ValueError):
         EpsilonBAudit(epsilon=0.0, B=1)
 
@@ -347,7 +315,6 @@ def test_effective_graph_orientation():
     # only once the reverse gain shows up in the same window
     g = np.eye(2)
     g[0, 1] = 0.9
-    r = ChannelRealization(2, g, 1.0)
-    assert not audit_verdict(0.5, r.gains)
-    assert not audit_verdict(0.5, r.gains, r.gains)
-    assert audit_verdict(0.5, r.gains, r.gains.T)
+    assert not audit_verdict(0.5, g)
+    assert not audit_verdict(0.5, g, g)
+    assert audit_verdict(0.5, g, g.T)

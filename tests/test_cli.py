@@ -1035,11 +1035,11 @@ def test_verify_passes_step_together_as_they_step_alone():
     proc = ChannelProcess(FadingModel.half_normal(1.0), generate_topology(TopologySpec("complete"), 6, 0), seed=3)
 
     def blocks(fault_at=None):
-        def realization(k):
+        def gains(k):
             if k == fault_at:
                 raise ValueError(f"block {k} of the pass failing at {fault_at}")
-            return proc.realization(k)
-        return Blocks(realization)
+            return proc.realization(k).gains
+        return Blocks(gains)
 
     starts = [np.arange(6.0), 3.7 * np.arange(6.0), np.arange(6.0) - 2.0]
     together = [rows for _, rows in _drive("tvc", [

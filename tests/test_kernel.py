@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
+from otaconsensus.channel import ChannelProcess, FadingModel, epoch_blocks
 from otaconsensus.cli import main, parse_config, write_trajectory_csv
 from otaconsensus.protocol import (
     DegenerateStateError,
@@ -123,7 +123,8 @@ def test_kernel_writes_a_process_block_in_place_beside_any_channel(monkeypatch):
     # stand-in; the pass steps each member as it steps alone
     n = 50
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(n, 1), seed=3)
-    held = Blocks(ChannelProcess(FadingModel.half_normal(1.0), er(n, 2), seed=4).realization)
+    other = ChannelProcess(FadingModel.half_normal(1.0), er(n, 2), seed=4)
+    held = Blocks(lambda k: other.realization(k).gains)
     calls = []
 
     def spy(cls, name):  # record (channel, method, block or epoch index) per call
@@ -152,7 +153,7 @@ def test_a_stand_in_steps_as_the_process_it_wraps(algorithm, n):
     proc = ChannelProcess(FadingModel.half_normal(1.0), er(n, 5), seed=6)
     S = InitialStates(np.linspace(-1.0, 2.0, n))
     own, stood_in = (take(algorithm, S, 130, channel=c, noise_std=1e-3, noise_rng=np.random.default_rng(7))
-                     for c in (proc, Blocks(proc.realization)))
+                     for c in (proc, Blocks(lambda k: proc.realization(k).gains)))
     assert all(np.array_equal(a, b) for a, b in zip(own, stood_in))
 
 
@@ -178,7 +179,7 @@ def test_kernel_rejects_size_mismatch(algorithm, what):
     g = er(3, 0, p=1.0)
     proc = ChannelProcess(FadingModel.constant(1.0), g)
     for n in (1, 2, 4, 65):
-        for channel in (proc, Blocks(proc.realization)):
+        for channel in (proc, Blocks(lambda k: proc.realization(k).gains)):
             try:
                 take(algorithm, InitialStates(np.arange(1.0, n + 1)), 1, g=g, channel=channel)
             except ValueError:
@@ -210,7 +211,7 @@ def test_kernel_isolation_names_node_and_step(tmp_path):
 @pytest.mark.parametrize("algorithm", ["tic", "tvc"])
 def test_kernel_refuses_a_non_finite_state(algorithm):
     # node 0 hears node 1's 1e10 through a 1e300 gain: its first state is inf
-    block = ChannelRealization(2, [[1, 1e300], [1, 1]], 1.0)
+    block = np.array([[1.0, 1e300], [1.0, 1.0]])
     with pytest.raises(NonFiniteStateError, match=r"^non-finite state at step 1, node 0$"):
         take(algorithm, InitialStates([1.0, 1e10]), 1, channel=Blocks(lambda k: block))
 
@@ -292,15 +293,15 @@ def faulting_blocks(late, n=65, broken=True, hot=4, at=8):
     cut = ring.adj.astype(float)
     cut[2] = 0.0
 
-    def realization(k):
+    def gains(k):
         if k == at and late == "overflow":
-            return overflowing.realization(k)
-        gains, self_weight = (cut.copy(), 0.0) if k == at and late == "isolated" else (np.eye(n), 1.0)
+            return overflowing.realization(k).gains
+        g = cut.copy() if k == at and late == "isolated" else np.eye(n)
         if broken and k == hot:
-            gains[0, 1] = 1e308
-        return ChannelRealization(n, gains, self_weight)
+            g[0, 1] = 1e308
+        return g
 
-    return Blocks(realization)
+    return Blocks(gains)
 
 
 @pytest.mark.parametrize("late, error, message", [
@@ -344,7 +345,7 @@ def test_a_block_that_raises_as_its_epoch_is_written_waits_for_an_earlier_pilot_
     # overflowing gain as it writes the epoch of step 9, after the sums of
     # steps 5 to 8 went into the chunk unrefused
     isolated, overflow = faulting_blocks("isolated", broken=False, at=4), faulting_blocks("overflow", broken=False)
-    channel = Blocks(lambda k: (isolated if k < 8 else overflow).realization(k))
+    channel = Blocks(lambda k: (isolated if k < 8 else overflow).gains(k))
     cfg = base_config(n=65, algorithm="tvc", initial=InitialSpec.explicit(SPREAD_65.values), max_iters=20)
     message = "node 2 is isolated at step 5: pilot sum 0.0 <= 1e-12"
     assert judged_each_step(cfg, channel) == (IsolationError, message)
@@ -390,7 +391,7 @@ def test_a_member_that_converged_mid_chunk_keeps_its_summary_when_another_faults
     # chunk. The pass raises the broken state; read through _drive, the
     # converged member's summary is its solo run's
     n, S = 65, InitialStates(10.0 + np.arange(65.0))
-    mixed = ChannelRealization(n, np.ones((n, n)), 1.0)  # every ratio is the mean after one step
+    mixed = np.ones((n, n))  # every ratio is the mean after one step
     members = [lambda: (None, Blocks(lambda k: mixed), S, None, 20),
                lambda: (None, faulting_blocks("isolated"), S, None, 20)]
     rule = dict(tol=1e-9, window=2)
@@ -557,7 +558,7 @@ def serial_summary(cfg):
         mass_drift_y=mass_audit((Y, X), S)[0],
         mass_drift_x=mass_audit((Y, X), S)[1],
         epsilon_B_satisfied=check_epsilon_B_connectivity(
-            [channel.realization(j) for j in range(k)], cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None,
+            [channel.realization(j).gains for j in range(k)], cfg.epsilon, cfg.B) if cfg.algorithm == "tvc" else None,
     )
 
 
@@ -972,7 +973,7 @@ def test_a_non_reciprocal_channel_breaks_mass_conservation(group, kind):
     gains = channel.realization(0).gains.copy()
     a, b = np.argwhere(g.adj)[0]
     gains[a, b] *= 1.5
-    broken = Blocks(lambda k: ChannelRealization(cfg.n, gains, cfg.self_weight))
+    broken = Blocks(lambda k: gains)
     (summary, _), = _drive(cfg.algorithm, [lambda: (g, broken, S, None, cfg.max_iters)])
     assert max(summary.mass_drift_y, summary.mass_drift_x) > 1e-9
 
@@ -1129,12 +1130,12 @@ def test_is_strongly_connected_matches_edge_reachability(n, seed):
 def test_incremental_audit_matches_sequence_check(seed, B):
     # sparse thresholded realizations so that both verdicts occur
     proc = ChannelProcess(FadingModel.uniform(0.01, 1.0), er(6, seed, p=0.7), seed=seed)
-    seq = [proc.realization(k) for k in range(9)]
+    seq = [proc.realization(k).gains for k in range(9)]
     audit = EpsilonBAudit(0.6, B)
     for h in seq:
-        audit.add(h.gains)
+        audit.add(h)
     assert audit.satisfied == check_epsilon_B_connectivity(seq, 0.6, B)
-    joint = [np.logical_or.reduce([h.gains > 0.6 for h in seq[w * B:(w + 1) * B]]) for w in range(9 // B)]
+    joint = [np.logical_or.reduce([h > 0.6 for h in seq[w * B:(w + 1) * B]]) for w in range(9 // B)]
     assert audit.satisfied == all(is_strongly_connected(j) for j in joint)
 
 

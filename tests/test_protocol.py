@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from otaconsensus.channel import ChannelProcess, ChannelRealization, FadingModel, epoch_blocks
+from otaconsensus.channel import ChannelProcess, FadingModel, epoch_blocks
 from otaconsensus.protocol import (
     COLUMN_SUM_TOL,
     SIGMA_MIN,
@@ -18,7 +18,7 @@ from otaconsensus.protocol import (
     ratio,
 )
 from otaconsensus.topology import Digraph, TopologySpec, generate_topology
-from standin import Blocks, measured_sigma, sym_realization, take
+from standin import Blocks, measured_sigma, take
 
 
 # ---------------------------------------------------------------- aggregation
@@ -174,9 +174,8 @@ def test_tic_initialize_arithmetic():
             [1.5, 0.0, 0.0],
         ]
     )
-    h = ChannelRealization(3, gains, 0.0)
-    np.testing.assert_array_equal(measured_sigma(h.gains), [2.0, 0.5, 1.5])
-    Y, X, _ = take("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: h))
+    np.testing.assert_array_equal(measured_sigma(gains), [2.0, 0.5, 1.5])
+    Y, X, _ = take("tic", InitialStates(np.array([4.0, 1.0, 1.0])), 1, channel=Blocks(lambda k: gains))
     assert Y[0, 0] == 4.0 and X[0, 0] == 1.0
     # node 0 transmits y = 4 / 2 = 2 and x = 1 / 2; receivers 1 and 2 hear
     # only node 0, at gains 0.5 and 1.5
@@ -185,22 +184,21 @@ def test_tic_initialize_arithmetic():
 
 
 def test_tic_initialize_self_only():
-    h = ChannelRealization(2, np.eye(2), 1.0)
+    h = np.eye(2)
     S = InitialStates(np.array([7.0, -1.0]))
-    np.testing.assert_array_equal(measured_sigma(h.gains), [1.0, 1.0])
+    np.testing.assert_array_equal(measured_sigma(h), [1.0, 1.0])
     Y, X, _ = take("tic", S, 1, channel=Blocks(lambda k: h))
     np.testing.assert_array_equal(Y[1], [7.0, -1.0])
     np.testing.assert_array_equal(X[1], [1.0, 1.0])
 
 
 def test_tic_initialize_two_node_symmetry():
-    h = sym_realization([[0.0, 0.8], [0.8, 0.0]], self_weight=0.0)
-    sigma = measured_sigma(h.gains)
+    sigma = measured_sigma(np.array([[0.0, 0.8], [0.8, 0.0]]))
     assert sigma[0] == sigma[1] == 0.8
 
 
 def test_tic_initialize_isolated_node_named():
-    h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
+    h = np.zeros((2, 2))
     with pytest.raises(IsolationError, match="node 0 is isolated at initialization"):
         take("tic", InitialStates(np.array([1.0, 2.0])), 0, channel=Blocks(lambda k: h))
 
@@ -208,9 +206,9 @@ def test_tic_initialize_isolated_node_named():
 def test_tic_initialize_noisy_isolated_node_named():
     # both noise-free sums, 2e-12, are usable; the start-up pilot noise
     # takes one to SIGMA_MIN or below, and the noisy sum is the one named
-    h = sym_realization([[0.0, 2e-12], [2e-12, 0.0]], self_weight=0.0)
-    assert pilot_sums(h.gains).min() > SIGMA_MIN
-    sigma = pilot_sums(h.gains) + np.random.default_rng(3).normal(0.0, 1e-11, size=2)
+    h = np.array([[0.0, 2e-12], [2e-12, 0.0]])
+    assert pilot_sums(h).min() > SIGMA_MIN
+    sigma = pilot_sums(h) + np.random.default_rng(3).normal(0.0, 1e-11, size=2)
     j = int(np.argmax(sigma <= SIGMA_MIN))
     assert sigma[j] <= SIGMA_MIN
     message = f"^node {j} is isolated at initialization: pilot sum {re.escape(repr(float(sigma[j])))} <= 1e-12$"
@@ -233,7 +231,7 @@ def test_tic_all_equal_initial_values_pin_ratio():
 def test_tic_two_node_doubly_stochastic_limit():
     # symmetric gains with equal sigmas make the mixing matrix doubly
     # stochastic, so the ratio must converge to the plain average
-    h = sym_realization([[1.0, 0.6], [0.6, 1.0]], self_weight=1.0)
+    h = np.array([[1.0, 0.6], [0.6, 1.0]])
     S = InitialStates(np.array([0.0, 2.0]))
     _, _, MU = take("tic", S, 200, channel=Blocks(lambda k: h))
     np.testing.assert_allclose(MU[-1], 1.0, atol=1e-12)
@@ -277,7 +275,7 @@ def test_tvc_matches_tic_on_constant_channel():
     S = InitialStates(np.arange(7, dtype=float))
     Yc, Xc, _ = take("tic", S, 100, channel=proc)
     # tvc re-measures every block; frozen at block 0 it must track tic
-    Yv, Xv, _ = take("tvc", S, 100, channel=Blocks(lambda k: proc.realization(0)))
+    Yv, Xv, _ = take("tvc", S, 100, channel=Blocks(lambda k: proc.realization(0).gains))
     np.testing.assert_allclose(Yc, Yv, rtol=1e-12)
     np.testing.assert_allclose(Xc, Xv, rtol=1e-12)
 
@@ -293,7 +291,7 @@ def test_tvc_per_step_normalization_is_column_stochastic():
 
 
 def test_tvc_deep_fade_isolation_error():
-    h = ChannelRealization(2, np.zeros((2, 2)), 0.0)
+    h = np.zeros((2, 2))
     S = InitialStates(np.array([1.0, 2.0]))
     np.testing.assert_array_equal(take("tvc", S, 0, channel=Blocks(lambda k: h))[2], [[1.0, 2.0]])  # no pilot yet
     with pytest.raises(IsolationError, match=r"node 0 is isolated at step 1: pilot sum"):
@@ -321,7 +319,7 @@ def test_ratio_output_division():
 
 
 def test_ratio_output_equals_initial_values_after_init():
-    h = sym_realization([[1.0, 0.4], [0.4, 1.0]])
+    h = np.array([[1.0, 0.4], [0.4, 1.0]])
     S = InitialStates(np.array([3.5, -1.25]))
     for algorithm in ("tic", "tvc"):
         _, _, MU = take(algorithm, S, 0, channel=Blocks(lambda k: h))

@@ -342,22 +342,20 @@ def test_mixed_window_is_judged_both_ways(one_way_first):
     assert audit.satisfied == is_strongly_connected((g1 > 0.5) | (np.eye(3) > 0.5))
     assert not audit.satisfied
 
-def _const_realization(n, pairs, gain, self_weight=1.0):
-    from otaconsensus.channel import ChannelRealization
-
+def _const_gains(n, pairs, gain, self_weight=1.0):
     g = np.zeros((n, n))
     np.fill_diagonal(g, self_weight)
     for i, j in pairs:
         g[i, j] = gain
         g[j, i] = gain
-    return ChannelRealization(n, g, self_weight)
+    return g
 
 
 def test_epsilon_B_over_nonoverlapping_windows():
     # per step only one link is up; jointly over B=3 the cycle closes
-    r0 = _const_realization(3, [(0, 1)], 1.0)
-    r1 = _const_realization(3, [(1, 2)], 1.0)
-    r2 = _const_realization(3, [(0, 2)], 1.0)
+    r0 = _const_gains(3, [(0, 1)], 1.0)
+    r1 = _const_gains(3, [(1, 2)], 1.0)
+    r2 = _const_gains(3, [(0, 2)], 1.0)
     seq = [r0, r1, r2, r0, r1, r2]
     assert check_epsilon_B_connectivity(seq, epsilon=0.5, B=3)
     assert not check_epsilon_B_connectivity(seq, epsilon=0.5, B=1)
@@ -366,19 +364,19 @@ def test_epsilon_B_over_nonoverlapping_windows():
 
 
 def test_epsilon_B_trailing_partial_window_ignored():
-    r_up = _const_realization(2, [(0, 1)], 1.0)
-    r_down = _const_realization(2, [], 1.0)
+    r_up = _const_gains(2, [(0, 1)], 1.0)
+    r_down = _const_gains(2, [], 1.0)
     # window [0,2) connected; trailing step 2 alone is not a full window
     assert check_epsilon_B_connectivity([r_up, r_up, r_down], epsilon=0.5, B=2)
 
 
 def test_epsilon_B_vacuous_on_short_sequence():
-    r_down = _const_realization(2, [], 1.0)
+    r_down = _const_gains(2, [], 1.0)
     assert check_epsilon_B_connectivity([r_down], epsilon=0.5, B=2)
 
 
 def test_epsilon_B_validates_arguments():
-    r = _const_realization(2, [(0, 1)], 1.0)
+    r = _const_gains(2, [(0, 1)], 1.0)
     with pytest.raises(ValueError):
         check_epsilon_B_connectivity([r], epsilon=0.0, B=1)
     with pytest.raises(ValueError):
