@@ -122,13 +122,15 @@ def pilot_sums(gains: np.ndarray) -> np.ndarray:
     return gains @ np.ones(gains.shape[-1])
 
 
-def ota_step(gains, sigma, state, noise=None):
+def ota_step(gains, sigma, state, noise=None, out=None):
     """One iteration's numerator and denominator slots for all receivers at
     once: every node transmits each chain's row of state, (2, n), over its
     own sigma, and receiver i observes row i of gains times those signals
     plus its noise draw. Stacked gains (m, n, n) step a (2, m, n) state,
-    each chain and member exactly as it would step alone."""
-    z = (gains @ (state / sigma)[..., np.newaxis])[..., 0]
+    each chain and member exactly as it would step alone, in matmul's BLAS
+    bits. Given out, a (2, ..., n) array apart from state, the step writes
+    its new state there, bitwise the product it would allocate."""
+    z = np.matvec(gains, state / sigma, out=out)
     if noise is not None:
         z += noise
     return z

@@ -261,6 +261,12 @@ def _judge(states, first, sums=None, channels=()):
     raise NonFiniteStateError(f"non-finite state at step {first + s}, node {int(np.argmin(sound[s])) % x.shape[-1]}")
 
 
+def _normal(z, std):
+    """Standard normal draws z scaled in place to normal(0.0, std)'s bits,
+    0.0 + std * z, whose + 0.0 makes +0.0 of an std * z that underflows."""
+    return np.add(np.multiply(z, std, out=z), 0.0, out=z)
+
+
 def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=1, record=False):
     """The one stepping loop, which _drive runs: a pass of members, each
     prepare's (graph, channel, InitialStates, noise generator, step budget)
@@ -284,18 +290,19 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
       that draws no receiver noise.
 
     With noise_std > 0 each analog slot draws n values from the member's
-    generator, in slot order: tic's pilot once, then numerator and
-    denominator each step; tvc's pilot, numerator and denominator each step.
-    The steps' draws are read in chunks, one call per member each:
-    DRIFT_STEPS steps, or fewer to the pass's next step budget, so no member
-    draws past its budget, but one that converges or faults mid-chunk has
-    drawn to the chunk's end. A broken state raises as in run(). Sizes are
-    not checked: prepare builds graph, channel and start at one n.
+    generator, normal(0.0, noise_std)'s bits, in slot order: tic's pilot
+    once, then numerator and denominator each step; tvc's pilot, numerator
+    and denominator each step. The steps' draws are read in chunks, one call
+    per member each: DRIFT_STEPS steps, or fewer to the pass's next step
+    budget, so no member draws past its budget, but one that converges or
+    faults mid-chunk has drawn to the chunk's end. Sizes are not checked:
+    prepare builds graph, channel and start at one n.
 
     A member stops at its budget or after window steps in a row with its
     ratio spread at or below tol, and then draws nothing more. The states
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
+    A noiseless step writes into its chunk row, a noisy one copies it in.
     The stop rule is checked only where a member could first stop: a streak
     grows by at most one a step, so after a check whose longest streak is
     s the next is window - s steps on, or at the next budget or fold. A
@@ -331,7 +338,8 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     budgets = np.array(budgets)  # int64 or uint64, where b + 1 can wrap: rows size by Python ints
     conserved = z.sum(axis=-1)
     drift, chunk, filled = np.zeros_like(conserved), np.empty((3, DRIFT_STEPS, m, n)), 0
-    streak, next_stop = np.zeros(m, dtype=int), budgets.min()
+    state_rows = list(chunk[:2].swapaxes(0, 1))  # (2, m, n) views
+    streak, next_stop = np.zeros(m, dtype=int), int(budgets.min())
     # the longest streak at the last check, the first step a member could
     # reach window, and the first chunk row whose spread no streak has
     # counted: step 0 starts no streak
@@ -345,18 +353,19 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         G = np.array([c.realization(0).gains for c in channels])
         sigma = pilot_sums(G)
         if noisy:
-            sigma += np.array([r.normal(0.0, noise_std, size=n) for r in rngs])
+            sigma += _normal(np.array([r.standard_normal(n) for r in rngs]), noise_std)
         refuse_pilot_sums(sigma, "at initialization")
     else:
         T = epoch_blocks(n)
         blocks, clean = np.empty((T, m, n, n)), np.empty((T, m, n))
         sums = np.ones((DRIFT_STEPS, m, n))  # row 0 of the first chunk is step 0, which divides by none
+        block_rows, clean_rows, sum_rows = list(blocks), list(clean), list(sums)
     for k in count():
         if k:
             if noisy and drawn == len(draws):
                 steps = int(min(DRIFT_STEPS, next_stop - k + 1))
-                draws = w = None  # the spent chunk is freed before the next is drawn
-                draws, drawn = np.stack([rngs[i].normal(0.0, noise_std, size=(steps, slots, n)) for i in live], 2), 0
+                draws, w, drawn = None, None, 0  # the spent chunk is freed before the next is drawn
+                draws = _normal(np.stack([rngs[i].standard_normal((steps, slots, n)) for i in live], 2), noise_std)
             w, drawn = draws[drawn] if noisy else None, drawn + 1  # (slots, m, n), pilot first
             if algorithm == "tvc":
                 e, r = divmod(k - 1, T)
@@ -364,20 +373,21 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                     if r == 0:
                         for j, i in enumerate(live):
                             channels[i].write_epoch(e, blocks[:, j])
-                        clean = pilot_sums(blocks)
-                    G = blocks[r]
+                        clean[...] = pilot_sums(blocks)
+                    G = block_rows[r]
                     if audit is not None:
                         audit.add(G)
                 except (ValueError, RuntimeError):  # a fault earlier in the chunk comes first
                     _judge(chunk[:, :filled], k - filled, sums, (channels[i] for i in live))
                     raise
-                sigma = sums[filled]  # refused at the fold
+                sigma = sum_rows[filled]  # refused at the fold
                 if noisy:
-                    np.add(clean[r], w[0], out=sigma)
+                    np.add(clean_rows[r], w[0], out=sigma)
                 else:
-                    sigma[...] = clean[r]
-            z = ota_step(G, sigma, z, w[-2:] if noisy else None)
-        chunk[:2, filled] = z
+                    sigma[...] = clean_rows[r]
+            z = ota_step(G, sigma, z, w[-2:] if noisy else None, None if noisy else state_rows[filled])
+        if noisy or not k:  # step 0, or a noisy step: its noise adds faster to its own product than to a row
+            state_rows[filled][...] = z
         filled += 1
         if k != next_check and k != next_stop and filled < DRIFT_STEPS:
             continue  # no member can stop here
@@ -421,10 +431,12 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             return results
         # every per-member array keeps the columns of the members still stepping
         live, z, streak, budgets = live[keep], z[:, keep], streak[keep], budgets[keep]
-        conserved, drift, next_stop = conserved[:, keep], drift[:, keep], budgets.min()
+        conserved, drift, next_stop = conserved[:, keep], drift[:, keep], int(budgets.min())
         chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
+        state_rows = list(chunk[:2].swapaxes(0, 1))
         if algorithm == "tvc":  # a member's slot and sums move with it
             blocks, clean, sums = blocks[:, keep], clean[:, keep], np.empty((DRIFT_STEPS, live.size, n))
+            block_rows, clean_rows, sum_rows = list(blocks), list(clean), list(sums)
         else:
             G, sigma = G[keep], sigma[keep]
         if audit is not None:

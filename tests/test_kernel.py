@@ -35,6 +35,7 @@ from otaconsensus.simulator import (
     SimulationConfig,
     _drive,
     _kernel,
+    _normal,
     prepare,
     run,
     run_group,
@@ -91,6 +92,69 @@ def test_kernel_noise_stream_order(algorithm):
         y, x = z = ota_step(gains, sigma, z, np.array([draw(), draw()]))  # numerator first
         np.testing.assert_array_equal(Y[k], y)
         np.testing.assert_array_equal(X[k], x)
+
+
+def test_scaled_standard_normals_are_normals_bits():
+    # the kernel draws standard normals and scales them: normal(0.0, s)'s
+    # bits, whose 0.0 + s * z is +0.0 where s * z underflows to -0.0
+    for s in (5e-324, 1e-310, 1e-6, 1.0, 3.7, 1e300):
+        with np.errstate(over="ignore"):
+            scaled = _normal(np.random.default_rng(3).standard_normal(100_000), s)
+        assert scaled.tobytes() == np.random.default_rng(3).normal(0.0, s, 100_000).tobytes(), s
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_kernel_noise_keeps_normals_sign_of_zero(algorithm, monkeypatch):
+    # at noise_std 5e-324 about a fifth of the draws are zeros, each +0.0
+    # from normal(0.0, s): the noise each step adds has normal's bits
+    n, std, steps = 6, 5e-324, DRIFT_STEPS + 5
+    added = []
+    monkeypatch.setattr(simulator, "ota_step", lambda *step: added.append(step[3].copy()) or ota_step(*step))
+    proc = ChannelProcess(FadingModel.uniform(0.5, 1.5), er(n, 2), seed=5)
+    take(algorithm, InitialStates(np.arange(n, dtype=float)), steps, channel=proc, noise_std=std,
+         noise_rng=np.random.default_rng(9))
+    rng = np.random.default_rng(9)
+    if algorithm == "tic":
+        rng.normal(0.0, std, n)  # the start-up pilot
+    slots = 3 if algorithm == "tvc" else 2  # a tvc step's pilot first
+    assert [a.tobytes() for a in added] == [rng.normal(0.0, std, (slots, 1, n))[-2:].tobytes() for _ in range(steps)]
+    assert sum(np.signbit(a[a == 0]).sum() for a in added) == 0 < sum((a == 0).sum() for a in added)
+
+
+@pytest.mark.parametrize("noise_std", [0.0, 1e-3])
+@pytest.mark.parametrize("m", [1, 3])
+@pytest.mark.parametrize("n", [2, 10, 65, 200])
+@pytest.mark.parametrize("algorithm", ["tic", "tvc"])
+def test_a_pass_writes_each_step_as_the_allocating_step_gives_it(algorithm, n, m, noise_std):
+    # a pass writes each step into its chunk row through views built with
+    # the chunk; each row must be what ota_step's allocating route gives the
+    # member stepped alone, by hand. One member stops on the step after a
+    # fold (a fold of one row), one mid-chunk, and one runs into a third
+    # chunk, so the views are built anew as the members leave. The pass is
+    # run as one: _drive would replay a fault one member at a time
+    d = DRIFT_STEPS
+    budgets = [2 * d] if m == 1 else [d + 1, d + 30, 3 * d]
+    procs = [ChannelProcess(FadingModel.half_normal(1.0), er(n, s), seed=s) for s in range(m)]
+    starts = [InitialStates(np.random.default_rng(s).uniform(-1.0, 2.0, n)) for s in range(m)]
+    members = [(None, procs[s], starts[s], np.random.default_rng(s), budgets[s]) for s in range(m)]
+    for s, (summary, (Y, X, MU)) in enumerate(_kernel(algorithm, members, noise_std=noise_std, record=True)):
+        rng = np.random.default_rng(s)
+
+        def draw():
+            return rng.normal(0.0, noise_std, n) if noise_std else None
+
+        z = np.array([starts[s].values, np.ones(n)])
+        if algorithm == "tic":
+            gains = procs[s].realization(0).gains
+            sigma = measured_sigma(gains, draw())
+        assert summary.iterations_used == budgets[s] == len(Y) - 1
+        for k in range(1, budgets[s] + 1):
+            if algorithm == "tvc":
+                gains = procs[s].realization(k - 1).gains
+                sigma = measured_sigma(gains, draw())
+            z = ota_step(gains, sigma, z, np.array([draw(), draw()]) if noise_std else None)
+            assert (Y[k].tobytes(), X[k].tobytes(), MU[k].tobytes()) == (z[0].tobytes(), z[1].tobytes(),
+                                                                         (z[0] / z[1]).tobytes()), (s, k)
 
 
 @pytest.mark.parametrize("algorithm, blocks", [

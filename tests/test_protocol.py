@@ -37,10 +37,13 @@ def test_ota_aggregate_arithmetic():
     np.testing.assert_array_equal(x, [2.0, -1.0])
 
 
-@pytest.mark.parametrize("n", [2, 10, 50, 65, 200])
+@pytest.mark.parametrize("n", [*range(2, 71), 100, 128, 199, 200])
 def test_ota_step_stacked_equals_each_chain_and_member_alone(n):
     # the kernel steps a (2, m, n) state in one product and relies on each
-    # chain c and member i coming out bitwise as gains[i] @ (z[c, i] / sigma[i])
+    # chain c and member i coming out bitwise as gains[i] @ (z[c, i] / sigma[i]),
+    # whether the product is allocated or written through out into a row of
+    # a (3, steps, m, n) chunk, a strided view; the step never reads that
+    # row (it starts as nan) and writes nothing else
     rng = np.random.default_rng(n)
     for m in range(1, 8):
         gains = rng.uniform(0.0, 2.0, (m, n, n)) * (rng.random((m, n, n)) < 0.5)
@@ -54,6 +57,10 @@ def test_ota_step_stacked_equals_each_chain_and_member_alone(n):
                     if noise is not None:
                         alone += noise[c, i]
                     assert stepped[c, i].tobytes() == alone.tobytes(), (m, c, i)
+            chunk = np.full((3, 4, m, n), np.nan)
+            written = ota_step(gains, sigma, z, noise, chunk[:2, 1])
+            assert np.shares_memory(written, chunk[:2, 1]) and written.tobytes() == stepped.tobytes(), m
+            assert np.isnan(chunk[2]).all() and np.isnan(chunk[:, [0, 2, 3]]).all(), m
 
 
 def test_an_epochs_pilot_sums_equal_each_blocks_pilot():
