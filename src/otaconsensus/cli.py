@@ -50,9 +50,12 @@ class ConfigError(ValueError):
 
 # ------------------------------------------------------------------ formatting
 
+_encode = json.JSONEncoder(ensure_ascii=False).encode  # json.dumps' text, with no encoder built per leaf
+
+
 def to_json(value, indent: int = 0) -> str:
     """Deterministic JSON: insertion-ordered keys, 17-digit floats, and
-    every other key and leaf as json.dumps writes it."""
+    every other key and leaf as json.dumps(ensure_ascii=False) writes it."""
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(value, (float, np.floating)):
@@ -63,7 +66,7 @@ def to_json(value, indent: int = 0) -> str:
     if isinstance(value, (list, tuple)) and value:
         items = [f"{inner}{to_json(v, indent + 1)}" for v in value]
         return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    return json.dumps(int(value) if isinstance(value, np.integer) else value, ensure_ascii=False)
+    return _encode(int(value) if isinstance(value, np.integer) else value)
 
 
 # ------------------------------------------------------------------ config parsing

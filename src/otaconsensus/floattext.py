@@ -134,20 +134,20 @@ def _fixed_fields(a, negative):
     del N, I
     out[:, 0] = ((digits << 24) & _INT_MASKS[0][X]) | (negative * np.uint32(ord("-") << 8))
     out[:, 1] = ((digits >> 8) & _INT_MASKS[1][X]) | ((Q != 0) * np.uint32(ord(".") << 24))
-    # Q's 4-digit groups g, first to last, each split off by numpy's fast
+    lead = _LEAD_MASKS[X]
+    del digits, X  # the loop's two buffers take their place
+    # Q's 4-digit groups g, first to last, each split off by one numpy fast
     # division by a scalar (its divmod is about three times slower); a group
     # with a nonzero fraction after it keeps all four digits, so its
     # _GROUPS index is offset by 10**4
-    g = np.empty_like(Q)
+    g, gs = np.empty_like(Q), np.empty_like(Q)
     for i in range(5):
         scale = 10 ** (16 - 4 * i)
         np.floor_divide(Q, scale, out=g)
-        g *= scale
-        Q -= g
-        g //= scale
+        Q -= np.multiply(g, scale, out=gs)
         np.add(g, 10_000, out=g, where=Q != 0)
         out[:, 2 + i] = _GROUPS[g]
-    out[:, 2] &= _LEAD_MASKS[X]
+    out[:, 2] &= lead
     return out
 
 

@@ -207,30 +207,45 @@ def make_initial_values(spec: InitialSpec, n: int, seed: int) -> InitialStates:
         return InitialStates(vals + (spec.target_mean - S.mean()))
 
 
-def prepare(config: SimulationConfig, graph=None):
+def _part(held, key, build, *args):
+    """held[key], built from args by build where it is missing."""
+    if key not in held:
+        held[key] = build(*args)
+    return held[key]
+
+
+def _keys(config: SimulationConfig, held):
+    """The keys of config's set-up parts in held, each the inputs its part is
+    built from: seed for its stream seeds (taken from held), (topology, n,
+    topology seed, 0 for a kind that ignores it), (initial, n, initial seed)
+    and, but for baseline, its channel process's fields, the graph's key for
+    the graph."""
+    topo_seed, channel_seed, initial_seed, _ = _part(held, config.seed, stream_seeds, config.seed)
+    graph = (config.topology, config.n, topo_seed if config.topology.kind == "erdos_renyi" else 0)
+    keys = [config.seed, graph, (config.initial, config.n, initial_seed)]
+    if config.algorithm != "baseline":
+        eps = config.epsilon if config.deep_fade else None
+        keys.append((config.fading, graph, config.self_weight, channel_seed, eps, config.pair_scales))
+    return keys
+
+
+def prepare(config: SimulationConfig, held=None):
     """The run's set-up, its _kernel member: (digraph, channel process or
     None, InitialStates, noise generator, step budget), each from config.n
     and one seed derivation. Every run, sweep and verify pass sets its
     members up here, so an audit that calls it again rebuilds exactly the
-    channel sequence a run saw without replaying the run. graph, when
-    given, is the config's topology, built already: run_group shares one
-    among the members of its passes on a topology that ignores the seed."""
-    topo_seed, channel_seed, initial_seed, noise_seed = stream_seeds(config.seed)
-    g = generate_topology(config.topology, config.n, topo_seed) if graph is None else graph
+    channel sequence a run saw without replaying the run. held, a dict
+    when given, keeps each part built under its _keys key, for every config
+    with that key (run_group's); a refused part is not kept, and the noise
+    generator, which holds state, is always new."""
+    held = {} if held is None else held
+    seed, graph, start, *process = _keys(config, held)
+    g = _part(held, graph, generate_topology, *graph)
     if config.algorithm in ("tic", "baseline") and not g.strongly_connected:
         raise ValueError(f"{config.algorithm} requires a strongly connected topology")
-    channel = None
-    if config.algorithm in ("tic", "tvc"):
-        channel = ChannelProcess(
-            model=config.fading,
-            topology=g,
-            self_weight=config.self_weight,
-            seed=channel_seed,
-            deep_fade_epsilon=config.epsilon if config.deep_fade else None,
-            pair_scales=config.pair_scales,
-        )
-    S = make_initial_values(config.initial, config.n, initial_seed)
-    return g, channel, S, np.random.default_rng(noise_seed), config.max_iters
+    channel = _part(held, process[0], ChannelProcess, config.fading, g, *process[0][2:]) if process else None
+    S = _part(held, start, make_initial_values, *start)
+    return g, channel, S, np.random.default_rng(held[seed][3]), config.max_iters
 
 
 def _judge(states, first, sums=None, channels=()):
@@ -451,31 +466,30 @@ def run_group(configs, done=None) -> list[RunSummary]:
     to done, a list when given, as they are due: after a fault it holds
     those of the configs before the failing one.
 
-    A topology that ignores the seed (any kind but erdos_renyi) is built
-    when the first pass on it is set up, and shared by the members of that
-    pass and of the next passes on the same topology and n. Only the last
-    such graph is held, and only for the call: a call reads an edge list
-    once, and the next call reads it again."""
+    The passes share their members' set-up through prepare's held: a
+    later pass takes each stream seed, graph, start and channel process an
+    earlier one built under its key, as an algorithm sweep's tvc pass takes
+    its tic pass's. A pass takes its members' keys first, lets go of every
+    part none of them needs, and only then builds what is missing, so
+    between passes one pass's parts at most are held, and none past the
+    call: a call reads an edge list once, and the next call reads it again."""
     done = [] if done is None else done
-    built = graph = None  # graph, built for built = (topology, n)
+    held = {}
     for _, batch in groupby(configs, key=_all_but_seed):
         batch = list(batch)
-        c = batch[0]
-        if c.topology.kind == "erdos_renyi":  # drawn from each member's topology seed
-            built = graph = None
-        elif built != (c.topology, c.n):
-            graph = None  # the last graph goes before the next is built
-            built, graph = (c.topology, c.n), generate_topology(c.topology, c.n, 0)
-        for summary, _ in _seed_group(batch, graph=graph):
+        needed = {key for c in batch for key in _keys(c, held)}
+        for key in held.keys() - needed:
+            del held[key]
+        for summary, _ in _seed_group(batch, held=held):
             done.append(summary)
     return done
 
 
-def _seed_group(configs, record=False, graph=None):
+def _seed_group(configs, record=False, held=None):
     """_drive over configs that differ only in seed, one prepare member
-    each, on graph when it is given (prepare's)."""
+    each, on the parts in held when it is given (prepare's)."""
     cfg = configs[0]
-    return _drive(cfg.algorithm, [partial(prepare, c, graph) for c in configs], noise_std=cfg.noise_std,
+    return _drive(cfg.algorithm, [partial(prepare, c, held) for c in configs], noise_std=cfg.noise_std,
                   epsilon_B=(cfg.epsilon, cfg.B), tol=cfg.tol, window=cfg.tol_window, record=record)
 
 

@@ -1373,9 +1373,9 @@ def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, c
 
     calls, prepare = [], simulator.prepare
 
-    def counted(cfg, graph=None):
+    def counted(cfg, held=None):
         calls.append(cfg.seed)
-        return prepare(cfg, graph)
+        return prepare(cfg, held)
 
     monkeypatch.setattr(simulator, "prepare", counted)
     monkeypatch.setattr(cli, "prepare", counted)
@@ -1387,6 +1387,24 @@ def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, c
         calls.clear()
         assert main([command, str(config), "-o", str(tmp_path / command)]) == 0
         assert calls == made, command
+    capsys.readouterr()
+
+
+def test_a_healthy_verify_steps_one_pass_per_regime(monkeypatch, tmp_path, capsys):
+    # verify's members are calls that count nothing: a pass that raised and
+    # was replayed a member at a time would write the same bytes, slower.
+    # A healthy suite steps tic's one member, then tvc's three, once each
+    from otaconsensus import simulator
+
+    passes, kernel = [], simulator._kernel
+
+    def counted(algorithm, members, **rule):
+        passes.append((algorithm, len(members)))
+        return kernel(algorithm, members, **rule)
+
+    monkeypatch.setattr(simulator, "_kernel", counted)
+    assert main(["verify", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(tmp_path)]) == 0
+    assert passes == [("tic", 1), ("tvc", 3)]
     capsys.readouterr()
 
 
