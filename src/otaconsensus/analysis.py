@@ -87,18 +87,13 @@ def matrix_oracle(
     if k_max < 0:
         raise ValueError(f"k_max must be nonnegative, got {k_max}")
     n, mixing = S.n, iter(hbar_seq)
-    y = S.values.astype(float).copy()
-    x = np.ones(n)
-    Y = np.empty((k_max + 1, n))
-    X = np.empty((k_max + 1, n))
-    MU = np.empty((k_max + 1, n))
+    Z = np.empty((k_max + 1, 2, n))  # row k holds both chains after k steps
+    Z[0, 0], Z[0, 1] = S.values, 1.0
     for k in range(k_max + 1):
+        x = Z[k, 1]
         if (x <= 0).any():
             j = int(np.argmin(x))
             raise DegenerateStateError(f"node {j} has nonpositive denominator at step {k}: {float(x[j])!r}")
-        Y[k] = y
-        X[k] = x
-        MU[k] = y / x
         if k == k_max:
             break
         hbar = next(mixing, None)
@@ -106,9 +101,9 @@ def matrix_oracle(
             raise ValueError(f"need {k_max} mixing matrices, got {k}")
         if hbar.shape != (n, n):
             raise ValueError(f"mixing matrix {k} is {hbar.shape[0]}-node, expected {n}")
-        y = hbar @ y
-        x = hbar @ x
-    return Y, X, MU
+        np.matvec(hbar, Z[k], out=Z[k + 1])
+    Y, X = Z[:, 0], Z[:, 1]
+    return Y, X, Y / X
 
 
 def _is_primitive(support: np.ndarray) -> bool:

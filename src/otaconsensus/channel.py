@@ -135,12 +135,10 @@ class ChannelProcess:
     deep_fade_epsilon: float | None = None
     pair_scales: tuple[tuple[tuple[int, int], float], ...] = ()
     # built once from the fields above: the topology's pair_indices, each
-    # link's scale (None when all are 1), a block with no link drawn, the
-    # generator with its seeded state, and the cached epoch: its index,
-    # link gains and fades
+    # link's scale (None when all are 1), the generator with its seeded
+    # state, and the cached epoch: its index, link gains and fades
     _pairs: tuple = field(init=False, repr=False, compare=False)
     _scales: np.ndarray | None = field(init=False, repr=False, compare=False)
-    _blank: np.ndarray = field(init=False, repr=False, compare=False)
     _rng: np.random.Generator = field(init=False, repr=False, compare=False)
     _state: dict = field(init=False, repr=False, compare=False)
     _epoch: list = field(init=False, repr=False, compare=False)
@@ -176,7 +174,6 @@ class ChannelProcess:
             scales = scales.reshape(-1)[self._pairs[0][0]]
         bit_generator = np.random.PCG64(self.seed)
         object.__setattr__(self, "_scales", scales)
-        object.__setattr__(self, "_blank", self.self_weight * np.eye(n))
         object.__setattr__(self, "_rng", np.random.Generator(bit_generator))
         object.__setattr__(self, "_state", bit_generator.state)
         object.__setattr__(self, "_epoch", [None])  # nothing drawn yet
@@ -204,9 +201,11 @@ class ChannelProcess:
     def _write(self, e: int, rows: slice, out: np.ndarray) -> None:
         """Epoch e's blocks at rows into out, one n x n C-contiguous block each."""
         gains, fades = self._drawn(e)
-        out[...] = self._blank
+        n = self.topology.n
         one = len(out) == 1  # one block: 1-D indexing writes it about twice as fast as 2-D
-        flat = out.reshape(-1) if one else out.reshape(len(out), -1).T
+        flat = out.reshape(n * n) if one else out.reshape(len(out), n * n).T  # refuses blocks of another n
+        out[...] = 0.0
+        flat[:: n + 1] = self.self_weight  # the diagonal
         for (up, down), values in zip(self._pairs, (gains, fades)):
             if values is not None:
                 values = values[rows]

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from functools import partial
-from itertools import count, groupby
+from itertools import groupby
 from operator import attrgetter
 
 import numpy as np
@@ -253,7 +253,8 @@ def _judge(states, first, sums=None, channels=()):
     of (y_tilde, x_tilde, mu) from step first, and refuse its first fault in
     step, then member, then node order. In a tvc pass the first rows of
     sums hold each step's (m, n) pilot sums, row s the sigma that step s
-    divided by, and a step's sums are refused before its state, by
+    divided by (or, for a step that divided by sums known to be usable,
+    usable sums), and a step's sums are refused before its state, by
     refuse_pilot_sums, once each of channels (the live members') has
     realized the step's block, so that an overflowing gain is named rather
     than its sum. In a state, ratio names a nonpositive x_tilde (NaN
@@ -297,7 +298,9 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
       step each member's channel writes the whole epoch into its slot,
       and one pilot_sums product takes the epoch's noise-free pilot sums,
       (T, m, n). A step's sigma is its row of them plus its pilot noise,
-      kept beside the chunk and refused at the fold (below). With
+      kept beside the chunk and refused at the fold (below), but for a
+      noiseless step in an epoch whose sums are all usable_sums', which
+      divides by its row of them as it is. With
       epsilon_B, an (epsilon, B) pair, the pass's EpsilonBAudit, built
       symmetric when every member's channel is a ChannelProcess, judges
       G: each summary's epsilon_B_satisfied, None in any other pass;
@@ -318,6 +321,11 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     go into a chunk of DRIFT_STEPS steps, folded into the mass drift (and
     with record into each member's rows) when full and when a member stops.
     A noiseless step writes into its chunk row, a noisy one copies it in.
+    A noiseless tic or baseline pass is at a fixed point once, at a fold,
+    every live member's state equals the one before it, compared as
+    integers (so -0.0 is not +0.0): it steps no more, and at each step
+    that its next check, stop or chunk end falls on, it first writes the
+    fixed state into the rows of the steps up to it with one assignment.
     The stop rule is checked only where a member could first stop: a streak
     grows by at most one a step, so after a check whose longest streak is
     s the next is window - s steps on, or at the next budget or fold. A
@@ -362,6 +370,9 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     slots = 3 if algorithm == "tvc" else 2
     draws, drawn = np.empty((0, slots, m, n)), 0  # the chunk of noise, (steps, slots, m, n)
     sums = None  # a tvc pass's pilot sums, one (m, n) row per chunk row
+    # a noiseless tic or baseline step is one map, the same at every step, so
+    # a state equal to the one before it is fixed: every later step gives it
+    settles, fixed = algorithm != "tvc" and not noisy, False
     if algorithm == "baseline":
         G, sigma = np.array([prop1_weights(g) for g in graphs]), np.ones((m, n))
     elif algorithm == "tic":
@@ -373,10 +384,18 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
     else:
         T = epoch_blocks(n)
         blocks, clean = np.empty((T, m, n, n)), np.empty((T, m, n))
-        sums = np.ones((DRIFT_STEPS, m, n))  # row 0 of the first chunk is step 0, which divides by none
+        # a row no step writes holds a usable sum: row 0 of the first chunk is
+        # step 0, which divides by none, and a direct step (below) writes none
+        sums = np.ones((DRIFT_STEPS, m, n))
         block_rows, clean_rows, sum_rows = list(blocks), list(clean), list(sums)
-    for k in count():
-        if k:
+    k = -1
+    while True:
+        k += 1
+        if fixed:  # each step up to the next check, stop or chunk end gives the fixed state z
+            last = min(next_stop, k + DRIFT_STEPS - 1 - filled, next_check or next_stop)  # None: no stop rule
+            chunk[:2, filled : filled + last + 1 - k] = z[:, np.newaxis]
+            filled, k = filled + last - k, last
+        elif k:
             if noisy and drawn == len(draws):
                 steps = int(min(DRIFT_STEPS, next_stop - k + 1))
                 draws, w, drawn = None, None, 0  # the spent chunk is freed before the next is drawn
@@ -389,16 +408,18 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
                         for j, i in enumerate(live):
                             channels[i].write_epoch(e, blocks[:, j])
                         clean[...] = pilot_sums(blocks)
+                        # a noiseless step divides by its clean row, kept beside the chunk only if it can fault
+                        direct = not noisy and usable_sums(clean).all()
                     G = block_rows[r]
                     if audit is not None:
                         audit.add(G)
                 except (ValueError, RuntimeError):  # a fault earlier in the chunk comes first
                     _judge(chunk[:, :filled], k - filled, sums, (channels[i] for i in live))
                     raise
-                sigma = sum_rows[filled]  # refused at the fold
+                sigma = clean_rows[r] if direct else sum_rows[filled]  # a row of sums is refused at the fold
                 if noisy:
                     np.add(clean_rows[r], w[0], out=sigma)
-                else:
+                elif not direct:
                     sigma[...] = clean_rows[r]
             z = ota_step(G, sigma, z, w[-2:] if noisy else None, None if noisy else state_rows[filled])
         if noisy or not k:  # step 0, or a noisy step: its noise adds faster to its own product than to a row
@@ -418,6 +439,10 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
             _judge(chunk[:, :filled], k + 1 - filled, sums, (channels[i] for i in live))
             deviation = np.abs(chunk[:2, :filled].sum(axis=-1) - conserved[:, np.newaxis]).max(axis=1)
             np.maximum(drift, deviation, out=drift)
+            if settles and not fixed and filled > 1:  # compared as integers, so -0.0 is not +0.0
+                pair = chunk[:2, filled - 2 : filled].view(np.int64)
+                if (pair[:, 0] == pair[:, 1]).all():
+                    fixed, z = True, z.copy()  # z is a chunk row: the rows filled from it must not hold it
             for j, i in enumerate(live if record else ()):
                 for a, c in zip(rows[i], chunk[:, :filled, j]):
                     if len(a) <= k:  # double, up to the member's budget
@@ -450,7 +475,7 @@ def _kernel(algorithm, members, noise_std=0.0, epsilon_B=None, tol=None, window=
         chunk, draws = np.empty((3, DRIFT_STEPS, live.size, n)), draws[:, :, keep]
         state_rows = list(chunk[:2].swapaxes(0, 1))
         if algorithm == "tvc":  # a member's slot and sums move with it
-            blocks, clean, sums = blocks[:, keep], clean[:, keep], np.empty((DRIFT_STEPS, live.size, n))
+            blocks, clean, sums = blocks[:, keep], clean[:, keep], np.ones((DRIFT_STEPS, live.size, n))
             block_rows, clean_rows, sum_rows = list(blocks), list(clean), list(sums)
         else:
             G, sigma = G[keep], sigma[keep]

@@ -1393,18 +1393,26 @@ def test_every_pass_sets_its_members_up_through_prepare(monkeypatch, tmp_path, c
 def test_a_healthy_verify_steps_one_pass_per_regime(monkeypatch, tmp_path, capsys):
     # verify's members are calls that count nothing: a pass that raised and
     # was replayed a member at a time would write the same bytes, slower.
-    # A healthy suite steps tic's one member, then tvc's three, once each
+    # A healthy suite steps tic's one member, then tvc's three, once each.
+    # tic's noiseless pass reaches its fixed point and computes fewer than
+    # its 1000 steps; tvc's computes every one
     from otaconsensus import simulator
 
-    passes, kernel = [], simulator._kernel
+    passes, kernel, step = [], simulator._kernel, simulator.ota_step
 
     def counted(algorithm, members, **rule):
-        passes.append((algorithm, len(members)))
+        passes.append([algorithm, len(members), 0])
         return kernel(algorithm, members, **rule)
 
+    def stepped(*args):
+        passes[-1][2] += 1
+        return step(*args)
+
     monkeypatch.setattr(simulator, "_kernel", counted)
+    monkeypatch.setattr(simulator, "ota_step", stepped)
     assert main(["verify", str(CONFIG_DIR / "tvc10.cfg"), "-o", str(tmp_path)]) == 0
-    assert passes == [("tic", 1), ("tvc", 3)]
+    (tic, members, steps), tvc = passes
+    assert (tic, members, tvc) == ("tic", 1, ["tvc", 3, 1000]) and steps < 1000
     capsys.readouterr()
 
 

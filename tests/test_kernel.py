@@ -157,6 +157,104 @@ def test_a_pass_writes_each_step_as_the_allocating_step_gives_it(algorithm, n, m
                                                                          (z[0] / z[1]).tobytes()), (s, k)
 
 
+def settling_members(algorithm, seeds, budgets, n=10):
+    """Noiseless members on ER(0.5) graphs, one per seed with its budget,
+    each with its (budget + 1, 2, n) states stepped alone, one allocating
+    ota_step at a time."""
+    members, states = [], []
+    for seed, budget in zip(seeds, budgets):
+        g, S = er(n, seed), InitialStates(np.random.default_rng(seed).uniform(-1.0, 2.0, n))
+        proc = ChannelProcess(FadingModel.half_normal(1.0), g, seed=seed) if algorithm == "tic" else None
+        gains = proc.realization(0).gains if proc else prop1_weights(g)
+        sigma = measured_sigma(gains) if proc else np.ones(n)
+        z = [np.array([S.values, np.ones(n)])]
+        for _ in range(budget):
+            z.append(ota_step(gains, sigma, z[-1]))
+        members.append((g, proc, S, None, budget))
+        states.append(np.array(z))
+    return members, states
+
+
+def stepped_alone(states, S, tol=None, window=1):
+    """The summary of a member stepped alone through states, a (steps + 1,
+    2, n) array, stopped where a check at every step stops it."""
+    mu, streak = states[:, 0] / states[:, 1], 0
+    for k in range(1, len(states)):
+        streak = streak + 1 if tol is not None and np.ptp(mu[k]) <= tol else 0
+        if streak >= window:
+            break
+    target = S.mean()
+    drift_y, drift_x = mass_audit((states[: k + 1, 0], states[: k + 1, 1]), S)
+    return RunSummary(converged=streak >= window, iterations_used=k, target_average=target,
+                      final_max_error=float(np.max(np.abs(mu[k] - target))), mass_drift_y=drift_y,
+                      mass_drift_x=drift_x, epsilon_B_satisfied=None)
+
+
+def fixed_from(states):
+    """The first step whose state equals, bitwise, the one before it."""
+    same = (states[1:].view(np.int64) == states[:-1].view(np.int64)).all(axis=(1, 2))
+    return int(np.argmax(same)) + 1 if same.any() else None
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "baseline"])
+def test_a_noiseless_pass_at_its_fixed_point_steps_no_more(algorithm, monkeypatch):
+    # every member lands on a state its step maps to itself, bitwise; from
+    # the first fold that sees it the pass calls ota_step no more, yet its
+    # rows up to each member's stop, and its summaries, are the steps' own
+    members, states = settling_members(algorithm, (0, 2, 3), (1000, 1030, 1200))
+    calls = []
+    monkeypatch.setattr(simulator, "ota_step", lambda *step: calls.append(1) or ota_step(*step))
+    results = _kernel(algorithm, members, record=True)
+    fixed = max(fixed_from(z) for z in states)
+    assert len(calls) == -(-(fixed + 1) // DRIFT_STEPS) * DRIFT_STEPS - 1 < 300
+    for (summary, rows), z, (_, _, S, _, _) in zip(results, states, members):
+        assert summary == stepped_alone(z, S)
+        assert [a.tobytes() for a in rows] == [z[:, 0].tobytes(), z[:, 1].tobytes(), (z[:, 0] / z[:, 1]).tobytes()]
+
+
+@pytest.mark.parametrize("window", [2, 10, 63, 64, 65, 129])
+@pytest.mark.parametrize("algorithm", ["tic", "baseline"])
+def test_a_pass_at_its_fixed_point_stops_where_each_step_would(algorithm, window, monkeypatch):
+    # members stop apart: some converge, the others run to their budgets.
+    # Once every live member is fixed the pass jumps from check to check,
+    # and each stop is the one a check at every step gives. The tic pass
+    # jumps only once seed 1 stops, which is not fixed by its budget; in
+    # the baseline pass, at windows from 63 on, members converge as it jumps
+    seeds, budgets = range(6), (700, 450, 800, 600, 650, 900)
+    members, states = settling_members(algorithm, seeds, budgets)
+    calls = []
+    monkeypatch.setattr(simulator, "ota_step", lambda *step: calls.append(1) or ota_step(*step))
+    summaries = [s for s, _ in _kernel(algorithm, members, tol=2e-16, window=window)]
+    assert summaries == [stepped_alone(z, S, 2e-16, window) for z, (_, _, S, _, _) in zip(states, members)]
+    stops = {(s.iterations_used, s.converged) for s in summaries}
+    assert len(stops) >= 4 and any(c for _, c in stops) and not all(c for _, c in stops)
+    assert len(calls) < max(s.iterations_used for s in summaries) - DRIFT_STEPS
+
+
+@pytest.mark.parametrize("algorithm", ["tic", "baseline"])
+def test_a_state_that_differs_only_in_the_sign_of_a_zero_is_not_fixed(algorithm, monkeypatch):
+    # a start of -0.0 steps to +0.0, which equals it as a float; the fold at
+    # step 1, where one member stops, must not take the pair for a fixed
+    # point: the other member steps on to the next fold, and every row,
+    # -0.0 at step 0 included, is the steps' own
+    g = generate_topology(TopologySpec("complete"), 2, seed=0)
+    S = InitialStates([-0.0, -0.0])
+    proc = ChannelProcess(FadingModel.constant(1.0), g) if algorithm == "tic" else None
+    gains = proc.realization(0).gains if proc else prop1_weights(g)
+    z = [np.array([S.values, np.ones(2)])]
+    for _ in range(3 * DRIFT_STEPS):
+        z.append(ota_step(gains, measured_sigma(gains) if proc else np.ones(2), z[-1]))
+    assert np.array_equal(z[1], z[0]) and z[1].tobytes() != z[0].tobytes() and fixed_from(np.array(z)) == 2
+    calls = []
+    monkeypatch.setattr(simulator, "ota_step", lambda *step: calls.append(1) or ota_step(*step))
+    results = _kernel(algorithm, [(g, proc, S, None, 1), (g, proc, S, None, 3 * DRIFT_STEPS)], record=True)
+    assert len(calls) == 1 + DRIFT_STEPS
+    for (summary, rows), budget in zip(results, (1, 3 * DRIFT_STEPS)):
+        states = np.array(z[: budget + 1])
+        assert summary == stepped_alone(states, S)
+        assert [a.tobytes() for a in rows[:2]] == [states[:, 0].tobytes(), states[:, 1].tobytes()]
+
+
 @pytest.mark.parametrize("algorithm, blocks", [
     ("tic", [("block", 0)]), ("tvc", [("epoch", e) for e in range(3)]),
 ])
